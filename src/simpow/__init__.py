@@ -21,6 +21,7 @@ from .equation2x2 import (
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
+    conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,
     kernel_basis,

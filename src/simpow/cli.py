@@ -25,6 +25,7 @@ from .equation2x2 import (
 from .errors import NormalizationRequiredError
 from .matrixcore import (
     ToleranceConfig,
+    conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,
     mat_int_pow,
@@ -178,9 +179,8 @@ def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, cfg: ToleranceConfig
         out["b"] = None
         out["residual"] = None
         return out
-    residual = _max_abs(np.linalg.solve(candidate, a_p @ candidate) - a_q)
     out["b"] = matrix_to_json(candidate)
-    out["residual"] = residual
+    out["residual"] = conjugacy_residual(candidate, a_p, a_q)
     return out
 
 
@@ -211,11 +211,10 @@ def cmd_generate(args) -> dict:
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
     a = inst.diagonal_matrix()
-    residual = _max_abs(np.linalg.solve(b, mat_int_pow(a, pq.p, cfg) @ b) - mat_int_pow(a, pq.q, cfg))
     report["instance"] = inst.to_json()
     report["a"] = matrix_to_json(a)
     report["b"] = matrix_to_json(b)
-    report["residual"] = residual
+    report["residual"] = conjugacy_residual(b, mat_int_pow(a, pq.p, cfg), mat_int_pow(a, pq.q, cfg))
     return report
 
 
@@ -241,7 +240,10 @@ def cmd_nilpotent(args) -> dict:
     a_mat = lam_c * np.eye(n) + nil
     c_mat = lam_c * np.eye(n) + solution.m_matrix
     power_residual = _max_abs(mat_int_pow(c_mat, pq.p, cfg) - mat_int_pow(a_mat, pq.q, cfg))
-    conj_residual = _max_abs(np.linalg.solve(solution.b0, nil @ solution.b0) - solution.m_matrix)
+    # relative and inverse-free: B0 has condition numbers of 1e17 and more, so
+    # max|B0^-1 N B0 - M| would amplify rounding by that much
+    b0 = solution.b0
+    conj_residual = _max_abs(nil @ b0 - b0 @ solution.m_matrix) / _max_abs(b0)
     report["solution"] = solution.to_json()
     report["alpha_exact"] = [str(c) for c in solution.poly_coeffs] if lam.num == 0 else None
     report["alpha_factored"] = [
@@ -285,7 +287,7 @@ def cmd_verify(args) -> dict:
         a_q = mat_int_pow(a, pq.q, cfg)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
-    report["residual"] = _max_abs(np.linalg.solve(b, a_p @ b) - a_q)
+    report["residual"] = conjugacy_residual(b, a_p, a_q)
     report["c"] = matrix_to_json(conj.c)
     report["commutation_residual"] = conj.commutation_residual
     report["c_commutes_with_a"] = conj.commutes
@@ -360,9 +362,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--rank-tol", type=float, default=1e-9, dest="rank_tol")
     parser.add_argument("--verify-tol", type=float, default=1e-9, dest="verify_tol")
     parser.add_argument("--seed", type=int, default=0)
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True, help="JSON output (default)")
-    fmt.add_argument("--pretty", action="store_true", help="human-readable summary")
+    parser.add_argument("--pretty", action="store_true", help="human-readable summary, not JSON")
 
 
 def _add_pq(parser: argparse.ArgumentParser):

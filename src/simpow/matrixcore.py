@@ -104,6 +104,11 @@ def sylvester_kernel(
     return [vec.reshape(n, n) for vec in kernel_basis(op, cfg)]
 
 
+def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Largest entry of |B^-1 X B - Y|: how far B is from conjugating X to Y."""
+    return float(np.max(np.abs(np.linalg.solve(b, x @ b) - y)))
+
+
 def span_residual(basis: list[np.ndarray], target: np.ndarray) -> float:
     """Frobenius distance from target to the span of the basis matrices."""
     if not basis:

@@ -4,15 +4,18 @@ Two regimes are fully constructive:
 
 * distinct eigenvalues: A = diag of one successor-cycle of roots of unity
   inside Z/(q^n - p^n), with B = diag(scale) times the cycle permutation;
-* a single eigenvalue lambda with lambda^(q-p) = 1: the conjugate's
-  nilpotent part is a polynomial in N whose coefficients are solved by
-  matching powers of N, and a block-diagonal base conjugator B0 realizes
-  it.  All other conjugators differ from B0 by an invertible matrix
-  commuting with N, which is exposed as a membership test.
+* a single eigenvalue lambda with lambda^(q-p) = 1: the conjugate is the
+  primary matrix function lambda*(I + N/lambda)^(q/p), whose coefficients
+  are the generalized binomials C(q/p, j), and a block-diagonal base
+  conjugator B0 realizes it.  B0 is the power matrix of the compositional
+  inverse series (1 + y)^(p/q) - 1, in closed form as well.  All other
+  conjugators differ from B0 by an invertible matrix commuting with N,
+  which is exposed as a membership test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,16 +81,17 @@ def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[Residue]:
     """All seed residues k1 whose cycle k_u = (p^-1 q)^(u-1) k1 has n distinct values.
 
     These are the residues outside every set (Q/|q^z - p^z|) Z/Q for strict
-    divisors z of n.  Returned in increasing order.
+    divisors z of n, found by sieving out those sets.  Returned in
+    increasing order.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     modulus = _power_modulus(n, pq)
-    return [
-        Residue(k1, modulus)
-        for k1 in range(modulus)
-        if _violated_divisor(n, pq, k1, modulus) is None
-    ]
+    valid = bytearray(b"\x01") * modulus
+    for z in _excluded_divisors(n):
+        step = modulus // abs(pq.q**z - pq.p**z)
+        valid[::step] = bytes(len(range(0, modulus, step)))
+    return [Residue(k1, modulus) for k1 in itertools.compress(range(modulus), valid)]
 
 
 def build_cycle_instance(n: int, pq: ExponentPair, k1: int | Residue) -> CycleInstance:
@@ -131,14 +135,6 @@ def build_cycle_conjugator(inst: CycleInstance, scale) -> np.ndarray:
     for j in range(n):
         sigma[(j + 1) % n, j] = 1.0
     return np.diag(scale) @ sigma
-
-
-def _general_binomial(e: int, k: int) -> int:
-    """Binomial coefficient e over k for any integer e (k >= 0)."""
-    num = 1
-    for i in range(k):
-        num *= e - i
-    return num // math.factorial(k)
 
 
 @dataclass(frozen=True)
@@ -186,34 +182,6 @@ class SingleEigSolution:
         }
 
 
-def _poly_mul_trunc(a: list, b: list, d: int) -> list:
-    out = [Fraction(0)] * d
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j < d:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _solve_rational_coeffs(d: int, pq: ExponentPair) -> list[Fraction]:
-    """Rationals a_1..a_{d-1} with (1 + sum a_i N^i)^p = (1 + N)^q mod N^d."""
-    rhs = [Fraction(_general_binomial(pq.q, k)) for k in range(d)]
-    alphas: list[Fraction] = []
-    for j in range(1, d):
-        # coefficient of N^j with a_j set to 0; a_j enters only linearly
-        # through the k = 1 term of the binomial expansion
-        m_poly = [Fraction(0)] + alphas + [Fraction(0)] * (d - j)
-        m_power = [Fraction(1)] + [Fraction(0)] * (d - 1)
-        lhs_j = Fraction(0)
-        for k in range(1, d):
-            m_power = _poly_mul_trunc(m_power, m_poly, d)
-            lhs_j += _general_binomial(pq.p, k) * m_power[j]
-        alphas.append((rhs[j] - lhs_j) / pq.p)
-    return alphas
-
-
 def _rational_poly_block(alphas: list[Fraction], size: int) -> list[list[Fraction]]:
     """a_1 J + a_2 J^2 + ... on the Jordan block J_size, exactly (Toeplitz)."""
     coeffs = [Fraction(0)] + list(alphas[: size - 1])
@@ -223,30 +191,50 @@ def _rational_poly_block(alphas: list[Fraction], size: int) -> list[list[Fractio
     ]
 
 
-def _rational_block_conjugator(m_block: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact B with B^-1 J B = M for one Jordan block.
+def _binomial_coeffs(e: Fraction, d: int) -> list[Fraction]:
+    """C(e, 1..d-1), the coefficients of (1 + x)^e - 1, by c_j = c_(j-1) (e - j + 1) / j."""
+    coeffs = [Fraction(1)]
+    for j in range(1, d):
+        coeffs.append(coeffs[-1] * (e - j + 1) / j)
+    return coeffs[1:]
 
-    Columns of B^-1 are M^(r-1) e_r, ..., e_r; the inverse is computed by
-    back substitution (the basis matrix is upper triangular) and normalized
-    to a unit top-left entry.
+
+def _inverse_series_powers(pq: ExponentPair, d: int) -> list[list[Fraction]]:
+    """[y^t] w(y)^k for w(y) = (1 + y)^(p/q) - 1 and 0 <= k, t < d.
+
+    Scaled by q^t t!, every coefficient is an integer: for w itself it is
+    the product p (p - q) ... (p - (t-1) q), and the product of two scaled
+    series is their binomial convolution.  So the table is built in integers
+    and divided once per entry.
     """
-    r = len(m_block)
-    vec = [Fraction(0)] * r
-    vec[r - 1] = Fraction(1)
-    cols = []
-    for _ in range(r):
-        cols.append(vec)
-        vec = [sum(m_block[i][k] * vec[k] for k in range(r)) for i in range(r)]
-    basis = [[cols[r - 1 - j][i] for j in range(r)] for i in range(r)]
-    inverse = [[Fraction(1) if i == j else Fraction(0) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        for i in range(r - 1, -1, -1):
-            acc = inverse[i][col] - sum(
-                basis[i][k] * inverse[k][col] for k in range(i + 1, r)
-            )
-            inverse[i][col] = acc / basis[i][i]
-    scale = inverse[0][0]
-    return [[entry / scale for entry in row] for row in inverse]
+    w = [0, pq.p]
+    for t in range(2, d):
+        w.append(w[-1] * (pq.p - (t - 1) * pq.q))
+    scaled = [[1] + [0] * (d - 1)]
+    for k in range(1, d):
+        prev = scaled[-1]  # w^(k-1) has valuation k - 1, w has valuation 1
+        scaled.append([0] * k + [
+            sum(math.comb(t, i) * prev[i] * w[t - i] for i in range(k - 1, t))
+            for t in range(k, d)
+        ])
+    return [[Fraction(c, pq.q**t * math.factorial(t)) for t, c in enumerate(row)] for row in scaled]
+
+
+def _block_conjugator(
+    w_powers: list[list[Fraction]], ratio: Fraction, size: int
+) -> list[list[Fraction]]:
+    """Exact B with B^-1 J B = M for a Jordan block of size r, unit top-left entry.
+
+    B^-1 is the Krylov basis [x^(r-1-i)] m(x)^(r-1-j), the power matrix of
+    m(x) = (1 + x)^(q/p) - 1.  Power matrices compose, so B is the power
+    matrix of the compositional inverse w(y) = (1 + y)^(p/q) - 1, whose
+    top-left entry (p/q)^(r-1) is divided out.
+    """
+    scale = ratio ** (size - 1)
+    return [
+        [w_powers[size - 1 - j][size - 1 - i] / scale for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def _assemble_blocks(blocks: list[list[list[Fraction]]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -267,10 +255,12 @@ def solve_single_eigenvalue(
 ) -> SingleEigSolution:
     """Solve B^-1 A^p B = A^q for A = lam*I + N with N of given block sizes.
 
-    Requires lam^(q-p) = 1 exactly.  Matching coefficients of N..N^(d-1) in
-    (lam*I + sum alpha_i N^i)^p = (lam*I + N)^q determines the alphas
-    uniquely with alpha_1 != 0; B0 is assembled block by block.  The whole
-    computation is exact rational arithmetic twisted by powers of lambda.
+    Requires lam^(q-p) = 1 exactly.  The conjugate C = lam*I + sum alpha_i N^i
+    with C^p = A^q and alpha_1 != 0 is lam*(I + N/lam)^(q/p), so alpha_j is
+    the generalized binomial C(q/p, j) twisted by lam^(1-j).  B0 is
+    assembled block by block from the powers of the inverse series
+    (1 + y)^(p/q) - 1.  The whole computation is exact rational arithmetic
+    twisted by powers of lambda.
     """
     block_sizes = tuple(sorted((int(b) for b in block_sizes), reverse=True))
     if not block_sizes or block_sizes[-1] < 1:
@@ -280,28 +270,28 @@ def solve_single_eigenvalue(
             f"lambda = {lam} violates lambda^(q-p) = 1 for (p,q)=({pq.p},{pq.q})"
         )
     d = block_sizes[0]
-    rational = _solve_rational_coeffs(d, pq)
+    ratio = Fraction(pq.p, pq.q)
+    rational = _binomial_coeffs(1 / ratio, d)
+    w_powers = _inverse_series_powers(pq, d)
     m_blocks = [_rational_poly_block(rational, size) for size in block_sizes]
-    b_blocks = [_rational_block_conjugator(mb) for mb in m_blocks]
+    b_blocks = [_block_conjugator(w_powers, ratio, size) for size in block_sizes]
     m_rational = _assemble_blocks(m_blocks)
     b0_rational = _assemble_blocks(b_blocks)
     n = sum(block_sizes)
+    twist = {e: rou_to_complex(rou_pow(lam, e)) for e in range(1 - n, n + 1)}
     m_matrix = np.zeros((n, n), dtype=complex)
     b0 = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             if m_rational[i][j]:
-                m_matrix[i, j] = float(m_rational[i][j]) * rou_to_complex(
-                    rou_pow(lam, 1 + i - j)
-                )
+                m_matrix[i, j] = float(m_rational[i][j]) * twist[1 + i - j]
             if b0_rational[i][j]:
-                b0[i, j] = float(b0_rational[i][j]) * rou_to_complex(rou_pow(lam, i - j))
+                b0[i, j] = float(b0_rational[i][j]) * twist[i - j]
     if lam.num == 0:
         poly_coeffs: tuple = tuple(rational)
     else:
         poly_coeffs = tuple(
-            float(a) * rou_to_complex(rou_pow(lam, 1 - j))
-            for j, a in enumerate(rational, start=1)
+            float(a) * twist[1 - j] for j, a in enumerate(rational, start=1)
         )
     return SingleEigSolution(
         lam,

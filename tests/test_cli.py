@@ -130,6 +130,16 @@ class TestNilpotent:
         assert report["alpha_exact"] == ["3/2", "3/8"]
         assert report["conjugation_residual"] < 1e-12
 
+    @pytest.mark.parametrize("lam,p,q", [("1/2", 1, 3), ("0/1", -1, 2), ("1/3", 2, 5)])
+    def test_conjugation_residual_is_relative_and_inverse_free(self, capsys, lam, p, q):
+        # B0 at d = 24 has condition numbers of 1e11 to 1e14; the reported
+        # residual max|N B0 - B0 M| / max|B0| stays at rounding level regardless
+        code, report = run_json(
+            capsys, "nilpotent", "--lam", lam, "--blocks", "24,3", "-p", str(p), "-q", str(q)
+        )
+        assert code == 0
+        assert report["conjugation_residual"] < 1e-14
+
     def test_hypothesis_violation(self, capsys):
         code, report = run_json(
             capsys, "nilpotent", "--lam", "1/3", "--blocks", "2", "-p", "2", "-q", "3"

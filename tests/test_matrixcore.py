@@ -5,6 +5,7 @@ from simpow.errors import NotInvertibleError
 from simpow.matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
+    conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,
     kernel_basis,
@@ -109,6 +110,22 @@ class TestSylvesterKernel:
             for x in sylvester_kernel(p, q):
                 residual = np.linalg.norm(p @ x - x @ q)
                 assert residual <= 10 * DEFAULT_TOL.rank_tol * scale * np.linalg.norm(x)
+
+
+class TestConjugacyResidual:
+    def test_nondiag_solution(self, nondiag_fixture):
+        a, b, _, _, _ = nondiag_fixture
+        assert conjugacy_residual(b, mat_int_pow(a, 2), mat_int_pow(a, 3)) < 1e-12
+
+    def test_largest_entry_of_difference(self):
+        # B = I: the residual is max|X - Y| exactly
+        x = np.diag([1.0, 2.0]).astype(complex)
+        y = np.array([[1.0, 0.5], [0.0, -1.0]], dtype=complex)
+        assert conjugacy_residual(np.eye(2), x, y) == 3.0
+
+    def test_singular_b_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            conjugacy_residual(np.zeros((2, 2)), np.eye(2), np.eye(2))
 
 
 class TestFindInvertibleInSpan:

@@ -293,3 +293,106 @@ class TestPolynomialRealization:
             b = build_cycle_conjugator(inst, [1.0] * n)
             c = np.linalg.solve(b, a @ b)
             assert np.max(np.abs(c - mat_int_pow(a, alpha * pq23.q))) < 1e-10
+
+
+# The nine exponent pairs of the closed-form pins: negative exponents, p > q
+# and p = 1 included.
+CLOSED_FORM_PAIRS = [(2, 5), (1, 3), (2, 3), (-1, 2), (3, 5), (3, 7), (-2, 3), (1, -2), (5, 2)]
+
+
+def krylov_inverse_conjugator(alphas, size):
+    """Reference B0 block: the inverse of the Krylov basis [M^(r-1) e_r, ..., e_r].
+
+    M = sum_k alphas[k-1] J^k on the Jordan block J of the given size; the
+    inverse is found by back substitution and scaled to a unit top-left entry.
+    """
+    coeffs = [Fraction(0)] + list(alphas[: size - 1])
+    m_block = [
+        [coeffs[j - i] if 0 <= j - i < len(coeffs) else Fraction(0) for j in range(size)]
+        for i in range(size)
+    ]
+    vec = [Fraction(0)] * size
+    vec[-1] = Fraction(1)
+    cols = []
+    for _ in range(size):
+        cols.append(vec)
+        vec = [sum(m_block[i][k] * vec[k] for k in range(size)) for i in range(size)]
+    basis = [[cols[size - 1 - j][i] for j in range(size)] for i in range(size)]
+    inverse = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for col in range(size):
+        for i in range(size - 1, -1, -1):
+            acc = inverse[i][col] - sum(basis[i][k] * inverse[k][col] for k in range(i + 1, size))
+            inverse[i][col] = acc / basis[i][i]
+    return [[entry / inverse[0][0] for entry in row] for row in inverse]
+
+
+def exact_nilpotent(block_sizes):
+    n = sum(block_sizes)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    pos = 0
+    for size in block_sizes:
+        for i in range(pos, pos + size - 1):
+            out[i][i + 1] = Fraction(1)
+        pos += size
+    return out
+
+
+def exact_matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
+    def test_alpha_is_generalized_binomial(self, p, q):
+        import sympy
+
+        sol = solve_single_eigenvalue(R(0, 1), [16], ExponentPair(p, q))
+        expected = [sympy.binomial(sympy.Rational(q, p), j) for j in range(1, 16)]
+        assert [sympy.Rational(c.numerator, c.denominator) for c in sol.rational_coeffs] == expected
+
+    @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
+    def test_b0_intertwines_exactly(self, p, q):
+        blocks = (12, 5, 2, 1)
+        sol = solve_single_eigenvalue(R(0, 1), blocks, ExponentPair(p, q))
+        b0 = [list(row) for row in sol.b0_rational]
+        m = [list(row) for row in sol.m_rational]
+        nil = exact_nilpotent(blocks)
+        assert exact_matmul(nil, b0) == exact_matmul(b0, m)
+        assert all(b0[i][i] != 0 for i in range(len(b0)))
+
+    @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
+    def test_b0_matches_krylov_inverse(self, p, q):
+        for d in (1, 2, 5, 12):
+            sol = solve_single_eigenvalue(R(0, 1), [d], ExponentPair(p, q))
+            got = [list(row) for row in sol.b0_rational]
+            assert got == krylov_inverse_conjugator(list(sol.rational_coeffs), d)
+
+    def test_twisted_entries_follow_rationals(self):
+        # lambda != 1 only twists the float views by powers of lambda
+        pq = ExponentPair(1, 3)
+        lam = R(1, 2)
+        sol = solve_single_eigenvalue(lam, [6, 3], pq)
+        base = solve_single_eigenvalue(R(0, 1), [6, 3], pq)
+        assert sol.rational_coeffs == base.rational_coeffs
+        assert sol.b0_rational == base.b0_rational
+        for i in range(9):
+            for j in range(9):
+                frac, root = sol.exact_b0_entry(i, j)
+                assert sol.b0[i, j] == (float(frac) * rou_to_complex(root) if frac else 0)
+
+
+def per_residue_valid_k1(n, pq):
+    """Definition: k1 outside every coset (Q/|q^z - p^z|) Z/Q, z a strict divisor of n."""
+    modulus = abs(pq.q**n - pq.p**n)
+    steps = [modulus // abs(pq.q**z - pq.p**z) for z in range(1, n) if n % z == 0]
+    return [k1 for k1 in range(modulus) if all(k1 % step for step in steps)]
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (1, 2), (-1, 2), (3, 5), (2, 5)])
+def test_enumerate_valid_k1_matches_definition(p, q):
+    pq = ExponentPair(p, q)
+    n = 1
+    while abs(pq.q**n - pq.p**n) <= 2 * 10**4:
+        assert [k.value for k in enumerate_valid_k1(n, pq)] == per_residue_valid_k1(n, pq)
+        n += 1
+    assert n > 5
