@@ -9,6 +9,7 @@ codes are reserved for operational errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,10 +46,6 @@ from .solvers import (
     solve_single_eigenvalue,
 )
 from .spectra import multiset_power
-
-
-def _max_abs(m) -> float:
-    return float(np.max(np.abs(m)))
 
 
 class OperationalError(Exception):
@@ -239,19 +236,15 @@ def cmd_nilpotent(args) -> dict:
     nil = nilpotent_from_blocks(solution.block_sizes)
     a_mat = lam_c * np.eye(n) + nil
     c_mat = lam_c * np.eye(n) + solution.m_matrix
-    power_residual = _max_abs(mat_int_pow(c_mat, pq.p, cfg) - mat_int_pow(a_mat, pq.q, cfg))
-    # relative and inverse-free: B0 has condition numbers of 1e17 and more, so
-    # max|B0^-1 N B0 - M| would amplify rounding by that much
-    b0 = solution.b0
-    conj_residual = _max_abs(nil @ b0 - b0 @ solution.m_matrix) / _max_abs(b0)
+    power_residual = np.max(np.abs(mat_int_pow(c_mat, pq.p, cfg) - mat_int_pow(a_mat, pq.q, cfg)))
     report["solution"] = solution.to_json()
     report["alpha_exact"] = [str(c) for c in solution.poly_coeffs] if lam.num == 0 else None
     report["alpha_factored"] = [
         {"rational": str(frac), "root": str(rou_pow(lam, 1 - j))}
         for j, frac in enumerate(solution.rational_coeffs, start=1)
     ]
-    report["power_residual"] = power_residual
-    report["conjugation_residual"] = conj_residual
+    report["power_residual"] = float(power_residual)
+    report["conjugation_residual"] = conjugacy_residual(solution.b0, nil, solution.m_matrix)
     return report
 
 
@@ -461,9 +454,15 @@ def _pretty_lines(report: dict, indent: int = 0) -> list[str]:
     return lines
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged, so
+    in-process callers need not pay for building it on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.func(args)
     except OperationalError as exc:

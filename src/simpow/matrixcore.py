@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInvertibleError
+from .errors import ClusteringAmbiguityError, NotInvertibleError
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,9 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# eigenvalues closer than this, relative to the operand's 2-norm, are one cluster
+DEFAULT_CLUSTER_TOL = 1e-6
 
 
 def as_matrix(data) -> np.ndarray:
@@ -45,11 +48,19 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def rank_with_tol(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+def _rank_cut(s: np.ndarray, cfg: ToleranceConfig, scale: float | None = None) -> int:
+    """Count of the descending singular values s above rank_tol * scale.
+
+    scale defaults to s[0], the matrix's own 2-norm; an absolute scale lets
+    a small block be judged against the norm of the operator it came from.
+    """
+    if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > cfg.rank_tol * s[0]))
+    return int(np.count_nonzero(s > cfg.rank_tol * (s[0] if scale is None else scale)))
+
+
+def rank_with_tol(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
+    return _rank_cut(np.linalg.svd(m, compute_uv=False), cfg)
 
 
 def is_invertible(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -75,38 +86,183 @@ def mat_int_pow(a: np.ndarray, e: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np
     return np.linalg.matrix_power(np.linalg.inv(a), -e)
 
 
-def kernel_basis(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space at rank_tol."""
+def kernel_basis(
+    m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL, scale: float | None = None
+) -> list[np.ndarray]:
+    """Orthonormal basis of the numerical null space at rank_tol (see _rank_cut)."""
     m = as_matrix(m)
     _, s, vh = np.linalg.svd(m)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > cfg.rank_tol * s[0]))
-    else:
-        rank = 0
-    return [vh[i].conj() for i in range(rank, m.shape[1])]
+    return [vh[i].conj() for i in range(_rank_cut(s, cfg, scale), m.shape[1])]
+
+
+def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]]:
+    """Single-linkage clusters of points in the complex plane (as index lists).
+
+    Clusters are ordered by their lowest-index member's (real, imag).
+    Raises ClusteringAmbiguityError when two distinct clusters come closer
+    than twice the linking threshold, since the split would then be
+    arbitrary.
+    """
+    k = len(values)
+    dist = np.abs(values[:, None] - values[None, :])
+    linked = dist <= threshold
+    # each point takes the lowest index it is linked to until nothing moves;
+    # the label of a cluster is then its lowest index
+    labels = np.arange(k)
+    while True:
+        relabeled = np.where(linked, labels[None, :], k).min(axis=1)
+        if np.array_equal(relabeled, labels):
+            break
+        labels = relabeled
+    roots = np.flatnonzero(labels == np.arange(k)).tolist()
+    roots.sort(key=lambda r: (values[r].real, values[r].imag))
+    members: dict[int, list[int]] = {r: [] for r in roots}
+    for i, r in enumerate(labels.tolist()):
+        members[r].append(i)
+    clusters = list(members.values())
+    close = (dist < 2.0 * threshold) & (labels[:, None] != labels[None, :])
+    if close.any():
+        # report the first offending pair of clusters in their sorted order
+        position = {r: i for i, r in enumerate(roots)}
+        i, j = min(
+            sorted((position[labels[a]], position[labels[b]]))
+            for a, b in zip(*np.nonzero(close))
+        )
+        gap = float(dist[np.ix_(clusters[i], clusters[j])].min())
+        raise ClusteringAmbiguityError(
+            f"eigenvalue clusters separated by only {gap:.3e} at threshold {threshold:.3e}"
+        )
+    return clusters
+
+
+def _sylvester_operator(p_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
+    """kron(P, I) - kron(I, Q^T): the map X -> PX - XQ on row-major vectorizations."""
+    m_p, m_q = len(p_mat), len(q_mat)
+    eye_p, eye_q = np.eye(m_p), np.eye(m_q)
+    # axes (i, j, k, l): P[i, k] delta[j, l] - delta[i, k] Q[l, j]
+    op = p_mat[:, None, :, None] * eye_q[None, :, None, :]
+    op = op - eye_p[:, None, :, None] * q_mat.T[None, :, None, :]
+    return op.reshape(m_p * m_q, m_p * m_q)
+
+
+def _dense_sylvester_kernel(
+    p_mat: np.ndarray, q_mat: np.ndarray, cfg: ToleranceConfig
+) -> list[np.ndarray]:
+    """The kernel from one SVD of the n^2 x n^2 operator: O(n^6) time, O(n^4) memory."""
+    n = p_mat.shape[0]
+    return [vec.reshape(n, n) for vec in kernel_basis(_sylvester_operator(p_mat, q_mat), cfg)]
+
+
+def _generalized_eigenspace(
+    shifted: np.ndarray, mult: int, cfg: ToleranceConfig
+) -> np.ndarray | None:
+    """Orthonormal columns spanning ker(shifted^k) at the first k where its
+    dimension reaches mult; None when it overshoots or never gets there."""
+    n = shifted.shape[0]
+    if mult == n:
+        return np.eye(n, dtype=complex)
+    power = shifted
+    for _ in range(mult):
+        basis = kernel_basis(power, cfg)
+        if len(basis) >= mult:
+            return np.stack(basis, axis=1) if len(basis) == mult else None
+        power = power @ shifted
+    return None
+
+
+def _structured_sylvester_kernel(
+    p_mat: np.ndarray, q_mat: np.ndarray, cfg: ToleranceConfig
+) -> list[np.ndarray] | None:
+    """The kernel solved one joint eigenvalue cluster at a time, or None
+    when the split cannot be certified.
+
+    For a cluster at centre mu with m_p eigenvalues of P and m_q of Q, U
+    spans ker((P - mu)^m_p) and Y spans ker(((Q - mu)^m_q)^H), so that
+    P U = U P_c and Y^H Q = Q_c Y^H.  Every X with PX = XQ is a sum of
+    U K Y^H over the clusters with P_c K = K Q_c; pairs of different
+    clusters contribute nothing.  A cluster of one eigenvalue takes its
+    (left) eigenvector from the one eig call per operand.  The small
+    kernels are cut at rank_tol times ||P||_2 + ||Q||_2, a bound on the
+    2-norm of every small operator.  The split is taken only when the
+    clustering is unambiguous, every U and Y has the dimension of its
+    cluster, and the stacked bases [U_1 ... U_k] and [Y_1 ... Y_k] have
+    condition numbers at most 1/sqrt(rank_tol).
+    """
+    n = p_mat.shape[0]
+    if n < 2:
+        return None  # nothing to split
+    norm_p, norm_q = np.linalg.svd(np.stack([p_mat, q_mat]), compute_uv=False)[:, 0]
+    q_adj = q_mat.conj().T
+    ev_p, vec_p = np.linalg.eig(p_mat)
+    ev_q, vec_q = np.linalg.eig(q_adj)  # left eigenvectors of Q, at conj(eigenvalues)
+    values = np.concatenate([ev_p, ev_q.conj()])
+    try:
+        clusters = _cluster_eigenvalues(values, DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0))
+    except ClusteringAmbiguityError:
+        return None
+    if len(clusters) == 1:
+        return None  # nothing to split: the dense operator is the one block
+    eye = np.eye(n)
+    u_blocks, y_blocks, pairs = [], [], []
+    for cluster in clusters:
+        members = np.asarray(cluster)
+        in_p, in_q = members[members < n], members[members >= n] - n
+        center = complex(values[members].mean())
+        u = y = None
+        if len(in_p):
+            u = vec_p[:, in_p] if len(in_p) == 1 else _generalized_eigenspace(
+                p_mat - center * eye, len(in_p), cfg)
+            if u is None:
+                return None
+            u_blocks.append(u)
+        if len(in_q):
+            y = vec_q[:, in_q] if len(in_q) == 1 else _generalized_eigenspace(
+                q_adj - center.conjugate() * eye, len(in_q), cfg)
+            if y is None:
+                return None
+            y_blocks.append(y)
+        if u is not None and y is not None:
+            pairs.append((u, y))
+    s = np.linalg.svd(np.stack([np.hstack(u_blocks), np.hstack(y_blocks)]), compute_uv=False)
+    if np.any(s[:, 0] > s[:, -1] / np.sqrt(cfg.rank_tol)):
+        return None
+    basis = []
+    for u, y in pairs:
+        y_adj = y.conj().T
+        p_c, q_c = u.conj().T @ p_mat @ u, y_adj @ q_mat @ y
+        kernel = kernel_basis(_sylvester_operator(p_c, q_c), cfg, norm_p + norm_q)
+        basis += [u @ k.reshape(len(p_c), len(q_c)) @ y_adj for k in kernel]
+    return basis
 
 
 def sylvester_kernel(
     p_mat: np.ndarray, q_mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Basis of {X : p_mat @ X - X @ q_mat = 0}.
+    """Basis of {X : p_mat @ X - X @ q_mat = 0}, each element of unit Frobenius norm.
 
-    The map X -> PX - XQ is the n^2 x n^2 operator kron(P, I) - kron(I, Q^T)
-    acting on row-major vectorizations; its null space is reshaped back to
-    matrices.
+    Solved per joint eigenvalue cluster (_structured_sylvester_kernel) in
+    about O(#clusters * n^3 + sum (m_p m_q)^3); when that split cannot be
+    certified, from the dense n^2 x n^2 operator instead.
     """
     p_mat, q_mat = as_matrix(p_mat), as_matrix(q_mat)
     n = _require_square(p_mat)
     if _require_square(q_mat) != n:
         raise ValueError("operands must have equal size")
-    eye = np.eye(n)
-    op = np.kron(p_mat, eye) - np.kron(eye, q_mat.T)
-    return [vec.reshape(n, n) for vec in kernel_basis(op, cfg)]
+    basis = _structured_sylvester_kernel(p_mat, q_mat, cfg)
+    return basis if basis is not None else _dense_sylvester_kernel(p_mat, q_mat, cfg)
 
 
 def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Largest entry of |B^-1 X B - Y|: how far B is from conjugating X to Y."""
-    return float(np.max(np.abs(np.linalg.solve(b, x @ b) - y)))
+    """max|X B - B Y| / max|B|: how far B is from conjugating X to Y (B^-1 X B = Y).
+
+    Inverse-free and relative, so an exact but ill-conditioned B is not
+    charged with rounding amplified by cond(B).  The ratio is undefined
+    for B = 0, which raises LinAlgError.
+    """
+    scale = float(np.max(np.abs(b)))
+    if scale == 0.0:
+        raise np.linalg.LinAlgError("B is zero")
+    return float(np.max(np.abs(x @ b - b @ y))) / scale
 
 
 def span_residual(basis: list[np.ndarray], target: np.ndarray) -> float:

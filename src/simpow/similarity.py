@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClusteringAmbiguityError, NormalizationRequiredError
+from .errors import NormalizationRequiredError
 from .matrixcore import (
+    DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
     ToleranceConfig,
+    _cluster_eigenvalues,
     as_matrix,
     mat_int_pow,
     weyr_characteristic,
@@ -30,8 +32,6 @@ from .spectra import (
     order_bound,
     powers_equal,
 )
-
-DEFAULT_CLUSTER_TOL = 1e-6
 
 JordanEigenvalue = RootOfUnity | complex | None  # None encodes 0
 
@@ -180,40 +180,6 @@ def matrix_from_spec(spec: JordanSpec, conjugate_seed: int | None = None) -> np.
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(g)
     return q.conj().T @ a @ q
-
-
-def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]]:
-    """Single-linkage clusters of points in the complex plane (as index lists).
-
-    Raises ClusteringAmbiguityError when two distinct clusters come closer
-    than twice the linking threshold, since the split would then be
-    arbitrary.
-    """
-    k = len(values)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= threshold:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    clusters = sorted(groups.values(), key=lambda g: (values[g[0]].real, values[g[0]].imag))
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            gap = min(abs(values[a] - values[b]) for a in clusters[i] for b in clusters[j])
-            if gap < 2.0 * threshold:
-                raise ClusteringAmbiguityError(
-                    f"eigenvalue clusters separated by only {gap:.3e} at threshold {threshold:.3e}"
-                )
-    return clusters
 
 
 def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:

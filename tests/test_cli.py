@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from simpow import cli
 from simpow.cli import main
 from simpow.matrixcore import matrix_to_json
 
@@ -244,3 +245,47 @@ class TestReportDiscipline:
         _, r1 = run_json(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b", "--seed", "1")
         _, r2 = run_json(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b", "--seed", "1")
         assert r1["conjugator"]["b"] == r2["conjugator"]["b"]
+
+
+class TestParserReuse:
+    """main() builds its parser once; reusing it must not change any output."""
+
+    @staticmethod
+    def argv_sequence(spec_path, a_path, b_path):
+        shape = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
+        return [
+            ["analyze", spec_path, "-p", "3", "-q", "7", "--find-b", "--seed", "2"],
+            ["analyze", spec_path, "-p", "3", "-q", "5"],
+            ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", "--scale", "2,5j"],
+            ["generate", "-n", "2", "-p", "2", "-q", "3"],
+            ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "0"],
+            ["nilpotent", "--lam", "0/1", "--blocks", "3", "-p", "2", "-q", "3", "--pretty"],
+            ["nilpotent", "--lam", "1/3", "--blocks", "4,2", "-p", "2", "-q", "5"],
+            ["solve-b", a_path, "-p", "2", "-q", "3", "--rank-tol", "1e-8"],
+            ["verify", a_path, b_path, "-p", "2", "-q", "3"],
+            ["word2", "classify", *shape, "--max-report", "3"],
+            ["word2", "classify", *shape],
+            ["word2", "construct", *shape, "--u", "1/4", "--rho", "1/4", "--v", "1"],
+            ["word2", "verify", a_path, b_path, "-r", "2", "--rp", "-1", "-s", "1", "--sp", "1",
+             "--eps", "1"],
+        ]
+
+    def test_same_bytes_as_a_fresh_parser(self, capsys, intro_spec_file, nondiag_files):
+        argvs = self.argv_sequence(intro_spec_file, *nondiag_files)
+        fresh = []
+        for argv in argvs:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        reused = [run(capsys, *argv) for argv in argvs]
+        assert reused == fresh
+        assert {code for code, _ in fresh} == {0, 1}
+
+    def test_bad_argv_still_exits(self, capsys, intro_spec_file):
+        _, before = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7")
+        bad = (["analyze"], ["no-such-command"], ["word2"], ["generate", "-n", "x", "-p", "2", "-q", "3"])
+        for argv in bad:
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        _, after = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7")
+        assert after == before

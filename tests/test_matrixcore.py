@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from simpow.errors import NotInvertibleError
+from simpow import matrixcore
+from simpow.errors import ClusteringAmbiguityError, NotInvertibleError
 from simpow.matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -17,6 +20,11 @@ from simpow.matrixcore import (
     sylvester_kernel,
     weyr_characteristic,
 )
+from simpow.scalar import ExponentPair, RootOfUnity, rou_pow
+from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec
+from simpow.solvers import nilpotent_from_blocks, solve_single_eigenvalue
+from simpow.spectra import successor
+from test_similarity import FIXTURE_SPECS
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 J3 = np.eye(3, k=1, dtype=complex)
@@ -72,6 +80,13 @@ class TestMatIntPow:
             assert np.max(np.abs(prod - np.eye(3))) < DEFAULT_TOL.verify_tol
 
 
+def assert_kernel_residuals(p, q, basis):
+    scale = np.linalg.norm(p) + np.linalg.norm(q)
+    for x in basis:
+        residual = np.linalg.norm(p @ x - x @ q)
+        assert residual <= 10 * DEFAULT_TOL.rank_tol * scale * np.linalg.norm(x)
+
+
 class TestKernelBasis:
     def test_zero_matrix(self):
         assert len(kernel_basis(np.zeros((3, 3)))) == 3
@@ -106,10 +121,195 @@ class TestSylvesterKernel:
         for _ in range(10):
             p = random_matrix(rng, 3)
             q = random_matrix(rng, 3)
-            scale = np.linalg.norm(p) + np.linalg.norm(q)
-            for x in sylvester_kernel(p, q):
-                residual = np.linalg.norm(p @ x - x @ q)
-                assert residual <= 10 * DEFAULT_TOL.rank_tol * scale * np.linalg.norm(x)
+            assert_kernel_residuals(p, q, sylvester_kernel(p, q))
+
+
+PARITY_PAIRS = [ExponentPair(p, q) for p, q in [(2, 3), (1, 3), (3, 5), (-1, 2), (1, 2)]]
+
+
+def dense_dimension(p, q, cfg=DEFAULT_TOL):
+    """Oracle: nullity of the n^2 x n^2 operator kron(P, I) - kron(I, Q^T) at rank_tol."""
+    n = len(p)
+    s = np.linalg.svd(np.kron(p, np.eye(n)) - np.kron(np.eye(n), q.T), compute_uv=False)
+    return int(np.count_nonzero(s <= cfg.rank_tol * s[0]))
+
+
+def exact_dimension(spec, pq):
+    """dim {X : A^p X = X A^q} for an invertible spec: a Jordan block of size b at
+    lam stays one block of size b at lam^e in A^e, and two blocks of sizes b and c
+    at equal eigenvalues intertwine in min(b, c) dimensions."""
+    return sum(
+        min(b, c)
+        for e in spec.entries
+        for f in spec.entries
+        if rou_pow(e.eigenvalue, pq.p) == rou_pow(f.eigenvalue, pq.q)
+        for b in e.blocks
+        for c in f.blocks
+    )
+
+
+def cycle_spec(rng, pq, n_max):
+    """Whole successor cycles of roots of unity (length <= 4), one block multiset
+    with parts <= 2 per cycle, so that A^p and A^q are similar."""
+    entries, n = {}, 0
+    for _ in range(400):
+        order = int(rng.integers(1, 30))
+        if math.gcd(order, abs(pq.p * pq.q)) != 1:
+            continue
+        cycle = [RootOfUnity(int(rng.integers(0, order)), order)]
+        while len(cycle) <= 4 and successor(cycle[-1], pq) != cycle[0]:
+            cycle.append(successor(cycle[-1], pq))
+        blocks = [(1,), (2,), (1, 1), (2, 1)][rng.integers(4)]
+        size = len(cycle) * sum(blocks)
+        if len(cycle) > 4 or n + size > n_max or any(ev in entries for ev in cycle):
+            continue
+        entries.update(dict.fromkeys(cycle, blocks))
+        n += size
+    return JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries.items()))
+
+
+def powers(a, pq):
+    return mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts the calls of the dense n^2 x n^2 fallback."""
+    calls = []
+    dense = matrixcore._dense_sylvester_kernel
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return dense(*args)
+
+    monkeypatch.setattr(matrixcore, "_dense_sylvester_kernel", counting)
+    return calls
+
+
+class TestStructuredKernel:
+    """The per-cluster kernel against the dense operator as an oracle."""
+
+    def parity_inputs(self, nondiag_fixture):
+        for idx, spec in enumerate(FIXTURE_SPECS):
+            a = matrix_from_spec(spec, conjugate_seed=idx)
+            for pq in PARITY_PAIRS:
+                if spec.zero_entry() is None or pq.p > 0:
+                    yield powers(a, pq)
+        a, _, _, _, _ = nondiag_fixture
+        for pq in PARITY_PAIRS:
+            yield powers(a, pq)
+
+    def test_parity_on_fixtures(self, nondiag_fixture):
+        for p, q in self.parity_inputs(nondiag_fixture):
+            basis = sylvester_kernel(p, q)
+            assert len(basis) == dense_dimension(p, q)
+            assert_kernel_residuals(p, q, basis)
+
+    @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
+    def test_parity_on_conjugated_cycle_specs(self, pq, dense_calls):
+        rng = np.random.default_rng(abs(pq.p) * 100 + pq.q)
+        for seed in range(12):
+            spec = cycle_spec(rng, pq, 16)
+            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            basis = sylvester_kernel(p, q)
+            assert len(basis) == dense_dimension(p, q) == exact_dimension(spec, pq)
+            assert_kernel_residuals(p, q, basis)
+        assert dense_calls == []
+
+    @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
+    def test_parity_under_non_unitary_conjugation(self, pq, dense_calls):
+        # A = S J S^-1 with S far from unitary: left and right eigenvectors differ
+        rng = np.random.default_rng(7 * abs(pq.p) + pq.q)
+        for _ in range(4):
+            spec = cycle_spec(rng, pq, 12)
+            g = random_matrix(rng, spec.n)
+            s = np.eye(spec.n) + 0.6 * g / np.linalg.norm(g, 2)
+            a = s @ matrix_from_spec(spec) @ np.linalg.inv(s)
+            p, q = powers(a, pq)
+            basis = sylvester_kernel(p, q)
+            assert len(basis) == dense_dimension(p, q) == exact_dimension(spec, pq)
+            assert_kernel_residuals(p, q, basis)
+        assert dense_calls == []
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((RootOfUnity(1, 5), (3,)), (RootOfUnity(4, 5), (3,))),
+            ((RootOfUnity(1, 5), (4,)), (RootOfUnity(4, 5), (4,))),
+            ((RootOfUnity(0, 1), (3, 1)), (RootOfUnity(1, 5), (1,)), (RootOfUnity(4, 5), (1,))),
+            ((RootOfUnity(0, 1), (2, 1, 1)),),
+        ],
+        ids=["3-blocks", "4-blocks", "3-block-beside-others", "single-eigenvalue"],
+    )
+    def test_doubtful_split_takes_dense_fallback(self, entries, dense_calls):
+        pq = ExponentPair(2, 3)
+        spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
+        for seed in range(3):
+            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            assert len(sylvester_kernel(p, q)) == dense_dimension(p, q)
+        assert len(dense_calls) == 3
+
+    def test_large_input_never_calls_dense(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense fallback called")
+
+        monkeypatch.setattr(matrixcore, "_dense_sylvester_kernel", refuse)
+        pq = ExponentPair(2, 3)
+        spec = cycle_spec(np.random.default_rng(40), pq, 40)
+        assert spec.n >= 36
+        p, q = powers(matrix_from_spec(spec, conjugate_seed=40), pq)
+        basis = sylvester_kernel(p, q)
+        assert len(basis) == exact_dimension(spec, pq)
+        assert_kernel_residuals(p, q, basis)
+
+    def test_cut_is_absolute_in_small_blocks(self):
+        # 1x1 blocks: P_c - Q_c is rounding-sized, so a cut relative to the
+        # block itself would call it rank 1
+        p = np.diag([1.0, 2.0]) + 0j
+        q = np.diag([1.0 + 1e-15, 2.0]) + 0j
+        assert len(sylvester_kernel(p, q)) == 2
+
+
+def loop_clusters(values, threshold):
+    """Reference: the pairwise-loop union-find the vectorized helper replaced."""
+    k = len(values)
+    parent = list(range(k))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(values[i] - values[j]) <= threshold:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(i)
+    clusters = sorted(groups.values(), key=lambda g: (values[g[0]].real, values[g[0]].imag))
+    for i in range(len(clusters)):
+        for j in range(i + 1, len(clusters)):
+            gap = min(abs(values[a] - values[b]) for a in clusters[i] for b in clusters[j])
+            if gap < 2.0 * threshold:
+                return f"eigenvalue clusters separated by only {gap:.3e} at threshold {threshold:.3e}"
+    return clusters
+
+
+class TestClusterEigenvalues:
+    def test_matches_loop_reference(self):
+        # points on a coarse grid, jittered by up to 1.5 thresholds: chains,
+        # ambiguous gaps and clean splits all occur
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            k = int(rng.integers(1, 12))
+            values = rng.integers(0, 6, k) + 1j * rng.integers(0, 3, k) + rng.uniform(0, 1.5e-6, k)
+            try:
+                got = matrixcore._cluster_eigenvalues(values, 1e-6)
+            except ClusteringAmbiguityError as exc:
+                got = str(exc)
+            assert got == loop_clusters(values, 1e-6)
 
 
 class TestConjugacyResidual:
@@ -126,6 +326,22 @@ class TestConjugacyResidual:
     def test_singular_b_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             conjugacy_residual(np.zeros((2, 2)), np.eye(2), np.eye(2))
+
+    def test_exact_ill_conditioned_conjugator(self):
+        # the exact B0 of the single-eigenvalue solver at d = 32 has cond ~ 4e17:
+        # the solved form max|B0^-1 N B0 - M| is O(1), the inverse-free one is not
+        solution = solve_single_eigenvalue(RootOfUnity(1, 2), [32], ExponentPair(1, 3))
+        nil, b0, m = nilpotent_from_blocks(solution.block_sizes), solution.b0, solution.m_matrix
+        assert np.linalg.cond(b0) > 1e16
+        assert np.max(np.abs(np.linalg.solve(b0, nil @ b0) - m)) > 0.1
+        assert conjugacy_residual(b0, nil, m) <= 1e-14
+
+    def test_scale_invariant(self, nondiag_fixture):
+        a, b, _, _, _ = nondiag_fixture
+        a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
+        assert conjugacy_residual(1e6 * b, a2, a3) == pytest.approx(
+            conjugacy_residual(b, a2, a3), rel=1e-6, abs=1e-16
+        )
 
 
 class TestFindInvertibleInSpan:
