@@ -1,5 +1,7 @@
 """simpow: similarity of matrix powers and 2x2 matrix word equations."""
 
+import types
+
 __version__ = "0.1.0"
 
 from .equation2x2 import (
@@ -26,7 +28,6 @@ from .matrixcore import (
     fit_polynomial_in,
     kernel_basis,
     mat_int_pow,
-    mat_mul,
     matrix_from_json,
     matrix_to_json,
     span_residual,
@@ -35,14 +36,12 @@ from .matrixcore import (
 )
 from .scalar import (
     ExponentPair,
-    Residue,
     RootOfUnity,
     mod_inverse,
     phi_k,
     rou_mul,
     rou_pow,
     rou_to_complex,
-    snap_to_root_of_unity,
 )
 from .similarity import (
     FailureReason,
@@ -52,7 +51,6 @@ from .similarity import (
     matrix_from_spec,
     powers_similar_general,
     powers_similar_invertible,
-    powers_similar_numeric,
     spec_from_matrix,
 )
 from .solvers import (
@@ -72,9 +70,12 @@ from .spectra import (
     SpectrumMultiset,
     multiset_power,
     orbit_decomposition,
-    order_bound,
     powers_equal,
     successor,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing binds
+__all__ = [
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+]

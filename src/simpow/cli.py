@@ -38,6 +38,7 @@ from .matrixcore import (
 from .scalar import ExponentPair, RootOfUnity, rou_pow, rou_to_complex
 from .similarity import JordanSpec, matrix_from_spec, powers_similar_general, spec_from_matrix
 from .solvers import (
+    _power_modulus,
     build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
@@ -123,7 +124,7 @@ def cmd_analyze(args) -> dict:
     if spec is None:
         try:
             spec = spec_from_matrix(matrix, pq, cfg)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise OperationalError(f"cannot recover structure: {exc}") from exc
     report = _base_report("analyze", args, cfg)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
@@ -192,8 +193,8 @@ def cmd_generate(args) -> dict:
         valid = enumerate_valid_k1(args.n, pq)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
-    report["valid_k1"] = [k.value for k in valid]
-    report["modulus"] = valid[0].modulus if valid else abs(pq.q**args.n - pq.p**args.n)
+    report["valid_k1"] = valid
+    report["modulus"] = _power_modulus(args.n, pq)
     if args.k1 is None:
         return report
     try:

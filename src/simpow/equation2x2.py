@@ -139,6 +139,12 @@ def is_simultaneously_triangularizable(
     return bool(abs(np.linalg.det(comm)) <= cfg.verify_tol * max(scale, 1.0) ** 2)
 
 
+def _require_unit_determinant(name: str, m: np.ndarray, cfg: ToleranceConfig) -> None:
+    """Raise ValueError unless |det(m) - 1| <= verify_tol * max(||m||_F, 1)^2."""
+    if abs(np.linalg.det(m) - 1.0) > cfg.verify_tol * max(float(np.linalg.norm(m)), 1.0) ** 2:
+        raise ValueError(f"{name} must have determinant 1")
+
+
 @dataclass
 class StResidual:
     """Triangular-case reduction: the word is eps*I iff diag_residual = 0 and
@@ -164,8 +170,7 @@ def st_residual_system(
             raise ValueError(f"{name} must be 2x2")
         if abs(m[1, 0]) > cfg.verify_tol * max(float(np.linalg.norm(m)), 1.0):
             raise ValueError(f"{name} is not upper triangular")
-        if abs(np.linalg.det(m) - 1.0) > cfg.verify_tol * max(float(np.linalg.norm(m)), 1.0) ** 2:
-            raise ValueError(f"{name} must have determinant 1")
+        _require_unit_determinant(name, m, cfg)
     u, rho = complex(a[0, 0]), complex(b[0, 0])
     diag_residual = u ** (shape.r + shape.r_prime) * rho ** (shape.s + shape.s_prime) - shape.epsilon
 
@@ -276,9 +281,8 @@ def check_necessary_conditions(
     (A^r B^s)^2 = -I, with alpha the nearer sign for A^(r-r').
     """
     a, b = as_matrix(a), as_matrix(b)
-    for name, m in (("a", a), ("b", b)):
-        if abs(np.linalg.det(m) - 1.0) > cfg.verify_tol * max(float(np.linalg.norm(m)), 1.0) ** 2:
-            raise ValueError(f"{name} must have determinant 1")
+    _require_unit_determinant("a", a, cfg)
+    _require_unit_determinant("b", b, cfg)
     if is_simultaneously_triangularizable(a, b, cfg):
         raise ValueError("pair is simultaneously triangularizable")
     eye = np.eye(2)

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class AmbiguousSnapError(ValueError):
-    """Two roots of unity of the same minimal order both match within tolerance."""
-
-
 class NotInvertibleError(ValueError):
     """An element (residue or matrix) required to be invertible is not."""
 
@@ -15,10 +11,6 @@ class NoUniqueSuccessorError(ValueError):
 
 class InconsistentSpectrumError(ValueError):
     """A spectrum multiset violates the equal-power-multiset hypothesis."""
-
-
-class OrderBoundOverflowError(OverflowError):
-    """The root-of-unity order bound exceeds the supported integer range."""
 
 
 class NormalizationRequiredError(ValueError):

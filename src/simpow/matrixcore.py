@@ -68,13 +68,6 @@ def is_invertible(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return rank_with_tol(m, cfg) == n
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def mat_int_pow(a: np.ndarray, e: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Integer matrix power; negative exponents invert once then power."""
     a = as_matrix(a)
@@ -334,18 +327,34 @@ def weyr_characteristic(
     depth: int,
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> list[int]:
-    """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant."""
+    """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant.
+
+    Deflated: with S = M - lam*I and P_k the orthogonal projector onto
+    ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
+    an n x n matrix and no power of S is formed.  Every rank is cut at
+    rank_tol * (||M||_F + |lam|), a bound on ||S||_2, so a rounding-sized
+    S is not judged by its own norm and a gap d between eigenvalues is not
+    shrunk to d^k.  The dimensions stop growing once two repeat, and the
+    list is padded with the last one to depth.
+    """
     m = as_matrix(m)
     n = _require_square(m)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    shifted = m - complex(lam) * np.eye(n)
-    power = np.eye(n, dtype=complex)
-    dims = []
-    for _ in range(depth):
-        power = power @ shifted
-        dims.append(n - rank_with_tol(power, cfg))
-    return dims
+    lam = complex(lam)
+    shifted = m - lam * np.eye(n)
+    scale = float(np.linalg.norm(m)) + abs(lam)
+    deflated = shifted
+    dims: list[int] = []
+    while len(dims) < depth:
+        _, s, vh = np.linalg.svd(deflated)
+        rank = _rank_cut(s, cfg, scale)
+        if dims and n - rank == dims[-1]:
+            break
+        dims.append(n - rank)
+        kernel = vh[rank:].conj().T  # orthonormal columns spanning ker(S^k)
+        deflated = shifted - kernel @ (kernel.conj().T @ shifted)
+    return dims + dims[-1:] * (depth - len(dims))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: roots of unity, residue rings, and phi_k.
+"""Exact scalar arithmetic: roots of unity, modular inverses, and phi_k.
 
 Roots of unity are stored as reduced rational angles k/m, meaning the
 complex number exp(2*pi*i*k/m).  All angle arithmetic is exact integer
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbiguousSnapError, NotInvertibleError
+from .errors import NotInvertibleError
 
 PHI_BRANCH_TOL = 1e-8
 
@@ -55,22 +55,6 @@ MINUS_ONE = RootOfUnity(1, 2)
 
 
 @dataclass(frozen=True)
-class Residue:
-    """An element of Z/modulus, normalized to 0 <= value < modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "modulus": self.modulus}
-
-
-@dataclass(frozen=True)
 class ExponentPair:
     """A coprime exponent pair (p, q) with |p| + |q| > 2."""
 
@@ -103,66 +87,39 @@ def rou_to_complex(a: RootOfUnity) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-def mod_inverse(a: int, modulus: int) -> Residue:
-    """Inverse of a modulo ``modulus``; raises NotInvertibleError if none."""
+def mod_inverse(a: int, modulus: int) -> int:
+    """Inverse of a modulo ``modulus`` in [0, modulus); raises NotInvertibleError if none."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
-        return Residue(0, 1)
+        return 0
     g = math.gcd(a % modulus, modulus)
     if g != 1:
         raise NotInvertibleError(f"{a} is not invertible mod {modulus} (gcd={g})")
-    return Residue(pow(a % modulus, -1, modulus), modulus)
+    return pow(a % modulus, -1, modulus)
 
 
-def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
-    """Fraction with the smallest denominator in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    n = math.ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    # both endpoints strictly inside the same integer gap
-    fl = math.floor(lo)
-    inner = _simplest_in_interval(1 / (hi - fl), 1 / (lo - fl))
-    return fl + 1 / inner
+def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[RootOfUnity]:
+    """The admissible roots of unity within ``tol`` of z, smallest order first.
 
-
-def _candidates_at_order(lo: Fraction, hi: Fraction, m: int) -> int:
-    """Distinct angles k/m (mod 1) inside the closed interval [lo, hi]."""
-    return min(math.floor(hi * m) - math.ceil(lo * m) + 1, m)
-
-
-def snap_to_root_of_unity(z: complex, max_order: int, tol: float) -> RootOfUnity | None:
-    """Find the root of unity of smallest order within ``tol`` of z.
-
-    Returns None when no k/m with m <= max_order matches.  If two distinct
-    roots of the same minimal order both lie within tolerance the result
-    would be arbitrary, so AmbiguousSnapError is raised instead.
+    A nonzero eigenvalue of an n x n matrix with A^p similar to A^q lies
+    on a successor cycle of some length t <= n, so it satisfies
+    lambda^Q_t = 1 with Q_t = |q^t - p^t| (never 0 for an ExponentPair).
+    For each t the one candidate is the Q_t-th root of unity nearest in
+    angle to z.  The orders are exact integers, with no bound on their
+    lcm; Q_t grows with t, and past 2^53 the angle of a double no longer
+    tells its Q_t-th roots apart, so larger t propose nothing.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    r = abs(z)
-    radial_sq = (r - 1.0) ** 2
-    if radial_sq > tol * tol or r == 0.0:
-        return None
-    # |z - e^{2 pi i a}|^2 = (|z|-1)^2 + 4|z| sin^2(pi(theta-a))
-    sin_sq = (tol * tol - radial_sq) / (4.0 * r)
-    if sin_sq >= 1.0:
-        half_width = Fraction(1, 2)
-    else:
-        half_width = Fraction(math.asin(math.sqrt(sin_sq)) / math.pi)
-    theta = Fraction(cmath.phase(z) / (2.0 * math.pi))
-    lo, hi = theta - half_width, theta + half_width
-    best = _simplest_in_interval(lo, hi)
-    if best.denominator > max_order:
-        return None
-    m = best.denominator
-    if _candidates_at_order(lo, hi, m) >= 2:
-        raise AmbiguousSnapError(f"several roots of order {m} within tol={tol} of {z}")
-    return RootOfUnity(best.numerator % m, m)
+    theta = cmath.phase(z) / (2.0 * math.pi)
+    near = set()
+    for t in range(1, n + 1):
+        order = abs(pq.q**t - pq.p**t)
+        if order > 2**53:
+            break
+        candidate = RootOfUnity(round(theta * order), order)
+        if abs(z - rou_to_complex(candidate)) <= tol:
+            near.add(candidate)
+    return sorted(near, key=lambda root: (root.order, root.num))
 
 
 def phi_k(t: complex, k: int, branch_tol: float = PHI_BRANCH_TOL) -> complex:

@@ -3,8 +3,8 @@
 A JordanSpec is the exact structural description of a matrix: per
 eigenvalue, the multiset of Jordan block sizes.  The verdicts implement
 the characterization of when A^p and A^q are similar, for invertible and
-singular A, plus a purely numerical route that works directly on the two
-power matrices.
+singular A.  A matrix reaches them through spec_from_matrix, which
+certifies the structure it recovers.
 """
 
 from __future__ import annotations
@@ -21,17 +21,10 @@ from .matrixcore import (
     ToleranceConfig,
     _cluster_eigenvalues,
     as_matrix,
-    mat_int_pow,
     weyr_characteristic,
 )
-from .scalar import ExponentPair, RootOfUnity, rou_to_complex, snap_to_root_of_unity
-from .spectra import (
-    OrbitDecomposition,
-    SpectrumMultiset,
-    orbit_decomposition,
-    order_bound,
-    powers_equal,
-)
+from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
+from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, powers_equal
 
 JordanEigenvalue = RootOfUnity | complex | None  # None encodes 0
 
@@ -195,39 +188,56 @@ def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:
 
 
 def spec_from_matrix(
-    a: np.ndarray,
-    pq: ExponentPair,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    a: np.ndarray, pq: ExponentPair, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> JordanSpec:
-    """Recover a JordanSpec numerically.
+    """Recover a JordanSpec numerically, certified cluster by cluster.
 
-    Eigenvalues are clustered at cluster_tol relative to ||A||, snapped to
-    roots of unity within the order bound for (p, q), and the block
-    structure is read off the Weyr sequence at each cluster center.
+    The eigenvalues are clustered by single linkage at the radius
+    tol = DEFAULT_CLUSTER_TOL * max(||A||_2, 1), and failing that at 10,
+    100, 1000 and 10^4 times it: a Jordan block of size k scatters its
+    computed eigenvalues by about (u ||A||)^(1/k), while their mean stays
+    accurate to rounding.  A cluster of m eigenvalues is certified at an
+    exact point when the Weyr sequence there, taken to depth m + 1, stops
+    growing at m; the blocks are read off that sequence.  The point is 0
+    when the mean is within tol of 0; otherwise the admissible roots of
+    unity within tol of the mean are tried, smallest order first
+    (_admissible_roots), and then the mean itself.  The first radius at
+    which every cluster is certified gives the spec.  When none does, the
+    error of the finest radius is raised (a ValueError:
+    ClusteringAmbiguityError or an uncertified cluster).
     """
     a = as_matrix(a)
     n = a.shape[0]
     if n > 64:
         raise ValueError("numeric recovery supports n <= 64")
-    scale = max(float(np.linalg.norm(a, 2)), 1.0)
-    threshold = cluster_tol * scale
+    tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
     values = np.linalg.eigvals(a)
-    clusters = _cluster_eigenvalues(values, threshold)
-    max_order = order_bound(pq, n)
-    entries = []
-    for cluster in clusters:
-        center = complex(np.mean(values[cluster]))
-        mult = len(cluster)
-        if abs(center) <= threshold:
-            ev: JordanEigenvalue = None
-            center = 0j
-        else:
-            snapped = snap_to_root_of_unity(center, max_order, threshold)
-            ev = snapped if snapped is not None else center
-        dims = weyr_characteristic(a, center, mult, cfg)
-        entries.append(JordanEntry(ev, _blocks_from_weyr(dims, mult)))
-    return JordanSpec(tuple(entries))
+    finest_error = None
+    for j in range(5):
+        try:
+            clusters = _cluster_eigenvalues(values, tol * 10**j)
+            return JordanSpec(tuple(_certified_entry(a, values[c], pq, tol, cfg) for c in clusters))
+        except ValueError as exc:
+            finest_error = finest_error or exc
+    raise finest_error
+
+
+def _certified_entry(
+    a: np.ndarray, values: np.ndarray, pq: ExponentPair, tol: float, cfg: ToleranceConfig
+) -> JordanEntry:
+    """The entry of one eigenvalue cluster at the first point that certifies
+    it; ValueError when none does (see spec_from_matrix)."""
+    center = complex(np.mean(values))
+    mult = len(values)
+    if abs(center) <= tol:
+        points: list[JordanEigenvalue] = [None]
+    else:
+        points = [*_admissible_roots(center, pq, a.shape[0], tol), center]
+    for ev in points:
+        dims = weyr_characteristic(a, _ev_complex(ev), mult + 1, cfg)
+        if dims[-1] == mult:
+            return JordanEntry(ev, _blocks_from_weyr(dims, mult))
+    raise ValueError(f"no point certifies the {mult} eigenvalue(s) around {center:.6g}")
 
 
 def powers_similar_invertible(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerdict:
@@ -286,47 +296,3 @@ def powers_similar_general(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerd
     if not invertible.entries:
         return SimilarityVerdict(True)
     return powers_similar_invertible(invertible, pq)
-
-
-def powers_similar_numeric(
-    a: np.ndarray,
-    pq: ExponentPair,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SimilarityVerdict:
-    """Direct numerical test: match the spectra of A^p and A^q, then compare
-    Weyr sequences eigenvalue by eigenvalue."""
-    a = as_matrix(a)
-    ap = mat_int_pow(a, pq.p, cfg)
-    aq = mat_int_pow(a, pq.q, cfg)
-    scale = max(float(np.linalg.norm(ap, 2)), float(np.linalg.norm(aq, 2)), 1.0)
-    threshold = cluster_tol * scale
-    ev_p, ev_q = np.linalg.eigvals(ap), np.linalg.eigvals(aq)
-    values = np.concatenate([ev_p, ev_q])
-    n = a.shape[0]
-    for cluster in _cluster_eigenvalues(values, threshold):
-        center = complex(np.mean(values[cluster]))
-        count_p = sum(1 for i in cluster if i < n)
-        count_q = len(cluster) - count_p
-        if count_p != count_q:
-            return SimilarityVerdict(
-                False,
-                FailureReason.SPECTRA_POWER_MISMATCH,
-                certificate=f"multiplicity of {center:.6g}: {count_p} in A^p vs {count_q} in A^q",
-            )
-        depth = count_p
-        weyr_p = weyr_characteristic(ap, center, depth, cfg)
-        weyr_q = weyr_characteristic(aq, center, depth, cfg)
-        if weyr_p != weyr_q:
-            near_zero = abs(center) <= threshold
-            reason = (
-                FailureReason.NILPOTENT_PART_TOO_DEEP
-                if near_zero
-                else FailureReason.JORDAN_STRUCTURE_MISMATCH
-            )
-            return SimilarityVerdict(
-                False,
-                reason,
-                certificate=f"Weyr at {center:.6g}: {weyr_p} vs {weyr_q}",
-            )
-    return SimilarityVerdict(True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidK1Error
 from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix, is_invertible
-from .scalar import ExponentPair, Residue, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
+from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class CycleInstance:
     n: int
     pq: ExponentPair
     modulus: int
-    k1: Residue
-    k_seq: tuple[Residue, ...]
+    k1: int
+    k_seq: tuple[int, ...]
     spectrum: tuple[RootOfUnity, ...]
 
     def diagonal_matrix(self) -> np.ndarray:
@@ -51,8 +51,8 @@ class CycleInstance:
             "p": self.pq.p,
             "q": self.pq.q,
             "Q": self.modulus,
-            "k1": self.k1.value,
-            "k_seq": [k.value for k in self.k_seq],
+            "k1": self.k1,
+            "k_seq": list(self.k_seq),
             "spectrum": [str(ev) for ev in self.spectrum],
         }
 
@@ -77,7 +77,7 @@ def _violated_divisor(n: int, pq: ExponentPair, k1: int, modulus: int) -> int | 
     return None
 
 
-def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[Residue]:
+def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[int]:
     """All seed residues k1 whose cycle k_u = (p^-1 q)^(u-1) k1 has n distinct values.
 
     These are the residues outside every set (Q/|q^z - p^z|) Z/Q for strict
@@ -91,20 +91,18 @@ def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[Residue]:
     for z in _excluded_divisors(n):
         step = modulus // abs(pq.q**z - pq.p**z)
         valid[::step] = bytes(len(range(0, modulus, step)))
-    return [Residue(k1, modulus) for k1 in itertools.compress(range(modulus), valid)]
+    return list(itertools.compress(range(modulus), valid))
 
 
-def build_cycle_instance(n: int, pq: ExponentPair, k1: int | Residue) -> CycleInstance:
+def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
     modulus = _power_modulus(n, pq)
-    k1_value = k1.value if isinstance(k1, Residue) else k1 % modulus
-    if isinstance(k1, Residue) and k1.modulus != modulus:
-        raise ValueError(f"k1 has modulus {k1.modulus}, expected {modulus}")
+    k1_value = k1 % modulus
     z = _violated_divisor(n, pq, k1_value, modulus)
     if z is not None:
         raise InvalidK1Error(
             f"k1={k1_value} lies in the excluded set for divisor z={z} of n={n}", z
         )
-    step = (mod_inverse(pq.p, modulus).value * pq.q) % modulus if modulus > 1 else 0
+    step = (mod_inverse(pq.p, modulus) * pq.q) % modulus
     k_seq = [k1_value]
     for _ in range(n - 1):
         k_seq.append((k_seq[-1] * step) % modulus)
@@ -114,8 +112,8 @@ def build_cycle_instance(n: int, pq: ExponentPair, k1: int | Residue) -> CycleIn
         n=n,
         pq=pq,
         modulus=modulus,
-        k1=Residue(k1_value, modulus),
-        k_seq=tuple(Residue(k, modulus) for k in k_seq),
+        k1=k1_value,
+        k_seq=tuple(k_seq),
         spectrum=tuple(RootOfUnity(k, modulus) for k in k_seq),
     )
 

@@ -12,16 +12,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    InconsistentSpectrumError,
-    NoUniqueSuccessorError,
-    OrderBoundOverflowError,
-)
+from .errors import InconsistentSpectrumError, NoUniqueSuccessorError
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow
 
 Eigenvalue = RootOfUnity | None  # None encodes the eigenvalue 0
-
-ORDER_BOUND_LIMIT = 2**63
 
 
 def _sort_key(ev: Eigenvalue):
@@ -48,10 +42,6 @@ class SpectrumMultiset:
         canon = tuple(sorted(merged.items(), key=lambda it: _sort_key(it[0])))
         object.__setattr__(self, "items", canon)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "SpectrumMultiset":
-        return cls(tuple(pairs))
-
     @property
     def total(self) -> int:
         return sum(m for _, m in self.items)
@@ -71,14 +61,6 @@ class SpectrumMultiset:
             {"angle": "zero" if ev is None else str(ev), "mult": m}
             for ev, m in self.items
         ]
-
-    @classmethod
-    def from_json(cls, data: list) -> "SpectrumMultiset":
-        pairs = []
-        for item in data:
-            ev = None if item["angle"] == "zero" else RootOfUnity.from_str(item["angle"])
-            pairs.append((ev, item["mult"]))
-        return cls(tuple(pairs))
 
 
 def multiset_power(u: SpectrumMultiset, e: int) -> SpectrumMultiset:
@@ -115,7 +97,7 @@ def successor(lam: RootOfUnity, pq: ExponentPair) -> RootOfUnity:
         raise NoUniqueSuccessorError(
             f"order {lam.order} of {lam} is not coprime to p*q = {pq.p * pq.q}"
         )
-    p_inv = mod_inverse(pq.p, lam.order).value
+    p_inv = mod_inverse(pq.p, lam.order)
     return rou_pow(lam, pq.q * p_inv)
 
 
@@ -190,22 +172,3 @@ def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposi
     orbits.sort(key=lambda orb: orb.members[0].angle)
     delta = math.lcm(*(len(orb) for orb in orbits)) if orbits else 1
     return OrbitDecomposition(tuple(orbits), delta, succ_map)
-
-
-def order_bound(pq: ExponentPair, n: int) -> int:
-    """lcm over t = 1..n of |p^t - q^t|.
-
-    Every nonzero eigenvalue of a matrix with similar p-th and q-th powers
-    has order dividing one of these, so the lcm bounds the order of any
-    such eigenvalue of an n x n matrix.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    bound = 1
-    for t in range(1, n + 1):
-        bound = math.lcm(bound, abs(pq.p**t - pq.q**t))
-        if bound > ORDER_BOUND_LIMIT:
-            raise OrderBoundOverflowError(
-                f"order bound for (p,q)=({pq.p},{pq.q}), n={n} exceeds 2^63"
-            )
-    return bound

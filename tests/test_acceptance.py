@@ -30,11 +30,11 @@ from simpow.matrixcore import (
 from simpow.scalar import (
     ExponentPair,
     RootOfUnity,
+    _admissible_roots,
     mod_inverse,
     phi_k,
     rou_pow,
     rou_to_complex,
-    snap_to_root_of_unity,
 )
 from simpow.solvers import (
     build_cycle_conjugator,
@@ -109,7 +109,7 @@ def brute_force_valid_k1(n, pq):
     modulus = abs(pq.q**n - pq.p**n)
     if modulus == 1:
         return [0]
-    step = (mod_inverse(pq.p, modulus).value * pq.q) % modulus
+    step = (mod_inverse(pq.p, modulus) * pq.q) % modulus
     valid = []
     for k1 in range(modulus):
         seq = [k1]
@@ -124,10 +124,10 @@ def test_criterion_3_distinct_eigenvalue_instances():
     """Seed-residue enumeration vs brute force, word residuals, power relation."""
     failures = []
     pq23, pq13 = ExponentPair(2, 3), ExponentPair(1, 3)
-    got23 = [k.value for k in enumerate_valid_k1(2, pq23)]
+    got23 = enumerate_valid_k1(2, pq23)
     if got23 != [1, 2, 3, 4] or got23 != brute_force_valid_k1(2, pq23):
         failures.append(f"k1 enumeration (2,2,3): {got23}")
-    got13 = [k.value for k in enumerate_valid_k1(2, pq13)]
+    got13 = enumerate_valid_k1(2, pq13)
     if got13 != [1, 2, 3, 5, 6, 7] or got13 != brute_force_valid_k1(2, pq13):
         failures.append(f"k1 enumeration (2,1,3): {got13}")
     for pq, k1_values in ((pq23, got23), (pq13, got13)):
@@ -141,9 +141,9 @@ def test_criterion_3_distinct_eigenvalue_instances():
             if residual >= 1e-10:
                 failures.append(f"word residual k1={k1} (p,q)=({pq.p},{pq.q}): {residual:.2e}")
             # C = B^-1 A B = A^(alpha q), exact on angles, alpha p = 1 mod m
-            gcd_all = math.gcd(inst.modulus, math.gcd(*(k.value for k in inst.k_seq)))
+            gcd_all = math.gcd(inst.modulus, math.gcd(*inst.k_seq))
             m = inst.modulus // gcd_all
-            alpha = mod_inverse(pq.p, m).value
+            alpha = mod_inverse(pq.p, m)
             for u in range(inst.n):
                 if rou_pow(inst.spectrum[u], alpha * pq.q) != inst.spectrum[(u + 1) % inst.n]:
                     failures.append(f"power relation k1={k1} (p,q)=({pq.p},{pq.q})")
@@ -481,7 +481,7 @@ def test_criterion_8_property_suites():
             if nxt == lam:
                 break
             cycle.append(nxt)
-        u = SpectrumMultiset.from_pairs((ev, 1) for ev in cycle)
+        u = SpectrumMultiset(tuple((ev, 1) for ev in cycle))
         od = orbit_decomposition(u, pq)
         current = od.orbits[0].members[0]
         for _ in range(len(od.orbits[0])):
@@ -500,13 +500,16 @@ def test_criterion_8_property_suites():
         if abs(lhs - (1.0 - t ** (2 * k))) >= 1e-10:
             failures.append(f"phi identity: t={t}, k={k}")
 
-    # snap round trip
+    # admissible-root round trip: a root k/Q_t, Q_t = |q^t - p^t|, comes back
+    # from its complex value
+    pairs = [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5)]
     for _ in range(100):
-        m = int(rng.integers(1, 501))
-        k = int(rng.integers(0, m))
-        a = R(k, m)
-        if snap_to_root_of_unity(rou_to_complex(a), a.order, 1e-9) != a:
-            failures.append(f"snap round trip: {a}")
+        pq = ExponentPair(*pairs[rng.integers(len(pairs))])
+        t = int(rng.integers(1, 6))
+        order = abs(pq.q**t - pq.p**t)
+        a = R(int(rng.integers(order)), order)
+        if _admissible_roots(rou_to_complex(a), pq, t, 1e-9) != [a]:
+            failures.append(f"admissible root round trip: {a}, (p,q)=({pq.p},{pq.q}), t={t}")
 
     # Weyr similarity invariance
     for trial in range(100):
@@ -545,6 +548,6 @@ def test_criterion_8_property_suites():
     _report(
         8,
         not failures,
-        f"orbit closure, phi identity, snap round trip, weyr invariance, inverse-word "
+        f"orbit closure, phi identity, admissible root round trip, weyr invariance, inverse-word "
         f"residual: >= 100 seeded cases each; failed={failures or 'none'}",
     )

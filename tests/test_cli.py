@@ -6,6 +6,7 @@ import pytest
 from simpow import cli
 from simpow.cli import main
 from simpow.matrixcore import matrix_to_json
+from simpow.similarity import JordanSpec, matrix_from_spec
 
 
 def run(capsys, *argv):
@@ -63,6 +64,28 @@ class TestAnalyze:
         code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
         assert code == 0
         assert report["verdict"]["similar"] is True
+
+    def test_matrix_past_order_bound(self, capsys, tmp_path):
+        # for (3, 7) at n = 8 the lcm of |7^t - 3^t| passes 2^63
+        spec = JordanSpec.from_json([
+            {"eigenvalue": "0/1", "blocks": [2, 1]},
+            {"eigenvalue": "1/4", "blocks": [3]},
+            {"eigenvalue": "zero", "blocks": [2]},
+        ])
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(matrix_from_spec(spec, conjugate_seed=8))))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "3", "-q", "7")
+        assert code == 0
+        assert set(JordanSpec.from_json(report["spec"]).entries) == set(spec.entries)
+        assert report["verdict"]["similar"] is True
+
+    def test_unrecoverable_matrix(self, capsys, tmp_path):
+        # eigenvalues 1.5e-6 apart: too close to split, too far apart to certify merged
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(np.diag([1.0, 1.0 + 1.5e-6]))))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+        assert code == 1
+        assert report["error"].startswith("cannot recover structure")
 
     def test_swaps_exponents_for_singular(self, capsys, intro_spec_file):
         code, report = run_json(capsys, "analyze", intro_spec_file, "-p", "7", "-q", "3")

@@ -13,7 +13,6 @@ from simpow.matrixcore import (
     fit_polynomial_in,
     kernel_basis,
     mat_int_pow,
-    mat_mul,
     matrix_from_json,
     matrix_to_json,
     span_residual,
@@ -32,25 +31,6 @@ J3 = np.eye(3, k=1, dtype=complex)
 
 def random_matrix(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-class TestMatMul:
-    def test_identity(self):
-        x = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert np.array_equal(mat_mul(np.eye(2), x), x)
-
-    def test_nilpotent_square(self):
-        assert np.array_equal(mat_mul(J2, J2), np.zeros((2, 2)))
-
-    def test_inverse_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            a = random_matrix(rng, 4) + 4 * np.eye(4)
-            assert np.max(np.abs(mat_mul(a, np.linalg.inv(a)) - np.eye(4))) < 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_mul(np.eye(2), np.eye(3))
 
 
 class TestMatIntPow:

@@ -1,25 +1,24 @@
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpow.errors import AmbiguousSnapError, NotInvertibleError
+from simpow.errors import NotInvertibleError
 from simpow.scalar import (
     ExponentPair,
-    Residue,
     RootOfUnity,
-    _candidates_at_order,
+    _admissible_roots,
     mod_inverse,
     phi_k,
     rou_mul,
     rou_pow,
     rou_to_complex,
-    snap_to_root_of_unity,
 )
+
+PQ23 = ExponentPair(2, 3)
 
 
 class TestRootOfUnity:
@@ -83,64 +82,77 @@ class TestRouToComplex:
 
 
 class TestSnap:
+    """_admissible_roots: per cycle length t <= n the nearest |q^t - p^t|-th
+    root of unity; those within tol, smallest order first."""
+
     def test_near_minus_one(self):
-        assert snap_to_root_of_unity(complex(-1 + 1e-12, 0), 10, 1e-9) == RootOfUnity(1, 2)
+        # order 2 divides |3 - 1| for (1, 3), but every |3^t - 2^t| is odd
+        z = complex(-1 + 1e-12, 0)
+        assert _admissible_roots(z, ExponentPair(1, 3), 1, 1e-9) == [RootOfUnity(1, 2)]
+        assert _admissible_roots(z, PQ23, 8, 1e-9) == []
 
     def test_fifth_root(self):
         z = complex(0.309017, 0.951057)
-        assert snap_to_root_of_unity(z, 10, 1e-6) == RootOfUnity(1, 5)
+        assert _admissible_roots(z, PQ23, 2, 1e-6) == [RootOfUnity(1, 5)]
 
     def test_off_circle(self):
-        assert snap_to_root_of_unity(complex(0.5, 0.5), 10, 1e-9) is None
+        assert _admissible_roots(complex(0.5, 0.5), PQ23, 10, 1e-9) == []
 
     def test_zero_input(self):
-        assert snap_to_root_of_unity(0j, 10, 1e-9) is None
+        assert _admissible_roots(0j, PQ23, 10, 1e-9) == []
 
     def test_order_exceeds_bound(self):
-        z = rou_to_complex(RootOfUnity(1, 7))
-        assert snap_to_root_of_unity(z, 6, 1e-9) is None
-        assert snap_to_root_of_unity(z, 7, 1e-9) == RootOfUnity(1, 7)
+        # 19 = 3^3 - 2^3 first divides |3^t - 2^t| at t = 3
+        z = rou_to_complex(RootOfUnity(1, 19))
+        assert _admissible_roots(z, PQ23, 2, 1e-9) == []
+        assert _admissible_roots(z, PQ23, 3, 1e-9) == [RootOfUnity(1, 19)]
 
     def test_smallest_order_preferred(self):
-        # both 1/2 and nothing smaller lie in a generous tolerance around -1
-        assert snap_to_root_of_unity(-1 + 0j, 100, 0.5) == RootOfUnity(1, 2)
+        # 1/5 (t = 2) lies within 0.1 of the exact 4/19 (t = 3) and comes first
+        z = rou_to_complex(RootOfUnity(4, 19))
+        assert _admissible_roots(z, PQ23, 3, 0.1) == [RootOfUnity(1, 5), RootOfUnity(4, 19)]
+        assert _admissible_roots(z, PQ23, 3, 1e-9) == [RootOfUnity(4, 19)]
 
     def test_huge_max_order(self):
-        # continued-fraction search keeps this cheap even for huge bounds
+        # the lcm of |3^t - 2^t| passes 2^63 by t = 12.  Past about 1e9 the
+        # roots lie closer together than tol, so every t has a candidate,
+        # but 3/95 (t = 6) has the smallest order; past 2^53 (t = 34) a
+        # double cannot tell the roots apart and none is proposed
         z = rou_to_complex(RootOfUnity(3, 95))
-        assert snap_to_root_of_unity(z, 10**12, 1e-9) == RootOfUnity(3, 95)
+        roots = _admissible_roots(z, PQ23, 60, 1e-9)
+        assert roots[0] == RootOfUnity(3, 95)
+        assert 2**40 < max(root.order for root in roots) <= 2**53
 
-    def test_candidate_counting_flags_ambiguity(self):
-        # white-box: the guard fires when an interval holds two same-order angles
-        assert _candidates_at_order(Fraction(1, 5), Fraction(2, 5), 5) == 2
-        assert _candidates_at_order(Fraction(3, 10), Fraction(7, 20), 5) == 0
-        assert _candidates_at_order(Fraction(-1, 2), Fraction(1, 2), 1) == 1
-        assert isinstance(AmbiguousSnapError("x"), ValueError)
+    def test_exponents_past_float_range(self):
+        # |q^t - p^t| would overflow a float at t = 52 for q = 10^6; only
+        # t = 1, 2 stay below 2^53, and t = 2 has a root within tol of i
+        q2 = 10**12 - 1
+        roots = _admissible_roots(1j, ExponentPair(1, 10**6), 60, 1e-6)
+        assert roots == [RootOfUnity(round(q2 / 4), q2)]
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
-            snap_to_root_of_unity(1 + 0j, 0, 1e-9)
-        with pytest.raises(ValueError):
-            snap_to_root_of_unity(1 + 0j, 5, 0.0)
+        # no cycle length below 1, no distance below 0: no candidate
+        assert _admissible_roots(1 + 0j, PQ23, 0, 1e-9) == []
+        assert _admissible_roots(1.1 + 0j, PQ23, 5, 0.0) == []
 
 
 class TestModInverse:
     def test_two_mod_five(self):
-        assert mod_inverse(2, 5) == Residue(3, 5)
+        assert mod_inverse(2, 5) == 3
 
     def test_one_mod_seven(self):
-        assert mod_inverse(1, 7) == Residue(1, 7)
+        assert mod_inverse(1, 7) == 1
 
     def test_not_invertible(self):
         with pytest.raises(NotInvertibleError):
             mod_inverse(3, 9)
 
     def test_trivial_ring(self):
-        assert mod_inverse(42, 1) == Residue(0, 1)
+        assert mod_inverse(42, 1) == 0
 
     def test_negative_argument(self):
         inv = mod_inverse(-2, 5)
-        assert (-2 * inv.value) % 5 == 1
+        assert 0 <= inv < 5 and (-2 * inv) % 5 == 1
 
 
 class TestExponentPair:
@@ -204,35 +216,48 @@ def test_rou_pow_additivity(k, m, e1, e2):
     assert rou_pow(a, e1 + e2) == rou_mul(rou_pow(a, e1), rou_pow(a, e2))
 
 
+# (p, q) with the largest cycle length drawn for it: every |q^t - p^t| stays
+# below ~1e4, so distinct admissible roots lie much farther apart than 1e-9
+_ROUND_TRIP_PAIRS = [((2, 3), 8), ((1, 2), 12), ((-1, 2), 12), ((1, 3), 8), ((3, 5), 5)]
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(k=st.integers(min_value=0, max_value=10**6), m=st.integers(min_value=1, max_value=500))
-def test_snap_round_trip(k, m):
-    a = RootOfUnity(k, m)
-    assert snap_to_root_of_unity(rou_to_complex(a), a.order, 1e-9) == a
+@given(
+    pair=st.sampled_from(_ROUND_TRIP_PAIRS),
+    t=st.integers(min_value=1, max_value=12),
+    k=st.integers(min_value=0, max_value=10**6),
+)
+def test_snap_round_trip(pair, t, k):
+    (p, q), max_t = pair
+    pq, t = ExponentPair(p, q), min(t, max_t)
+    a = RootOfUnity(k, abs(q**t - p**t))
+    assert _admissible_roots(rou_to_complex(a), pq, t, 1e-9) == [a]
 
 
-def _snap_oracle(z, max_order, tol):
-    """Brute force: scan every reduced angle k/m with m <= max_order."""
-    for m in range(1, max_order + 1):
-        for k in range(m):
-            if math.gcd(k, m) != 1 and not (k == 0 and m == 1):
-                continue
-            if abs(z - cmath.exp(2j * cmath.pi * k / m)) <= tol:
-                return RootOfUnity(k, m)
-    return None
+def _snap_oracle(z, pq, n, tol):
+    """Brute force: every root k/Q_t with t <= n within tol, by increasing order."""
+    near = set()
+    for t in range(1, n + 1):
+        order = abs(pq.q**t - pq.p**t)
+        close = np.abs(z - np.exp(2j * np.pi * np.arange(order) / order)) <= tol
+        near.update(RootOfUnity(int(k), order) for k in np.flatnonzero(close))
+    return sorted(near, key=lambda root: root.order)
 
 
 def test_snap_matches_brute_force_oracle():
+    # tol stays below half the spacing of the 6305th roots (t = 8), so each t
+    # has at most one root within tol, and no two of them share an order
     rng = np.random.default_rng(5)
     for _ in range(300):
         if rng.random() < 0.5:
-            m = int(rng.integers(1, 60))
-            k = int(rng.integers(0, m))
-            z = rou_to_complex(RootOfUnity(k, m)) * (1 + rng.normal() * 1e-12)
+            t = int(rng.integers(1, 9))
+            order = abs(3**t - 2**t)
+            z = rou_to_complex(RootOfUnity(int(rng.integers(order)), order))
+            z *= 1 + rng.normal() * 1e-12
         else:
             z = complex(rng.normal(), rng.normal())
-        tol = 10.0 ** rng.uniform(-10, -2)
-        assert snap_to_root_of_unity(z, 60, tol) == _snap_oracle(z, 60, tol)
+        tol = 10.0 ** rng.uniform(-10, -4)
+        assert _admissible_roots(z, PQ23, 8, tol) == _snap_oracle(z, PQ23, 8, tol)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -1,9 +1,20 @@
+import cmath
+import math
+import random
+
 import numpy as np
 import pytest
 
 from simpow.errors import ClusteringAmbiguityError, NormalizationRequiredError
 from simpow.matrixcore import mat_int_pow, sylvester_kernel, find_invertible_in_span
-from simpow.scalar import ExponentPair, RootOfUnity, rou_pow, mod_inverse
+from simpow.scalar import (
+    ExponentPair,
+    RootOfUnity,
+    _admissible_roots,
+    mod_inverse,
+    rou_pow,
+    rou_to_complex,
+)
 from simpow.similarity import (
     FailureReason,
     JordanEntry,
@@ -11,15 +22,48 @@ from simpow.similarity import (
     matrix_from_spec,
     powers_similar_general,
     powers_similar_invertible,
-    powers_similar_numeric,
     spec_from_matrix,
 )
+from simpow.solvers import build_cycle_instance
+from simpow.spectra import successor
 
 R = RootOfUnity
 
 
 def entry(ev, *blocks):
     return JordanEntry(ev, tuple(blocks))
+
+
+def cycle(lam, pq):
+    """The successor cycle of lam, starting at lam."""
+    members = [lam]
+    while (nxt := successor(members[-1], pq)) != lam:
+        members.append(nxt)
+    return members
+
+
+def recoverable(spec, pq):
+    """The (eigenvalue, blocks) pairs of spec as spec_from_matrix reports them.
+
+    A root of unity whose order divides no |q^t - p^t| (t <= n) is not an
+    admissible eigenvalue and comes back complex; complex values are
+    rounded to 6 decimals, so that a computed one compares equal.
+    """
+    out = set()
+    for e in spec.entries:
+        ev = e.eigenvalue
+        if isinstance(ev, RootOfUnity):
+            if ev not in _admissible_roots(rou_to_complex(ev), pq, spec.n, 1e-9):
+                ev = rou_to_complex(ev)
+        if isinstance(ev, complex):
+            ev = complex(round(ev.real, 6), round(ev.imag, 6))
+        out.add((ev, e.blocks))
+    return out
+
+
+def numeric_verdict(a, pq):
+    """The one route from a matrix to a verdict, as `analyze` takes it."""
+    return powers_similar_general(spec_from_matrix(a, pq), pq)
 
 
 class TestJordanSpec:
@@ -71,6 +115,97 @@ class TestSpecFromMatrix:
     def test_size_limit(self, pq23):
         with pytest.raises(ValueError):
             spec_from_matrix(np.eye(65), pq23)
+
+
+class TestSpecFromMatrixHardInputs:
+    """Conjugated inputs that need the exact order of every admissible root,
+    or that scatter their computed eigenvalues far beyond rounding."""
+
+    @pytest.mark.parametrize("p, q, n", [(2, 3, 12), (1, 2, 14)])
+    def test_orders_past_2_pow_63(self, p, q, n):
+        # the lcm of |q^t - p^t| over t <= n exceeds 2^63 for these n
+        pq = ExponentPair(p, q)
+        assert math.lcm(*(abs(q**t - p**t) for t in range(1, n + 1))) > 2**63
+        inst = build_cycle_instance(n, pq, 1)
+        spec = JordanSpec(tuple(entry(ev, 1) for ev in inst.spectrum))
+        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=n), pq)
+        assert set(recovered.entries) == set(spec.entries)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "pq, spec",
+        [
+            # a 3-block at 1 beside the cycle 1/5 -> 4/5 of 2-blocks
+            ((2, 3), JordanSpec((entry(R(0, 1), 3), entry(R(1, 5), 2), entry(R(4, 5), 2)))),
+            # a 4-block at 1 beside the cycle 1/4 -> 3/4 and a zero eigenvalue
+            ((1, 3), JordanSpec(
+                (entry(R(0, 1), 4), entry(R(1, 4), 1), entry(R(3, 4), 1), entry(None, 1)))),
+            # a single eigenvalue: Weyr sequence [3, 4], blocks (2, 1, 1)
+            ((2, 3), JordanSpec((entry(R(0, 1), 2, 1, 1),))),
+            # 6-blocks at 1, and at +-i (the cycle 1/4 -> 3/4 of (1, 3))
+            ((2, 3), JordanSpec((entry(R(0, 1), 6),))),
+            ((1, 3), JordanSpec((entry(R(1, 4), 6), entry(R(3, 4), 6)))),
+        ],
+    )
+    def test_conjugated_long_blocks(self, pq, spec, seed):
+        pq = ExponentPair(*pq)
+        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=seed), pq)
+        assert set(recovered.entries) == set(spec.entries)
+
+    @pytest.mark.parametrize("delta", [3e-6, 1e-5])
+    @pytest.mark.parametrize("seed", range(9))
+    @pytest.mark.parametrize("pq, lam", [((2, 3), R(1, 5)), ((2, 3), R(1, 13)), ((1, 3), R(1, 4))])
+    def test_near_root_kept_apart(self, pq, lam, seed, delta):
+        # a cycle plus lam * e^(i delta): snapping the extra eigenvalue to a
+        # root, or merging it into lam as a 2-block, would be a wrong spec
+        pq = ExponentPair(*pq)
+        extra = rou_to_complex(lam) * cmath.exp(1j * delta)
+        spec = JordanSpec(tuple(entry(ev, 1) for ev in cycle(lam, pq)) + (entry(extra, 1),))
+        try:
+            recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=seed), pq)
+        except ValueError:
+            return  # refusing is allowed; a wrong spec is not
+        assert recoverable(recovered, pq) == recoverable(spec, pq)
+
+
+def _cycles(pq, max_order=30, max_len=8):
+    """Successor cycles of the roots of unity of order <= max_order coprime to p*q."""
+    seen, out = set(), []
+    for m in range(1, max_order + 1):
+        if math.gcd(m, pq.p * pq.q) != 1:
+            continue
+        for k in range(m):
+            if R(k, m) not in seen:
+                members = cycle(R(k, m), pq)
+                seen.update(members)
+                if len(members) <= max_len:
+                    out.append(members)
+    return out
+
+
+def test_seeded_cycle_recovery():
+    """Specs of whole successor cycles (blocks <= 5, n <= 16): recovery
+    returns the generating spec or raises ValueError, never another spec."""
+    rng = random.Random(5)
+    pairs = [ExponentPair(p, q) for p, q in [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5), (2, 5)]]
+    cycles = {pq: _cycles(pq) for pq in pairs}
+    cases, recovered = 100, 0
+    for case in range(cases):
+        pq = pairs[case % len(pairs)]
+        entries, n = [], 0
+        for members in rng.sample(cycles[pq], len(cycles[pq]))[:8]:
+            blocks = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 2)))
+            if n + len(members) * sum(blocks) <= 16:
+                entries += [entry(ev, *blocks) for ev in members]
+                n += len(members) * sum(blocks)
+        spec = JordanSpec(tuple(entries))
+        try:
+            got = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=case), pq)
+        except ValueError:
+            continue
+        assert set(got.entries) == set(spec.entries), (pq, spec.to_json(), got.to_json())
+        recovered += 1
+    assert recovered >= 0.9 * cases
 
 
 class TestPowersSimilarInvertible:
@@ -157,18 +292,19 @@ class TestPowersSimilarGeneral:
 
 class TestPowersSimilarNumeric:
     def test_identity(self, pq23):
-        assert powers_similar_numeric(np.eye(4), pq23).similar
+        assert numeric_verdict(np.eye(4), pq23).similar
 
     def test_intro_matrix(self, intro_matrix):
-        assert not powers_similar_numeric(intro_matrix, ExponentPair(3, 5)).similar
-        assert powers_similar_numeric(intro_matrix, ExponentPair(3, 7)).similar
+        assert not numeric_verdict(intro_matrix, ExponentPair(3, 5)).similar
+        assert numeric_verdict(intro_matrix, ExponentPair(3, 7)).similar
 
     def test_generic_diagonalizable_is_not(self, pq23):
+        # random eigenvalues are no roots of unity at all
         rng = np.random.default_rng(11)
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        verdict = powers_similar_numeric(a, pq23)
+        verdict = numeric_verdict(a, pq23)
         assert not verdict.similar
-        assert verdict.failure_reason is FailureReason.SPECTRA_POWER_MISMATCH
+        assert verdict.failure_reason is FailureReason.NON_ROOT_OF_UNITY
 
 
 FIXTURE_SPECS = [
@@ -186,9 +322,9 @@ class TestStructuralNumericAgreement:
     def test_agreement(self, spec_idx, pq23):
         spec = FIXTURE_SPECS[spec_idx]
         structural = powers_similar_general(spec, pq23)
-        concrete = matrix_from_spec(spec, conjugate_seed=spec_idx)
-        numeric = powers_similar_numeric(concrete, pq23, cluster_tol=1e-4)
-        assert numeric.similar == structural.similar
+        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=spec_idx), pq23)
+        assert recoverable(recovered, pq23) == recoverable(spec, pq23)
+        assert powers_similar_general(recovered, pq23).similar == structural.similar
 
 
 class TestSoundness:
@@ -216,7 +352,7 @@ class TestRootOfIdentityConsequence:
         m = np.lcm.reduce(orders)
         for e in spec.entries:
             assert rou_pow(e.eigenvalue, int(m)) == R(0, 1)
-        alpha = mod_inverse(pq23.p, int(m)).value
+        alpha = mod_inverse(pq23.p, int(m))
         a = matrix_from_spec(spec)
         ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
         b = find_invertible_in_span(sylvester_kernel(ap, aq), seed=1)
