@@ -6,18 +6,12 @@ __version__ = "0.1.0"
 
 from .equation2x2 import (
     ClassifyResult,
-    NormalizedPair,
     SolutionFamily,
-    StResidual,
     TriangularPair,
     WordShape,
-    check_necessary_conditions,
     classify,
     construct_solution,
     is_simultaneously_triangularizable,
-    normalize_determinants,
-    st_residual_system,
-    symmetrize_pair,
     verify_word,
 )
 from .matrixcore import (
@@ -26,11 +20,9 @@ from .matrixcore import (
     conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,
-    kernel_basis,
     mat_int_pow,
     matrix_from_json,
     matrix_to_json,
-    span_residual,
     sylvester_kernel,
     weyr_characteristic,
 )
@@ -58,7 +50,6 @@ from .solvers import (
     SingleEigSolution,
     build_cycle_conjugator,
     build_cycle_instance,
-    commutes_with_n,
     enumerate_valid_k1,
     nilpotent_from_blocks,
     realize_conjugate_c,

@@ -32,7 +32,6 @@ from .matrixcore import (
     mat_int_pow,
     matrix_from_json,
     matrix_to_json,
-    span_residual,
     sylvester_kernel,
 )
 from .scalar import ExponentPair, RootOfUnity, rou_pow, rou_to_complex
@@ -239,7 +238,7 @@ def cmd_nilpotent(args) -> dict:
     c_mat = lam_c * np.eye(n) + solution.m_matrix
     power_residual = np.max(np.abs(mat_int_pow(c_mat, pq.p, cfg) - mat_int_pow(a_mat, pq.q, cfg)))
     report["solution"] = solution.to_json()
-    report["alpha_exact"] = [str(c) for c in solution.poly_coeffs] if lam.num == 0 else None
+    report["alpha_exact"] = [str(c) for c in solution.rational_coeffs] if lam.num == 0 else None
     report["alpha_factored"] = [
         {"rational": str(frac), "root": str(rou_pow(lam, 1 - j))}
         for j, frac in enumerate(solution.rational_coeffs, start=1)

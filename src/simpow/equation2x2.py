@@ -1,16 +1,16 @@
 """The 2x2 word equation A^r B^s A^r' B^s' = eps * I.
 
-After normalizing both matrices to unit determinant, pairs split into the
-simultaneously triangularizable (ST) case, which reduces to a triangular
-polynomial system, and the non-ST case, which is rigid: solutions exist
-only when |r - r'| >= 2 and |s - s'| >= 2, and then A and B are conjugate
-to a triangular pair built from roots of unity u, rho with a single
-coupling constraint tying the off-diagonal parameters together.
+Solution pairs split into the simultaneously triangularizable (ST) case
+and the non-ST case, which is rigid: solutions exist only when
+|r - r'| >= 2 and |s - s'| >= 2, and then A and B are conjugate to a
+triangular pair built from roots of unity u, rho with a single coupling
+constraint tying the off-diagonal parameters together.  This module
+evaluates the word and its residual, tests a pair for ST, and classifies
+and constructs the non-ST solution families.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from math import gcd
 
@@ -66,10 +66,6 @@ class TriangularPair:
     def b_matrix(self) -> np.ndarray:
         return np.array([[self.rho, 0.0], [self.sigma, 1.0 / self.rho]], dtype=complex)
 
-    def st_defect(self) -> complex:
-        """(rho^2-1)(u^2-1) + u*v*rho*sigma; zero exactly when the pair is ST."""
-        return (self.rho**2 - 1.0) * (self.u**2 - 1.0) + self.u * self.v * self.rho * self.sigma
-
 
 def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     r, s, rp, sp = shape.exponents
@@ -91,42 +87,6 @@ def verify_word(
     return float(np.max(np.abs(w - shape.epsilon * np.eye(n))))
 
 
-@dataclass
-class NormalizedPair:
-    """Unit-determinant rescaling a = scale_a * a1, b = scale_b * b1.
-
-    word_scale is scale_a^(r+r') * scale_b^(s+s'): the original word equals
-    word_scale times the normalized word.  When word_scale is +-1 within
-    tolerance, ``sign`` records it; otherwise sign is None and the
-    normalized equation can only hold with the right-hand side eps scaled
-    by an undetermined factor.
-    """
-
-    a1: np.ndarray
-    b1: np.ndarray
-    scale_a: complex
-    scale_b: complex
-    word_scale: complex
-    sign: int | None
-
-
-def normalize_determinants(
-    a: np.ndarray, b: np.ndarray, shape: WordShape, cfg: ToleranceConfig = DEFAULT_TOL
-) -> NormalizedPair:
-    a, b = as_matrix(a), as_matrix(b)
-    det_a, det_b = complex(np.linalg.det(a)), complex(np.linalg.det(b))
-    if abs(det_a) <= cfg.rank_tol or abs(det_b) <= cfg.rank_tol:
-        raise ValueError("inputs must be invertible")
-    scale_a, scale_b = cmath.sqrt(det_a), cmath.sqrt(det_b)
-    word_scale = scale_a ** (shape.r + shape.r_prime) * scale_b ** (shape.s + shape.s_prime)
-    sign: int | None = None
-    if abs(word_scale - 1.0) <= cfg.verify_tol:
-        sign = 1
-    elif abs(word_scale + 1.0) <= cfg.verify_tol:
-        sign = -1
-    return NormalizedPair(a / scale_a, b / scale_b, scale_a, scale_b, word_scale, sign)
-
-
 def is_simultaneously_triangularizable(
     a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
@@ -137,175 +97,6 @@ def is_simultaneously_triangularizable(
     comm = a @ b - b @ a
     scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     return bool(abs(np.linalg.det(comm)) <= cfg.verify_tol * max(scale, 1.0) ** 2)
-
-
-def _require_unit_determinant(name: str, m: np.ndarray, cfg: ToleranceConfig) -> None:
-    """Raise ValueError unless |det(m) - 1| <= verify_tol * max(||m||_F, 1)^2."""
-    if abs(np.linalg.det(m) - 1.0) > cfg.verify_tol * max(float(np.linalg.norm(m)), 1.0) ** 2:
-        raise ValueError(f"{name} must have determinant 1")
-
-
-@dataclass
-class StResidual:
-    """Triangular-case reduction: the word is eps*I iff diag_residual = 0 and
-    v*phi_coeff + q_off*psi_coeff = 0."""
-
-    diag_residual: complex
-    phi_coeff: complex
-    psi_coeff: complex
-
-
-def st_residual_system(
-    a: np.ndarray, b: np.ndarray, shape: WordShape, cfg: ToleranceConfig = DEFAULT_TOL
-) -> StResidual:
-    """Reduce the word equation for an upper-triangular pair.
-
-    Both inputs must be upper triangular with unit determinant.  The
-    word's top-right entry is linear in the two off-diagonal entries, so
-    its coefficients are recovered by evaluating at (1, 0) and (0, 1).
-    """
-    a, b = as_matrix(a), as_matrix(b)
-    for name, m in (("a", a), ("b", b)):
-        if m.shape != (2, 2):
-            raise ValueError(f"{name} must be 2x2")
-        if abs(m[1, 0]) > cfg.verify_tol * max(float(np.linalg.norm(m)), 1.0):
-            raise ValueError(f"{name} is not upper triangular")
-        _require_unit_determinant(name, m, cfg)
-    u, rho = complex(a[0, 0]), complex(b[0, 0])
-    diag_residual = u ** (shape.r + shape.r_prime) * rho ** (shape.s + shape.s_prime) - shape.epsilon
-
-    def top_right(v: complex, q_off: complex) -> complex:
-        au = np.array([[u, v], [0.0, 1.0 / u]], dtype=complex)
-        bu = np.array([[rho, q_off], [0.0, 1.0 / rho]], dtype=complex)
-        return complex(word_value(au, bu, shape, cfg)[0, 1])
-
-    return StResidual(diag_residual, top_right(1.0, 0.0), top_right(0.0, 1.0))
-
-
-def _is_diagonalizable_2x2(m: np.ndarray, tol: float) -> bool:
-    ev = np.linalg.eigvals(m)
-    return bool(abs(ev[0] - ev[1]) > tol * max(1.0, float(np.linalg.norm(m))))
-
-
-def _symmetrize_with_diagonalizable(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Diagonalize ``first``, then rescale so ``second`` becomes symmetric."""
-    _, vecs = np.linalg.eig(first)
-    transformed = np.linalg.solve(vecs, second @ vecs)
-    x = cmath.sqrt(complex(transformed[0, 1]))
-    y = cmath.sqrt(complex(transformed[1, 0]))
-    return vecs @ np.diag([x, y])
-
-
-def symmetrize_pair(
-    a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Conjugator P making both P^-1 A P and P^-1 B P symmetric.
-
-    Only defined for non-ST pairs.  If one matrix is diagonalizable the
-    scaling trick applies; when both are non-diagonalizable the pair
-    reduces to complementary nilpotent parts and P = Q @ [[1, i], [1, -i]]
-    does the job.
-    """
-    a, b = as_matrix(a), as_matrix(b)
-    if is_simultaneously_triangularizable(a, b, cfg):
-        raise ValueError("pair is simultaneously triangularizable")
-    eig_gap_tol = 1e-8
-    if _is_diagonalizable_2x2(a, eig_gap_tol):
-        return _symmetrize_with_diagonalizable(a, b)
-    if _is_diagonalizable_2x2(b, eig_gap_tol):
-        return _symmetrize_with_diagonalizable(b, a)
-    # both non-diagonalizable: A = lam*I + M, B = mu*I + N with M, N
-    # nilpotent sharing no eigenvector
-    lam = complex(np.trace(a)) / 2.0
-    mu = complex(np.trace(b)) / 2.0
-    m_nil = a - lam * np.eye(2)
-    n_nil = b - mu * np.eye(2)
-    v1 = _nilpotent_kernel_vector(m_nil)
-    v2 = _nilpotent_kernel_vector(n_nil)
-    q = np.column_stack([v1, v2])
-    rotate = np.array([[1.0, 1j], [1.0, -1j]], dtype=complex)
-    return q @ rotate
-
-
-def _nilpotent_kernel_vector(m: np.ndarray) -> np.ndarray:
-    """Unit kernel vector of a nonzero nilpotent 2x2 matrix."""
-    _, _, vh = np.linalg.svd(m)
-    return vh[-1].conj()
-
-
-@dataclass
-class NecessaryConditionsReport:
-    """Residuals of the identities every non-ST unit-determinant solution obeys."""
-
-    alpha: int
-    inverse_word_residual: float
-    commutation_residual: float
-    a_power_residual: float
-    b_power_residual: float
-    square_residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            res <= self.tolerance
-            for res in (
-                self.inverse_word_residual,
-                self.commutation_residual,
-                self.a_power_residual,
-                self.b_power_residual,
-                self.square_residual,
-            )
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "inverse_word_residual": self.inverse_word_residual,
-            "commutation_residual": self.commutation_residual,
-            "a_power_residual": self.a_power_residual,
-            "b_power_residual": self.b_power_residual,
-            "square_residual": self.square_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def check_necessary_conditions(
-    a: np.ndarray, b: np.ndarray, shape: WordShape, cfg: ToleranceConfig = DEFAULT_TOL
-) -> NecessaryConditionsReport:
-    """Evaluate the rigidity identities for a non-ST unit-determinant pair.
-
-    Reports residuals of: the inverse-exponent word; commutation of
-    A^(r-r') with B^s; A^(r-r') = alpha*I; B^(s-s') = -alpha*eps*I; and
-    (A^r B^s)^2 = -I, with alpha the nearer sign for A^(r-r').
-    """
-    a, b = as_matrix(a), as_matrix(b)
-    _require_unit_determinant("a", a, cfg)
-    _require_unit_determinant("b", b, cfg)
-    if is_simultaneously_triangularizable(a, b, cfg):
-        raise ValueError("pair is simultaneously triangularizable")
-    eye = np.eye(2)
-    inverse_shape = WordShape(-shape.r, -shape.s, -shape.r_prime, -shape.s_prime, shape.epsilon)
-    inverse_residual = verify_word(a, b, inverse_shape, cfg)
-    a_diff = mat_int_pow(a, shape.r - shape.r_prime, cfg)
-    b_s = mat_int_pow(b, shape.s, cfg)
-    commutation = float(np.max(np.abs(a_diff @ b_s - b_s @ a_diff)))
-    alpha = 1 if np.abs(a_diff - eye).max() <= np.abs(a_diff + eye).max() else -1
-    a_power = float(np.max(np.abs(a_diff - alpha * eye)))
-    b_diff = mat_int_pow(b, shape.s - shape.s_prime, cfg)
-    b_power = float(np.max(np.abs(b_diff + alpha * shape.epsilon * eye)))
-    ab = mat_int_pow(a, shape.r, cfg) @ b_s
-    square = float(np.max(np.abs(ab @ ab + eye)))
-    return NecessaryConditionsReport(
-        alpha=alpha,
-        inverse_word_residual=inverse_residual,
-        commutation_residual=commutation,
-        a_power_residual=a_power,
-        b_power_residual=b_power,
-        square_residual=square,
-        tolerance=cfg.verify_tol,
-    )
 
 
 def _roots_with_power_sign(exponent: int, sign: int) -> list[RootOfUnity]:

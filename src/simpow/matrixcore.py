@@ -79,6 +79,18 @@ def mat_int_pow(a: np.ndarray, e: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np
     return np.linalg.matrix_power(np.linalg.inv(a), -e)
 
 
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The complex direct sum of square blocks, in the order given."""
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for b in blocks:
+        k = len(b)
+        out[pos : pos + k, pos : pos + k] = b
+        pos += k
+    return out
+
+
 def kernel_basis(
     m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL, scale: float | None = None
 ) -> list[np.ndarray]:
@@ -256,15 +268,6 @@ def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     if scale == 0.0:
         raise np.linalg.LinAlgError("B is zero")
     return float(np.max(np.abs(x @ b - b @ y))) / scale
-
-
-def span_residual(basis: list[np.ndarray], target: np.ndarray) -> float:
-    """Frobenius distance from target to the span of the basis matrices."""
-    if not basis:
-        return float(np.linalg.norm(target))
-    cols = np.stack([b.ravel() for b in basis], axis=1)
-    coeffs, *_ = np.linalg.lstsq(cols, np.asarray(target, dtype=complex).ravel(), rcond=None)
-    return float(np.linalg.norm(cols @ coeffs - target.ravel()))
 
 
 def find_invertible_in_span(

@@ -21,6 +21,7 @@ from .matrixcore import (
     ToleranceConfig,
     _cluster_eigenvalues,
     as_matrix,
+    block_diagonal,
     weyr_characteristic,
 )
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
@@ -56,12 +57,26 @@ class JordanEntry:
 
 @dataclass(frozen=True)
 class JordanSpec:
+    """Jordan structure by eigenvalue.
+
+    Equality and the hash ignore the order of ``entries``, which is kept
+    as given: it fixes the block order of matrix_from_spec and to_json.
+    """
+
     entries: tuple[JordanEntry, ...]
 
     def __post_init__(self):
         eigenvalues = [e.eigenvalue for e in self.entries]
         if len(set(map(_ev_key, eigenvalues))) != len(eigenvalues):
             raise ValueError("eigenvalues must be pairwise distinct")
+
+    def __eq__(self, other):
+        if not isinstance(other, JordanSpec):
+            return NotImplemented
+        return frozenset(self.entries) == frozenset(other.entries)
+
+    def __hash__(self):
+        return hash(frozenset(self.entries))
 
     @property
     def n(self) -> int:
@@ -155,20 +170,14 @@ def matrix_from_spec(spec: JordanSpec, conjugate_seed: int | None = None) -> np.
     With a seed, the direct sum of Jordan blocks is conjugated by a random
     unitary matrix (well-conditioned, so the structure survives numerically).
     """
-    blocks = [
+    a = block_diagonal([
         jordan_block(_ev_complex(e.eigenvalue), size)
         for e in spec.entries
         for size in e.blocks
-    ]
-    n = spec.n
-    a = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for b in blocks:
-        k = b.shape[0]
-        a[pos : pos + k, pos : pos + k] = b
-        pos += k
+    ])
     if conjugate_seed is None:
         return a
+    n = spec.n
     rng = np.random.default_rng(conjugate_seed)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(g)
@@ -242,7 +251,11 @@ def _certified_entry(
 
 def powers_similar_invertible(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerdict:
     """Verdict for invertible matrices: A^p ~ A^q iff the power spectra agree
-    as multisets and the Jordan structure is constant along every orbit."""
+    as multisets and the Jordan structure is constant along every orbit.
+
+    An eigenvalue that is no RootOfUnity fails: on a successor cycle of
+    length t <= n it would be a root of unity of order dividing |q^t - p^t|.
+    """
     for entry in spec.entries:
         if entry.eigenvalue is None:
             raise ValueError("invertible verdict called on a spec with eigenvalue 0")
@@ -250,7 +263,11 @@ def powers_similar_invertible(spec: JordanSpec, pq: ExponentPair) -> SimilarityV
             return SimilarityVerdict(
                 False,
                 FailureReason.NON_ROOT_OF_UNITY,
-                certificate=f"eigenvalue {entry.eigenvalue} is not a root of unity",
+                certificate=(
+                    f"eigenvalue {entry.eigenvalue} matches no admissible root of unity "
+                    f"(order dividing |q^t - p^t| for some t <= {spec.n}, "
+                    f"(p,q) = ({pq.p},{pq.q}))"
+                ),
             )
     full = spec.spectrum()
     distinct = full.distinct()

@@ -8,9 +8,8 @@ Two regimes are fully constructive:
   primary matrix function lambda*(I + N/lambda)^(q/p), whose coefficients
   are the generalized binomials C(q/p, j), and a block-diagonal base
   conjugator B0 realizes it.  B0 is the power matrix of the compositional
-  inverse series (1 + y)^(p/q) - 1, in closed form as well.  All other
-  conjugators differ from B0 by an invertible matrix commuting with N,
-  which is exposed as a membership test.
+  inverse series (1 + y)^(p/q) - 1, in closed form as well.  Every other
+  conjugator is Delta @ B0 for an invertible Delta commuting with N.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidK1Error
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix, is_invertible
+from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix, block_diagonal, is_invertible
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 
 
@@ -150,7 +149,6 @@ class SingleEigSolution:
 
     lam: RootOfUnity
     block_sizes: tuple[int, ...]
-    poly_coeffs: tuple  # alpha_1..alpha_{d-1}; Fractions when lam = 1, else complex
     m_matrix: np.ndarray
     b0: np.ndarray
     rational_coeffs: tuple[Fraction, ...]
@@ -161,16 +159,16 @@ class SingleEigSolution:
     def n(self) -> int:
         return sum(self.block_sizes)
 
-    def exact_m_entry(self, i: int, j: int) -> tuple[Fraction, RootOfUnity]:
-        return self.m_rational[i][j], rou_pow(self.lam, 1 + i - j)
-
-    def exact_b0_entry(self, i: int, j: int) -> tuple[Fraction, RootOfUnity]:
-        return self.b0_rational[i][j], rou_pow(self.lam, i - j)
-
     def to_json(self) -> dict:
         from .matrixcore import matrix_to_json
 
-        coeffs = [complex(c) for c in self.poly_coeffs]
+        # alpha_j = rational_coeffs[j-1] * lambda^(1-j); at lambda = 1 the
+        # rational itself, so a negative alpha_j keeps an unsigned imaginary 0
+        coeffs = [
+            complex(a) if self.lam.num == 0
+            else float(a) * rou_to_complex(rou_pow(self.lam, 1 - j))
+            for j, a in enumerate(self.rational_coeffs, start=1)
+        ]
         return {
             "lambda": str(self.lam),
             "blocks": list(self.block_sizes),
@@ -285,16 +283,9 @@ def solve_single_eigenvalue(
                 m_matrix[i, j] = float(m_rational[i][j]) * twist[1 + i - j]
             if b0_rational[i][j]:
                 b0[i, j] = float(b0_rational[i][j]) * twist[i - j]
-    if lam.num == 0:
-        poly_coeffs: tuple = tuple(rational)
-    else:
-        poly_coeffs = tuple(
-            float(a) * twist[1 - j] for j, a in enumerate(rational, start=1)
-        )
     return SingleEigSolution(
         lam,
         block_sizes,
-        poly_coeffs,
         m_matrix,
         b0,
         tuple(rational),
@@ -306,27 +297,7 @@ def solve_single_eigenvalue(
 def nilpotent_from_blocks(block_sizes) -> np.ndarray:
     """Direct sum of Jordan nilpotent blocks (largest first)."""
     sizes = sorted((int(b) for b in block_sizes), reverse=True)
-    n = sum(sizes)
-    out = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for size in sizes:
-        out[pos : pos + size, pos : pos + size] = np.eye(size, k=1)
-        pos += size
-    return out
-
-
-def commutes_with_n(
-    candidate: np.ndarray, n_mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    """Membership test for the invertible commutant of n_mat."""
-    candidate, n_mat = as_matrix(candidate), as_matrix(n_mat)
-    if candidate.shape != n_mat.shape:
-        raise ValueError("size mismatch")
-    if not is_invertible(candidate, cfg):
-        return False
-    residual = np.linalg.norm(candidate @ n_mat - n_mat @ candidate)
-    bound = cfg.verify_tol * np.linalg.norm(candidate) * np.linalg.norm(n_mat)
-    return bool(residual <= bound)
+    return block_diagonal([np.eye(size, k=1) for size in sizes])
 
 
 @dataclass

@@ -43,10 +43,6 @@ class SpectrumMultiset:
         object.__setattr__(self, "items", canon)
 
     @property
-    def total(self) -> int:
-        return sum(m for _, m in self.items)
-
-    @property
     def zero_multiplicity(self) -> int:
         return sum(m for ev, m in self.items if ev is None)
 

@@ -76,8 +76,26 @@ class TestAnalyze:
         path.write_text(json.dumps(matrix_to_json(matrix_from_spec(spec, conjugate_seed=8))))
         code, report = run_json(capsys, "analyze", str(path), "-p", "3", "-q", "7")
         assert code == 0
-        assert set(JordanSpec.from_json(report["spec"]).entries) == set(spec.entries)
+        assert JordanSpec.from_json(report["spec"]) == spec
         assert report["verdict"]["similar"] is True
+
+    def test_inadmissible_root_certificate(self, capsys, tmp_path):
+        # i and -i are roots of unity, but of order 4, which divides no
+        # |3^t - 2^t|, t <= 2: recovery keeps them complex
+        spec = JordanSpec.from_json([
+            {"eigenvalue": "1/4", "blocks": [1]},
+            {"eigenvalue": "3/4", "blocks": [1]},
+        ])
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(matrix_from_spec(spec, conjugate_seed=1))))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+        assert code == 0
+        verdict = report["verdict"]
+        assert verdict["similar"] is False
+        assert verdict["failure_reason"] == "non-root-of-unity-eigenvalue"
+        assert "not a root of unity" not in verdict["certificate"]
+        assert "matches no admissible root of unity" in verdict["certificate"]
+        assert "|q^t - p^t| for some t <= 2, (p,q) = (2,3)" in verdict["certificate"]
 
     def test_unrecoverable_matrix(self, capsys, tmp_path):
         # eigenvalues 1.5e-6 apart: too close to split, too far apart to certify merged

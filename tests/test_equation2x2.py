@@ -1,33 +1,20 @@
-import cmath
-
 import numpy as np
 import pytest
 
 from simpow.equation2x2 import (
     TriangularPair,
     WordShape,
-    check_necessary_conditions,
     classify,
     construct_solution,
     is_simultaneously_triangularizable,
-    normalize_determinants,
-    st_residual_system,
-    symmetrize_pair,
     verify_word,
     word_value,
 )
+from simpow.matrixcore import mat_int_pow
 from simpow.scalar import RootOfUnity, rou_pow
 
 R = RootOfUnity
 WORKED_SHAPE = WordShape(3, 3, 1, 1, -1)
-
-
-def random_sl2(rng):
-    while True:
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        det = np.linalg.det(m)
-        if abs(det) > 1e-3:
-            return m / cmath.sqrt(complex(det))
 
 
 class TestWordShape:
@@ -55,60 +42,22 @@ class TestTriangularPair:
         assert np.allclose(pair.b_matrix(), [[5, 0], [7, 0.2]])
 
     def test_st_defect_matches_st_test(self):
-        # vanishing defect <=> simultaneously triangularizable
+        # reference: the pair is ST exactly when its defect vanishes
+        def st_defect(pair):
+            return (pair.rho**2 - 1) * (pair.u**2 - 1) + pair.u * pair.v * pair.rho * pair.sigma
+
         u, v, rho = 2.0 + 0j, 1.5 + 0j, 3.0 + 0j
         sigma_st = -(rho * rho - 1) * (u * u - 1) / (u * v * rho)
         st_pair = TriangularPair(u, v, rho, sigma_st)
-        assert abs(st_pair.st_defect()) < 1e-12
+        assert abs(st_defect(st_pair)) < 1e-12
         assert is_simultaneously_triangularizable(st_pair.a_matrix(), st_pair.b_matrix())
         generic = TriangularPair(u, v, rho, sigma_st + 1.0)
+        assert abs(st_defect(generic)) > 1.0
         assert not is_simultaneously_triangularizable(generic.a_matrix(), generic.b_matrix())
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ValueError):
             TriangularPair(0.0, 1.0, 1.0, 1.0)
-
-
-class TestNormalizeDeterminants:
-    def test_already_normalized(self):
-        shape = WordShape(1, 1, 1, 1, 1)
-        a = np.array([[2.0, 0], [0, 0.5]], dtype=complex)
-        result = normalize_determinants(a, np.eye(2), shape)
-        assert np.allclose(result.a1, a)
-        assert result.sign == 1
-
-    def test_scalar_bookkeeping(self):
-        shape = WordShape(1, 1, 1, 1, 1)
-        result = normalize_determinants(2 * np.eye(2), np.eye(2), shape)
-        assert np.allclose(result.a1, np.eye(2))
-        assert result.word_scale == pytest.approx(4.0)
-        assert result.sign is None
-
-    def test_negative_determinant(self):
-        shape = WordShape(1, 1, 1, 1, 1)
-        a = np.array([[0, 1], [1, 0]], dtype=complex)
-        result = normalize_determinants(a, np.eye(2), shape)
-        assert abs(np.linalg.det(result.a1) - 1.0) < 1e-12
-
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_determinants(np.zeros((2, 2)), np.eye(2), WordShape(1, 1, 1, 1, 1))
-
-    def test_word_reconstruction(self):
-        # the original word equals word_scale times the normalized word
-        rng = np.random.default_rng(5)
-        shape = WordShape(2, 3, 1, -1, 1)
-        for _ in range(10):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            if abs(np.linalg.det(a)) < 0.1 or abs(np.linalg.det(b)) < 0.1:
-                continue
-            result = normalize_determinants(a, b, shape)
-            original = word_value(a, b, shape)
-            normalized = word_value(result.a1, result.b1, shape)
-            assert np.max(np.abs(original - result.word_scale * normalized)) < 1e-8 * np.max(
-                np.abs(original)
-            )
 
 
 class TestSimultaneouslyTriangularizable:
@@ -123,128 +72,6 @@ class TestSimultaneouslyTriangularizable:
     def test_wrong_size(self):
         with pytest.raises(ValueError):
             is_simultaneously_triangularizable(np.eye(3), np.eye(3))
-
-
-class TestStResidualSystem:
-    def test_trivial_diagonal(self):
-        shape = WordShape(2, 3, 1, 1, 1)
-        a = np.eye(2, dtype=complex)
-        b = np.eye(2, dtype=complex)
-        result = st_residual_system(a, b, shape)
-        assert result.diag_residual == 0
-
-    def test_worked_diagonal_value(self):
-        shape = WordShape(1, 1, 1, 1, 1)
-        a = np.diag([1j, -1j])
-        b = np.diag([1j, -1j])
-        result = st_residual_system(a, b, shape)
-        assert abs(result.diag_residual - (1j**4 - 1)) < 1e-14
-
-    def test_linearity_of_top_right(self):
-        rng = np.random.default_rng(6)
-        shape = WordShape(2, 3, 1, -1, 1)
-        for _ in range(20):
-            u, rho = np.exp(2j * np.pi * rng.random(2))
-            result = st_residual_system(
-                np.array([[u, 0], [0, 1 / u]]), np.array([[rho, 0], [0, 1 / rho]]), shape
-            )
-            v, q_off = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            a = np.array([[u, v], [0, 1 / u]])
-            b = np.array([[rho, q_off], [0, 1 / rho]])
-            top_right = word_value(a, b, shape)[0, 1]
-            predicted = v * result.phi_coeff + q_off * result.psi_coeff
-            assert abs(top_right - predicted) < 1e-12
-
-    def test_full_equivalence(self):
-        # word = eps*I exactly when the diagonal and off-diagonal residuals vanish
-        shape = WordShape(1, 1, 1, 1, 1)
-        u = rho = 1j
-        base = st_residual_system(np.diag([u, 1 / u]), np.diag([rho, 1 / rho]), shape)
-        assert abs(base.diag_residual) < 1e-14
-        v = 0.7 + 0.2j
-        q_off = -v * base.phi_coeff / base.psi_coeff
-        a = np.array([[u, v], [0, 1 / u]])
-        b = np.array([[rho, q_off], [0, 1 / rho]])
-        assert verify_word(a, b, shape) < 1e-12
-
-    def test_non_triangular_rejected(self):
-        shape = WordShape(1, 1, 1, 1, 1)
-        with pytest.raises(ValueError):
-            st_residual_system(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2), shape)
-
-
-class TestSymmetrizePair:
-    def test_already_symmetric(self):
-        a = np.diag([1.0, 2.0]).astype(complex)
-        b = np.array([[0, 1], [1, 0]], dtype=complex)
-        p = symmetrize_pair(a, b)
-        for m in (a, b):
-            sym = np.linalg.solve(p, m @ p)
-            assert np.max(np.abs(sym - sym.T)) < 1e-12
-
-    def test_nilpotent_pair(self):
-        a = np.array([[0, 1], [0, 0]], dtype=complex)
-        b = np.array([[0, 0], [1, 0]], dtype=complex)
-        p = symmetrize_pair(a, b)
-        for m in (a, b):
-            sym = np.linalg.solve(p, m @ p)
-            assert np.max(np.abs(sym - sym.T)) < 1e-14
-
-    def test_diagonalizable_case(self):
-        a = np.diag([2.0, 0.5]).astype(complex)
-        b = np.array([[1, 3], [5, 1]], dtype=complex) / cmath.sqrt(complex(1 - 15))
-        p = symmetrize_pair(a, b)
-        for m in (a, b):
-            sym = np.linalg.solve(p, m @ p)
-            assert np.max(np.abs(sym - sym.T)) < 1e-10
-
-    def test_shifted_nilpotent_pair(self):
-        a = 2.0 * np.eye(2) + np.array([[0, 3], [0, 0]])
-        b = -1j * np.eye(2) + np.array([[0, 0], [2, 0]])
-        p = symmetrize_pair(a.astype(complex), b.astype(complex))
-        for m in (a, b):
-            sym = np.linalg.solve(p, m @ p)
-            assert np.max(np.abs(sym - sym.T)) < 1e-12
-
-    def test_st_pair_rejected(self):
-        with pytest.raises(ValueError):
-            symmetrize_pair(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-
-    def test_random_non_st_pairs(self):
-        rng = np.random.default_rng(12)
-        done = 0
-        while done < 50:
-            a, b = random_sl2(rng), random_sl2(rng)
-            if is_simultaneously_triangularizable(a, b):
-                continue
-            p = symmetrize_pair(a, b)
-            for m in (a, b):
-                sym = np.linalg.solve(p, m @ p)
-                scale = max(1.0, float(np.max(np.abs(sym))))
-                assert np.max(np.abs(sym - sym.T)) < 1e-9 * scale
-            done += 1
-
-
-class TestCheckNecessaryConditions:
-    def test_constructed_solution_passes(self):
-        a, b = construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 1.0)
-        report = check_necessary_conditions(a, b, WORKED_SHAPE)
-        assert report.passed
-        assert report.alpha == -1
-        assert report.inverse_word_residual < 1e-10
-        assert report.square_residual < 1e-10
-
-    def test_random_pair_fails(self):
-        rng = np.random.default_rng(9)
-        a, b = random_sl2(rng), random_sl2(rng)
-        if is_simultaneously_triangularizable(a, b):
-            pytest.skip("random pair happened to be ST")
-        report = check_necessary_conditions(a, b, WORKED_SHAPE)
-        assert not report.passed
-
-    def test_st_pair_rejected(self):
-        with pytest.raises(ValueError):
-            check_necessary_conditions(np.diag([1.0, 1.0]), np.eye(2), WORKED_SHAPE)
 
 
 class TestClassify:
@@ -305,6 +132,24 @@ class TestConstructSolution:
         a7, b7 = construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 7.0)
         assert b7[1, 0] == pytest.approx(2.0 / 7.0, abs=1e-12)
         assert verify_word(a7, b7, WORKED_SHAPE) < 1e-12
+
+    def test_rigidity_identities(self):
+        # every non-ST unit-determinant solution obeys the inverse word,
+        # A^(r-r') = alpha*I, B^(s-s') = -alpha*eps*I and (A^r B^s)^2 = -I
+        eye = np.eye(2)
+        for shape in (WORKED_SHAPE, WordShape(5, 4, 2, -1, 1), WordShape(2, 5, -3, 1, -1)):
+            inverse = WordShape(-shape.r, -shape.s, -shape.r_prime, -shape.s_prime, shape.epsilon)
+            for family in classify(shape, max_report=10**6).families:
+                alpha = family.alpha
+                for u, rho in family.pairs:
+                    a, b = construct_solution(shape, u, rho, 1.0)
+                    assert verify_word(a, b, inverse) < 1e-10
+                    a_diff = mat_int_pow(a, shape.r - shape.r_prime)
+                    assert np.max(np.abs(a_diff - alpha * eye)) < 1e-9
+                    b_diff = mat_int_pow(b, shape.s - shape.s_prime)
+                    assert np.max(np.abs(b_diff + alpha * shape.epsilon * eye)) < 1e-9
+                    ab = mat_int_pow(a, shape.r) @ mat_int_pow(b, shape.s)
+                    assert np.max(np.abs(ab @ ab + eye)) < 1e-10
 
     def test_u_square_one_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,53 @@
+"""Every public function, class and method of simpow is used by the program.
+
+A public name must be referred to somewhere other than its own
+definition: in the package itself (the CLI included) or in the benchmark
+under bench/.  Tests do not count, so API that only its own tests reach
+fails here; imports do not count either, so a name imported and never
+used fails too.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "simpow").glob("*.py"))
+USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, bare name) of the public top-level functions and
+    classes and the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member.name
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a variable or an attribute access uses; definitions and
+    imports bind names without using them."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used():
+    used = set()
+    for path in USERS:
+        used |= referenced_names(ast.parse(path.read_text(), str(path)))
+    unused = [
+        f"{path.name}: {qualified}"
+        for path in SOURCES
+        for qualified, name in public_definitions(ast.parse(path.read_text(), str(path)))
+        if name not in used
+    ]
+    assert not unused, f"public API that nothing in src/simpow or bench/ uses: {unused}"
+

@@ -81,6 +81,17 @@ class TestJordanSpec:
         spec = JordanSpec((entry(0.5 + 0.25j, 2),))
         assert JordanSpec.from_json(spec.to_json()) == spec
 
+    def test_equality_ignores_entry_order(self):
+        spec = JordanSpec((entry(R(0, 1), 2), entry(R(1, 2), 1)))
+        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=4), ExponentPair(1, 3))
+        assert recovered.entries == (entry(R(1, 2), 1), entry(R(0, 1), 2))
+        assert recovered == spec
+        assert hash(recovered) == hash(spec)
+        assert recovered != JordanSpec((entry(R(0, 1), 1, 1), entry(R(1, 2), 1)))
+        # the order is kept as given: it fixes the blocks of matrix_from_spec and to_json
+        assert recovered.to_json() != spec.to_json()
+        assert not np.array_equal(matrix_from_spec(recovered), matrix_from_spec(spec))
+
 
 class TestSpecFromMatrix:
     def test_identity(self, pq23):
@@ -110,7 +121,7 @@ class TestSpecFromMatrix:
 
     def test_intro_matrix_structure(self, intro_matrix, intro_spec):
         recovered = spec_from_matrix(intro_matrix, ExponentPair(3, 5))
-        assert set(recovered.entries) == set(intro_spec.entries)
+        assert recovered == intro_spec
 
     def test_size_limit(self, pq23):
         with pytest.raises(ValueError):
@@ -129,7 +140,7 @@ class TestSpecFromMatrixHardInputs:
         inst = build_cycle_instance(n, pq, 1)
         spec = JordanSpec(tuple(entry(ev, 1) for ev in inst.spectrum))
         recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=n), pq)
-        assert set(recovered.entries) == set(spec.entries)
+        assert recovered == spec
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -150,7 +161,7 @@ class TestSpecFromMatrixHardInputs:
     def test_conjugated_long_blocks(self, pq, spec, seed):
         pq = ExponentPair(*pq)
         recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=seed), pq)
-        assert set(recovered.entries) == set(spec.entries)
+        assert recovered == spec
 
     @pytest.mark.parametrize("delta", [3e-6, 1e-5])
     @pytest.mark.parametrize("seed", range(9))
@@ -203,7 +214,7 @@ def test_seeded_cycle_recovery():
             got = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=case), pq)
         except ValueError:
             continue
-        assert set(got.entries) == set(spec.entries), (pq, spec.to_json(), got.to_json())
+        assert got == spec, (pq, spec.to_json(), got.to_json())
         recovered += 1
     assert recovered >= 0.9 * cases
 
@@ -230,6 +241,7 @@ class TestPowersSimilarInvertible:
         verdict = powers_similar_invertible(JordanSpec((entry(2.0 + 0j, 1),)), pq23)
         assert not verdict.similar
         assert verdict.failure_reason is FailureReason.NON_ROOT_OF_UNITY
+        assert verdict.certificate.startswith("eigenvalue (2+0j) matches no admissible root of unity")
 
     def test_orbit_multiplicity_mismatch(self, pq23):
         # distinct values align under the action but multiplicities differ
