@@ -15,8 +15,6 @@ from .equation2x2 import (
     verify_word,
 )
 from .matrixcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
     conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,

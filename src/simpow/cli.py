@@ -25,7 +25,8 @@ from .equation2x2 import (
 )
 from .errors import NormalizationRequiredError
 from .matrixcore import (
-    ToleranceConfig,
+    RANK_TOL,
+    VERIFY_TOL,
     conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,
@@ -34,8 +35,14 @@ from .matrixcore import (
     matrix_to_json,
     sylvester_kernel,
 )
-from .scalar import ExponentPair, RootOfUnity, rou_pow, rou_to_complex
-from .similarity import JordanSpec, matrix_from_spec, powers_similar_general, spec_from_matrix
+from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_to_complex
+from .similarity import (
+    JordanEntry,
+    JordanSpec,
+    matrix_from_spec,
+    powers_similar_general,
+    spec_from_matrix,
+)
 from .solvers import (
     _power_modulus,
     build_cycle_conjugator,
@@ -45,7 +52,7 @@ from .solvers import (
     realize_conjugate_c,
     solve_single_eigenvalue,
 )
-from .spectra import multiset_power
+from .spectra import powers_equal
 
 
 class OperationalError(Exception):
@@ -61,14 +68,20 @@ def _load_matrix_or_spec(path: str):
         raise OperationalError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
         try:
-            return matrix_from_json(data), None
+            matrix = matrix_from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
             raise OperationalError(f"bad matrix file {path}: {exc}") from exc
+        if matrix.size == 0:
+            raise OperationalError(f"bad matrix file {path}: the matrix is empty")
+        return matrix, None
     if isinstance(data, list):
         try:
-            return None, JordanSpec.from_json(data)
+            spec = JordanSpec.from_json(data)
         except (KeyError, ValueError, TypeError, IndexError) as exc:
             raise OperationalError(f"bad spec file {path}: {exc}") from exc
+        if not spec.entries:
+            raise OperationalError(f"bad spec file {path}: the spec is empty")
+        return None, spec
     raise OperationalError(f"{path}: expected a matrix object or a spec list")
 
 
@@ -86,20 +99,31 @@ def _exponent_pair(args) -> ExponentPair:
         raise OperationalError(str(exc)) from exc
 
 
-def _tolerances(args) -> ToleranceConfig:
-    try:
-        return ToleranceConfig(rank_tol=args.rank_tol, verify_tol=args.verify_tol)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
-
-
-def _base_report(command: str, args, cfg: ToleranceConfig) -> dict:
+def _base_report(command: str, args) -> dict:
     return {
         "command": command,
         "tool_version": __version__,
-        "seed": getattr(args, "seed", None),
-        "tolerances": {"rank_tol": cfg.rank_tol, "verify_tol": cfg.verify_tol},
+        "seed": args.seed,
+        "tolerances": {"rank_tol": RANK_TOL, "verify_tol": VERIFY_TOL},
     }
+
+
+def _exact_roots(spec: JordanSpec, pq: ExponentPair, path: str) -> JordanSpec:
+    """The spec with each complex eigenvalue replaced by the first admissible
+    root of unity within RANK_TOL * (|z| + 1) of it: the rank cut that
+    certifies a 1x1 block [z] at that root in spec_from_matrix."""
+    entries = []
+    for entry in spec.entries:
+        ev = entry.eigenvalue
+        if isinstance(ev, complex):
+            roots = _admissible_roots(ev, pq, spec.n, RANK_TOL * (abs(ev) + 1.0))
+            if roots:
+                entry = JordanEntry(roots[0], entry.blocks)
+        entries.append(entry)
+    try:
+        return JordanSpec(tuple(entries))
+    except ValueError as exc:
+        raise OperationalError(f"bad spec file {path}: {exc}") from exc
 
 
 def _parse_rou(text: str, label: str) -> RootOfUnity:
@@ -117,17 +141,15 @@ def _parse_complex_list(text: str, label: str) -> list[complex]:
 
 
 def cmd_analyze(args) -> dict:
-    cfg = _tolerances(args)
     pq = _exponent_pair(args)
     matrix, spec = _load_matrix_or_spec(args.input)
     if spec is None:
         try:
-            spec = spec_from_matrix(matrix, pq, cfg)
+            spec = spec_from_matrix(matrix, pq)
         except ValueError as exc:
             raise OperationalError(f"cannot recover structure: {exc}") from exc
-    report = _base_report("analyze", args, cfg)
+    report = _base_report("analyze", args)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    report["spec"] = spec.to_json()
 
     normalized = pq
     swapped = False
@@ -140,13 +162,14 @@ def cmd_analyze(args) -> dict:
                 "similarity of negative powers of a singular matrix is undefined"
             )
     report["normalized"] = {"p": normalized.p, "q": normalized.q, "swapped": swapped}
+    if matrix is None:
+        spec = _exact_roots(spec, normalized, args.input)
+    report["spec"] = spec.to_json()
 
     try:
         spectrum = spec.spectrum()
         report["spectrum"] = spectrum.to_json()
-        report["power_spectra_equal"] = (
-            multiset_power(spectrum, normalized.p) == multiset_power(spectrum, normalized.q)
-        )
+        report["power_spectra_equal"] = powers_equal(spectrum, normalized)
     except ValueError:
         report["spectrum"] = None
         report["power_spectra_equal"] = False
@@ -159,19 +182,19 @@ def cmd_analyze(args) -> dict:
     if args.find_b:
         if matrix is None:
             matrix = matrix_from_spec(spec)
-        report["conjugator"] = _solve_conjugator(matrix, normalized, cfg, args.seed)
+        report["conjugator"] = _solve_conjugator(matrix, normalized, args.seed)
     return report
 
 
-def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, cfg: ToleranceConfig, seed: int) -> dict:
+def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, seed: int) -> dict:
     try:
-        a_p = mat_int_pow(matrix, pq.p, cfg)
-        a_q = mat_int_pow(matrix, pq.q, cfg)
+        a_p = mat_int_pow(matrix, pq.p)
+        a_q = mat_int_pow(matrix, pq.q)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
-    basis = sylvester_kernel(a_p, a_q, cfg)
+    basis = sylvester_kernel(a_p, a_q)
     out: dict = {"kernel_dimension": len(basis)}
-    candidate = find_invertible_in_span(basis, seed=seed, cfg=cfg) if basis else None
+    candidate = find_invertible_in_span(basis, seed=seed) if basis else None
     if candidate is None:
         out["b"] = None
         out["residual"] = None
@@ -182,11 +205,10 @@ def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, cfg: ToleranceConfig
 
 
 def cmd_generate(args) -> dict:
-    cfg = _tolerances(args)
     pq = _exponent_pair(args)
     if args.n < 1:
         raise OperationalError(f"n must be >= 1, got {args.n}")
-    report = _base_report("generate", args, cfg)
+    report = _base_report("generate", args)
     report["inputs"] = {"n": args.n, "p": pq.p, "q": pq.q, "k1": args.k1, "scale": args.scale}
     try:
         valid = enumerate_valid_k1(args.n, pq)
@@ -211,12 +233,11 @@ def cmd_generate(args) -> dict:
     report["instance"] = inst.to_json()
     report["a"] = matrix_to_json(a)
     report["b"] = matrix_to_json(b)
-    report["residual"] = conjugacy_residual(b, mat_int_pow(a, pq.p, cfg), mat_int_pow(a, pq.q, cfg))
+    report["residual"] = conjugacy_residual(b, mat_int_pow(a, pq.p), mat_int_pow(a, pq.q))
     return report
 
 
 def cmd_nilpotent(args) -> dict:
-    cfg = _tolerances(args)
     pq = _exponent_pair(args)
     lam = _parse_rou(args.lam, "--lam")
     try:
@@ -225,7 +246,7 @@ def cmd_nilpotent(args) -> dict:
         raise OperationalError(f"bad --blocks {args.blocks!r}: {exc}") from exc
     if not blocks or any(b < 1 for b in blocks):
         raise OperationalError(f"bad --blocks {args.blocks!r}: need positive sizes")
-    report = _base_report("nilpotent", args, cfg)
+    report = _base_report("nilpotent", args)
     report["inputs"] = {"lambda": str(lam), "blocks": blocks, "p": pq.p, "q": pq.q}
     try:
         solution = solve_single_eigenvalue(lam, blocks, pq)
@@ -236,7 +257,7 @@ def cmd_nilpotent(args) -> dict:
     nil = nilpotent_from_blocks(solution.block_sizes)
     a_mat = lam_c * np.eye(n) + nil
     c_mat = lam_c * np.eye(n) + solution.m_matrix
-    power_residual = np.max(np.abs(mat_int_pow(c_mat, pq.p, cfg) - mat_int_pow(a_mat, pq.q, cfg)))
+    power_residual = np.max(np.abs(mat_int_pow(c_mat, pq.p) - mat_int_pow(a_mat, pq.q)))
     report["solution"] = solution.to_json()
     report["alpha_exact"] = [str(c) for c in solution.rational_coeffs] if lam.num == 0 else None
     report["alpha_factored"] = [
@@ -249,16 +270,15 @@ def cmd_nilpotent(args) -> dict:
 
 
 def cmd_solve_b(args) -> dict:
-    cfg = _tolerances(args)
     pq = _exponent_pair(args)
     matrix = _load_matrix(args.input)
-    report = _base_report("solve-b", args, cfg)
+    report = _base_report("solve-b", args)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    report["conjugator"] = _solve_conjugator(matrix, pq, cfg, args.seed)
+    report["conjugator"] = _solve_conjugator(matrix, pq, args.seed)
     n = matrix.shape[0]
     try:
-        a_q = mat_int_pow(matrix, pq.q, cfg)
-        coeffs = fit_polynomial_in(a_q, matrix, max(n - 1, 0), cfg)
+        a_q = mat_int_pow(matrix, pq.q)
+        coeffs = fit_polynomial_in(a_q, matrix, max(n - 1, 0))
     except ValueError:
         coeffs = None
     report["polynomial_in_a_q"] = (
@@ -268,16 +288,15 @@ def cmd_solve_b(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    cfg = _tolerances(args)
     pq = _exponent_pair(args)
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    report = _base_report("verify", args, cfg)
+    report = _base_report("verify", args)
     report["inputs"] = {"a": args.a, "b": args.b, "p": pq.p, "q": pq.q}
     try:
-        conj = realize_conjugate_c(a, b, cfg)
-        a_p = mat_int_pow(a, pq.p, cfg)
-        a_q = mat_int_pow(a, pq.q, cfg)
+        conj = realize_conjugate_c(a, b)
+        a_p = mat_int_pow(a, pq.p)
+        a_q = mat_int_pow(a, pq.q)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
     report["residual"] = conjugacy_residual(b, a_p, a_q)
@@ -295,9 +314,8 @@ def _word_shape(args) -> WordShape:
 
 
 def cmd_word2_classify(args) -> dict:
-    cfg = _tolerances(args)
     shape = _word_shape(args)
-    report = _base_report("word2 classify", args, cfg)
+    report = _base_report("word2 classify", args)
     report["inputs"] = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
     }
@@ -307,7 +325,6 @@ def cmd_word2_classify(args) -> dict:
 
 
 def cmd_word2_construct(args) -> dict:
-    cfg = _tolerances(args)
     shape = _word_shape(args)
     u = _parse_rou(args.u, "--u")
     rho = _parse_rou(args.rho, "--rho")
@@ -315,7 +332,7 @@ def cmd_word2_construct(args) -> dict:
         v = complex(args.v)
     except ValueError as exc:
         raise OperationalError(f"bad --v {args.v!r}") from exc
-    report = _base_report("word2 construct", args, cfg)
+    report = _base_report("word2 construct", args)
     report["inputs"] = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime,
         "eps": shape.epsilon, "u": str(u), "rho": str(rho), "v": [v.real, v.imag],
@@ -327,35 +344,31 @@ def cmd_word2_construct(args) -> dict:
     report["a"] = matrix_to_json(a)
     report["b"] = matrix_to_json(b)
     report["sigma"] = [complex(b[1, 0]).real, complex(b[1, 0]).imag]
-    report["residual"] = verify_word(a, b, shape, cfg)
-    report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b, cfg)
+    report["residual"] = verify_word(a, b, shape)
+    report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
 
 
 def cmd_word2_verify(args) -> dict:
-    cfg = _tolerances(args)
     shape = _word_shape(args)
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    report = _base_report("word2 verify", args, cfg)
+    report = _base_report("word2 verify", args)
     report["inputs"] = {
         "a": args.a, "b": args.b, "r": shape.r, "s": shape.s,
         "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
     }
     try:
-        report["residual"] = verify_word(a, b, shape, cfg)
+        report["residual"] = verify_word(a, b, shape)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
     if a.shape == (2, 2) and b.shape == (2, 2):
-        report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b, cfg)
+        report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--rank-tol", type=float, default=1e-9, dest="rank_tol")
-    parser.add_argument("--verify-tol", type=float, default=1e-9, dest="verify_tol")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pretty", action="store_true", help="human-readable summary, not JSON")
 
 
 def _add_pq(parser: argparse.ArgumentParser):
@@ -440,20 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pretty_lines(report: dict, indent: int = 0) -> list[str]:
-    lines = []
-    pad = "  " * indent
-    for key, value in report.items():
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            lines.extend(_pretty_lines(value, indent + 1))
-        elif isinstance(value, list) and len(value) > 8:
-            lines.append(f"{pad}{key}: [{len(value)} items]")
-        else:
-            lines.append(f"{pad}{key}: {value}")
-    return lines
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call: parsing leaves it unchanged, so
@@ -469,10 +468,7 @@ def main(argv=None) -> int:
         error_report = {"command": args.command, "error": str(exc), "tool_version": __version__}
         print(json.dumps(error_report, sort_keys=True))
         return 1
-    if args.pretty:
-        print("\n".join(_pretty_lines(report)))
-    else:
-        print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 

@@ -16,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix, mat_int_pow
+from .matrixcore import VERIFY_TOL, as_matrix, mat_int_pow
 from .scalar import RootOfUnity, phi_k, rou_mul, rou_pow, rou_to_complex
 
 DEFAULT_MAX_REPORT = 100
@@ -67,36 +67,27 @@ class TriangularPair:
         return np.array([[self.rho, 0.0], [self.sigma, 1.0 / self.rho]], dtype=complex)
 
 
-def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
     r, s, rp, sp = shape.exponents
-    return (
-        mat_int_pow(a, r, cfg)
-        @ mat_int_pow(b, s, cfg)
-        @ mat_int_pow(a, rp, cfg)
-        @ mat_int_pow(b, sp, cfg)
-    )
+    return mat_int_pow(a, r) @ mat_int_pow(b, s) @ mat_int_pow(a, rp) @ mat_int_pow(b, sp)
 
 
-def verify_word(
-    a: np.ndarray, b: np.ndarray, shape: WordShape, cfg: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def verify_word(a: np.ndarray, b: np.ndarray, shape: WordShape) -> float:
     """Max-abs residual of A^r B^s A^r' B^s' - eps*I."""
     a, b = as_matrix(a), as_matrix(b)
     n = a.shape[0]
-    w = word_value(a, b, shape, cfg)
+    w = word_value(a, b, shape)
     return float(np.max(np.abs(w - shape.epsilon * np.eye(n))))
 
 
-def is_simultaneously_triangularizable(
-    a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
-) -> bool:
+def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
     """For 2x2 pairs, ST is equivalent to det(AB - BA) = 0."""
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("ST test is for 2x2 matrices")
     comm = a @ b - b @ a
     scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    return bool(abs(np.linalg.det(comm)) <= cfg.verify_tol * max(scale, 1.0) ** 2)
+    return bool(abs(np.linalg.det(comm)) <= VERIFY_TOL * max(scale, 1.0) ** 2)
 
 
 def _roots_with_power_sign(exponent: int, sign: int) -> list[RootOfUnity]:

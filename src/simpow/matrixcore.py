@@ -7,29 +7,18 @@ integer-valued quantities (ranks, Weyr sequences) robust.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ClusteringAmbiguityError, NotInvertibleError
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """rank_tol: relative singular-value cutoff; verify_tol: residual threshold."""
-
-    rank_tol: float = 1e-9
-    verify_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.rank_tol <= 0 or self.verify_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOL = ToleranceConfig()
-
+# singular values at most this times the operand's 2-norm, or a bound on it, count as 0
+RANK_TOL = 1e-9
+# residuals at most this, relative to the size of the terms, count as 0
+VERIFY_TOL = 1e-9
 # eigenvalues closer than this, relative to the operand's 2-norm, are one cluster
 DEFAULT_CLUSTER_TOL = 1e-6
+# random combinations find_invertible_in_span tries before it gives up
+INVERTIBLE_DRAWS = 32
 
 
 def as_matrix(data) -> np.ndarray:
@@ -48,33 +37,33 @@ def _require_square(m: np.ndarray) -> int:
     return m.shape[0]
 
 
-def _rank_cut(s: np.ndarray, cfg: ToleranceConfig, scale: float | None = None) -> int:
-    """Count of the descending singular values s above rank_tol * scale.
+def _rank_cut(s: np.ndarray, scale: float | None = None) -> int:
+    """Count of the descending singular values s above RANK_TOL * scale.
 
     scale defaults to s[0], the matrix's own 2-norm; an absolute scale lets
     a small block be judged against the norm of the operator it came from.
     """
     if s.size == 0:
         return 0
-    return int(np.count_nonzero(s > cfg.rank_tol * (s[0] if scale is None else scale)))
+    return int(np.count_nonzero(s > RANK_TOL * (s[0] if scale is None else scale)))
 
 
-def rank_with_tol(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
-    return _rank_cut(np.linalg.svd(m, compute_uv=False), cfg)
+def rank_with_tol(m: np.ndarray) -> int:
+    return _rank_cut(np.linalg.svd(m, compute_uv=False))
 
 
-def is_invertible(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_invertible(m: np.ndarray) -> bool:
     n = _require_square(m)
-    return rank_with_tol(m, cfg) == n
+    return rank_with_tol(m) == n
 
 
-def mat_int_pow(a: np.ndarray, e: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def mat_int_pow(a: np.ndarray, e: int) -> np.ndarray:
     """Integer matrix power; negative exponents invert once then power."""
     a = as_matrix(a)
     _require_square(a)
     if e >= 0:
         return np.linalg.matrix_power(a, e)
-    if not is_invertible(a, cfg):
+    if not is_invertible(a):
         raise NotInvertibleError("negative power of a singular matrix")
     return np.linalg.matrix_power(np.linalg.inv(a), -e)
 
@@ -91,13 +80,11 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def kernel_basis(
-    m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL, scale: float | None = None
-) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space at rank_tol (see _rank_cut)."""
+def kernel_basis(m: np.ndarray, scale: float | None = None) -> list[np.ndarray]:
+    """Orthonormal basis of the numerical null space at RANK_TOL (see _rank_cut)."""
     m = as_matrix(m)
     _, s, vh = np.linalg.svd(m)
-    return [vh[i].conj() for i in range(_rank_cut(s, cfg, scale), m.shape[1])]
+    return [vh[i].conj() for i in range(_rank_cut(s, scale), m.shape[1])]
 
 
 def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]]:
@@ -150,17 +137,13 @@ def _sylvester_operator(p_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     return op.reshape(m_p * m_q, m_p * m_q)
 
 
-def _dense_sylvester_kernel(
-    p_mat: np.ndarray, q_mat: np.ndarray, cfg: ToleranceConfig
-) -> list[np.ndarray]:
+def _dense_sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray]:
     """The kernel from one SVD of the n^2 x n^2 operator: O(n^6) time, O(n^4) memory."""
     n = p_mat.shape[0]
-    return [vec.reshape(n, n) for vec in kernel_basis(_sylvester_operator(p_mat, q_mat), cfg)]
+    return [vec.reshape(n, n) for vec in kernel_basis(_sylvester_operator(p_mat, q_mat))]
 
 
-def _generalized_eigenspace(
-    shifted: np.ndarray, mult: int, cfg: ToleranceConfig
-) -> np.ndarray | None:
+def _generalized_eigenspace(shifted: np.ndarray, mult: int) -> np.ndarray | None:
     """Orthonormal columns spanning ker(shifted^k) at the first k where its
     dimension reaches mult; None when it overshoots or never gets there."""
     n = shifted.shape[0]
@@ -168,16 +151,14 @@ def _generalized_eigenspace(
         return np.eye(n, dtype=complex)
     power = shifted
     for _ in range(mult):
-        basis = kernel_basis(power, cfg)
+        basis = kernel_basis(power)
         if len(basis) >= mult:
             return np.stack(basis, axis=1) if len(basis) == mult else None
         power = power @ shifted
     return None
 
 
-def _structured_sylvester_kernel(
-    p_mat: np.ndarray, q_mat: np.ndarray, cfg: ToleranceConfig
-) -> list[np.ndarray] | None:
+def _structured_sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray] | None:
     """The kernel solved one joint eigenvalue cluster at a time, or None
     when the split cannot be certified.
 
@@ -187,11 +168,11 @@ def _structured_sylvester_kernel(
     U K Y^H over the clusters with P_c K = K Q_c; pairs of different
     clusters contribute nothing.  A cluster of one eigenvalue takes its
     (left) eigenvector from the one eig call per operand.  The small
-    kernels are cut at rank_tol times ||P||_2 + ||Q||_2, a bound on the
+    kernels are cut at RANK_TOL times ||P||_2 + ||Q||_2, a bound on the
     2-norm of every small operator.  The split is taken only when the
     clustering is unambiguous, every U and Y has the dimension of its
     cluster, and the stacked bases [U_1 ... U_k] and [Y_1 ... Y_k] have
-    condition numbers at most 1/sqrt(rank_tol).
+    condition numbers at most 1/sqrt(RANK_TOL).
     """
     n = p_mat.shape[0]
     if n < 2:
@@ -216,33 +197,31 @@ def _structured_sylvester_kernel(
         u = y = None
         if len(in_p):
             u = vec_p[:, in_p] if len(in_p) == 1 else _generalized_eigenspace(
-                p_mat - center * eye, len(in_p), cfg)
+                p_mat - center * eye, len(in_p))
             if u is None:
                 return None
             u_blocks.append(u)
         if len(in_q):
             y = vec_q[:, in_q] if len(in_q) == 1 else _generalized_eigenspace(
-                q_adj - center.conjugate() * eye, len(in_q), cfg)
+                q_adj - center.conjugate() * eye, len(in_q))
             if y is None:
                 return None
             y_blocks.append(y)
         if u is not None and y is not None:
             pairs.append((u, y))
     s = np.linalg.svd(np.stack([np.hstack(u_blocks), np.hstack(y_blocks)]), compute_uv=False)
-    if np.any(s[:, 0] > s[:, -1] / np.sqrt(cfg.rank_tol)):
+    if np.any(s[:, 0] > s[:, -1] / np.sqrt(RANK_TOL)):
         return None
     basis = []
     for u, y in pairs:
         y_adj = y.conj().T
         p_c, q_c = u.conj().T @ p_mat @ u, y_adj @ q_mat @ y
-        kernel = kernel_basis(_sylvester_operator(p_c, q_c), cfg, norm_p + norm_q)
+        kernel = kernel_basis(_sylvester_operator(p_c, q_c), norm_p + norm_q)
         basis += [u @ k.reshape(len(p_c), len(q_c)) @ y_adj for k in kernel]
     return basis
 
 
-def sylvester_kernel(
-    p_mat: np.ndarray, q_mat: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
-) -> list[np.ndarray]:
+def sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray]:
     """Basis of {X : p_mat @ X - X @ q_mat = 0}, each element of unit Frobenius norm.
 
     Solved per joint eigenvalue cluster (_structured_sylvester_kernel) in
@@ -253,8 +232,8 @@ def sylvester_kernel(
     n = _require_square(p_mat)
     if _require_square(q_mat) != n:
         raise ValueError("operands must have equal size")
-    basis = _structured_sylvester_kernel(p_mat, q_mat, cfg)
-    return basis if basis is not None else _dense_sylvester_kernel(p_mat, q_mat, cfg)
+    basis = _structured_sylvester_kernel(p_mat, q_mat)
+    return basis if basis is not None else _dense_sylvester_kernel(p_mat, q_mat)
 
 
 def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -270,38 +249,31 @@ def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(x @ b - b @ y))) / scale
 
 
-def find_invertible_in_span(
-    basis: list[np.ndarray],
-    attempts: int = 32,
-    seed: int = 0,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray | None:
-    """Random linear combination of the basis that is invertible at rank_tol.
+def find_invertible_in_span(basis: list[np.ndarray], seed: int = 0) -> np.ndarray | None:
+    """Random linear combination of the basis that is invertible at RANK_TOL.
 
-    Deterministic for a fixed seed; returns None when no draw succeeds
-    (e.g. the span contains no invertible element).
+    Deterministic for a fixed seed; returns None when none of
+    INVERTIBLE_DRAWS draws succeeds (e.g. the span contains no invertible
+    element).
     """
     if not basis:
         raise ValueError("empty basis")
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(INVERTIBLE_DRAWS):
         coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
         candidate = sum(c * b for c, b in zip(coeffs, basis))
-        if is_invertible(candidate, cfg):
+        if is_invertible(candidate):
             return candidate
     return None
 
 
 def fit_polynomial_in(
-    matrix_s: np.ndarray,
-    target_t: np.ndarray,
-    max_degree: int,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    matrix_s: np.ndarray, target_t: np.ndarray, max_degree: int
 ) -> list[complex] | None:
     """Coefficients c with sum(c[j] * S^j) = T, if such a polynomial exists.
 
     Solves a least-squares problem over vectorized powers S^0..S^d, raising
-    the degree until the residual passes verify_tol * ||T|| (Frobenius).
+    the degree until the residual passes VERIFY_TOL * ||T|| (Frobenius).
     Returns the coefficient list of the smallest adequate degree, or None.
     """
     matrix_s, target_t = as_matrix(matrix_s), as_matrix(target_t)
@@ -311,7 +283,7 @@ def fit_polynomial_in(
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     target_norm = np.linalg.norm(target_t)
-    threshold = cfg.verify_tol * max(target_norm, 1e-300)
+    threshold = VERIFY_TOL * max(target_norm, 1e-300)
     powers = [np.eye(n, dtype=complex)]
     vec_t = target_t.ravel()
     for degree in range(max_degree + 1):
@@ -324,18 +296,13 @@ def fit_polynomial_in(
     return None
 
 
-def weyr_characteristic(
-    m: np.ndarray,
-    lam: complex,
-    depth: int,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> list[int]:
+def weyr_characteristic(m: np.ndarray, lam: complex, depth: int) -> list[int]:
     """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant.
 
     Deflated: with S = M - lam*I and P_k the orthogonal projector onto
     ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
     an n x n matrix and no power of S is formed.  Every rank is cut at
-    rank_tol * (||M||_F + |lam|), a bound on ||S||_2, so a rounding-sized
+    RANK_TOL * (||M||_F + |lam|), a bound on ||S||_2, so a rounding-sized
     S is not judged by its own norm and a gap d between eigenvalues is not
     shrunk to d^k.  The dimensions stop growing once two repeat, and the
     list is padded with the last one to depth.
@@ -351,7 +318,7 @@ def weyr_characteristic(
     dims: list[int] = []
     while len(dims) < depth:
         _, s, vh = np.linalg.svd(deflated)
-        rank = _rank_cut(s, cfg, scale)
+        rank = _rank_cut(s, scale)
         if dims and n - rank == dims[-1]:
             break
         dims.append(n - rank)

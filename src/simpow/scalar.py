@@ -122,18 +122,18 @@ def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[
     return sorted(near, key=lambda root: (root.order, root.num))
 
 
-def phi_k(t: complex, k: int, branch_tol: float = PHI_BRANCH_TOL) -> complex:
+def phi_k(t: complex, k: int) -> complex:
     """Off-diagonal growth factor of k-th powers of triangular SL2 matrices.
 
     For t*t != 1 this is (1 - t^(2k)) / (t^(k-1) * (1 - t^2)); the removable
     singularities at t = 1 and t = -1 take the limit values k and
-    (-1)^(k-1)*k.  Within ``branch_tol`` of t^2 = 1 the limit value of the
+    (-1)^(k-1)*k.  Within PHI_BRANCH_TOL of t^2 = 1 the limit value of the
     nearer branch point is used.
     """
     if t == 0:
         raise ValueError("phi_k is undefined at t = 0")
     t2 = t * t
-    if abs(t2 - 1.0) < branch_tol:
+    if abs(t2 - 1.0) < PHI_BRANCH_TOL:
         if abs(t - 1.0) <= abs(t + 1.0):
             return complex(k)
         return complex(-k if k % 2 == 0 else k)

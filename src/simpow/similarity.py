@@ -17,8 +17,6 @@ import numpy as np
 from .errors import NormalizationRequiredError
 from .matrixcore import (
     DEFAULT_CLUSTER_TOL,
-    DEFAULT_TOL,
-    ToleranceConfig,
     _cluster_eigenvalues,
     as_matrix,
     block_diagonal,
@@ -196,9 +194,7 @@ def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
-def spec_from_matrix(
-    a: np.ndarray, pq: ExponentPair, cfg: ToleranceConfig = DEFAULT_TOL
-) -> JordanSpec:
+def spec_from_matrix(a: np.ndarray, pq: ExponentPair) -> JordanSpec:
     """Recover a JordanSpec numerically, certified cluster by cluster.
 
     The eigenvalues are clustered by single linkage at the radius
@@ -225,14 +221,14 @@ def spec_from_matrix(
     for j in range(5):
         try:
             clusters = _cluster_eigenvalues(values, tol * 10**j)
-            return JordanSpec(tuple(_certified_entry(a, values[c], pq, tol, cfg) for c in clusters))
+            return JordanSpec(tuple(_certified_entry(a, values[c], pq, tol) for c in clusters))
         except ValueError as exc:
             finest_error = finest_error or exc
     raise finest_error
 
 
 def _certified_entry(
-    a: np.ndarray, values: np.ndarray, pq: ExponentPair, tol: float, cfg: ToleranceConfig
+    a: np.ndarray, values: np.ndarray, pq: ExponentPair, tol: float
 ) -> JordanEntry:
     """The entry of one eigenvalue cluster at the first point that certifies
     it; ValueError when none does (see spec_from_matrix)."""
@@ -243,7 +239,7 @@ def _certified_entry(
     else:
         points = [*_admissible_roots(center, pq, a.shape[0], tol), center]
     for ev in points:
-        dims = weyr_characteristic(a, _ev_complex(ev), mult + 1, cfg)
+        dims = weyr_characteristic(a, _ev_complex(ev), mult + 1)
         if dims[-1] == mult:
             return JordanEntry(ev, _blocks_from_weyr(dims, mult))
     raise ValueError(f"no point certifies the {mult} eigenvalue(s) around {center:.6g}")

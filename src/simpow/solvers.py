@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidK1Error
-from .matrixcore import DEFAULT_TOL, ToleranceConfig, as_matrix, block_diagonal, is_invertible
+from .matrixcore import VERIFY_TOL, as_matrix, block_diagonal, is_invertible, matrix_to_json
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 
 
@@ -160,8 +160,6 @@ class SingleEigSolution:
         return sum(self.block_sizes)
 
     def to_json(self) -> dict:
-        from .matrixcore import matrix_to_json
-
         # alpha_j = rational_coeffs[j-1] * lambda^(1-j); at lambda = 1 the
         # rational itself, so a negative alpha_j keeps an unsigned imaginary 0
         coeffs = [
@@ -307,18 +305,16 @@ class ConjugateResult:
     commutes: bool
 
 
-def realize_conjugate_c(
-    a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL
-) -> ConjugateResult:
+def realize_conjugate_c(a: np.ndarray, b: np.ndarray) -> ConjugateResult:
     """C = B^-1 A B, reporting whether C commutes with A.
 
     When (A, B) solves the conjugacy equation, C must commute with A; the
     check is reported, never enforced.
     """
     a, b = as_matrix(a), as_matrix(b)
-    if not is_invertible(b, cfg):
+    if not is_invertible(b):
         raise ValueError("b is singular")
     c = np.linalg.solve(b, a @ b)
     residual = float(np.linalg.norm(c @ a - a @ c))
-    bound = cfg.verify_tol * float(np.linalg.norm(a)) * max(float(np.linalg.norm(c)), 1.0)
+    bound = VERIFY_TOL * float(np.linalg.norm(a)) * max(float(np.linalg.norm(c)), 1.0)
     return ConjugateResult(c, residual, residual <= bound)

@@ -5,7 +5,7 @@ import pytest
 
 from simpow import cli
 from simpow.cli import main
-from simpow.matrixcore import matrix_to_json
+from simpow.matrixcore import RANK_TOL, VERIFY_TOL, matrix_to_json
 from simpow.similarity import JordanSpec, matrix_from_spec
 
 
@@ -97,6 +97,43 @@ class TestAnalyze:
         assert "matches no admissible root of unity" in verdict["certificate"]
         assert "|q^t - p^t| for some t <= 2, (p,q) = (2,3)" in verdict["certificate"]
 
+    def test_complex_spec_at_an_admissible_root(self, capsys, tmp_path):
+        # i and -i written as [re, im] are the admissible roots 1/4 and 3/4
+        # of (1, 5), order 4 = 5 - 1: the same report as the angles give
+        reports = []
+        for name, eigenvalues in (("complex", ([0.0, 1.0], [0.0, -1.0])), ("angles", ("1/4", "3/4"))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps([{"eigenvalue": ev, "blocks": [1]} for ev in eigenvalues]))
+            code, report = run_json(capsys, "analyze", str(path), "-p", "1", "-q", "5")
+            assert code == 0
+            del report["inputs"]["path"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["verdict"]["similar"] is True
+
+    def test_complex_spec_off_the_root(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([
+            {"eigenvalue": [0.0, 1.001], "blocks": [1]},
+            {"eigenvalue": [0.0, -1.0], "blocks": [1]},
+        ]))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "1", "-q", "5")
+        assert code == 0
+        assert report["spec"][0]["eigenvalue"] == [0.0, 1.001]
+        assert report["spec"][1]["eigenvalue"] == "3/4"
+        assert report["verdict"]["failure_reason"] == "non-root-of-unity-eigenvalue"
+
+    @pytest.mark.parametrize("twin", [[1e-12, 1.0], "1/4"])
+    def test_complex_spec_entries_on_one_root(self, capsys, tmp_path, twin):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([
+            {"eigenvalue": [0.0, 1.0], "blocks": [1]},
+            {"eigenvalue": twin, "blocks": [2]},
+        ]))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "1", "-q", "5")
+        assert code == 1
+        assert report["error"].startswith("bad spec file")
+
     def test_unrecoverable_matrix(self, capsys, tmp_path):
         # eigenvalues 1.5e-6 apart: too close to split, too far apart to certify merged
         path = tmp_path / "a.json"
@@ -128,6 +165,29 @@ class TestAnalyze:
         code, report = run_json(capsys, "analyze", str(tmp_path / "nope.json"), "-p", "2", "-q", "3")
         assert code == 1
         assert "error" in report
+
+
+class TestEmptyInput:
+    SHAPE = ["-r", "2", "--rp", "-1", "-s", "1", "--sp", "1", "--eps", "1"]
+
+    @pytest.mark.parametrize("content,argvs", [
+        ({"rows": 0, "cols": 0, "data": []}, ["analyze", "solve-b", "verify", "word2 verify"]),
+        ([], ["analyze", "solve-b"]),
+    ])
+    def test_empty_input_is_an_operational_error(self, capsys, tmp_path, content, argvs):
+        path = str(tmp_path / "empty.json")
+        (tmp_path / "empty.json").write_text(json.dumps(content))
+        full = {
+            "analyze": ["analyze", path, "-p", "2", "-q", "3"],
+            "solve-b": ["solve-b", path, "-p", "2", "-q", "3"],
+            "verify": ["verify", path, path, "-p", "2", "-q", "3"],
+            "word2 verify": ["word2", "verify", path, path, *self.SHAPE],
+        }
+        for command in argvs:
+            code, report = run_json(capsys, *full[command])
+            assert code == 1
+            assert report["command"] == command.split()[0]
+            assert "is empty" in report["error"]
 
 
 class TestGenerate:
@@ -268,19 +328,22 @@ class TestReportDiscipline:
         _, second = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b")
         assert first == second
 
-    def test_tolerances_echoed(self, capsys, intro_spec_file):
-        _, report = run_json(
-            capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7",
-            "--rank-tol", "1e-8", "--verify-tol", "1e-7",
-        )
-        assert report["tolerances"] == {"rank_tol": 1e-8, "verify_tol": 1e-7}
+    def test_tolerances_echoed(self, capsys, intro_spec_file, nondiag_files):
+        # the checker under bench/ reads verify_tol from every report
+        commands = set()
+        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
+            code, report = run_json(capsys, *argv)
+            if code == 0:
+                commands.add(report["command"])
+                assert report["tolerances"] == {"rank_tol": RANK_TOL, "verify_tol": VERIFY_TOL}
+        assert len(commands) == 8
 
-    def test_pretty_output(self, capsys, intro_spec_file):
-        code, out = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--pretty")
-        assert code == 0
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(out)
-        assert "similar" in out
+    @pytest.mark.parametrize("flag", [["--rank-tol", "1e-8"], ["--verify-tol", "1e-7"], ["--pretty"]])
+    def test_removed_flags_are_rejected(self, capsys, intro_spec_file, nondiag_files, flag):
+        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
+            with pytest.raises(SystemExit):
+                main([*argv, *flag])
+        assert capsys.readouterr().out == ""
 
     def test_seed_changes_conjugator_deterministically(self, capsys, intro_spec_file):
         _, r1 = run_json(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b", "--seed", "1")
@@ -300,9 +363,9 @@ class TestParserReuse:
             ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", "--scale", "2,5j"],
             ["generate", "-n", "2", "-p", "2", "-q", "3"],
             ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "0"],
-            ["nilpotent", "--lam", "0/1", "--blocks", "3", "-p", "2", "-q", "3", "--pretty"],
+            ["nilpotent", "--lam", "0/1", "--blocks", "3", "-p", "2", "-q", "3"],
             ["nilpotent", "--lam", "1/3", "--blocks", "4,2", "-p", "2", "-q", "5"],
-            ["solve-b", a_path, "-p", "2", "-q", "3", "--rank-tol", "1e-8"],
+            ["solve-b", a_path, "-p", "2", "-q", "3"],
             ["verify", a_path, b_path, "-p", "2", "-q", "3"],
             ["word2", "classify", *shape, "--max-report", "3"],
             ["word2", "classify", *shape],

@@ -6,8 +6,8 @@ import pytest
 from simpow import matrixcore
 from simpow.errors import ClusteringAmbiguityError, NotInvertibleError
 from simpow.matrixcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
+    RANK_TOL,
+    VERIFY_TOL,
     conjugacy_residual,
     find_invertible_in_span,
     fit_polynomial_in,
@@ -56,14 +56,14 @@ class TestMatIntPow:
         for e in range(1, 9):
             a = random_matrix(rng, 3) + 3 * np.eye(3)
             prod = mat_int_pow(a, e) @ mat_int_pow(a, -e)
-            assert np.max(np.abs(prod - np.eye(3))) < DEFAULT_TOL.verify_tol
+            assert np.max(np.abs(prod - np.eye(3))) < VERIFY_TOL
 
 
 def assert_kernel_residuals(p, q, basis):
     scale = np.linalg.norm(p) + np.linalg.norm(q)
     for x in basis:
         residual = np.linalg.norm(p @ x - x @ q)
-        assert residual <= 10 * DEFAULT_TOL.rank_tol * scale * np.linalg.norm(x)
+        assert residual <= 10 * RANK_TOL * scale * np.linalg.norm(x)
 
 
 class TestKernelBasis:
@@ -108,11 +108,11 @@ class TestSylvesterKernel:
 PARITY_PAIRS = [ExponentPair(p, q) for p, q in [(2, 3), (1, 3), (3, 5), (-1, 2), (1, 2)]]
 
 
-def dense_dimension(p, q, cfg=DEFAULT_TOL):
-    """Oracle: nullity of the n^2 x n^2 operator kron(P, I) - kron(I, Q^T) at rank_tol."""
+def dense_dimension(p, q):
+    """Oracle: nullity of the n^2 x n^2 operator kron(P, I) - kron(I, Q^T) at RANK_TOL."""
     n = len(p)
     s = np.linalg.svd(np.kron(p, np.eye(n)) - np.kron(np.eye(n), q.T), compute_uv=False)
-    return int(np.count_nonzero(s <= cfg.rank_tol * s[0]))
+    return int(np.count_nonzero(s <= RANK_TOL * s[0]))
 
 
 def exact_dimension(spec, pq):
@@ -448,13 +448,3 @@ class TestJson:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
-
-
-class TestToleranceConfig:
-    def test_defaults(self):
-        cfg = ToleranceConfig()
-        assert cfg.rank_tol == 1e-9 and cfg.verify_tol == 1e-9
-
-    def test_positive_required(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(rank_tol=0.0)

@@ -197,11 +197,9 @@ class TestPhiK:
         with pytest.raises(ValueError):
             phi_k(0j, 3)
 
-    def test_branch_tolerance_configurable(self):
-        t = 1.0 + 1e-9
-        assert phi_k(t, 5) == 5.0  # within default branch tolerance
-        direct = (1 - t**10) / (t**4 * (1 - t * t))
-        assert phi_k(t, 5, branch_tol=1e-20) == pytest.approx(direct)
+    def test_near_branch_point_takes_the_limit(self):
+        assert phi_k(1.0 + 1e-9, 5) == 5.0  # within PHI_BRANCH_TOL of t^2 = 1
+        assert phi_k(-1.0 - 1e-9, 4) == -4.0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
