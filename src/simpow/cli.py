@@ -99,11 +99,10 @@ def _exponent_pair(args) -> ExponentPair:
         raise OperationalError(str(exc)) from exc
 
 
-def _base_report(command: str, args) -> dict:
+def _base_report(command: str) -> dict:
     return {
         "command": command,
         "tool_version": __version__,
-        "seed": args.seed,
         "tolerances": {"rank_tol": RANK_TOL, "verify_tol": VERIFY_TOL},
     }
 
@@ -148,7 +147,7 @@ def cmd_analyze(args) -> dict:
             spec = spec_from_matrix(matrix, pq)
         except ValueError as exc:
             raise OperationalError(f"cannot recover structure: {exc}") from exc
-    report = _base_report("analyze", args)
+    report = {**_base_report("analyze"), "seed": args.seed}
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
 
     normalized = pq
@@ -182,16 +181,18 @@ def cmd_analyze(args) -> dict:
     if args.find_b:
         if matrix is None:
             matrix = matrix_from_spec(spec)
-        report["conjugator"] = _solve_conjugator(matrix, normalized, args.seed)
+        report["conjugator"] = _solve_conjugator(*_powers(matrix, normalized), args.seed)
     return report
 
 
-def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, seed: int) -> dict:
+def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarray]:
     try:
-        a_p = mat_int_pow(matrix, pq.p)
-        a_q = mat_int_pow(matrix, pq.q)
+        return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
+
+
+def _solve_conjugator(a_p: np.ndarray, a_q: np.ndarray, seed: int) -> dict:
     basis = sylvester_kernel(a_p, a_q)
     out: dict = {"kernel_dimension": len(basis)}
     candidate = find_invertible_in_span(basis, seed=seed) if basis else None
@@ -208,7 +209,7 @@ def cmd_generate(args) -> dict:
     pq = _exponent_pair(args)
     if args.n < 1:
         raise OperationalError(f"n must be >= 1, got {args.n}")
-    report = _base_report("generate", args)
+    report = _base_report("generate")
     report["inputs"] = {"n": args.n, "p": pq.p, "q": pq.q, "k1": args.k1, "scale": args.scale}
     try:
         valid = enumerate_valid_k1(args.n, pq)
@@ -233,7 +234,7 @@ def cmd_generate(args) -> dict:
     report["instance"] = inst.to_json()
     report["a"] = matrix_to_json(a)
     report["b"] = matrix_to_json(b)
-    report["residual"] = conjugacy_residual(b, mat_int_pow(a, pq.p), mat_int_pow(a, pq.q))
+    report["residual"] = conjugacy_residual(b, *_powers(a, pq))
     return report
 
 
@@ -246,7 +247,7 @@ def cmd_nilpotent(args) -> dict:
         raise OperationalError(f"bad --blocks {args.blocks!r}: {exc}") from exc
     if not blocks or any(b < 1 for b in blocks):
         raise OperationalError(f"bad --blocks {args.blocks!r}: need positive sizes")
-    report = _base_report("nilpotent", args)
+    report = _base_report("nilpotent")
     report["inputs"] = {"lambda": str(lam), "blocks": blocks, "p": pq.p, "q": pq.q}
     try:
         solution = solve_single_eigenvalue(lam, blocks, pq)
@@ -272,15 +273,11 @@ def cmd_nilpotent(args) -> dict:
 def cmd_solve_b(args) -> dict:
     pq = _exponent_pair(args)
     matrix = _load_matrix(args.input)
-    report = _base_report("solve-b", args)
+    report = {**_base_report("solve-b"), "seed": args.seed}
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    report["conjugator"] = _solve_conjugator(matrix, pq, args.seed)
-    n = matrix.shape[0]
-    try:
-        a_q = mat_int_pow(matrix, pq.q)
-        coeffs = fit_polynomial_in(a_q, matrix, max(n - 1, 0))
-    except ValueError:
-        coeffs = None
+    a_p, a_q = _powers(matrix, pq)
+    report["conjugator"] = _solve_conjugator(a_p, a_q, args.seed)
+    coeffs = fit_polynomial_in(a_q, matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
     )
@@ -291,15 +288,13 @@ def cmd_verify(args) -> dict:
     pq = _exponent_pair(args)
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    report = _base_report("verify", args)
+    report = _base_report("verify")
     report["inputs"] = {"a": args.a, "b": args.b, "p": pq.p, "q": pq.q}
     try:
         conj = realize_conjugate_c(a, b)
-        a_p = mat_int_pow(a, pq.p)
-        a_q = mat_int_pow(a, pq.q)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
-    report["residual"] = conjugacy_residual(b, a_p, a_q)
+    report["residual"] = conjugacy_residual(b, *_powers(a, pq))
     report["c"] = matrix_to_json(conj.c)
     report["commutation_residual"] = conj.commutation_residual
     report["c_commutes_with_a"] = conj.commutes
@@ -315,11 +310,14 @@ def _word_shape(args) -> WordShape:
 
 def cmd_word2_classify(args) -> dict:
     shape = _word_shape(args)
-    report = _base_report("word2 classify", args)
+    try:
+        result = classify(shape, max_report=args.max_report)
+    except ValueError as exc:
+        raise OperationalError(str(exc)) from exc
+    report = _base_report("word2 classify")
     report["inputs"] = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
     }
-    result = classify(shape, max_report=args.max_report)
     report["classification"] = result.to_json()
     return report
 
@@ -332,7 +330,7 @@ def cmd_word2_construct(args) -> dict:
         v = complex(args.v)
     except ValueError as exc:
         raise OperationalError(f"bad --v {args.v!r}") from exc
-    report = _base_report("word2 construct", args)
+    report = _base_report("word2 construct")
     report["inputs"] = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime,
         "eps": shape.epsilon, "u": str(u), "rho": str(rho), "v": [v.real, v.imag],
@@ -353,7 +351,7 @@ def cmd_word2_verify(args) -> dict:
     shape = _word_shape(args)
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    report = _base_report("word2 verify", args)
+    report = _base_report("word2 verify")
     report["inputs"] = {
         "a": args.a, "b": args.b, "r": shape.r, "s": shape.s,
         "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
@@ -365,10 +363,6 @@ def cmd_word2_verify(args) -> dict:
     if a.shape == (2, 2) and b.shape == (2, 2):
         report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_pq(parser: argparse.ArgumentParser):
@@ -395,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_an)
     p_an.add_argument("--find-b", action="store_true", dest="find_b")
-    _add_common(p_an)
+    p_an.add_argument("--seed", type=int, default=0, help="seed of the draw of B")
     p_an.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="distinct-eigenvalue solutions from a seed residue")
@@ -403,27 +397,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pq(p_gen)
     p_gen.add_argument("--k1", type=int, default=None)
     p_gen.add_argument("--scale", type=str, default=None, help="comma-separated complex scales")
-    _add_common(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
     p_nil = sub.add_parser("nilpotent", help="single-eigenvalue solver")
     p_nil.add_argument("--lam", type=str, required=True, help="eigenvalue as 'k/m'")
     p_nil.add_argument("--blocks", type=str, required=True, help="comma-separated block sizes")
     _add_pq(p_nil)
-    _add_common(p_nil)
     p_nil.set_defaults(func=cmd_nilpotent)
 
     p_sb = sub.add_parser("solve-b", help="conjugator via the intertwiner kernel")
     p_sb.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_sb)
-    _add_common(p_sb)
+    p_sb.add_argument("--seed", type=int, default=0, help="seed of the draw of B")
     p_sb.set_defaults(func=cmd_solve_b)
 
     p_ver = sub.add_parser("verify", help="residual of B^-1 A^p B = A^q")
     p_ver.add_argument("a", help="matrix JSON file for A")
     p_ver.add_argument("b", help="matrix JSON file for B")
     _add_pq(p_ver)
-    _add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_w2 = sub.add_parser("word2", help="the 2x2 word equation A^r B^s A^r' B^s' = eps*I")
@@ -432,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     w_cl = w2.add_parser("classify", help="enumerate non-ST solution families")
     _add_shape(w_cl)
     w_cl.add_argument("--max-report", type=int, default=100, dest="max_report")
-    _add_common(w_cl)
     w_cl.set_defaults(func=cmd_word2_classify)
 
     w_co = w2.add_parser("construct", help="build a non-ST solution pair")
@@ -440,14 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     w_co.add_argument("--u", type=str, required=True, help="root of unity 'k/m'")
     w_co.add_argument("--rho", type=str, required=True, help="root of unity 'k/m'")
     w_co.add_argument("--v", type=str, required=True, help="nonzero complex number")
-    _add_common(w_co)
     w_co.set_defaults(func=cmd_word2_construct)
 
     w_ve = w2.add_parser("verify", help="word residual for explicit matrices")
     w_ve.add_argument("a", help="matrix JSON file for A")
     w_ve.add_argument("b", help="matrix JSON file for B")
     _add_shape(w_ve)
-    _add_common(w_ve)
     w_ve.set_defaults(func=cmd_word2_verify)
 
     return parser

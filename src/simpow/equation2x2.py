@@ -192,8 +192,10 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
     Otherwise, for each alpha in {+1, -1}, u ranges over the solutions of
     u^(r-r') = alpha and rho over rho^(s-s') = -alpha*eps, with u^2 = 1,
     rho^2 = 1 and the phi-vanishing values excluded, and (u, rho) pairs
-    filtered by the two non-degeneracy conditions.
+    filtered by the two non-degeneracy conditions, at most max_report >= 1 per family.
     """
+    if max_report < 1:
+        raise ValueError(f"max_report must be >= 1, got {max_report}")
     dr = shape.r - shape.r_prime
     ds = shape.s - shape.s_prime
     if abs(dr) == 1 or abs(ds) == 1:

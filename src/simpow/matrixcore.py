@@ -7,6 +7,8 @@ integer-valued quantities (ranks, Weyr sequences) robust.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import ClusteringAmbiguityError, NotInvertibleError
@@ -17,6 +19,9 @@ RANK_TOL = 1e-9
 VERIFY_TOL = 1e-9
 # eigenvalues closer than this, relative to the operand's 2-norm, are one cluster
 DEFAULT_CLUSTER_TOL = 1e-6
+# the clustering radii, finest first, in units of that: a Jordan block of size k
+# scatters its computed eigenvalues by about (u * ||A||)^(1/k), their mean by rounding
+CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
 # random combinations find_invertible_in_span tries before it gives up
 INVERTIBLE_DRAWS = 32
 
@@ -80,11 +85,10 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def kernel_basis(m: np.ndarray, scale: float | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space at RANK_TOL (see _rank_cut)."""
-    m = as_matrix(m)
-    _, s, vh = np.linalg.svd(m)
-    return [vh[i].conj() for i in range(_rank_cut(s, scale), m.shape[1])]
+def kernel_basis(m: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Orthonormal columns spanning the numerical null space at RANK_TOL (see _rank_cut)."""
+    _, s, vh = np.linalg.svd(as_matrix(m))
+    return vh[_rank_cut(s, scale):].conj().T
 
 
 def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]]:
@@ -137,103 +141,107 @@ def _sylvester_operator(p_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     return op.reshape(m_p * m_q, m_p * m_q)
 
 
-def _dense_sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray]:
-    """The kernel from one SVD of the n^2 x n^2 operator: O(n^6) time, O(n^4) memory."""
-    n = p_mat.shape[0]
-    return [vec.reshape(n, n) for vec in kernel_basis(_sylvester_operator(p_mat, q_mat))]
+def _nested_kernels(m: np.ndarray, lam: complex):
+    """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1, 2, ...
+
+    Deflated: with S = M - lam*I and P_k the orthogonal projector onto
+    ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
+    an n x n matrix and no power of S is formed.  Every rank is cut at
+    RANK_TOL * (||M||_F + |lam|), a bound on ||S||_2, so a rounding-sized
+    S is not judged by its own norm and a gap d between eigenvalues is not
+    shrunk to d^k.  The generator never ends; callers stop it.
+    """
+    shifted = m - lam * np.eye(len(m))
+    scale = float(np.linalg.norm(m)) + abs(lam)
+    deflated = shifted
+    while True:
+        kernel = kernel_basis(deflated, scale)
+        yield kernel
+        deflated = shifted - kernel @ (kernel.conj().T @ shifted)
 
 
-def _generalized_eigenspace(shifted: np.ndarray, mult: int) -> np.ndarray | None:
-    """Orthonormal columns spanning ker(shifted^k) at the first k where its
-    dimension reaches mult; None when it overshoots or never gets there."""
-    n = shifted.shape[0]
-    if mult == n:
-        return np.eye(n, dtype=complex)
-    power = shifted
-    for _ in range(mult):
-        basis = kernel_basis(power)
-        if len(basis) >= mult:
-            return np.stack(basis, axis=1) if len(basis) == mult else None
-        power = power @ shifted
+def _generalized_eigenspace(m, vecs, members, lam) -> np.ndarray | None:
+    """Orthonormal columns spanning the generalized eigenspace of M for its
+    eigenvalues ``members`` (indices into its eigenvectors vecs) near lam:
+    a lone one's eigenvector, else the first nested kernel of M - lam*I of
+    that dimension; None when the dimensions overshoot or stop short."""
+    mult = len(members)
+    if mult < 2:
+        return vecs[:, members]
+    if mult == len(m):
+        return np.eye(mult, dtype=complex)
+    for kernel in itertools.islice(_nested_kernels(m, lam), mult):
+        if kernel.shape[1] >= mult:
+            return kernel if kernel.shape[1] == mult else None
     return None
 
 
-def _structured_sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray] | None:
-    """The kernel solved one joint eigenvalue cluster at a time, or None
-    when the split cannot be certified.
-
-    For a cluster at centre mu with m_p eigenvalues of P and m_q of Q, U
-    spans ker((P - mu)^m_p) and Y spans ker(((Q - mu)^m_q)^H), so that
-    P U = U P_c and Y^H Q = Q_c Y^H.  Every X with PX = XQ is a sum of
-    U K Y^H over the clusters with P_c K = K Q_c; pairs of different
-    clusters contribute nothing.  A cluster of one eigenvalue takes its
-    (left) eigenvector from the one eig call per operand.  The small
-    kernels are cut at RANK_TOL times ||P||_2 + ||Q||_2, a bound on the
-    2-norm of every small operator.  The split is taken only when the
-    clustering is unambiguous, every U and Y has the dimension of its
-    cluster, and the stacked bases [U_1 ... U_k] and [Y_1 ... Y_k] have
-    condition numbers at most 1/sqrt(RANK_TOL).
-    """
-    n = p_mat.shape[0]
-    if n < 2:
-        return None  # nothing to split
-    norm_p, norm_q = np.linalg.svd(np.stack([p_mat, q_mat]), compute_uv=False)[:, 0]
-    q_adj = q_mat.conj().T
-    ev_p, vec_p = np.linalg.eig(p_mat)
-    ev_q, vec_q = np.linalg.eig(q_adj)  # left eigenvectors of Q, at conj(eigenvalues)
-    values = np.concatenate([ev_p, ev_q.conj()])
-    try:
-        clusters = _cluster_eigenvalues(values, DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0))
-    except ClusteringAmbiguityError:
-        return None
-    if len(clusters) == 1:
-        return None  # nothing to split: the dense operator is the one block
-    eye = np.eye(n)
-    u_blocks, y_blocks, pairs = [], [], []
+def _cluster_bases(p_mat, q_adj, values, vec_p, vec_q, clusters) -> list[tuple] | None:
+    """(U, Y) per cluster, or None when the split is not certified (see
+    sylvester_kernel); U or Y has no columns where the cluster holds no
+    eigenvalue of P or of Q."""
+    n = len(p_mat)
+    pairs = []
     for cluster in clusters:
         members = np.asarray(cluster)
-        in_p, in_q = members[members < n], members[members >= n] - n
         center = complex(values[members].mean())
-        u = y = None
-        if len(in_p):
-            u = vec_p[:, in_p] if len(in_p) == 1 else _generalized_eigenspace(
-                p_mat - center * eye, len(in_p))
-            if u is None:
-                return None
-            u_blocks.append(u)
-        if len(in_q):
-            y = vec_q[:, in_q] if len(in_q) == 1 else _generalized_eigenspace(
-                q_adj - center.conjugate() * eye, len(in_q))
-            if y is None:
-                return None
-            y_blocks.append(y)
-        if u is not None and y is not None:
-            pairs.append((u, y))
-    s = np.linalg.svd(np.stack([np.hstack(u_blocks), np.hstack(y_blocks)]), compute_uv=False)
-    if np.any(s[:, 0] > s[:, -1] / np.sqrt(RANK_TOL)):
-        return None
-    basis = []
-    for u, y in pairs:
-        y_adj = y.conj().T
-        p_c, q_c = u.conj().T @ p_mat @ u, y_adj @ q_mat @ y
-        kernel = kernel_basis(_sylvester_operator(p_c, q_c), norm_p + norm_q)
-        basis += [u @ k.reshape(len(p_c), len(q_c)) @ y_adj for k in kernel]
-    return basis
+        u = _generalized_eigenspace(p_mat, vec_p, members[members < n], center)
+        y = _generalized_eigenspace(q_adj, vec_q, members[members >= n] - n, center.conjugate())
+        if u is None or y is None:
+            return None
+        pairs.append((u, y))
+    s = np.linalg.svd(np.stack([np.hstack(side) for side in zip(*pairs)]), compute_uv=False)
+    return None if np.any(s[:, 0] > s[:, -1] / np.sqrt(RANK_TOL)) else pairs
 
 
 def sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray]:
     """Basis of {X : p_mat @ X - X @ q_mat = 0}, each element of unit Frobenius norm.
 
-    Solved per joint eigenvalue cluster (_structured_sylvester_kernel) in
-    about O(#clusters * n^3 + sum (m_p m_q)^3); when that split cannot be
-    certified, from the dense n^2 x n^2 operator instead.
+    Solved one joint eigenvalue cluster of P and Q at a time.  The
+    clusters come from the radius ladder of structure recovery
+    (CLUSTER_LADDER times DEFAULT_CLUSTER_TOL * max(||P||_2, ||Q||_2, 1)).
+    For a cluster at centre mu with m_p eigenvalues of P and m_q of Q, U
+    is the nested kernel of P - mu of dimension m_p and Y that of
+    (Q - mu)^H of dimension m_q (_nested_kernels), so that P U = U P_c and
+    Y^H Q = Q_c Y^H; a lone eigenvalue takes its (left) eigenvector from
+    the one eig call per operand.  Every X with PX = XQ is a sum of
+    U K Y^H over the clusters with P_c K = K Q_c; pairs of different
+    clusters contribute nothing.  The small kernels are cut at RANK_TOL
+    times ||P||_2 + ||Q||_2, a bound on the 2-norm of every small operator.
+    A radius is taken when its clustering is unambiguous, every U and Y
+    has the dimension of its cluster, and the stacked bases [U_1 ... U_k]
+    and [Y_1 ... Y_k] have condition numbers at most 1/sqrt(RANK_TOL).
+    A single cluster has U = Y = I, the whole n^2 x n^2 operator: the last
+    rung when no radius certifies, O(n^6) time instead of about
+    O(#clusters * n^3 + sum (m_p m_q)^3).
     """
     p_mat, q_mat = as_matrix(p_mat), as_matrix(q_mat)
     n = _require_square(p_mat)
     if _require_square(q_mat) != n:
         raise ValueError("operands must have equal size")
-    basis = _structured_sylvester_kernel(p_mat, q_mat)
-    return basis if basis is not None else _dense_sylvester_kernel(p_mat, q_mat)
+    norm_p, norm_q = np.linalg.svd(np.stack([p_mat, q_mat]), compute_uv=False)[:, 0]
+    q_adj = q_mat.conj().T
+    ev_p, vec_p = np.linalg.eig(p_mat)
+    ev_q, vec_q = np.linalg.eig(q_adj)  # left eigenvectors of Q, at conj(eigenvalues)
+    values = np.concatenate([ev_p, ev_q.conj()])
+    tol = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0)
+    for factor in CLUSTER_LADDER:
+        try:
+            clusters = _cluster_eigenvalues(values, tol * factor)
+        except ClusteringAmbiguityError:
+            continue
+        pairs = _cluster_bases(p_mat, q_adj, values, vec_p, vec_q, clusters)
+        if pairs is not None:
+            break
+    else:  # the last rung: the whole operator, one cluster with U = Y = I
+        pairs = _cluster_bases(p_mat, q_adj, values, vec_p, vec_q, [range(2 * n)])
+    basis = []
+    for u, y in pairs:
+        y_adj = y.conj().T
+        p_c, q_c = u.conj().T @ p_mat @ u, y_adj @ q_mat @ y
+        kernel = kernel_basis(_sylvester_operator(p_c, q_c), norm_p + norm_q)
+        basis += [u @ k.reshape(len(p_c), len(q_c)) @ y_adj for k in kernel.T]
+    return basis
 
 
 def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -272,9 +280,13 @@ def fit_polynomial_in(
 ) -> list[complex] | None:
     """Coefficients c with sum(c[j] * S^j) = T, if such a polynomial exists.
 
-    Solves a least-squares problem over vectorized powers S^0..S^d, raising
-    the degree until the residual passes VERIFY_TOL * ||T|| (Frobenius).
-    Returns the coefficient list of the smallest adequate degree, or None.
+    One QR factorization K = QR of the vectorized powers S^0..S^d_max,
+    d_max = min(max_degree, n - 1), serves every degree d: the least-squares residual over the first d + 1
+    columns is r_d = r_(d-1) - q_d (q_d^H t).  At the first d where it
+    passes VERIFY_TOL * ||T|| (Frobenius), R_d c = (Q^H t)[:d+1] is solved
+    and ||K_d c - t|| checked again; a rank-deficient K_d can pass the
+    running residual only.  Returns the coefficients of the smallest
+    degree that passes, or None.
     """
     matrix_s, target_t = as_matrix(matrix_s), as_matrix(target_t)
     n = _require_square(matrix_s)
@@ -282,16 +294,24 @@ def fit_polynomial_in(
         raise ValueError("operands must have equal size")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    target_norm = np.linalg.norm(target_t)
-    threshold = VERIFY_TOL * max(target_norm, 1e-300)
+    threshold = VERIFY_TOL * max(np.linalg.norm(target_t), 1e-300)
     powers = [np.eye(n, dtype=complex)]
+    for _ in range(min(max_degree, n - 1)):  # S^n and up add nothing (Cayley-Hamilton)
+        powers.append(powers[-1] @ matrix_s)
+    krylov = np.stack([p.ravel() for p in powers], axis=1)
     vec_t = target_t.ravel()
-    for degree in range(max_degree + 1):
-        if degree > 0:
-            powers.append(powers[-1] @ matrix_s)
-        cols = np.stack([p.ravel() for p in powers], axis=1)
-        coeffs, *_ = np.linalg.lstsq(cols, vec_t, rcond=None)
-        if np.linalg.norm(cols @ coeffs - vec_t) <= threshold:
+    q, r = np.linalg.qr(krylov)
+    projection = q.conj().T @ vec_t
+    residual = vec_t.copy()
+    for d in range(len(powers)):
+        residual -= projection[d] * q[:, d]
+        if np.linalg.norm(residual) > threshold:
+            continue
+        try:
+            coeffs = np.linalg.solve(r[: d + 1, : d + 1], projection[: d + 1])
+        except np.linalg.LinAlgError:  # an exactly dependent column: R_d is singular
+            continue
+        if np.linalg.norm(krylov[:, : d + 1] @ coeffs - vec_t) <= threshold:
             return [complex(c) for c in coeffs]
     return None
 
@@ -299,31 +319,20 @@ def fit_polynomial_in(
 def weyr_characteristic(m: np.ndarray, lam: complex, depth: int) -> list[int]:
     """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant.
 
-    Deflated: with S = M - lam*I and P_k the orthogonal projector onto
-    ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
-    an n x n matrix and no power of S is formed.  Every rank is cut at
-    RANK_TOL * (||M||_F + |lam|), a bound on ||S||_2, so a rounding-sized
-    S is not judged by its own norm and a gap d between eigenvalues is not
-    shrunk to d^k.  The dimensions stop growing once two repeat, and the
-    list is padded with the last one to depth.
+    The dimensions of the deflated nested kernels (_nested_kernels): one
+    n x n SVD per k, no power of M - lam*I, every rank cut at RANK_TOL *
+    (||M||_F + |lam|).  They stop growing once two repeat, and the list is
+    padded with the last one to depth.
     """
     m = as_matrix(m)
-    n = _require_square(m)
+    _require_square(m)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    lam = complex(lam)
-    shifted = m - lam * np.eye(n)
-    scale = float(np.linalg.norm(m)) + abs(lam)
-    deflated = shifted
     dims: list[int] = []
-    while len(dims) < depth:
-        _, s, vh = np.linalg.svd(deflated)
-        rank = _rank_cut(s, scale)
-        if dims and n - rank == dims[-1]:
+    for kernel in itertools.islice(_nested_kernels(m, complex(lam)), depth):
+        if dims and kernel.shape[1] == dims[-1]:
             break
-        dims.append(n - rank)
-        kernel = vh[rank:].conj().T  # orthonormal columns spanning ker(S^k)
-        deflated = shifted - kernel @ (kernel.conj().T @ shifted)
+        dims.append(kernel.shape[1])
     return dims + dims[-1:] * (depth - len(dims))
 
 

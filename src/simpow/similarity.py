@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NormalizationRequiredError
 from .matrixcore import (
+    CLUSTER_LADDER,
     DEFAULT_CLUSTER_TOL,
     _cluster_eigenvalues,
     as_matrix,
@@ -198,15 +199,14 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair) -> JordanSpec:
     """Recover a JordanSpec numerically, certified cluster by cluster.
 
     The eigenvalues are clustered by single linkage at the radius
-    tol = DEFAULT_CLUSTER_TOL * max(||A||_2, 1), and failing that at 10,
-    100, 1000 and 10^4 times it: a Jordan block of size k scatters its
-    computed eigenvalues by about (u ||A||)^(1/k), while their mean stays
-    accurate to rounding.  A cluster of m eigenvalues is certified at an
-    exact point when the Weyr sequence there, taken to depth m + 1, stops
-    growing at m; the blocks are read off that sequence.  The point is 0
-    when the mean is within tol of 0; otherwise the admissible roots of
-    unity within tol of the mean are tried, smallest order first
-    (_admissible_roots), and then the mean itself.  The first radius at
+    tol = DEFAULT_CLUSTER_TOL * max(||A||_2, 1), and failing that at the
+    coarser radii of CLUSTER_LADDER, up to 10^4 tol, as in sylvester_kernel.
+    A cluster of m eigenvalues is certified at an exact point when the
+    Weyr sequence there, taken to depth m + 1, stops growing at m; the
+    blocks are read off that sequence.  The point is 0 when the mean is
+    within tol of 0; otherwise the admissible roots of unity within tol of
+    the mean are tried, smallest order first (_admissible_roots), and then
+    the mean itself.  The first radius at
     which every cluster is certified gives the spec.  When none does, the
     error of the finest radius is raised (a ValueError:
     ClusteringAmbiguityError or an uncertified cluster).
@@ -218,9 +218,9 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair) -> JordanSpec:
     tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
     values = np.linalg.eigvals(a)
     finest_error = None
-    for j in range(5):
+    for factor in CLUSTER_LADDER:
         try:
-            clusters = _cluster_eigenvalues(values, tol * 10**j)
+            clusters = _cluster_eigenvalues(values, tol * factor)
             return JordanSpec(tuple(_certified_entry(a, values[c], pq, tol) for c in clusters))
         except ValueError as exc:
             finest_error = finest_error or exc

@@ -294,6 +294,26 @@ class TestWord2:
         assert families[0]["alpha"] == -1
         assert set(families[0]["u"]) == {"1/4", "3/4"}
 
+    @pytest.mark.parametrize("max_report", ["0", "-1"])
+    def test_classify_max_report_below_one_is_an_operational_error(self, capsys, max_report):
+        # a cap below one pair would drop every family and pass for "empty"
+        code, report = run_json(
+            capsys, "word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
+            "--eps", "-1", "--max-report", max_report,
+        )
+        assert code == 1
+        assert "max_report must be >= 1" in report["error"]
+        assert "classification" not in report
+
+    def test_classify_max_report_one(self, capsys):
+        code, report = run_json(
+            capsys, "word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
+            "--eps", "-1", "--max-report", "1",
+        )
+        assert code == 0
+        [family] = report["classification"]["families"]
+        assert family["alpha"] == -1 and len(family["pairs"]) == 1 and family["truncated"]
+
     def test_construct_worked_example(self, capsys):
         code, report = run_json(
             capsys, "word2", "construct", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
@@ -343,6 +363,18 @@ class TestReportDiscipline:
         for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
             with pytest.raises(SystemExit):
                 main([*argv, *flag])
+        assert capsys.readouterr().out == ""
+
+    def test_seed_only_where_b_is_drawn(self, capsys, intro_spec_file, nondiag_files):
+        # analyze --find-b and solve-b draw B from the kernel; nothing else
+        # takes a seed or echoes one
+        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
+            draws = argv[0] in ("analyze", "solve-b")
+            _, report = run_json(capsys, *argv)
+            assert ("seed" in report) == draws
+            if not draws:
+                with pytest.raises(SystemExit):
+                    main([*argv, "--seed", "1"])
         assert capsys.readouterr().out == ""
 
     def test_seed_changes_conjugator_deterministically(self, capsys, intro_spec_file):

@@ -106,6 +106,12 @@ class TestClassify:
         assert len(truncated.families[0].pairs) == 2
         assert not full.families[0].truncated
 
+    @pytest.mark.parametrize("max_report", [0, -1])
+    def test_cap_below_one_raises(self, max_report):
+        # it would drop every family and read as "both alpha branches are empty"
+        with pytest.raises(ValueError):
+            classify(WordShape(3, 3, 1, 1, -1), max_report=max_report)
+
     def test_candidate_filters_exact(self):
         # every enumerated pair satisfies the angle constraints exactly
         for shape in (WORKED_SHAPE, WordShape(5, 4, 2, -1, 1), WordShape(-3, 5, 2, 1, -1)):

@@ -68,15 +68,15 @@ def assert_kernel_residuals(p, q, basis):
 
 class TestKernelBasis:
     def test_zero_matrix(self):
-        assert len(kernel_basis(np.zeros((3, 3)))) == 3
+        assert kernel_basis(np.zeros((3, 3))).shape == (3, 3)
 
     def test_identity(self):
-        assert kernel_basis(np.eye(3)) == []
+        assert kernel_basis(np.eye(3)).shape == (3, 0)
 
     def test_jordan_block(self):
         basis = kernel_basis(J3)
-        assert len(basis) == 1
-        v = basis[0]
+        assert basis.shape == (3, 1)
+        v = basis[:, 0]
         assert abs(abs(v[0]) - 1.0) < 1e-12 and np.max(np.abs(v[1:])) < 1e-12
 
 
@@ -155,15 +155,16 @@ def powers(a, pq):
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Counts the calls of the dense n^2 x n^2 fallback."""
+    """Operand sizes (m_p, m_q) of every Sylvester operator built; an
+    (n, n) entry for an n x n input means the whole n^2 x n^2 operator."""
     calls = []
-    dense = matrixcore._dense_sylvester_kernel
+    operator = matrixcore._sylvester_operator
 
-    def counting(*args):
-        calls.append(args[0].shape[0])
-        return dense(*args)
+    def recording(p_mat, q_mat):
+        calls.append((len(p_mat), len(q_mat)))
+        return operator(p_mat, q_mat)
 
-    monkeypatch.setattr(matrixcore, "_dense_sylvester_kernel", counting)
+    monkeypatch.setattr(matrixcore, "_sylvester_operator", recording)
     return calls
 
 
@@ -192,10 +193,11 @@ class TestStructuredKernel:
         for seed in range(12):
             spec = cycle_spec(rng, pq, 16)
             p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            dense_calls.clear()
             basis = sylvester_kernel(p, q)
             assert len(basis) == dense_dimension(p, q) == exact_dimension(spec, pq)
             assert_kernel_residuals(p, q, basis)
-        assert dense_calls == []
+            assert (spec.n, spec.n) not in dense_calls
 
     @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
     def test_parity_under_non_unitary_conjugation(self, pq, dense_calls):
@@ -207,10 +209,11 @@ class TestStructuredKernel:
             s = np.eye(spec.n) + 0.6 * g / np.linalg.norm(g, 2)
             a = s @ matrix_from_spec(spec) @ np.linalg.inv(s)
             p, q = powers(a, pq)
+            dense_calls.clear()
             basis = sylvester_kernel(p, q)
             assert len(basis) == dense_dimension(p, q) == exact_dimension(spec, pq)
             assert_kernel_residuals(p, q, basis)
-        assert dense_calls == []
+            assert (spec.n, spec.n) not in dense_calls
 
     @pytest.mark.parametrize(
         "entries",
@@ -218,23 +221,48 @@ class TestStructuredKernel:
             ((RootOfUnity(1, 5), (3,)), (RootOfUnity(4, 5), (3,))),
             ((RootOfUnity(1, 5), (4,)), (RootOfUnity(4, 5), (4,))),
             ((RootOfUnity(0, 1), (3, 1)), (RootOfUnity(1, 5), (1,)), (RootOfUnity(4, 5), (1,))),
-            ((RootOfUnity(0, 1), (2, 1, 1)),),
         ],
-        ids=["3-blocks", "4-blocks", "3-block-beside-others", "single-eigenvalue"],
+        ids=["3-blocks", "4-blocks", "3-block-beside"],
     )
-    def test_doubtful_split_takes_dense_fallback(self, entries, dense_calls):
+    def test_long_conjugated_blocks_stay_split(self, entries, dense_calls):
+        # their computed eigenvalues scatter by about (u ||A||)^(1/k), so the
+        # split certifies at a coarser radius of the ladder
         pq = ExponentPair(2, 3)
         spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
         for seed in range(3):
             p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
-            assert len(sylvester_kernel(p, q)) == dense_dimension(p, q)
-        assert len(dense_calls) == 3
+            assert len(sylvester_kernel(p, q)) == dense_dimension(p, q) == exact_dimension(spec, pq)
+        assert (spec.n, spec.n) not in dense_calls
 
-    def test_large_input_never_calls_dense(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("dense fallback called")
+    def test_single_eigenvalue_solves_the_whole_operator(self, dense_calls):
+        # one cluster: there is nothing to split
+        pq = ExponentPair(2, 3)
+        spec = JordanSpec((JordanEntry(RootOfUnity(0, 1), (2, 1, 1)),))
+        for seed in range(3):
+            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            assert len(sylvester_kernel(p, q)) == dense_dimension(p, q) == exact_dimension(spec, pq)
+        assert dense_calls.count((spec.n, spec.n)) == 3
 
-        monkeypatch.setattr(matrixcore, "_dense_sylvester_kernel", refuse)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conjugated_3_block_beside_cycles_stays_split(self, seed, dense_calls):
+        # n = 17: before the radius ladder, the 3-block's doubtful cluster
+        # sent the whole 289 x 289 operator to one SVD
+        pq = ExponentPair(2, 3)
+        cycles = [(1, 5), (4, 5), (2, 5), (3, 5), (1, 13), (8, 13), (12, 13), (5, 13)]
+        cycles += [(k, 7) for k in range(1, 7)]
+        spec = JordanSpec(
+            tuple(JordanEntry(RootOfUnity(k, m), (1,)) for k, m in cycles)
+            + (JordanEntry(RootOfUnity(0, 1), (3,)),)
+        )
+        assert spec.n == 17
+        p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+        basis = sylvester_kernel(p, q)
+        assert len(basis) == exact_dimension(spec, pq) == 17
+        assert_kernel_residuals(p, q, basis)
+        assert (17, 17) not in dense_calls
+        assert max(m_p * m_q for m_p, m_q in dense_calls) <= 9
+
+    def test_large_input_never_calls_dense(self, dense_calls):
         pq = ExponentPair(2, 3)
         spec = cycle_spec(np.random.default_rng(40), pq, 40)
         assert spec.n >= 36
@@ -242,6 +270,7 @@ class TestStructuredKernel:
         basis = sylvester_kernel(p, q)
         assert len(basis) == exact_dimension(spec, pq)
         assert_kernel_residuals(p, q, basis)
+        assert (spec.n, spec.n) not in dense_calls
 
     def test_cut_is_absolute_in_small_blocks(self):
         # 1x1 blocks: P_c - Q_c is rounding-sized, so a cut relative to the
@@ -386,6 +415,61 @@ class TestFitPolynomialIn:
     def test_unfittable(self):
         # a non-diagonal target cannot be a polynomial in a diagonal matrix
         assert fit_polynomial_in(np.diag([1.0, 2.0]), J2, 3) is None
+        # S = I: the second Krylov column repeats the first, R_1 is exactly
+        # singular, and the running residual alone would pass
+        assert fit_polynomial_in(np.eye(2), J2, 1) is None
+
+    @staticmethod
+    def fit_inputs():
+        """(S, T) = (A^q, A) for FIXTURE_SPECS and seeded cycle specs, as solve-b fits them."""
+        for idx, spec in enumerate(FIXTURE_SPECS):
+            a = matrix_from_spec(spec, conjugate_seed=idx)
+            for pq in PARITY_PAIRS:
+                if spec.zero_entry() is None or pq.q > 0:
+                    yield mat_int_pow(a, pq.q), a
+        for pq in PARITY_PAIRS:
+            rng = np.random.default_rng(31 * abs(pq.p) + pq.q)
+            for seed in range(6):
+                a = matrix_from_spec(cycle_spec(rng, pq, 14), conjugate_seed=seed)
+                yield mat_int_pow(a, pq.q), a
+
+    def test_matches_the_per_degree_lstsq_loop(self):
+        outcomes = set()
+        for s, t in self.fit_inputs():
+            threshold = VERIFY_TOL * np.linalg.norm(t)
+            reference = lstsq_fit(s, t, len(s) - 1)
+            coeffs = fit_polynomial_in(s, t, len(s) - 1)
+            outcomes.add(coeffs is not None)
+            if reference is None:
+                assert coeffs is None
+                continue
+            assert coeffs is not None and len(coeffs) == len(reference)
+            assert poly_residual(s, t, coeffs) <= threshold
+            assert poly_residual(s, t, reference) <= threshold
+        assert outcomes == {True, False}
+
+
+def lstsq_fit(s, t, max_degree):
+    """Reference: one fresh least-squares solve per degree, the loop the
+    single QR factorization replaced."""
+    threshold = VERIFY_TOL * max(np.linalg.norm(t), 1e-300)
+    powers = [np.eye(len(s), dtype=complex)]
+    for degree in range(max_degree + 1):
+        if degree > 0:
+            powers.append(powers[-1] @ s)
+        cols = np.stack([p.ravel() for p in powers], axis=1)
+        coeffs, *_ = np.linalg.lstsq(cols, t.ravel(), rcond=None)
+        if np.linalg.norm(cols @ coeffs - t.ravel()) <= threshold:
+            return [complex(c) for c in coeffs]
+    return None
+
+
+def poly_residual(s, t, coeffs):
+    """||sum(c[j] S^j) - T||_F."""
+    total, power = np.zeros_like(t), np.eye(len(s), dtype=complex)
+    for c in coeffs:
+        total, power = total + c * power, power @ s
+    return np.linalg.norm(total - t)
 
 
 class TestWeyrCharacteristic:
