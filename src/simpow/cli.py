@@ -73,6 +73,8 @@ def _load_matrix_or_spec(path: str):
             raise OperationalError(f"bad matrix file {path}: {exc}") from exc
         if matrix.size == 0:
             raise OperationalError(f"bad matrix file {path}: the matrix is empty")
+        if matrix.shape[0] != matrix.shape[1]:
+            raise OperationalError(f"bad matrix file {path}: shape {matrix.shape} is not square")
         return matrix, None
     if isinstance(data, list):
         try:
@@ -90,6 +92,13 @@ def _load_matrix(path: str) -> np.ndarray:
     if matrix is None:
         matrix = matrix_from_spec(spec)
     return matrix
+
+
+def _load_pair(path_a: str, path_b: str) -> tuple[np.ndarray, np.ndarray]:
+    a, b = _load_matrix(path_a), _load_matrix(path_b)
+    if len(a) != len(b):
+        raise OperationalError(f"A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
+    return a, b
 
 
 def _exponent_pair(args) -> ExponentPair:
@@ -286,8 +295,7 @@ def cmd_solve_b(args) -> dict:
 
 def cmd_verify(args) -> dict:
     pq = _exponent_pair(args)
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    a, b = _load_pair(args.a, args.b)
     report = _base_report("verify")
     report["inputs"] = {"a": args.a, "b": args.b, "p": pq.p, "q": pq.q}
     try:
@@ -349,8 +357,7 @@ def cmd_word2_construct(args) -> dict:
 
 def cmd_word2_verify(args) -> dict:
     shape = _word_shape(args)
-    a = _load_matrix(args.a)
-    b = _load_matrix(args.b)
+    a, b = _load_pair(args.a, args.b)
     report = _base_report("word2 verify")
     report["inputs"] = {
         "a": args.a, "b": args.b, "r": shape.r, "s": shape.s,
@@ -360,7 +367,7 @@ def cmd_word2_verify(args) -> dict:
         report["residual"] = verify_word(a, b, shape)
     except ValueError as exc:
         raise OperationalError(str(exc)) from exc
-    if a.shape == (2, 2) and b.shape == (2, 2):
+    if len(a) == 2:
         report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
 
@@ -453,7 +460,8 @@ def main(argv=None) -> int:
     try:
         report = args.func(args)
     except OperationalError as exc:
-        error_report = {"command": args.command, "error": str(exc), "tool_version": __version__}
+        command = " ".join(filter(None, [args.command, getattr(args, "word2_command", None)]))
+        error_report = {"command": command, "error": str(exc), "tool_version": __version__}
         print(json.dumps(error_report, sort_keys=True))
         return 1
     print(json.dumps(report, sort_keys=True))

@@ -22,8 +22,6 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # the clustering radii, finest first, in units of that: a Jordan block of size k
 # scatters its computed eigenvalues by about (u * ||A||)^(1/k), their mean by rounding
 CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
-# random combinations find_invertible_in_span tries before it gives up
-INVERTIBLE_DRAWS = 32
 
 
 def as_matrix(data) -> np.ndarray:
@@ -258,21 +256,19 @@ def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def find_invertible_in_span(basis: list[np.ndarray], seed: int = 0) -> np.ndarray | None:
-    """Random linear combination of the basis that is invertible at RANK_TOL.
+    """One random complex combination of the basis, if it is invertible at RANK_TOL.
 
-    Deterministic for a fixed seed; returns None when none of
-    INVERTIBLE_DRAWS draws succeeds (e.g. the span contains no invertible
-    element).
+    One draw decides: the singular combinations are the zeros of det, a
+    polynomial in the coefficients that is nonzero when the span holds an
+    invertible element, so a Gaussian draw misses them almost surely and
+    None means the span holds none.  Deterministic for a fixed seed.
     """
     if not basis:
         raise ValueError("empty basis")
     rng = np.random.default_rng(seed)
-    for _ in range(INVERTIBLE_DRAWS):
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-        candidate = sum(c * b for c, b in zip(coeffs, basis))
-        if is_invertible(candidate):
-            return candidate
-    return None
+    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    candidate = sum(c * b for c, b in zip(coeffs, basis))
+    return candidate if is_invertible(candidate) else None
 
 
 def fit_polynomial_in(

@@ -50,10 +50,6 @@ class RootOfUnity:
         return cls(int(num), int(order or "1"))
 
 
-ONE = RootOfUnity(0, 1)
-MINUS_ONE = RootOfUnity(1, 2)
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     """A coprime exponent pair (p, q) with |p| + |q| > 2."""

@@ -105,8 +105,6 @@ def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
     k_seq = [k1_value]
     for _ in range(n - 1):
         k_seq.append((k_seq[-1] * step) % modulus)
-    if len(set(k_seq)) != n:
-        raise InvalidK1Error(f"k1={k1_value} does not generate {n} distinct residues", n)
     return CycleInstance(
         n=n,
         pq=pq,

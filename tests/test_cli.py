@@ -186,8 +186,45 @@ class TestEmptyInput:
         for command in argvs:
             code, report = run_json(capsys, *full[command])
             assert code == 1
-            assert report["command"] == command.split()[0]
+            assert report["command"] == command
             assert "is empty" in report["error"]
+
+
+class TestMalformedInput:
+    """A bad matrix file gets one error from every command that reads it."""
+
+    SHAPE = TestEmptyInput.SHAPE
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, rows, cols in [("wide", 2, 3), ("a3", 3, 3), ("b2", 2, 2)]:
+            paths[name] = str(tmp_path / f"{name}.json")
+            m = np.arange(rows * cols, dtype=float).reshape(rows, cols) + 4 * np.eye(rows, cols)
+            (tmp_path / f"{name}.json").write_text(json.dumps(matrix_to_json(m)))
+        return paths
+
+    def test_non_square_matrix_is_a_bad_matrix_file(self, capsys, files):
+        wide, square = files["wide"], files["a3"]
+        for argv in (
+            ["analyze", wide, "-p", "2", "-q", "3"],
+            ["solve-b", wide, "-p", "2", "-q", "3"],
+            ["verify", square, wide, "-p", "2", "-q", "3"],
+            ["word2", "verify", wide, square, *self.SHAPE],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["error"] == f"bad matrix file {wide}: shape (2, 3) is not square"
+
+    def test_a_and_b_of_different_sizes(self, capsys, files):
+        a, b = files["a3"], files["b2"]
+        for argv in (
+            ["verify", a, b, "-p", "2", "-q", "3"],
+            ["word2", "verify", a, b, *self.SHAPE],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["error"] == "A is 3x3 but B is 2x2"
 
 
 class TestGenerate:
@@ -304,6 +341,19 @@ class TestWord2:
         assert code == 1
         assert "max_report must be >= 1" in report["error"]
         assert "classification" not in report
+
+    def test_error_reports_name_the_subcommand(self, capsys, nondiag_files):
+        # as the success reports do: "word2 classify", not "word2"
+        shape = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
+        a_path, _ = nondiag_files
+        for argv in (
+            ["word2", "classify", *shape, "--max-report", "0"],
+            ["word2", "construct", *shape, "--u", "1/2", "--rho", "1/4", "--v", "1"],
+            ["word2", "verify", a_path, a_path + ".missing", *shape],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["command"] == " ".join(argv[:2])
 
     def test_classify_max_report_one(self, capsys):
         code, report = run_json(

@@ -19,7 +19,7 @@ from simpow.matrixcore import (
     weyr_characteristic,
 )
 from simpow.scalar import ExponentPair, RootOfUnity, rou_pow
-from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec
+from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
 from simpow.solvers import nilpotent_from_blocks, solve_single_eigenvalue
 from simpow.spectra import successor
 from test_similarity import FIXTURE_SPECS
@@ -147,6 +147,33 @@ def cycle_spec(rng, pq, n_max):
         entries.update(dict.fromkeys(cycle, blocks))
         n += size
     return JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries.items()))
+
+
+def defect_spec(rng, pq, kind, n_max):
+    """A spec whose p-th and q-th powers are not similar, as the benchmark's
+    defect kinds build them: a successor cycle of length 2..4 with one block
+    structure changed ("structure") or one member of it alone ("spectrum"),
+    beside a cycle_spec that holds no member of that cycle."""
+    cycle = []
+    while not 2 <= len(cycle) <= 4:
+        order = int(rng.integers(2, 30))
+        if math.gcd(order, abs(pq.p * pq.q)) != 1:
+            continue
+        cycle = [RootOfUnity(int(rng.integers(1, order)), order)]
+        while len(cycle) <= 4 and successor(cycle[-1], pq) != cycle[0]:
+            cycle.append(successor(cycle[-1], pq))
+    if kind == "structure":
+        odd = int(rng.integers(len(cycle)))
+        defect = {ev: (1, 1) if i == odd else (2,) for i, ev in enumerate(cycle)}
+    else:
+        defect = {cycle[int(rng.integers(len(cycle)))]: (1,)}
+    size = sum(sum(blocks) for blocks in defect.values())
+    while True:
+        rest = cycle_spec(rng, pq, n_max - size)
+        if not {e.eigenvalue for e in rest.entries} & set(cycle):
+            break
+    entries = rest.entries + tuple(JordanEntry(ev, blocks) for ev, blocks in defect.items())
+    return JordanSpec(entries)
 
 
 def powers(a, pq):
@@ -379,6 +406,48 @@ class TestFindInvertibleInSpan:
     def test_empty_basis(self):
         with pytest.raises(ValueError):
             find_invertible_in_span([], seed=0)
+
+
+class TestOneDrawDecides:
+    """find_invertible_in_span draws once: a span with an invertible element
+    has its singular combinations on the zeros of a nonzero polynomial."""
+
+    @pytest.fixture
+    def invertibility_checks(self, monkeypatch):
+        calls = []
+        check = matrixcore.is_invertible
+
+        def counting(m):
+            calls.append(len(m))
+            return check(m)
+
+        monkeypatch.setattr(matrixcore, "is_invertible", counting)
+        return calls
+
+    def test_no_invertible_element_takes_one_check(self, invertibility_checks):
+        pq = ExponentPair(2, 3)
+        spec = defect_spec(np.random.default_rng(5), pq, "structure", 12)
+        basis = sylvester_kernel(*powers(matrix_from_spec(spec, conjugate_seed=5), pq))
+        assert basis and not powers_similar_general(spec, pq).similar
+        for span in ([J2], basis):
+            invertibility_checks.clear()
+            assert find_invertible_in_span(span, seed=0) is None
+            assert len(invertibility_checks) == 1
+
+    @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
+    @pytest.mark.parametrize("kind", ["similar", "structure", "spectrum"])
+    def test_draw_matches_the_exact_verdict(self, pq, kind):
+        rng = np.random.default_rng(abs(pq.p) * 100 + pq.q)
+        for seed in range(4):
+            spec = cycle_spec(rng, pq, 12) if kind == "similar" else defect_spec(rng, pq, kind, 12)
+            similar = powers_similar_general(spec, pq).similar
+            assert similar == (kind == "similar")
+            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            basis = sylvester_kernel(p, q)
+            found = find_invertible_in_span(basis, seed=seed) if basis else None
+            assert (found is not None) == similar
+            if similar:
+                assert conjugacy_residual(found, p, q) < 1e-9
 
 
 class TestFitPolynomialIn:

@@ -1,10 +1,11 @@
-"""Every public function, class and method of simpow is used by the program.
+"""Every public function, class, method and module-level name of simpow is
+used by the program.
 
 A public name must be referred to somewhere other than its own
 definition: in the package itself (the CLI included) or in the benchmark
 under bench/.  Tests do not count, so API that only its own tests reach
-fails here; imports do not count either, so a name imported and never
-used fails too.
+fails here; imports and assignments do not count either, so a name
+imported or assigned and never read fails too.
 """
 
 import ast
@@ -16,8 +17,8 @@ USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 
 def public_definitions(tree: ast.Module):
-    """(qualified name, bare name) of the public top-level functions and
-    classes and the public methods of those classes."""
+    """(qualified name, bare name) of the public top-level functions,
+    classes and assigned names and the public methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name
@@ -25,14 +26,18 @@ def public_definitions(tree: ast.Module):
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
                         yield f"{node.name}.{member.name}", member.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, target.id
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
-    """Every name a variable or an attribute access uses; definitions and
-    imports bind names without using them."""
+    """Every name a variable read or an attribute access uses; definitions,
+    assignments and imports bind names without using them."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)

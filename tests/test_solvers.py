@@ -8,6 +8,8 @@ from simpow.errors import InvalidK1Error
 from simpow.matrixcore import fit_polynomial_in, mat_int_pow
 from simpow.scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 from simpow.solvers import (
+    _power_modulus,
+    _violated_divisor,
     build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
@@ -76,6 +78,22 @@ class TestBuildCycleInstance:
         with pytest.raises(InvalidK1Error) as exc_info:
             build_cycle_instance(2, pq23, 0)
         assert exc_info.value.violated_divisor == 1
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (1, 3), (3, 5), (-1, 2), (1, 2)])
+    def test_divisor_test_alone_decides(self, p, q):
+        # the cycle of k1 repeats after z steps, z the least divisor of n with
+        # (q^z - p^z) k1 = 0 mod Q: exactly the coset _violated_divisor tests
+        pq = ExponentPair(p, q)
+        for n in range(1, 7):
+            modulus = _power_modulus(n, pq)
+            if modulus > 10**4:
+                continue
+            for k1 in range(modulus):
+                if _violated_divisor(n, pq, k1, modulus) is not None:
+                    with pytest.raises(InvalidK1Error):
+                        build_cycle_instance(n, pq, k1)
+                else:
+                    assert len(set(build_cycle_instance(n, pq, k1).k_seq)) == n
 
     def test_spectrum_is_single_orbit(self, pq23):
         for n in (1, 2, 3, 4):
