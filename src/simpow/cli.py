@@ -190,7 +190,7 @@ def cmd_analyze(args) -> dict:
     if args.find_b:
         if matrix is None:
             matrix = matrix_from_spec(spec)
-        report["conjugator"] = _solve_conjugator(*_powers(matrix, normalized), args.seed)
+        report["conjugator"] = _solve_conjugator(matrix, normalized, args.seed)
     return report
 
 
@@ -201,10 +201,11 @@ def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarra
         raise OperationalError(str(exc)) from exc
 
 
-def _solve_conjugator(a_p: np.ndarray, a_q: np.ndarray, seed: int) -> dict:
-    basis = sylvester_kernel(a_p, a_q)
-    out: dict = {"kernel_dimension": len(basis)}
-    candidate = find_invertible_in_span(basis, seed=seed) if basis else None
+def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, seed: int) -> dict:
+    a_p, a_q = _powers(matrix, pq)
+    kernel = sylvester_kernel(matrix, pq.p, pq.q)
+    out: dict = {"kernel_dimension": sum(k.shape[1] for _, k, _ in kernel)}
+    candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
     if candidate is None:
         out["b"] = None
         out["residual"] = None
@@ -284,9 +285,8 @@ def cmd_solve_b(args) -> dict:
     matrix = _load_matrix(args.input)
     report = {**_base_report("solve-b"), "seed": args.seed}
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    a_p, a_q = _powers(matrix, pq)
-    report["conjugator"] = _solve_conjugator(a_p, a_q, args.seed)
-    coeffs = fit_polynomial_in(a_q, matrix, matrix.shape[0] - 1)
+    report["conjugator"] = _solve_conjugator(matrix, pq, args.seed)
+    coeffs = fit_polynomial_in(mat_int_pow(matrix, pq.q), matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
     )

@@ -166,80 +166,119 @@ def _generalized_eigenspace(m, vecs, members, lam) -> np.ndarray | None:
     mult = len(members)
     if mult < 2:
         return vecs[:, members]
-    if mult == len(m):
-        return np.eye(mult, dtype=complex)
     for kernel in itertools.islice(_nested_kernels(m, lam), mult):
         if kernel.shape[1] >= mult:
             return kernel if kernel.shape[1] == mult else None
     return None
 
 
-def _cluster_bases(p_mat, q_adj, values, vec_p, vec_q, clusters) -> list[tuple] | None:
-    """(U, Y) per cluster, or None when the split is not certified (see
-    sylvester_kernel); U or Y has no columns where the cluster holds no
-    eigenvalue of P or of Q."""
-    n = len(p_mat)
-    pairs = []
-    for cluster in clusters:
-        members = np.asarray(cluster)
-        center = complex(values[members].mean())
-        u = _generalized_eigenspace(p_mat, vec_p, members[members < n], center)
-        y = _generalized_eigenspace(q_adj, vec_q, members[members >= n] - n, center.conjugate())
-        if u is None or y is None:
-            return None
-        pairs.append((u, y))
-    s = np.linalg.svd(np.stack([np.hstack(side) for side in zip(*pairs)]), compute_uv=False)
-    return None if np.any(s[:, 0] > s[:, -1] / np.sqrt(RANK_TOL)) else pairs
+def _certified_split(a, vecs, values, clusters, p, q, power_radius) -> tuple | None:
+    """(V, W, pairs) for the eigenvalue clusters of A, or None when the
+    split is not certified (see sylvester_kernel): the orthonormal bases
+    V_i, the row blocks W_i of [V_1 ... V_k]^-1, and the pairs (i, j)
+    whose means c_i^p and c_j^q fall in one cluster at power_radius."""
+    k = len(clusters)
+    centres = np.array([values[c].mean() for c in clusters])
+    try:
+        joint = _cluster_eigenvalues(np.concatenate([centres**p, centres**q]), power_radius)
+    except ClusteringAmbiguityError:
+        return None
+    bases = [_generalized_eigenspace(a, vecs, c, centre) for c, centre in zip(clusters, centres)]
+    if any(v is None for v in bases):
+        return None
+    u, s, vh = np.linalg.svd(np.hstack(bases))
+    if s[0] > s[-1] / np.sqrt(RANK_TOL):
+        return None
+    inverse = vh.conj().T @ (u.conj().T / s[:, None])
+    lefts = np.split(inverse, np.cumsum([v.shape[1] for v in bases])[:-1])
+    label = np.empty(2 * k, dtype=int)
+    for index, members in enumerate(joint):
+        label[members] = index
+    pairs = [(i, j) for i in range(k) for j in range(k) if label[i] == label[k + j]]
+    return bases, lefts, pairs
 
 
-def sylvester_kernel(p_mat: np.ndarray, q_mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of {X : p_mat @ X - X @ q_mat = 0}, each element of unit Frobenius norm.
+def _block_power(block: np.ndarray, e: int) -> np.ndarray:
+    """block^e, inverting once for a negative exponent; sylvester_kernel
+    has checked that A, and with it every block, is invertible."""
+    return np.linalg.matrix_power(np.linalg.inv(block) if e < 0 else block, abs(e))
 
-    Solved one joint eigenvalue cluster of P and Q at a time.  The
-    clusters come from the radius ladder of structure recovery
-    (CLUSTER_LADDER times DEFAULT_CLUSTER_TOL * max(||P||_2, ||Q||_2, 1)).
-    For a cluster at centre mu with m_p eigenvalues of P and m_q of Q, U
-    is the nested kernel of P - mu of dimension m_p and Y that of
-    (Q - mu)^H of dimension m_q (_nested_kernels), so that P U = U P_c and
-    Y^H Q = Q_c Y^H; a lone eigenvalue takes its (left) eigenvector from
-    the one eig call per operand.  Every X with PX = XQ is a sum of
-    U K Y^H over the clusters with P_c K = K Q_c; pairs of different
-    clusters contribute nothing.  The small kernels are cut at RANK_TOL
-    times ||P||_2 + ||Q||_2, a bound on the 2-norm of every small operator.
-    A radius is taken when its clustering is unambiguous, every U and Y
-    has the dimension of its cluster, and the stacked bases [U_1 ... U_k]
-    and [Y_1 ... Y_k] have condition numbers at most 1/sqrt(RANK_TOL).
-    A single cluster has U = Y = I, the whole n^2 x n^2 operator: the last
-    rung when no radius certifies, O(n^6) time instead of about
-    O(#clusters * n^3 + sum (m_p m_q)^3).
+
+def _pair_kernel(p_c: np.ndarray, q_c: np.ndarray, scale: float) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of Z -> P_c Z - Z Q_c on
+    row-major vectorizations, cut at RANK_TOL * scale.
+
+    With mu the mean eigenvalue of P_c, ||P_c - mu||_F + ||Q_c - mu||_F
+    bounds the operator's 2-norm and so every singular value: within the
+    cut, the kernel is every m_p x m_q matrix, the rank decision the SVD
+    would make, without the SVD.
     """
-    p_mat, q_mat = as_matrix(p_mat), as_matrix(q_mat)
-    n = _require_square(p_mat)
-    if _require_square(q_mat) != n:
-        raise ValueError("operands must have equal size")
-    norm_p, norm_q = np.linalg.svd(np.stack([p_mat, q_mat]), compute_uv=False)[:, 0]
-    q_adj = q_mat.conj().T
-    ev_p, vec_p = np.linalg.eig(p_mat)
-    ev_q, vec_q = np.linalg.eig(q_adj)  # left eigenvectors of Q, at conj(eigenvalues)
-    values = np.concatenate([ev_p, ev_q.conj()])
-    tol = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0)
+    m_p, m_q = len(p_c), len(q_c)
+    mu = np.trace(p_c) / m_p
+    spread = np.linalg.norm(p_c - mu * np.eye(m_p)) + np.linalg.norm(q_c - mu * np.eye(m_q))
+    if spread <= RANK_TOL * scale:
+        return np.eye(m_p * m_q, dtype=complex)
+    return kernel_basis(_sylvester_operator(p_c, q_c), scale)
+
+
+def sylvester_kernel(a: np.ndarray, p: int, q: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The intertwiner space {X : A^p X = X A^q}, factored over pairs of
+    eigenvalue clusters of A.
+
+    Returns triples (V_i, K, W_j), V_i of shape n x m_i, W_j of shape
+    m_j x n and K with orthonormal columns of length m_i * m_j, none of
+    them empty.  The space is the direct sum over the triples of the
+    matrices V_i reshape(K c, (m_i, m_j)) W_j, so its dimension is the
+    total column count of the K.
+
+    A^p and A^q share the generalized eigenspaces of A, so one eig(A)
+    serves both sides.  Its eigenvalues are clustered on the radius ladder
+    of structure recovery (CLUSTER_LADDER times DEFAULT_CLUSTER_TOL *
+    max(||A||_2, 1)).  Cluster i, at mean c_i, gets the orthonormal basis
+    V_i of its generalized eigenspace: the nested kernel of A - c_i of its
+    dimension (_nested_kernels), or the eigenvector of a lone eigenvalue.
+    The W_i are the row blocks of [V_1 ... V_k]^-1, so with A_i = W_i A V_i,
+    A V_i = V_i A_i and W_j A = A_j W_j, and every X with A^p X = X A^q is
+    a sum of V_i Z W_j with P_i Z = Z Q_j, P_i = A_i^p and Q_j = A_j^q.
+    Only pairs whose c_i^p and c_j^q fall in one cluster, at the same rung
+    on the scale max(||A^p||_2, ||A^q||_2, 1), are solved; the others have
+    disjoint spectra.  Each pair's kernel is cut at RANK_TOL times
+    ||A^p||_2 + ||A^q||_2, a bound on the 2-norm of every small operator
+    (_pair_kernel).  A radius is taken when both clusterings are
+    unambiguous, every V_i has the dimension of its cluster, and
+    cond([V_1 ... V_k]) is at most 1/sqrt(RANK_TOL).  A single cluster,
+    or no certified radius, leaves V = W = I and the whole n^2 x n^2
+    operator: O(n^6) time instead of about O(#clusters * n^3 +
+    sum (m_i m_j)^3).  A negative exponent needs an invertible A
+    (NotInvertibleError).
+    """
+    a = as_matrix(a)
+    n = _require_square(a)
+    a_p, a_q = mat_int_pow(a, p), mat_int_pow(a, q)
+    norm_a, norm_p, norm_q = np.linalg.svd(np.stack([a, a_p, a_q]), compute_uv=False)[:, 0]
+    values, vecs = np.linalg.eig(a)
+    tol = DEFAULT_CLUSTER_TOL * max(norm_a, 1.0)
+    power_tol = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0)
+    split = None
     for factor in CLUSTER_LADDER:
         try:
             clusters = _cluster_eigenvalues(values, tol * factor)
         except ClusteringAmbiguityError:
             continue
-        pairs = _cluster_bases(p_mat, q_adj, values, vec_p, vec_q, clusters)
-        if pairs is not None:
+        if len(clusters) == 1:  # a coarser radius joins no less
             break
-    else:  # the last rung: the whole operator, one cluster with U = Y = I
-        pairs = _cluster_bases(p_mat, q_adj, values, vec_p, vec_q, [range(2 * n)])
-    basis = []
-    for u, y in pairs:
-        y_adj = y.conj().T
-        p_c, q_c = u.conj().T @ p_mat @ u, y_adj @ q_mat @ y
-        kernel = kernel_basis(_sylvester_operator(p_c, q_c), norm_p + norm_q)
-        basis += [u @ k.reshape(len(p_c), len(q_c)) @ y_adj for k in kernel.T]
-    return basis
+        split = _certified_split(a, vecs, values, clusters, p, q, power_tol * factor)
+        if split is not None:
+            break
+    bases, lefts, pairs = split or ([np.eye(n)], [np.eye(n)], [(0, 0)])
+    kernel = []
+    for i, j in pairs:
+        p_c = _block_power(lefts[i] @ a @ bases[i], p)
+        q_c = _block_power(lefts[j] @ a @ bases[j], q)
+        k = _pair_kernel(p_c, q_c, norm_p + norm_q)
+        if k.shape[1]:
+            kernel.append((bases[i], k, lefts[j]))
+    return kernel
 
 
 def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -255,19 +294,26 @@ def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.max(np.abs(x @ b - b @ y))) / scale
 
 
-def find_invertible_in_span(basis: list[np.ndarray], seed: int = 0) -> np.ndarray | None:
-    """One random complex combination of the basis, if it is invertible at RANK_TOL.
+def find_invertible_in_span(kernel: list[tuple], seed: int = 0) -> np.ndarray | None:
+    """One random element of a sylvester_kernel space, if it is invertible at RANK_TOL.
 
-    One draw decides: the singular combinations are the zeros of det, a
-    polynomial in the coefficients that is nonzero when the span holds an
-    invertible element, so a Gaussian draw misses them almost surely and
-    None means the span holds none.  Deterministic for a fixed seed.
+    The element is the sum over the triples (V, K, W) of
+    V reshape(K c, (m_i, m_j)) W, the c slices of one complex Gaussian
+    vector from default_rng(seed).  One draw decides: c -> B is linear
+    and injective, so det B is a polynomial in c, nonzero when the space
+    holds an invertible element; a Gaussian draw misses its zeros almost
+    surely, and None means the space holds none.  Deterministic for a
+    fixed seed.
     """
-    if not basis:
-        raise ValueError("empty basis")
+    if not kernel:
+        raise ValueError("empty kernel")
+    dims = [k.shape[1] for _, k, _ in kernel]
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    candidate = sum(c * b for c, b in zip(coeffs, basis))
+    coeffs = rng.standard_normal(sum(dims)) + 1j * rng.standard_normal(sum(dims))
+    candidate = sum(
+        v @ (k @ c).reshape(v.shape[1], w.shape[0]) @ w
+        for (v, k, w), c in zip(kernel, np.split(coeffs, np.cumsum(dims)[:-1]))
+    )
     return candidate if is_invertible(candidate) else None
 
 
@@ -337,7 +383,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "data": np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist(),
     }
 
 

@@ -123,7 +123,10 @@ class JordanSpec:
                 parsed = RootOfUnity.from_str(ev)
             else:
                 parsed = complex(ev[0], ev[1])
-            entries.append(JordanEntry(parsed, tuple(item["blocks"])))
+            blocks = tuple(item["blocks"])
+            if any(type(b) is not int for b in blocks):  # bool is an int subclass
+                raise ValueError(f"block sizes must be integers, got {item['blocks']}")
+            entries.append(JordanEntry(parsed, blocks))
         return cls(tuple(entries))
 
 

@@ -25,6 +25,10 @@ from .errors import InvalidK1Error
 from .matrixcore import VERIFY_TOL, as_matrix, block_diagonal, is_invertible, matrix_to_json
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 
+# the largest Q = |q^n - p^n| whose residues enumerate_valid_k1 lists: at
+# 2^24 the list is already about 150 MB of JSON, and the sieve takes Q bytes
+MAX_MODULUS = 2**24
+
 
 @dataclass(frozen=True)
 class CycleInstance:
@@ -86,6 +90,8 @@ def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[int]:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     modulus = _power_modulus(n, pq)
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"modulus Q = {modulus} exceeds {MAX_MODULUS}: too many residues to list")
     valid = bytearray(b"\x01") * modulus
     for z in _excluded_divisors(n):
         step = modulus // abs(pq.q**z - pq.p**z)

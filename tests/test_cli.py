@@ -193,6 +193,21 @@ class TestEmptyInput:
 class TestMalformedInput:
     """A bad matrix file gets one error from every command that reads it."""
 
+    @pytest.mark.parametrize("block", [1.5, 2.0, True, "2"], ids=["1.5", "2.0", "true", "string"])
+    def test_non_integer_block_size_is_a_bad_spec_file(self, capsys, tmp_path, block):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps([
+            {"eigenvalue": "1/3", "blocks": [block]}, {"eigenvalue": "2/3", "blocks": [1]},
+        ]))
+        for argv in (
+            ["analyze", str(path), "-p", "2", "-q", "3"],
+            ["analyze", str(path), "-p", "2", "-q", "3", "--find-b"],
+            ["solve-b", str(path), "-p", "2", "-q", "3"],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["error"].startswith(f"bad spec file {path}: block sizes must be integers")
+
     SHAPE = TestEmptyInput.SHAPE
 
     @pytest.fixture
@@ -250,6 +265,12 @@ class TestGenerate:
         code, report = run_json(capsys, "generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "0")
         assert code == 1
         assert "excluded" in report["error"]
+
+    @pytest.mark.parametrize("k1", [[], ["--k1", "1"]], ids=["list", "instance"])
+    def test_huge_modulus_is_an_operational_error(self, capsys, k1):
+        code, report = run_json(capsys, "generate", "-n", "25", "-p", "2", "-q", "3", *k1)
+        assert code == 1
+        assert report["error"].startswith("modulus Q = 847255055011 exceeds")
 
 
 class TestNilpotent:
@@ -427,10 +448,19 @@ class TestReportDiscipline:
                     main([*argv, "--seed", "1"])
         assert capsys.readouterr().out == ""
 
-    def test_seed_changes_conjugator_deterministically(self, capsys, intro_spec_file):
-        _, r1 = run_json(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b", "--seed", "1")
-        _, r2 = run_json(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b", "--seed", "1")
-        assert r1["conjugator"]["b"] == r2["conjugator"]["b"]
+    def test_seed_changes_conjugator_deterministically(self, capsys, intro_spec_file, nondiag_files):
+        a_path, _ = nondiag_files
+        for argv in (
+            ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b"],
+            ["solve-b", a_path, "-p", "2", "-q", "3"],
+        ):
+            _, r1 = run_json(capsys, *argv, "--seed", "1")
+            _, again = run_json(capsys, *argv, "--seed", "1")
+            _, r2 = run_json(capsys, *argv, "--seed", "2")
+            assert r1["conjugator"]["b"] is not None
+            assert r1["conjugator"]["b"] == again["conjugator"]["b"]
+            assert r2["conjugator"]["b"] is not None
+            assert r1["conjugator"]["b"] != r2["conjugator"]["b"]
 
 
 class TestParserReuse:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -66,6 +67,23 @@ def assert_kernel_residuals(p, q, basis):
         assert residual <= 10 * RANK_TOL * scale * np.linalg.norm(x)
 
 
+def kernel_dimension(kernel):
+    return sum(k.shape[1] for _, k, _ in kernel)
+
+
+def kernel_elements(kernel):
+    """The n x n matrices V reshape(k) W, one per column k of each triple's K."""
+    return [v @ k.reshape(v.shape[1], w.shape[0]) @ w for v, ks, w in kernel for k in ks.T]
+
+
+def span(*matrices):
+    """A kernel in the factored form (V = W = I) spanned by the given
+    mutually orthogonal matrices."""
+    n = len(matrices[0])
+    columns = np.stack([m.ravel() / np.linalg.norm(m) for m in matrices], axis=1)
+    return [(np.eye(n), columns.astype(complex), np.eye(n))]
+
+
 class TestKernelBasis:
     def test_zero_matrix(self):
         assert kernel_basis(np.zeros((3, 3))).shape == (3, 3)
@@ -82,27 +100,86 @@ class TestKernelBasis:
 
 class TestSylvesterKernel:
     def test_identity_pair(self):
-        assert len(sylvester_kernel(np.eye(2), np.eye(2))) == 4
+        assert kernel_dimension(sylvester_kernel(np.eye(2), 1, 1)) == 4
 
     def test_distinct_diagonal(self):
-        basis = sylvester_kernel(np.diag([1.0, 2.0]), np.diag([1.0, 2.0]))
-        assert len(basis) == 2
-        for x in basis:
+        kernel = sylvester_kernel(np.diag([1.0, 2.0]), 1, 1)
+        assert kernel_dimension(kernel) == 2
+        for x in kernel_elements(kernel):
             assert np.max(np.abs(x - np.diag(np.diag(x)))) < 1e-12
 
     def test_nondiag_membership(self, nondiag_fixture):
         a, b, _, _, _ = nondiag_fixture
-        basis = sylvester_kernel(mat_int_pow(a, 2), mat_int_pow(a, 3))
-        cols = np.stack([x.ravel() for x in basis], axis=1)
+        elements = kernel_elements(sylvester_kernel(a, 2, 3))
+        cols = np.stack([x.ravel() for x in elements], axis=1)
         coeffs, *_ = np.linalg.lstsq(cols, b.ravel(), rcond=None)
         assert np.linalg.norm(cols @ coeffs - b.ravel()) < 1e-9
 
     def test_residual_bound(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
+            a = random_matrix(rng, 3)
+            for pq in PARITY_PAIRS:
+                p, q = powers(a, pq)
+                kernel = sylvester_kernel(a, pq.p, pq.q)
+                assert kernel_dimension(kernel) == dense_dimension(p, q)
+                assert_kernel_residuals(p, q, kernel_elements(kernel))
+
+    def test_singular_negative_exponent(self):
+        with pytest.raises(NotInvertibleError):
+            sylvester_kernel(J2, -1, 2)
+
+
+class TestPairKernel:
+    """The kernel of Z -> P Z - Z Q for one pair of small blocks."""
+
+    def test_identity_pair(self):
+        assert matrixcore._pair_kernel(np.eye(2), np.eye(2), 2.0).shape == (4, 4)
+
+    def test_residual_bound(self):
+        # generic pairs have no kernel; similar ones have one of dimension n
+        rng = np.random.default_rng(3)
+        for _ in range(10):
             p = random_matrix(rng, 3)
-            q = random_matrix(rng, 3)
-            assert_kernel_residuals(p, q, sylvester_kernel(p, q))
+            s = random_matrix(rng, 3)
+            for q, dim in ((random_matrix(rng, 3), 0), (np.linalg.solve(s, p @ s), 3)):
+                scale = np.linalg.norm(p, 2) + np.linalg.norm(q, 2)
+                kernel = matrixcore._pair_kernel(p, q, scale)
+                assert kernel.shape[1] == dim
+                assert_kernel_residuals(p, q, [k.reshape(3, 3) for k in kernel.T])
+
+    def test_svd_free_rule_agrees_with_the_svd_cut(self, dense_calls):
+        # near-scalar pairs mu + eps (E, F) with eps set just below or just
+        # above the cut, against the rule's bound and the operator's own norm
+        rng = np.random.default_rng(11)
+        scale = 2.0
+        cut = RANK_TOL * scale
+        outcomes = set()
+        for _ in range(40):
+            m_p, m_q = (int(m) for m in rng.integers(1, 4, 2))
+            mu = np.exp(2j * np.pi * rng.random())
+            e, f = random_matrix(rng, m_p), random_matrix(rng, m_q)
+            unit_p, unit_q = mu * np.eye(m_p) + 1e-3 * e, mu * np.eye(m_q) + 1e-3 * f
+            spread = (
+                np.linalg.norm(unit_p - np.trace(unit_p) / m_p * np.eye(m_p))
+                + np.linalg.norm(unit_q - np.trace(unit_p) / m_p * np.eye(m_q))
+            )
+            norm = np.linalg.norm(matrixcore._sylvester_operator(unit_p, unit_q), 2)
+            for size in (spread, norm):
+                for factor in (1 - 1e-3, 1 + 1e-3):
+                    eps = 1e-3 * cut * factor / size
+                    p, q = mu * np.eye(m_p) + eps * e, mu * np.eye(m_q) + eps * f
+                    dense_calls.clear()
+                    got = matrixcore._pair_kernel(p, q, scale).shape[1]
+                    svd_free = not dense_calls
+                    svd = kernel_basis(matrixcore._sylvester_operator(p, q), scale).shape[1]
+                    assert got == svd
+                    outcomes.add((svd_free, svd == m_p * m_q))
+                    if size is spread and factor < 1:
+                        assert svd_free and svd == m_p * m_q
+                    if size is norm and factor > 1:
+                        assert not svd_free and svd < m_p * m_q
+        assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 PARITY_PAIRS = [ExponentPair(p, q) for p, q in [(2, 3), (1, 3), (3, 5), (-1, 2), (1, 2)]]
@@ -203,27 +280,29 @@ class TestStructuredKernel:
             a = matrix_from_spec(spec, conjugate_seed=idx)
             for pq in PARITY_PAIRS:
                 if spec.zero_entry() is None or pq.p > 0:
-                    yield powers(a, pq)
+                    yield a, pq
         a, _, _, _, _ = nondiag_fixture
         for pq in PARITY_PAIRS:
-            yield powers(a, pq)
+            yield a, pq
 
     def test_parity_on_fixtures(self, nondiag_fixture):
-        for p, q in self.parity_inputs(nondiag_fixture):
-            basis = sylvester_kernel(p, q)
-            assert len(basis) == dense_dimension(p, q)
-            assert_kernel_residuals(p, q, basis)
+        for a, pq in self.parity_inputs(nondiag_fixture):
+            p, q = powers(a, pq)
+            kernel = sylvester_kernel(a, pq.p, pq.q)
+            assert kernel_dimension(kernel) == dense_dimension(p, q)
+            assert_kernel_residuals(p, q, kernel_elements(kernel))
 
     @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
     def test_parity_on_conjugated_cycle_specs(self, pq, dense_calls):
         rng = np.random.default_rng(abs(pq.p) * 100 + pq.q)
         for seed in range(12):
             spec = cycle_spec(rng, pq, 16)
-            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            a = matrix_from_spec(spec, conjugate_seed=seed)
+            p, q = powers(a, pq)
             dense_calls.clear()
-            basis = sylvester_kernel(p, q)
-            assert len(basis) == dense_dimension(p, q) == exact_dimension(spec, pq)
-            assert_kernel_residuals(p, q, basis)
+            kernel = sylvester_kernel(a, pq.p, pq.q)
+            assert kernel_dimension(kernel) == dense_dimension(p, q) == exact_dimension(spec, pq)
+            assert_kernel_residuals(p, q, kernel_elements(kernel))
             assert (spec.n, spec.n) not in dense_calls
 
     @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
@@ -237,9 +316,9 @@ class TestStructuredKernel:
             a = s @ matrix_from_spec(spec) @ np.linalg.inv(s)
             p, q = powers(a, pq)
             dense_calls.clear()
-            basis = sylvester_kernel(p, q)
-            assert len(basis) == dense_dimension(p, q) == exact_dimension(spec, pq)
-            assert_kernel_residuals(p, q, basis)
+            kernel = sylvester_kernel(a, pq.p, pq.q)
+            assert kernel_dimension(kernel) == dense_dimension(p, q) == exact_dimension(spec, pq)
+            assert_kernel_residuals(p, q, kernel_elements(kernel))
             assert (spec.n, spec.n) not in dense_calls
 
     @pytest.mark.parametrize(
@@ -257,8 +336,9 @@ class TestStructuredKernel:
         pq = ExponentPair(2, 3)
         spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
         for seed in range(3):
-            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
-            assert len(sylvester_kernel(p, q)) == dense_dimension(p, q) == exact_dimension(spec, pq)
+            a = matrix_from_spec(spec, conjugate_seed=seed)
+            dimension = kernel_dimension(sylvester_kernel(a, pq.p, pq.q))
+            assert dimension == dense_dimension(*powers(a, pq)) == exact_dimension(spec, pq)
         assert (spec.n, spec.n) not in dense_calls
 
     def test_single_eigenvalue_solves_the_whole_operator(self, dense_calls):
@@ -266,8 +346,9 @@ class TestStructuredKernel:
         pq = ExponentPair(2, 3)
         spec = JordanSpec((JordanEntry(RootOfUnity(0, 1), (2, 1, 1)),))
         for seed in range(3):
-            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
-            assert len(sylvester_kernel(p, q)) == dense_dimension(p, q) == exact_dimension(spec, pq)
+            a = matrix_from_spec(spec, conjugate_seed=seed)
+            dimension = kernel_dimension(sylvester_kernel(a, pq.p, pq.q))
+            assert dimension == dense_dimension(*powers(a, pq)) == exact_dimension(spec, pq)
         assert dense_calls.count((spec.n, spec.n)) == 3
 
     @pytest.mark.parametrize("seed", range(5))
@@ -282,10 +363,10 @@ class TestStructuredKernel:
             + (JordanEntry(RootOfUnity(0, 1), (3,)),)
         )
         assert spec.n == 17
-        p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
-        basis = sylvester_kernel(p, q)
-        assert len(basis) == exact_dimension(spec, pq) == 17
-        assert_kernel_residuals(p, q, basis)
+        a = matrix_from_spec(spec, conjugate_seed=seed)
+        kernel = sylvester_kernel(a, pq.p, pq.q)
+        assert kernel_dimension(kernel) == exact_dimension(spec, pq) == 17
+        assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
         assert (17, 17) not in dense_calls
         assert max(m_p * m_q for m_p, m_q in dense_calls) <= 9
 
@@ -293,18 +374,39 @@ class TestStructuredKernel:
         pq = ExponentPair(2, 3)
         spec = cycle_spec(np.random.default_rng(40), pq, 40)
         assert spec.n >= 36
-        p, q = powers(matrix_from_spec(spec, conjugate_seed=40), pq)
-        basis = sylvester_kernel(p, q)
-        assert len(basis) == exact_dimension(spec, pq)
-        assert_kernel_residuals(p, q, basis)
+        a = matrix_from_spec(spec, conjugate_seed=40)
+        kernel = sylvester_kernel(a, pq.p, pq.q)
+        assert kernel_dimension(kernel) == exact_dimension(spec, pq)
+        assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
         assert (spec.n, spec.n) not in dense_calls
 
     def test_cut_is_absolute_in_small_blocks(self):
         # 1x1 blocks: P_c - Q_c is rounding-sized, so a cut relative to the
         # block itself would call it rank 1
-        p = np.diag([1.0, 2.0]) + 0j
-        q = np.diag([1.0 + 1e-15, 2.0]) + 0j
-        assert len(sylvester_kernel(p, q)) == 2
+        p, q = np.array([[1.0 + 0j]]), np.array([[1.0 + 1e-15j]])
+        assert matrixcore._pair_kernel(p, q, 4.0).shape[1] == 1
+        operator = matrixcore._sylvester_operator(p, q)
+        assert kernel_basis(operator, 4.0).shape[1] == 1
+        assert kernel_basis(operator).shape[1] == 0
+
+    def test_repeated_eigenvalue_pairs_without_an_operator(self, dense_calls):
+        # eleven 1-blocks at 1 under (-1, 2), n = 24: the pair of that
+        # cluster with itself is 1 * I on both sides, 121 dimensions
+        # decided by the SVD-free bound instead of a 121 x 121 SVD
+        pq = ExponentPair(-1, 2)
+        spec = JordanSpec.from_json([
+            {"eigenvalue": "0/1", "blocks": [1] * 11},
+            {"eigenvalue": "1/3", "blocks": [1, 1]}, {"eigenvalue": "2/3", "blocks": [1, 1]},
+            {"eigenvalue": "1/9", "blocks": [2]}, {"eigenvalue": "4/9", "blocks": [2]},
+            {"eigenvalue": "7/9", "blocks": [2]}, {"eigenvalue": "2/9", "blocks": [1]},
+            {"eigenvalue": "5/9", "blocks": [1]}, {"eigenvalue": "8/9", "blocks": [1]},
+        ])
+        assert spec.n == 24
+        a = matrix_from_spec(spec, conjugate_seed=27)
+        kernel = sylvester_kernel(a, pq.p, pq.q)
+        assert kernel_dimension(kernel) == exact_dimension(spec, pq)
+        assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
+        assert (11, 11) not in dense_calls and (24, 24) not in dense_calls
 
 
 def loop_clusters(values, threshold):
@@ -383,25 +485,34 @@ class TestConjugacyResidual:
 
 class TestFindInvertibleInSpan:
     def test_identity_span(self):
-        found = find_invertible_in_span([np.eye(2)], seed=0)
+        found = find_invertible_in_span(span(np.eye(2)), seed=0)
         assert found is not None
 
     def test_nilpotent_span_has_none(self):
-        assert find_invertible_in_span([J2], seed=0) is None
+        assert find_invertible_in_span(span(J2), seed=0) is None
 
     def test_deterministic(self):
-        basis = [np.eye(2), J2]
-        a = find_invertible_in_span(basis, seed=5)
-        b = find_invertible_in_span(basis, seed=5)
+        kernel = span(np.eye(2), J2)
+        a = find_invertible_in_span(kernel, seed=5)
+        b = find_invertible_in_span(kernel, seed=5)
         assert np.array_equal(a, b)
+        assert not np.allclose(a, find_invertible_in_span(kernel, seed=6))
 
     def test_conjugator_from_sylvester(self, nondiag_fixture):
         a, _, _, _, _ = nondiag_fixture
         a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
-        basis = sylvester_kernel(a2, a3)
-        found = find_invertible_in_span(basis, seed=0)
+        found = find_invertible_in_span(sylvester_kernel(a, 2, 3), seed=0)
         assert found is not None
         assert np.max(np.abs(np.linalg.solve(found, a2 @ found) - a3)) < 1e-9
+
+    def test_draw_lies_in_the_kernel(self, nondiag_fixture):
+        # the factored draw is a combination of the materialized elements
+        a, _, _, _, _ = nondiag_fixture
+        kernel = sylvester_kernel(a, 2, 3)
+        found = find_invertible_in_span(kernel, seed=3)
+        cols = np.stack([x.ravel() for x in kernel_elements(kernel)], axis=1)
+        coeffs, *_ = np.linalg.lstsq(cols, found.ravel(), rcond=None)
+        assert np.linalg.norm(cols @ coeffs - found.ravel()) < 1e-9 * np.linalg.norm(found)
 
     def test_empty_basis(self):
         with pytest.raises(ValueError):
@@ -409,8 +520,8 @@ class TestFindInvertibleInSpan:
 
 
 class TestOneDrawDecides:
-    """find_invertible_in_span draws once: a span with an invertible element
-    has its singular combinations on the zeros of a nonzero polynomial."""
+    """find_invertible_in_span draws once: a space with an invertible element
+    has its singular elements on the zeros of a nonzero polynomial."""
 
     @pytest.fixture
     def invertibility_checks(self, monkeypatch):
@@ -427,12 +538,22 @@ class TestOneDrawDecides:
     def test_no_invertible_element_takes_one_check(self, invertibility_checks):
         pq = ExponentPair(2, 3)
         spec = defect_spec(np.random.default_rng(5), pq, "structure", 12)
-        basis = sylvester_kernel(*powers(matrix_from_spec(spec, conjugate_seed=5), pq))
-        assert basis and not powers_similar_general(spec, pq).similar
-        for span in ([J2], basis):
+        kernel = sylvester_kernel(matrix_from_spec(spec, conjugate_seed=5), pq.p, pq.q)
+        assert kernel and not powers_similar_general(spec, pq).similar
+        for space in (span(J2), kernel):
             invertibility_checks.clear()
-            assert find_invertible_in_span(span, seed=0) is None
+            assert find_invertible_in_span(space, seed=0) is None
             assert len(invertibility_checks) == 1
+
+    @staticmethod
+    def assert_draw_matches_verdict(spec, pq, a, seed):
+        similar = powers_similar_general(spec, pq).similar
+        p, q = powers(a, pq)
+        kernel = sylvester_kernel(a, pq.p, pq.q)
+        found = find_invertible_in_span(kernel, seed=seed) if kernel else None
+        assert (found is not None) == similar
+        if similar:
+            assert conjugacy_residual(found, p, q) < 1e-9
 
     @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
     @pytest.mark.parametrize("kind", ["similar", "structure", "spectrum"])
@@ -440,14 +561,19 @@ class TestOneDrawDecides:
         rng = np.random.default_rng(abs(pq.p) * 100 + pq.q)
         for seed in range(4):
             spec = cycle_spec(rng, pq, 12) if kind == "similar" else defect_spec(rng, pq, kind, 12)
-            similar = powers_similar_general(spec, pq).similar
-            assert similar == (kind == "similar")
-            p, q = powers(matrix_from_spec(spec, conjugate_seed=seed), pq)
-            basis = sylvester_kernel(p, q)
-            found = find_invertible_in_span(basis, seed=seed) if basis else None
-            assert (found is not None) == similar
-            if similar:
-                assert conjugacy_residual(found, p, q) < 1e-9
+            assert powers_similar_general(spec, pq).similar == (kind == "similar")
+            self.assert_draw_matches_verdict(spec, pq, matrix_from_spec(spec, conjugate_seed=seed), seed)
+
+    @pytest.mark.parametrize("pq", PARITY_PAIRS, ids=str)
+    @pytest.mark.parametrize("kind", ["similar", "structure", "spectrum"])
+    def test_draw_matches_the_exact_verdict_under_non_unitary_conjugation(self, pq, kind):
+        # W_j, the rows of [V_1 ... V_k]^-1, are then far from V_j^H
+        rng = np.random.default_rng(7 * abs(pq.p) + pq.q)
+        for seed in range(4):
+            spec = cycle_spec(rng, pq, 12) if kind == "similar" else defect_spec(rng, pq, kind, 12)
+            g = random_matrix(rng, spec.n)
+            s = np.eye(spec.n) + 0.6 * g / np.linalg.norm(g, 2)
+            self.assert_draw_matches_verdict(spec, pq, s @ matrix_from_spec(spec) @ np.linalg.inv(s), seed)
 
 
 class TestFitPolynomialIn:
@@ -597,6 +723,20 @@ class TestJson:
         m = random_matrix(rng, 3)
         again = matrix_from_json(matrix_to_json(m))
         assert np.array_equal(m, again)
+
+    def test_same_bytes_as_the_per_entry_form(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 3, 24):
+            m = random_matrix(rng, n)
+            m[rng.random((n, n)) < 0.3] = complex(1.0, -0.0)
+            m[0, 0] = complex(-0.0, -0.0)
+            per_entry = {
+                "rows": n,
+                "cols": n,
+                "data": [[float(z.real), float(z.imag)] for z in m.ravel()],
+            }
+            assert json.dumps(matrix_to_json(m)) == json.dumps(per_entry)
+            assert json.dumps(per_entry).count("[-0.0, -0.0]") == 1
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from simpow import solvers
 from simpow.errors import InvalidK1Error
 from simpow.matrixcore import fit_polynomial_in, mat_int_pow
 from simpow.scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
@@ -48,6 +49,17 @@ class TestEnumerateValidK1:
     def test_213(self):
         got = enumerate_valid_k1(2, ExponentPair(1, 3))
         assert got == [1, 2, 3, 5, 6, 7]
+
+    def test_refuses_a_huge_modulus_before_allocating(self, pq23):
+        # Q = 3^25 - 2^25 = 847255055011 would need Q bytes for the sieve
+        with pytest.raises(ValueError, match="847255055011"):
+            enumerate_valid_k1(25, pq23)
+
+    def test_modulus_cap_is_inclusive(self, pq23, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_MODULUS", 5)
+        assert enumerate_valid_k1(2, pq23) == [1, 2, 3, 4]  # Q = 5
+        with pytest.raises(ValueError):
+            enumerate_valid_k1(3, pq23)  # Q = 19
 
     @pytest.mark.parametrize(
         "n,p,q",
