@@ -116,6 +116,13 @@ def _base_report(command: str) -> dict:
     }
 
 
+def _seeded_report(command: str, args) -> dict:
+    """The base report of a command that draws B, with its --seed."""
+    if args.seed < 0:
+        raise OperationalError(f"--seed must be >= 0, got {args.seed}")
+    return {**_base_report(command), "seed": args.seed}
+
+
 def _exact_roots(spec: JordanSpec, pq: ExponentPair, path: str) -> JordanSpec:
     """The spec with each complex eigenvalue replaced by the first admissible
     root of unity within RANK_TOL * (|z| + 1) of it: the rank cut that
@@ -150,13 +157,13 @@ def _parse_complex_list(text: str, label: str) -> list[complex]:
 
 def cmd_analyze(args) -> dict:
     pq = _exponent_pair(args)
+    report = _seeded_report("analyze", args)
     matrix, spec = _load_matrix_or_spec(args.input)
     if spec is None:
         try:
             spec = spec_from_matrix(matrix, pq)
         except ValueError as exc:
             raise OperationalError(f"cannot recover structure: {exc}") from exc
-    report = {**_base_report("analyze"), "seed": args.seed}
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
 
     normalized = pq
@@ -190,7 +197,8 @@ def cmd_analyze(args) -> dict:
     if args.find_b:
         if matrix is None:
             matrix = matrix_from_spec(spec)
-        report["conjugator"] = _solve_conjugator(matrix, normalized, args.seed)
+        powers = _powers(matrix, normalized)
+        report["conjugator"] = _solve_conjugator(matrix, normalized, powers, args.seed)
     return report
 
 
@@ -201,9 +209,10 @@ def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarra
         raise OperationalError(str(exc)) from exc
 
 
-def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, seed: int) -> dict:
-    a_p, a_q = _powers(matrix, pq)
-    kernel = sylvester_kernel(matrix, pq.p, pq.q)
+def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, powers: tuple, seed: int) -> dict:
+    """The conjugator report; powers is (A^p, A^q), formed once per request."""
+    a_p, a_q = powers
+    kernel = sylvester_kernel(matrix, pq.p, pq.q, a_p, a_q)
     out: dict = {"kernel_dimension": sum(k.shape[1] for _, k, _ in kernel)}
     candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
     if candidate is None:
@@ -282,11 +291,12 @@ def cmd_nilpotent(args) -> dict:
 
 def cmd_solve_b(args) -> dict:
     pq = _exponent_pair(args)
+    report = _seeded_report("solve-b", args)
     matrix = _load_matrix(args.input)
-    report = {**_base_report("solve-b"), "seed": args.seed}
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    report["conjugator"] = _solve_conjugator(matrix, pq, args.seed)
-    coeffs = fit_polynomial_in(mat_int_pow(matrix, pq.q), matrix, matrix.shape[0] - 1)
+    powers = _powers(matrix, pq)
+    report["conjugator"] = _solve_conjugator(matrix, pq, powers, args.seed)
+    coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
     )

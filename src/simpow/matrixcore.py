@@ -8,6 +8,7 @@ integer-valued quantities (ranks, Weyr sequences) robust.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
 
 def kernel_basis(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the numerical null space at RANK_TOL (see _rank_cut)."""
-    _, s, vh = np.linalg.svd(as_matrix(m))
+    _, s, vh = np.linalg.svd(m)
     return vh[_rank_cut(s, scale):].conj().T
 
 
@@ -139,18 +140,17 @@ def _sylvester_operator(p_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     return op.reshape(m_p * m_q, m_p * m_q)
 
 
-def _nested_kernels(m: np.ndarray, lam: complex):
-    """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1, 2, ...
+def _nested_kernels(m: np.ndarray, lam: complex, scale: float):
+    """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1, 2, ...; never ends.
 
     Deflated: with S = M - lam*I and P_k the orthogonal projector onto
     ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
-    an n x n matrix and no power of S is formed.  Every rank is cut at
-    RANK_TOL * (||M||_F + |lam|), a bound on ||S||_2, so a rounding-sized
-    S is not judged by its own norm and a gap d between eigenvalues is not
-    shrunk to d^k.  The generator never ends; callers stop it.
+    M's size and no power of S is formed.  Every rank is cut at RANK_TOL *
+    scale, the caller's bound on ||S||_2, so a rounding-sized S is not
+    judged by its own norm and a gap d between eigenvalues is not shrunk
+    to d^k.
     """
     shifted = m - lam * np.eye(len(m))
-    scale = float(np.linalg.norm(m)) + abs(lam)
     deflated = shifted
     while True:
         kernel = kernel_basis(deflated, scale)
@@ -158,50 +158,71 @@ def _nested_kernels(m: np.ndarray, lam: complex):
         deflated = shifted - kernel @ (kernel.conj().T @ shifted)
 
 
-def _generalized_eigenspace(m, vecs, members, lam) -> np.ndarray | None:
-    """Orthonormal columns spanning the generalized eigenspace of M for its
+class Split(NamedTuple):
+    """One unambiguous rung of the eigenvalue split of A (eigenspace_splits)."""
+
+    factor: int  # the clustering radius is factor * tol
+    tol: float  # DEFAULT_CLUSTER_TOL * max(||A||_2, 1)
+    clusters: list[list[int]]  # indices into the eigenvalues of A
+    centres: list[complex]  # the cluster means
+    bases: list[np.ndarray] | None  # the V_i, orthonormal, when the split certifies
+    lefts: list[np.ndarray] | None  # the W_i, the row blocks of [V_1 ... V_k]^-1
+
+
+def _generalized_eigenspace(a, vecs, members, lam, scale) -> np.ndarray | None:
+    """Orthonormal columns spanning the generalized eigenspace of A for its
     eigenvalues ``members`` (indices into its eigenvectors vecs) near lam:
-    a lone one's eigenvector, else the first nested kernel of M - lam*I of
+    a lone one's eigenvector, else the first nested kernel of A - lam*I of
     that dimension; None when the dimensions overshoot or stop short."""
     mult = len(members)
     if mult < 2:
         return vecs[:, members]
-    for kernel in itertools.islice(_nested_kernels(m, lam), mult):
+    for kernel in itertools.islice(_nested_kernels(a, lam, scale), mult):
         if kernel.shape[1] >= mult:
             return kernel if kernel.shape[1] == mult else None
     return None
 
 
-def _certified_split(a, vecs, values, clusters, p, q, power_radius) -> tuple | None:
-    """(V, W, pairs) for the eigenvalue clusters of A, or None when the
-    split is not certified (see sylvester_kernel): the orthonormal bases
-    V_i, the row blocks W_i of [V_1 ... V_k]^-1, and the pairs (i, j)
-    whose means c_i^p and c_j^q fall in one cluster at power_radius."""
-    k = len(clusters)
-    centres = np.array([values[c].mean() for c in clusters])
-    try:
-        joint = _cluster_eigenvalues(np.concatenate([centres**p, centres**q]), power_radius)
-    except ClusteringAmbiguityError:
-        return None
-    bases = [_generalized_eigenspace(a, vecs, c, centre) for c, centre in zip(clusters, centres)]
-    if any(v is None for v in bases):
-        return None
-    u, s, vh = np.linalg.svd(np.hstack(bases))
-    if s[0] > s[-1] / np.sqrt(RANK_TOL):
-        return None
-    inverse = vh.conj().T @ (u.conj().T / s[:, None])
-    lefts = np.split(inverse, np.cumsum([v.shape[1] for v in bases])[:-1])
-    label = np.empty(2 * k, dtype=int)
-    for index, members in enumerate(joint):
-        label[members] = index
-    pairs = [(i, j) for i in range(k) for j in range(k) if label[i] == label[k + j]]
-    return bases, lefts, pairs
+def eigenspace_splits(a: np.ndarray):
+    """The eigenvalue split of A on each rung of CLUSTER_LADDER, finest first.
 
-
-def _block_power(block: np.ndarray, e: int) -> np.ndarray:
-    """block^e, inverting once for a negative exponent; sylvester_kernel
-    has checked that A, and with it every block, is invertible."""
-    return np.linalg.matrix_power(np.linalg.inv(block) if e < 0 else block, abs(e))
+    One eig(A) serves every rung: its eigenvalues are clustered by single
+    linkage at factor * tol; an ambiguous rung yields its
+    ClusteringAmbiguityError.  Cluster i, at mean c_i, gets the orthonormal
+    basis V_i of its generalized eigenspace (the eigenvector of a lone
+    eigenvalue, else the nested kernel of A - c_i of its dimension, cut at
+    RANK_TOL * (||A||_F + |c_i|)), and W_i is the i-th row block of
+    [V_1 ... V_k]^-1, so that A V_i = V_i A_i and W_i A = A_i W_i with
+    A_i = W_i A V_i (Golub & Wilkinson, SIAM Rev. 18, 1976; Kagstrom &
+    Ruhe, ACM TOMS 6, 1980).  The split certifies when every V_i has its
+    cluster's dimension and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  One
+    cluster has nothing to split and ends the ladder: coarser radii join
+    no less.
+    """
+    values, vecs = np.linalg.eig(a)
+    tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
+    norm = float(np.linalg.norm(a))
+    for factor in CLUSTER_LADDER:
+        try:
+            clusters = _cluster_eigenvalues(values, tol * factor)
+        except ClusteringAmbiguityError as exc:
+            yield exc
+            continue
+        centres = [complex(values[c].mean()) for c in clusters]
+        split = Split(factor, tol, clusters, centres, None, None)
+        if len(clusters) == 1:
+            yield split
+            return
+        bases = [
+            _generalized_eigenspace(a, vecs, c, z, norm + abs(z)) for c, z in zip(clusters, centres)
+        ]
+        if all(v is not None for v in bases):
+            u, s, vh = np.linalg.svd(np.hstack(bases))
+            if s[0] <= s[-1] / np.sqrt(RANK_TOL):
+                inverse = vh.conj().T @ (u.conj().T / s[:, None])
+                lefts = np.split(inverse, np.cumsum([v.shape[1] for v in bases])[:-1])
+                split = split._replace(bases=bases, lefts=lefts)
+        yield split
 
 
 def _pair_kernel(p_c: np.ndarray, q_c: np.ndarray, scale: float) -> np.ndarray:
@@ -221,9 +242,11 @@ def _pair_kernel(p_c: np.ndarray, q_c: np.ndarray, scale: float) -> np.ndarray:
     return kernel_basis(_sylvester_operator(p_c, q_c), scale)
 
 
-def sylvester_kernel(a: np.ndarray, p: int, q: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def sylvester_kernel(
+    a: np.ndarray, p: int, q: int, a_p: np.ndarray, a_q: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The intertwiner space {X : A^p X = X A^q}, factored over pairs of
-    eigenvalue clusters of A.
+    eigenvalue clusters of A; a_p and a_q are A^p and A^q (mat_int_pow).
 
     Returns triples (V_i, K, W_j), V_i of shape n x m_i, W_j of shape
     m_j x n and K with orthonormal columns of length m_i * m_j, none of
@@ -231,51 +254,39 @@ def sylvester_kernel(a: np.ndarray, p: int, q: int) -> list[tuple[np.ndarray, np
     matrices V_i reshape(K c, (m_i, m_j)) W_j, so its dimension is the
     total column count of the K.
 
-    A^p and A^q share the generalized eigenspaces of A, so one eig(A)
-    serves both sides.  Its eigenvalues are clustered on the radius ladder
-    of structure recovery (CLUSTER_LADDER times DEFAULT_CLUSTER_TOL *
-    max(||A||_2, 1)).  Cluster i, at mean c_i, gets the orthonormal basis
-    V_i of its generalized eigenspace: the nested kernel of A - c_i of its
-    dimension (_nested_kernels), or the eigenvector of a lone eigenvalue.
-    The W_i are the row blocks of [V_1 ... V_k]^-1, so with A_i = W_i A V_i,
-    A V_i = V_i A_i and W_j A = A_j W_j, and every X with A^p X = X A^q is
-    a sum of V_i Z W_j with P_i Z = Z Q_j, P_i = A_i^p and Q_j = A_j^q.
-    Only pairs whose c_i^p and c_j^q fall in one cluster, at the same rung
-    on the scale max(||A^p||_2, ||A^q||_2, 1), are solved; the others have
-    disjoint spectra.  Each pair's kernel is cut at RANK_TOL times
-    ||A^p||_2 + ||A^q||_2, a bound on the 2-norm of every small operator
-    (_pair_kernel).  A radius is taken when both clusterings are
-    unambiguous, every V_i has the dimension of its cluster, and
-    cond([V_1 ... V_k]) is at most 1/sqrt(RANK_TOL).  A single cluster,
-    or no certified radius, leaves V = W = I and the whole n^2 x n^2
-    operator: O(n^6) time instead of about O(#clusters * n^3 +
-    sum (m_i m_j)^3).  A negative exponent needs an invertible A
-    (NotInvertibleError).
+    A^p and A^q share the generalized eigenspaces of A, so with the split
+    of A (eigenspace_splits) every such X is a sum of V_i Z W_j with
+    P_i Z = Z Q_j, P_i = W_i A^p V_i and Q_j = W_j A^q V_j.  The first
+    certified rung is taken at which the c_i^p and c_j^q cluster
+    unambiguously at the same rung, on the scale max(||A^p||_2,
+    ||A^q||_2, 1), and only the pairs in one cluster are solved, each cut
+    at RANK_TOL * (||A^p||_2 + ||A^q||_2) (_pair_kernel).  A single
+    cluster, or no such rung, leaves V = W = I: the whole n^2 x n^2
+    operator, O(n^6) time instead of about O(k n^3 + sum (m_i m_j)^3).
     """
     a = as_matrix(a)
     n = _require_square(a)
-    a_p, a_q = mat_int_pow(a, p), mat_int_pow(a, q)
-    norm_a, norm_p, norm_q = np.linalg.svd(np.stack([a, a_p, a_q]), compute_uv=False)[:, 0]
-    values, vecs = np.linalg.eig(a)
-    tol = DEFAULT_CLUSTER_TOL * max(norm_a, 1.0)
+    norm_p, norm_q = np.linalg.svd(np.stack([a_p, a_q]), compute_uv=False)[:, 0]
     power_tol = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0)
-    split = None
-    for factor in CLUSTER_LADDER:
-        try:
-            clusters = _cluster_eigenvalues(values, tol * factor)
+    bases, lefts, pairs = [np.eye(n)], [np.eye(n)], [(0, 0)]
+    for split in eigenspace_splits(a):
+        if not isinstance(split, Split) or split.bases is None:
+            continue
+        count, centres = len(split.centres), np.array(split.centres)
+        try:  # the pairs whose c_i^p and c_j^q fall in one cluster
+            joint = _cluster_eigenvalues(
+                np.concatenate([centres**p, centres**q]), power_tol * split.factor
+            )
         except ClusteringAmbiguityError:
             continue
-        if len(clusters) == 1:  # a coarser radius joins no less
-            break
-        split = _certified_split(a, vecs, values, clusters, p, q, power_tol * factor)
-        if split is not None:
-            break
-    bases, lefts, pairs = split or ([np.eye(n)], [np.eye(n)], [(0, 0)])
+        pairs = [
+            (i, j - count) for members in joint for i in members if i < count for j in members if j >= count
+        ]
+        bases, lefts = split.bases, split.lefts
+        break
     kernel = []
     for i, j in pairs:
-        p_c = _block_power(lefts[i] @ a @ bases[i], p)
-        q_c = _block_power(lefts[j] @ a @ bases[j], q)
-        k = _pair_kernel(p_c, q_c, norm_p + norm_q)
+        k = _pair_kernel(lefts[i] @ a_p @ bases[i], lefts[j] @ a_q @ bases[j], norm_p + norm_q)
         if k.shape[1]:
             kernel.append((bases[i], k, lefts[j]))
     return kernel
@@ -358,23 +369,25 @@ def fit_polynomial_in(
     return None
 
 
-def weyr_characteristic(m: np.ndarray, lam: complex, depth: int) -> list[int]:
+def weyr_characteristic(m: np.ndarray, lam: complex, depth: int, scale: float) -> list[int]:
     """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant.
 
-    The dimensions of the deflated nested kernels (_nested_kernels): one
-    n x n SVD per k, no power of M - lam*I, every rank cut at RANK_TOL *
-    (||M||_F + |lam|).  They stop growing once two repeat, and the list is
-    padded with the last one to depth.
+    The dimensions of the nested kernels cut at RANK_TOL * scale
+    (_nested_kernels), a bound on ||M - lam*I||_2: ||M||_F + |lam|, or for
+    a block of a larger operator that operator's.  They stop growing once
+    two repeat or the whole space is reached; the list is padded to depth.
     """
     m = as_matrix(m)
     _require_square(m)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     dims: list[int] = []
-    for kernel in itertools.islice(_nested_kernels(m, complex(lam)), depth):
+    for kernel in itertools.islice(_nested_kernels(m, complex(lam), scale), depth):
         if dims and kernel.shape[1] == dims[-1]:
             break
         dims.append(kernel.shape[1])
+        if dims[-1] == len(m):
+            break
     return dims + dims[-1:] * (depth - len(dims))
 
 

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationRequiredError
-from .matrixcore import (
-    CLUSTER_LADDER,
-    DEFAULT_CLUSTER_TOL,
-    _cluster_eigenvalues,
-    as_matrix,
-    block_diagonal,
-    weyr_characteristic,
-)
+from .matrixcore import Split, as_matrix, block_diagonal, eigenspace_splits, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, powers_equal
 
@@ -201,48 +194,48 @@ def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:
 def spec_from_matrix(a: np.ndarray, pq: ExponentPair) -> JordanSpec:
     """Recover a JordanSpec numerically, certified cluster by cluster.
 
-    The eigenvalues are clustered by single linkage at the radius
-    tol = DEFAULT_CLUSTER_TOL * max(||A||_2, 1), and failing that at the
-    coarser radii of CLUSTER_LADDER, up to 10^4 tol, as in sylvester_kernel.
-    A cluster of m eigenvalues is certified at an exact point when the
-    Weyr sequence there, taken to depth m + 1, stops growing at m; the
-    blocks are read off that sequence.  The point is 0 when the mean is
-    within tol of 0; otherwise the admissible roots of unity within tol of
-    the mean are tried, smallest order first (_admissible_roots), and then
-    the mean itself.  The first radius at
-    which every cluster is certified gives the spec.  When none does, the
-    error of the finest radius is raised (a ValueError:
-    ClusteringAmbiguityError or an uncertified cluster).
+    The clusters are those of eigenspace_splits, rung by rung.  A cluster
+    of m eigenvalues is certified at an exact point when the Weyr sequence
+    there, to depth m + 1 with every rank cut at RANK_TOL * (||A||_F +
+    |point|), stops growing at m; the blocks are read off it.  On a
+    certified split that is the sequence of the cluster's own block
+    W_i A V_i, which no other cluster can disturb; otherwise that of A.
+    The point is 0 when the mean is within tol of 0; otherwise the
+    admissible roots of unity within tol of the mean, smallest order first
+    (_admissible_roots), then the mean itself.  The first rung at which
+    every cluster certifies gives the spec; failing that, the error of the
+    finest rung is raised (ClusteringAmbiguityError or another ValueError).
     """
     a = as_matrix(a)
     n = a.shape[0]
     if n > 64:
         raise ValueError("numeric recovery supports n <= 64")
-    tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
-    values = np.linalg.eigvals(a)
+    norm = float(np.linalg.norm(a))
     finest_error = None
-    for factor in CLUSTER_LADDER:
+    for split in eigenspace_splits(a):
+        if not isinstance(split, Split):
+            finest_error = finest_error or split
+            continue
         try:
-            clusters = _cluster_eigenvalues(values, tol * factor)
-            return JordanSpec(tuple(_certified_entry(a, values[c], pq, tol) for c in clusters))
+            indices = range(len(split.clusters))
+            return JordanSpec(tuple(_certified_entry(a, split, i, pq, norm) for i in indices))
         except ValueError as exc:
             finest_error = finest_error or exc
     raise finest_error
 
 
-def _certified_entry(
-    a: np.ndarray, values: np.ndarray, pq: ExponentPair, tol: float
-) -> JordanEntry:
-    """The entry of one eigenvalue cluster at the first point that certifies
-    it; ValueError when none does (see spec_from_matrix)."""
-    center = complex(np.mean(values))
-    mult = len(values)
-    if abs(center) <= tol:
+def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm: float):
+    """The entry of the i-th cluster of split, ||A||_F = norm, at the first
+    point that certifies it; ValueError when none does (see spec_from_matrix)."""
+    m = a if split.bases is None else split.lefts[i] @ a @ split.bases[i]
+    mult, center = len(split.clusters[i]), split.centres[i]
+    if abs(center) <= split.tol:
         points: list[JordanEigenvalue] = [None]
     else:
-        points = [*_admissible_roots(center, pq, a.shape[0], tol), center]
+        points = [*_admissible_roots(center, pq, len(a), split.tol), center]
     for ev in points:
-        dims = weyr_characteristic(a, _ev_complex(ev), mult + 1)
+        lam = _ev_complex(ev)
+        dims = weyr_characteristic(m, lam, mult + 1, norm + abs(lam))
         if dims[-1] == mult:
             return JordanEntry(ev, _blocks_from_weyr(dims, mult))
     raise ValueError(f"no point certifies the {mult} eigenvalue(s) around {center:.6g}")

@@ -42,7 +42,7 @@ from simpow.solvers import (
     solve_single_eigenvalue,
 )
 from simpow.spectra import SpectrumMultiset, orbit_decomposition, successor
-from test_matrixcore import kernel_elements
+from test_matrixcore import kernel_elements, own_scale
 
 R = RootOfUnity
 
@@ -74,16 +74,16 @@ def test_criterion_1_intro_fixture(capsys, tmp_path, intro_spec, intro_matrix):
     a3 = mat_int_pow(intro_matrix, 3)
     a5 = mat_int_pow(intro_matrix, 5)
     a7 = mat_int_pow(intro_matrix, 7)
-    checks["weyr(A^3) at i"] = weyr_characteristic(a3, 1j, 2) == [1, 2]
-    checks["weyr(A^5) at i"] = weyr_characteristic(a5, 1j, 2) == [2, 2]
-    checks["weyr(A^3) at -i"] = weyr_characteristic(a3, -1j, 2) == [2, 2]
-    checks["weyr(A^5) at -i"] = weyr_characteristic(a5, -1j, 2) == [1, 2]
-    checks["weyr at 0 both vanish"] = (
-        weyr_characteristic(a3, 0, 3) == [3, 3, 3] and weyr_characteristic(a5, 0, 3) == [3, 3, 3]
-    )
+    def weyr(m, lam, depth):
+        return weyr_characteristic(m, lam, depth, own_scale(m, lam))
+
+    checks["weyr(A^3) at i"] = weyr(a3, 1j, 2) == [1, 2]
+    checks["weyr(A^5) at i"] = weyr(a5, 1j, 2) == [2, 2]
+    checks["weyr(A^3) at -i"] = weyr(a3, -1j, 2) == [2, 2]
+    checks["weyr(A^5) at -i"] = weyr(a5, -1j, 2) == [1, 2]
+    checks["weyr at 0 both vanish"] = weyr(a3, 0, 3) == [3, 3, 3] and weyr(a5, 0, 3) == [3, 3, 3]
     checks["weyr(A^3) = weyr(A^7) everywhere"] = all(
-        weyr_characteristic(a3, lam, 3) == weyr_characteristic(a7, lam, 3)
-        for lam in (1j, -1j, 0)
+        weyr(a3, lam, 3) == weyr(a7, lam, 3) for lam in (1j, -1j, 0)
     )
     failed = [name for name, ok in checks.items() if not ok]
     _report(1, not failed, f"intro 7x7 fixture, failed={failed or 'none'}")
@@ -309,7 +309,7 @@ def test_criterion_5_sylvester_oracle(nondiag_fixture):
     """The explicit B lies in the intertwiner kernel; a random member conjugates."""
     a, b, _, _, _ = nondiag_fixture
     a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
-    kernel = sylvester_kernel(a, 2, 3)
+    kernel = sylvester_kernel(a, 2, 3, a2, a3)
     elements = kernel_elements(kernel)
     cols = np.stack([x.ravel() for x in elements], axis=1)
     coeffs, *_ = np.linalg.lstsq(cols, b.ravel(), rcond=None)
@@ -526,7 +526,8 @@ def test_criterion_8_property_suites():
         q, _ = np.linalg.qr(g)
         conj = q.conj().T @ base @ q
         for lam in (1j, 2.0):
-            if weyr_characteristic(conj, lam, 3) != weyr_characteristic(base, lam, 3):
+            dims = weyr_characteristic(conj, lam, 3, own_scale(conj, lam))
+            if dims != weyr_characteristic(base, lam, 3, own_scale(base, lam)):
                 failures.append(f"weyr invariance: trial={trial}, lam={lam}")
 
     # inverse-word residual for constructed solutions

@@ -462,6 +462,19 @@ class TestReportDiscipline:
             assert r2["conjugator"]["b"] is not None
             assert r1["conjugator"]["b"] != r2["conjugator"]["b"]
 
+    def test_negative_seed_is_an_error_report(self, capsys, intro_spec_file, nondiag_files):
+        # numpy's generator rejects a negative seed with a traceback
+        a_path, _ = nondiag_files
+        for argv in (
+            ["analyze", a_path, "-p", "2", "-q", "3", "--find-b", "--seed", "-1"],
+            ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--seed", "-1"],
+            ["solve-b", a_path, "-p", "2", "-q", "3", "--seed", "-5"],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["command"] == argv[0]
+            assert "--seed must be >= 0" in report["error"]
+
 
 class TestParserReuse:
     """main() builds its parser once; reusing it must not change any output."""

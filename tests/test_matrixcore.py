@@ -67,6 +67,16 @@ def assert_kernel_residuals(p, q, basis):
         assert residual <= 10 * RANK_TOL * scale * np.linalg.norm(x)
 
 
+def intertwiners(a, p, q):
+    """sylvester_kernel of A, handed A^p and A^q as the CLI forms them."""
+    return sylvester_kernel(a, p, q, mat_int_pow(a, p), mat_int_pow(a, q))
+
+
+def own_scale(m, lam):
+    """The cut scale of M's own nested kernels at lam: ||M||_F + |lam|."""
+    return np.linalg.norm(m) + abs(lam)
+
+
 def kernel_dimension(kernel):
     return sum(k.shape[1] for _, k, _ in kernel)
 
@@ -100,17 +110,17 @@ class TestKernelBasis:
 
 class TestSylvesterKernel:
     def test_identity_pair(self):
-        assert kernel_dimension(sylvester_kernel(np.eye(2), 1, 1)) == 4
+        assert kernel_dimension(intertwiners(np.eye(2), 1, 1)) == 4
 
     def test_distinct_diagonal(self):
-        kernel = sylvester_kernel(np.diag([1.0, 2.0]), 1, 1)
+        kernel = intertwiners(np.diag([1.0, 2.0]), 1, 1)
         assert kernel_dimension(kernel) == 2
         for x in kernel_elements(kernel):
             assert np.max(np.abs(x - np.diag(np.diag(x)))) < 1e-12
 
     def test_nondiag_membership(self, nondiag_fixture):
         a, b, _, _, _ = nondiag_fixture
-        elements = kernel_elements(sylvester_kernel(a, 2, 3))
+        elements = kernel_elements(intertwiners(a, 2, 3))
         cols = np.stack([x.ravel() for x in elements], axis=1)
         coeffs, *_ = np.linalg.lstsq(cols, b.ravel(), rcond=None)
         assert np.linalg.norm(cols @ coeffs - b.ravel()) < 1e-9
@@ -121,13 +131,13 @@ class TestSylvesterKernel:
             a = random_matrix(rng, 3)
             for pq in PARITY_PAIRS:
                 p, q = powers(a, pq)
-                kernel = sylvester_kernel(a, pq.p, pq.q)
+                kernel = intertwiners(a, pq.p, pq.q)
                 assert kernel_dimension(kernel) == dense_dimension(p, q)
                 assert_kernel_residuals(p, q, kernel_elements(kernel))
 
     def test_singular_negative_exponent(self):
         with pytest.raises(NotInvertibleError):
-            sylvester_kernel(J2, -1, 2)
+            intertwiners(J2, -1, 2)
 
 
 class TestPairKernel:
@@ -288,7 +298,7 @@ class TestStructuredKernel:
     def test_parity_on_fixtures(self, nondiag_fixture):
         for a, pq in self.parity_inputs(nondiag_fixture):
             p, q = powers(a, pq)
-            kernel = sylvester_kernel(a, pq.p, pq.q)
+            kernel = intertwiners(a, pq.p, pq.q)
             assert kernel_dimension(kernel) == dense_dimension(p, q)
             assert_kernel_residuals(p, q, kernel_elements(kernel))
 
@@ -300,7 +310,7 @@ class TestStructuredKernel:
             a = matrix_from_spec(spec, conjugate_seed=seed)
             p, q = powers(a, pq)
             dense_calls.clear()
-            kernel = sylvester_kernel(a, pq.p, pq.q)
+            kernel = intertwiners(a, pq.p, pq.q)
             assert kernel_dimension(kernel) == dense_dimension(p, q) == exact_dimension(spec, pq)
             assert_kernel_residuals(p, q, kernel_elements(kernel))
             assert (spec.n, spec.n) not in dense_calls
@@ -316,7 +326,7 @@ class TestStructuredKernel:
             a = s @ matrix_from_spec(spec) @ np.linalg.inv(s)
             p, q = powers(a, pq)
             dense_calls.clear()
-            kernel = sylvester_kernel(a, pq.p, pq.q)
+            kernel = intertwiners(a, pq.p, pq.q)
             assert kernel_dimension(kernel) == dense_dimension(p, q) == exact_dimension(spec, pq)
             assert_kernel_residuals(p, q, kernel_elements(kernel))
             assert (spec.n, spec.n) not in dense_calls
@@ -337,7 +347,7 @@ class TestStructuredKernel:
         spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
         for seed in range(3):
             a = matrix_from_spec(spec, conjugate_seed=seed)
-            dimension = kernel_dimension(sylvester_kernel(a, pq.p, pq.q))
+            dimension = kernel_dimension(intertwiners(a, pq.p, pq.q))
             assert dimension == dense_dimension(*powers(a, pq)) == exact_dimension(spec, pq)
         assert (spec.n, spec.n) not in dense_calls
 
@@ -347,7 +357,7 @@ class TestStructuredKernel:
         spec = JordanSpec((JordanEntry(RootOfUnity(0, 1), (2, 1, 1)),))
         for seed in range(3):
             a = matrix_from_spec(spec, conjugate_seed=seed)
-            dimension = kernel_dimension(sylvester_kernel(a, pq.p, pq.q))
+            dimension = kernel_dimension(intertwiners(a, pq.p, pq.q))
             assert dimension == dense_dimension(*powers(a, pq)) == exact_dimension(spec, pq)
         assert dense_calls.count((spec.n, spec.n)) == 3
 
@@ -364,7 +374,7 @@ class TestStructuredKernel:
         )
         assert spec.n == 17
         a = matrix_from_spec(spec, conjugate_seed=seed)
-        kernel = sylvester_kernel(a, pq.p, pq.q)
+        kernel = intertwiners(a, pq.p, pq.q)
         assert kernel_dimension(kernel) == exact_dimension(spec, pq) == 17
         assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
         assert (17, 17) not in dense_calls
@@ -375,7 +385,7 @@ class TestStructuredKernel:
         spec = cycle_spec(np.random.default_rng(40), pq, 40)
         assert spec.n >= 36
         a = matrix_from_spec(spec, conjugate_seed=40)
-        kernel = sylvester_kernel(a, pq.p, pq.q)
+        kernel = intertwiners(a, pq.p, pq.q)
         assert kernel_dimension(kernel) == exact_dimension(spec, pq)
         assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
         assert (spec.n, spec.n) not in dense_calls
@@ -403,7 +413,7 @@ class TestStructuredKernel:
         ])
         assert spec.n == 24
         a = matrix_from_spec(spec, conjugate_seed=27)
-        kernel = sylvester_kernel(a, pq.p, pq.q)
+        kernel = intertwiners(a, pq.p, pq.q)
         assert kernel_dimension(kernel) == exact_dimension(spec, pq)
         assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
         assert (11, 11) not in dense_calls and (24, 24) not in dense_calls
@@ -501,14 +511,14 @@ class TestFindInvertibleInSpan:
     def test_conjugator_from_sylvester(self, nondiag_fixture):
         a, _, _, _, _ = nondiag_fixture
         a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
-        found = find_invertible_in_span(sylvester_kernel(a, 2, 3), seed=0)
+        found = find_invertible_in_span(intertwiners(a, 2, 3), seed=0)
         assert found is not None
         assert np.max(np.abs(np.linalg.solve(found, a2 @ found) - a3)) < 1e-9
 
     def test_draw_lies_in_the_kernel(self, nondiag_fixture):
         # the factored draw is a combination of the materialized elements
         a, _, _, _, _ = nondiag_fixture
-        kernel = sylvester_kernel(a, 2, 3)
+        kernel = intertwiners(a, 2, 3)
         found = find_invertible_in_span(kernel, seed=3)
         cols = np.stack([x.ravel() for x in kernel_elements(kernel)], axis=1)
         coeffs, *_ = np.linalg.lstsq(cols, found.ravel(), rcond=None)
@@ -538,7 +548,7 @@ class TestOneDrawDecides:
     def test_no_invertible_element_takes_one_check(self, invertibility_checks):
         pq = ExponentPair(2, 3)
         spec = defect_spec(np.random.default_rng(5), pq, "structure", 12)
-        kernel = sylvester_kernel(matrix_from_spec(spec, conjugate_seed=5), pq.p, pq.q)
+        kernel = intertwiners(matrix_from_spec(spec, conjugate_seed=5), pq.p, pq.q)
         assert kernel and not powers_similar_general(spec, pq).similar
         for space in (span(J2), kernel):
             invertibility_checks.clear()
@@ -549,7 +559,7 @@ class TestOneDrawDecides:
     def assert_draw_matches_verdict(spec, pq, a, seed):
         similar = powers_similar_general(spec, pq).similar
         p, q = powers(a, pq)
-        kernel = sylvester_kernel(a, pq.p, pq.q)
+        kernel = intertwiners(a, pq.p, pq.q)
         found = find_invertible_in_span(kernel, seed=seed) if kernel else None
         assert (found is not None) == similar
         if similar:
@@ -669,20 +679,20 @@ def poly_residual(s, t, coeffs):
 
 class TestWeyrCharacteristic:
     def test_jordan_block(self):
-        assert weyr_characteristic(J3, 0, 3) == [1, 2, 3]
+        assert weyr_characteristic(J3, 0, 3, own_scale(J3, 0)) == [1, 2, 3]
 
     def test_identity(self):
-        assert weyr_characteristic(np.eye(2), 1.0, 2) == [2, 2]
+        assert weyr_characteristic(np.eye(2), 1.0, 2, own_scale(np.eye(2), 1.0)) == [2, 2]
 
     def test_intro_fixture_powers(self, intro_matrix):
         # J3^3 = 0 exactly, so both A^3 and A^5 have a vanished nilpotent part
         a3 = mat_int_pow(intro_matrix, 3)
         a5 = mat_int_pow(intro_matrix, 5)
-        assert weyr_characteristic(a3, 0, 3) == [3, 3, 3]
-        assert weyr_characteristic(a5, 0, 3) == [3, 3, 3]
+        assert weyr_characteristic(a3, 0, 3, own_scale(a3, 0)) == [3, 3, 3]
+        assert weyr_characteristic(a5, 0, 3, own_scale(a5, 0)) == [3, 3, 3]
         # the similarity failure shows up at the invertible eigenvalues
-        assert weyr_characteristic(a3, 1j, 2) == [1, 2]
-        assert weyr_characteristic(a5, 1j, 2) == [2, 2]
+        assert weyr_characteristic(a3, 1j, 2, own_scale(a3, 1j)) == [1, 2]
+        assert weyr_characteristic(a5, 1j, 2, own_scale(a5, 1j)) == [2, 2]
 
     def test_exact_rank_oracle(self, intro_matrix):
         # independent oracle: sympy exact kernel dimensions over Gaussian rationals
@@ -698,7 +708,7 @@ class TestWeyrCharacteristic:
         shifted = m - sympy.I * sympy.eye(7)
         for k in (1, 2):
             exact_dim = 7 - (shifted**k).rank()
-            assert weyr_characteristic(a3, 1j, 2)[k - 1] == exact_dim
+            assert weyr_characteristic(a3, 1j, 2, own_scale(a3, 1j))[k - 1] == exact_dim
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(4)
@@ -710,11 +720,12 @@ class TestWeyrCharacteristic:
             q, _ = np.linalg.qr(g)
             conj = q.conj().T @ base @ q
             for lam in (2.0, -1j):
-                assert weyr_characteristic(conj, lam, 3) == weyr_characteristic(base, lam, 3)
+                dims = weyr_characteristic(conj, lam, 3, own_scale(conj, lam))
+                assert dims == weyr_characteristic(base, lam, 3, own_scale(base, lam))
 
     def test_bad_depth(self):
         with pytest.raises(ValueError):
-            weyr_characteristic(J3, 0, 0)
+            weyr_characteristic(J3, 0, 0, own_scale(J3, 0))
 
 
 class TestJson:

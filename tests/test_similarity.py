@@ -5,8 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from simpow import matrixcore, similarity
 from simpow.errors import ClusteringAmbiguityError, NormalizationRequiredError
-from simpow.matrixcore import mat_int_pow, sylvester_kernel, find_invertible_in_span
+from simpow.matrixcore import (
+    Split,
+    eigenspace_splits,
+    find_invertible_in_span,
+    mat_int_pow,
+    sylvester_kernel,
+)
 from simpow.scalar import (
     ExponentPair,
     RootOfUnity,
@@ -200,7 +207,7 @@ def test_seeded_cycle_recovery():
     rng = random.Random(5)
     pairs = [ExponentPair(p, q) for p, q in [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5), (2, 5)]]
     cycles = {pq: _cycles(pq) for pq in pairs}
-    cases, recovered = 100, 0
+    cases, recovered = 600, 0
     for case in range(cases):
         pq = pairs[case % len(pairs)]
         entries, n = [], 0
@@ -217,6 +224,100 @@ def test_seeded_cycle_recovery():
         assert got == spec, (pq, spec.to_json(), got.to_json())
         recovered += 1
     assert recovered >= 0.9 * cases
+
+
+def cyclotomic(m):
+    """Integer coefficients of Phi_m, lowest first: x^m - 1 divided exactly
+    by Phi_d for every proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            divisor, quotient = cyclotomic(d), []
+            for top in range(len(poly) - 1, len(divisor) - 2, -1):
+                c = poly[top]
+                quotient.append(c)
+                for i, x in enumerate(divisor):
+                    poly[top - len(divisor) + 1 + i] -= c * x
+            assert not any(poly)
+            poly = quotient[::-1]
+    return poly
+
+
+def integer_conjugate(summands, ops, seed):
+    """(A, spec): the direct sum of the companion matrices of Phi_m^k over
+    summands (m, k), conjugated by ops seeded integer elementary operations
+    (row i += c row j, then column j -= c column i), and its Jordan spec:
+    each primitive m-th root gets one block of size k per summand."""
+    polys = []
+    for m, k in summands:
+        poly = [1]
+        for _ in range(k):
+            poly = np.convolve(poly, cyclotomic(m)).tolist()
+        polys.append(poly)
+    a = np.zeros((sum(len(p) - 1 for p in polys),) * 2, dtype=np.int64)
+    pos = 0
+    for poly in polys:
+        d = len(poly) - 1
+        a[pos + 1 : pos + d, pos : pos + d - 1] = np.eye(d - 1, dtype=np.int64)
+        a[pos : pos + d, pos + d - 1] = [-c for c in poly[:-1]]
+        pos += d
+    rng = random.Random(seed)
+    for _ in range(ops):
+        i, j = rng.sample(range(len(a)), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i, :] += c * a[j, :]
+        a[:, j] -= c * a[:, i]
+    blocks = {}
+    for m, k in summands:
+        for r in range(m):
+            if math.gcd(r, m) == 1:
+                blocks.setdefault(R(r, m), []).append(k)
+    return a.astype(complex), JordanSpec(tuple(entry(ev, *b) for ev, b in blocks.items()))
+
+
+class TestSplitCertificate:
+    """spec_from_matrix certifies each cluster on its own block W_i A V_i
+    when the split of A certifies, and on the whole of A when it does not."""
+
+    def test_other_clusters_cannot_push_a_root_out(self):
+        # case 340 of test_seeded_cycle_recovery: at 6/19 the 5-block at
+        # 5/16, 0.021 away, leaves sigma_15(A - lambda I) = 3.8e-9 under the
+        # whole-matrix cut 5.9e-9, and 87223/276206 certified instead
+        pq = ExponentPair(3, 5)
+        spec = JordanSpec(
+            tuple(entry(R(k, 19), 1) for k in (4, 13, 9, 15, 6, 10))
+            + (entry(R(3, 16), 5), entry(R(5, 16), 5))
+        )
+        assert spec_from_matrix(matrix_from_spec(spec, conjugate_seed=340), pq) == spec
+
+    def test_cyclotomic(self):
+        assert cyclotomic(1) == [-1, 1]
+        assert cyclotomic(5) == [1, 1, 1, 1, 1]
+        assert cyclotomic(12) == [1, 0, -1, 0, 1]
+
+    def test_uncertified_split_recovers_on_the_whole_matrix(self, monkeypatch):
+        # Phi_5^2 + Phi_7 under 40 integer operations, n = 14, entries up to
+        # 1.4e4: every cluster's basis has its size, but the stacked bases
+        # are too ill-conditioned for the split to certify
+        a, spec = integer_conjugate([(5, 2), (7, 1)], 40, seed=43)
+        values, vecs = np.linalg.eig(a)
+        splits = [s for s in eigenspace_splits(a) if isinstance(s, Split)]
+        assert len(splits[0].clusters) == 10
+        assert all(s.bases is None for s in splits)
+        norm = np.linalg.norm(a)
+        bases = [
+            matrixcore._generalized_eigenspace(a, vecs, c, z, norm + abs(z))
+            for c, z in zip(splits[0].clusters, splits[0].centres)
+        ]
+        assert [v.shape[1] for v in bases] == [len(c) for c in splits[0].clusters]
+        assert np.linalg.cond(np.hstack(bases)) > 1 / math.sqrt(matrixcore.RANK_TOL)
+        sizes = []
+        weyr = similarity.weyr_characteristic
+        monkeypatch.setattr(
+            similarity, "weyr_characteristic", lambda m, *args: sizes.append(len(m)) or weyr(m, *args)
+        )
+        assert spec_from_matrix(a, ExponentPair(2, 3)) == spec
+        assert set(sizes) == {14}
 
 
 class TestPowersSimilarInvertible:
@@ -348,7 +449,7 @@ class TestSoundness:
         assert verdict.similar
         a = matrix_from_spec(spec, conjugate_seed=100 + spec_idx)
         ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
-        b = find_invertible_in_span(sylvester_kernel(a, pq23.p, pq23.q), seed=0)
+        b = find_invertible_in_span(sylvester_kernel(a, pq23.p, pq23.q, ap, aq), seed=0)
         assert b is not None
         assert np.max(np.abs(np.linalg.solve(b, ap @ b) - aq)) < 1e-8
 
@@ -366,6 +467,6 @@ class TestRootOfIdentityConsequence:
         alpha = mod_inverse(pq23.p, int(m))
         a = matrix_from_spec(spec)
         ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
-        b = find_invertible_in_span(sylvester_kernel(a, pq23.p, pq23.q), seed=1)
+        b = find_invertible_in_span(sylvester_kernel(a, pq23.p, pq23.q, ap, aq), seed=1)
         c = np.linalg.solve(b, a @ b)
         assert np.max(np.abs(c - mat_int_pow(a, alpha * pq23.q))) < 1e-8
