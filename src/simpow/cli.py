@@ -211,8 +211,7 @@ def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarra
 
 def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, powers: tuple, seed: int) -> dict:
     """The conjugator report; powers is (A^p, A^q), formed once per request."""
-    a_p, a_q = powers
-    kernel = sylvester_kernel(matrix, pq.p, pq.q, a_p, a_q)
+    kernel = sylvester_kernel(matrix, pq.p, pq.q, *powers)
     out: dict = {"kernel_dimension": sum(k.shape[1] for _, k, _ in kernel)}
     candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
     if candidate is None:
@@ -220,7 +219,7 @@ def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, powers: tuple, seed:
         out["residual"] = None
         return out
     out["b"] = matrix_to_json(candidate)
-    out["residual"] = conjugacy_residual(candidate, a_p, a_q)
+    out["residual"] = conjugacy_residual(candidate, *powers)
     return out
 
 

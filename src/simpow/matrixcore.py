@@ -7,7 +7,6 @@ integer-valued quantities (ranks, Weyr sequences) robust.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -140,21 +139,27 @@ def _sylvester_operator(p_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
     return op.reshape(m_p * m_q, m_p * m_q)
 
 
-def _nested_kernels(m: np.ndarray, lam: complex, scale: float):
-    """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1, 2, ...; never ends.
+def _nested_kernels(m: np.ndarray, lam: complex, scale: float, depth: int):
+    """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1..depth, while they grow.
 
     Deflated: with S = M - lam*I and P_k the orthogonal projector onto
     ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
     M's size and no power of S is formed.  Every rank is cut at RANK_TOL *
     scale, the caller's bound on ||S||_2, so a rounding-sized S is not
     judged by its own norm and a gap d between eigenvalues is not shrunk
-    to d^k.
+    to d^k.  A kernel of the previous dimension is not yielded, and none
+    follows the whole space: every later one would be the same.
     """
     shifted = m - lam * np.eye(len(m))
-    deflated = shifted
-    while True:
+    deflated, dim = shifted, -1
+    for _ in range(depth):
         kernel = kernel_basis(deflated, scale)
+        if kernel.shape[1] == dim:
+            return
         yield kernel
+        dim = kernel.shape[1]
+        if dim == len(m):
+            return
         deflated = shifted - kernel @ (kernel.conj().T @ shifted)
 
 
@@ -177,7 +182,7 @@ def _generalized_eigenspace(a, vecs, members, lam, scale) -> np.ndarray | None:
     mult = len(members)
     if mult < 2:
         return vecs[:, members]
-    for kernel in itertools.islice(_nested_kernels(a, lam, scale), mult):
+    for kernel in _nested_kernels(a, lam, scale, mult):
         if kernel.shape[1] >= mult:
             return kernel if kernel.shape[1] == mult else None
     return None
@@ -272,23 +277,21 @@ def sylvester_kernel(
     for split in eigenspace_splits(a):
         if not isinstance(split, Split) or split.bases is None:
             continue
-        count, centres = len(split.centres), np.array(split.centres)
+        k, centres = len(split.centres), np.array(split.centres)
         try:  # the pairs whose c_i^p and c_j^q fall in one cluster
             joint = _cluster_eigenvalues(
                 np.concatenate([centres**p, centres**q]), power_tol * split.factor
             )
         except ClusteringAmbiguityError:
             continue
-        pairs = [
-            (i, j - count) for members in joint for i in members if i < count for j in members if j >= count
-        ]
+        pairs = [(i, j - k) for c in joint for i in c if i < k for j in c if j >= k]
         bases, lefts = split.bases, split.lefts
         break
     kernel = []
     for i, j in pairs:
-        k = _pair_kernel(lefts[i] @ a_p @ bases[i], lefts[j] @ a_q @ bases[j], norm_p + norm_q)
-        if k.shape[1]:
-            kernel.append((bases[i], k, lefts[j]))
+        basis = _pair_kernel(lefts[i] @ a_p @ bases[i], lefts[j] @ a_q @ bases[j], norm_p + norm_q)
+        if basis.shape[1]:
+            kernel.append((bases[i], basis, lefts[j]))
     return kernel
 
 
@@ -374,20 +377,14 @@ def weyr_characteristic(m: np.ndarray, lam: complex, depth: int, scale: float) -
 
     The dimensions of the nested kernels cut at RANK_TOL * scale
     (_nested_kernels), a bound on ||M - lam*I||_2: ||M||_F + |lam|, or for
-    a block of a larger operator that operator's.  They stop growing once
-    two repeat or the whole space is reached; the list is padded to depth.
+    a block of a larger operator that operator's; once they stop growing
+    the list is padded to depth with the last one.
     """
     m = as_matrix(m)
     _require_square(m)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    dims: list[int] = []
-    for kernel in itertools.islice(_nested_kernels(m, complex(lam), scale), depth):
-        if dims and kernel.shape[1] == dims[-1]:
-            break
-        dims.append(kernel.shape[1])
-        if dims[-1] == len(m):
-            break
+    dims = [kernel.shape[1] for kernel in _nested_kernels(m, complex(lam), scale, depth)]
     return dims + dims[-1:] * (depth - len(dims))
 
 
