@@ -2,8 +2,16 @@
 
 Subcommands: analyze, generate, nilpotent, solve-b, verify, and
 word2 {classify, construct, verify}.  Exit code 0 means the analysis
-completed (a negative mathematical verdict is still a success); nonzero
-codes are reserved for operational errors.
+completed (a negative mathematical verdict is still a success).
+
+Every failed request (a bad file, a bad flag value, a violated
+precondition, or a power or word that overflows) prints one JSON error
+report {"command", "error", "tool_version"} and exits 1.  main is the only
+place that makes that report: it catches the ValueError (every simpow
+error and numpy's LinAlgError are one) or ArithmeticError that a command
+or the serialization of its report raises.  Reports are strict JSON, with
+no NaN or Infinity.  A command line argparse cannot parse exits 2 with
+argparse's usage message.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from .equation2x2 import (
     is_simultaneously_triangularizable,
     verify_word,
 )
-from .errors import NormalizationRequiredError
 from .matrixcore import (
     RANK_TOL,
     VERIFY_TOL,
@@ -55,36 +62,32 @@ from .solvers import (
 from .spectra import powers_equal
 
 
-class OperationalError(Exception):
-    """User-facing errors: bad files, invalid parameters, violated preconditions."""
-
-
 def _load_matrix_or_spec(path: str):
     """Returns (matrix or None, spec or None) from a JSON input file."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise OperationalError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
         try:
             matrix = matrix_from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
-            raise OperationalError(f"bad matrix file {path}: {exc}") from exc
+            raise ValueError(f"bad matrix file {path}: {exc}") from exc
         if matrix.size == 0:
-            raise OperationalError(f"bad matrix file {path}: the matrix is empty")
+            raise ValueError(f"bad matrix file {path}: the matrix is empty")
         if matrix.shape[0] != matrix.shape[1]:
-            raise OperationalError(f"bad matrix file {path}: shape {matrix.shape} is not square")
+            raise ValueError(f"bad matrix file {path}: shape {matrix.shape} is not square")
         return matrix, None
     if isinstance(data, list):
         try:
             spec = JordanSpec.from_json(data)
         except (KeyError, ValueError, TypeError, IndexError) as exc:
-            raise OperationalError(f"bad spec file {path}: {exc}") from exc
+            raise ValueError(f"bad spec file {path}: {exc}") from exc
         if not spec.entries:
-            raise OperationalError(f"bad spec file {path}: the spec is empty")
+            raise ValueError(f"bad spec file {path}: the spec is empty")
         return None, spec
-    raise OperationalError(f"{path}: expected a matrix object or a spec list")
+    raise ValueError(f"{path}: expected a matrix object or a spec list")
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -97,15 +100,8 @@ def _load_matrix(path: str) -> np.ndarray:
 def _load_pair(path_a: str, path_b: str) -> tuple[np.ndarray, np.ndarray]:
     a, b = _load_matrix(path_a), _load_matrix(path_b)
     if len(a) != len(b):
-        raise OperationalError(f"A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
+        raise ValueError(f"A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
     return a, b
-
-
-def _exponent_pair(args) -> ExponentPair:
-    try:
-        return ExponentPair(args.p, args.q)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
 
 
 def _base_report(command: str) -> dict:
@@ -119,7 +115,7 @@ def _base_report(command: str) -> dict:
 def _seeded_report(command: str, args) -> dict:
     """The base report of a command that draws B, with its --seed."""
     if args.seed < 0:
-        raise OperationalError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return {**_base_report(command), "seed": args.seed}
 
 
@@ -138,32 +134,32 @@ def _exact_roots(spec: JordanSpec, pq: ExponentPair, path: str) -> JordanSpec:
     try:
         return JordanSpec(tuple(entries))
     except ValueError as exc:
-        raise OperationalError(f"bad spec file {path}: {exc}") from exc
+        raise ValueError(f"bad spec file {path}: {exc}") from exc
 
 
 def _parse_rou(text: str, label: str) -> RootOfUnity:
     try:
         return RootOfUnity.from_str(text)
     except ValueError as exc:
-        raise OperationalError(f"bad {label} {text!r}: expected 'k/m'") from exc
+        raise ValueError(f"bad {label} {text!r}: expected 'k/m'") from exc
 
 
 def _parse_complex_list(text: str, label: str) -> list[complex]:
     try:
         return [complex(part) for part in text.split(",") if part]
     except ValueError as exc:
-        raise OperationalError(f"bad {label} {text!r}: expected comma-separated complex numbers") from exc
+        raise ValueError(f"bad {label} {text!r}: expected comma-separated complex numbers") from exc
 
 
 def cmd_analyze(args) -> dict:
-    pq = _exponent_pair(args)
+    pq = ExponentPair(args.p, args.q)
     report = _seeded_report("analyze", args)
     matrix, spec = _load_matrix_or_spec(args.input)
     if spec is None:
         try:
             spec = spec_from_matrix(matrix, pq)
         except ValueError as exc:
-            raise OperationalError(f"cannot recover structure: {exc}") from exc
+            raise ValueError(f"cannot recover structure: {exc}") from exc
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
 
     normalized = pq
@@ -172,7 +168,7 @@ def cmd_analyze(args) -> dict:
         if 1 <= pq.q < pq.p:
             normalized, swapped = pq.swapped(), True
         else:
-            raise OperationalError(
+            raise ValueError(
                 f"singular input needs positive exponents (got p={pq.p}, q={pq.q}); "
                 "similarity of negative powers of a singular matrix is undefined"
             )
@@ -188,11 +184,7 @@ def cmd_analyze(args) -> dict:
     except ValueError:
         report["spectrum"] = None
         report["power_spectra_equal"] = False
-    try:
-        verdict = powers_similar_general(spec, normalized)
-    except NormalizationRequiredError as exc:
-        raise OperationalError(str(exc)) from exc
-    report["verdict"] = verdict.to_json()
+    report["verdict"] = powers_similar_general(spec, normalized).to_json()
 
     if args.find_b:
         if matrix is None:
@@ -203,10 +195,7 @@ def cmd_analyze(args) -> dict:
 
 
 def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
 
 
 def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, powers: tuple, seed: int) -> dict:
@@ -224,30 +213,20 @@ def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, powers: tuple, seed:
 
 
 def cmd_generate(args) -> dict:
-    pq = _exponent_pair(args)
+    pq = ExponentPair(args.p, args.q)
     if args.n < 1:
-        raise OperationalError(f"n must be >= 1, got {args.n}")
+        raise ValueError(f"n must be >= 1, got {args.n}")
     report = _base_report("generate")
     report["inputs"] = {"n": args.n, "p": pq.p, "q": pq.q, "k1": args.k1, "scale": args.scale}
-    try:
-        valid = enumerate_valid_k1(args.n, pq)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
-    report["valid_k1"] = valid
+    report["valid_k1"] = enumerate_valid_k1(args.n, pq)
     report["modulus"] = _power_modulus(args.n, pq)
     if args.k1 is None:
         return report
-    try:
-        inst = build_cycle_instance(args.n, pq, args.k1)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    inst = build_cycle_instance(args.n, pq, args.k1)
     scale = (
         _parse_complex_list(args.scale, "--scale") if args.scale else [1.0 + 0j] * args.n
     )
-    try:
-        b = build_cycle_conjugator(inst, scale)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    b = build_cycle_conjugator(inst, scale)
     a = inst.diagonal_matrix()
     report["instance"] = inst.to_json()
     report["a"] = matrix_to_json(a)
@@ -257,20 +236,17 @@ def cmd_generate(args) -> dict:
 
 
 def cmd_nilpotent(args) -> dict:
-    pq = _exponent_pair(args)
+    pq = ExponentPair(args.p, args.q)
     lam = _parse_rou(args.lam, "--lam")
     try:
         blocks = [int(part) for part in args.blocks.split(",") if part]
     except ValueError as exc:
-        raise OperationalError(f"bad --blocks {args.blocks!r}: {exc}") from exc
+        raise ValueError(f"bad --blocks {args.blocks!r}: {exc}") from exc
     if not blocks or any(b < 1 for b in blocks):
-        raise OperationalError(f"bad --blocks {args.blocks!r}: need positive sizes")
+        raise ValueError(f"bad --blocks {args.blocks!r}: need positive sizes")
     report = _base_report("nilpotent")
     report["inputs"] = {"lambda": str(lam), "blocks": blocks, "p": pq.p, "q": pq.q}
-    try:
-        solution = solve_single_eigenvalue(lam, blocks, pq)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    solution = solve_single_eigenvalue(lam, blocks, pq)
     n = solution.n
     lam_c = rou_to_complex(lam)
     nil = nilpotent_from_blocks(solution.block_sizes)
@@ -289,7 +265,7 @@ def cmd_nilpotent(args) -> dict:
 
 
 def cmd_solve_b(args) -> dict:
-    pq = _exponent_pair(args)
+    pq = ExponentPair(args.p, args.q)
     report = _seeded_report("solve-b", args)
     matrix = _load_matrix(args.input)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
@@ -303,14 +279,11 @@ def cmd_solve_b(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    pq = _exponent_pair(args)
+    pq = ExponentPair(args.p, args.q)
     a, b = _load_pair(args.a, args.b)
     report = _base_report("verify")
     report["inputs"] = {"a": args.a, "b": args.b, "p": pq.p, "q": pq.q}
-    try:
-        conj = realize_conjugate_c(a, b)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    conj = realize_conjugate_c(a, b)
     report["residual"] = conjugacy_residual(b, *_powers(a, pq))
     report["c"] = matrix_to_json(conj.c)
     report["commutation_residual"] = conj.commutation_residual
@@ -318,19 +291,9 @@ def cmd_verify(args) -> dict:
     return report
 
 
-def _word_shape(args) -> WordShape:
-    try:
-        return WordShape(args.r, args.s, args.rp, args.sp, args.eps)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
-
-
 def cmd_word2_classify(args) -> dict:
-    shape = _word_shape(args)
-    try:
-        result = classify(shape, max_report=args.max_report)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
+    result = classify(shape, max_report=args.max_report)
     report = _base_report("word2 classify")
     report["inputs"] = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
@@ -340,22 +303,21 @@ def cmd_word2_classify(args) -> dict:
 
 
 def cmd_word2_construct(args) -> dict:
-    shape = _word_shape(args)
+    shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
     u = _parse_rou(args.u, "--u")
     rho = _parse_rou(args.rho, "--rho")
     try:
         v = complex(args.v)
     except ValueError as exc:
-        raise OperationalError(f"bad --v {args.v!r}") from exc
+        raise ValueError(f"bad --v {args.v!r}") from exc
+    if not np.isfinite(v):
+        raise ValueError(f"bad --v {args.v!r}")
     report = _base_report("word2 construct")
     report["inputs"] = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime,
         "eps": shape.epsilon, "u": str(u), "rho": str(rho), "v": [v.real, v.imag],
     }
-    try:
-        a, b = construct_solution(shape, u, rho, v)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    a, b = construct_solution(shape, u, rho, v)
     report["a"] = matrix_to_json(a)
     report["b"] = matrix_to_json(b)
     report["sigma"] = [complex(b[1, 0]).real, complex(b[1, 0]).imag]
@@ -365,17 +327,14 @@ def cmd_word2_construct(args) -> dict:
 
 
 def cmd_word2_verify(args) -> dict:
-    shape = _word_shape(args)
+    shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
     a, b = _load_pair(args.a, args.b)
     report = _base_report("word2 verify")
     report["inputs"] = {
         "a": args.a, "b": args.b, "r": shape.r, "s": shape.s,
         "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
     }
-    try:
-        report["residual"] = verify_word(a, b, shape)
-    except ValueError as exc:
-        raise OperationalError(str(exc)) from exc
+    report["residual"] = verify_word(a, b, shape)
     if len(a) == 2:
         report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
@@ -467,13 +426,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report = args.func(args)
-    except OperationalError as exc:
+        out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
+    except (ValueError, ArithmeticError) as exc:
         command = " ".join(filter(None, [args.command, getattr(args, "word2_command", None)]))
         error_report = {"command": command, "error": str(exc), "tool_version": __version__}
         print(json.dumps(error_report, sort_keys=True))
         return 1
-    print(json.dumps(report, sort_keys=True))
+    print(out)
     return 0
 
 

@@ -61,14 +61,20 @@ def is_invertible(m: np.ndarray) -> bool:
 
 
 def mat_int_pow(a: np.ndarray, e: int) -> np.ndarray:
-    """Integer matrix power; negative exponents invert once then power."""
+    """Integer matrix power; negative exponents invert once then power.
+
+    A power with a non-finite entry (overflow) is a ValueError naming e.
+    """
     a = as_matrix(a)
     _require_square(a)
-    if e >= 0:
-        return np.linalg.matrix_power(a, e)
-    if not is_invertible(a):
-        raise NotInvertibleError("negative power of a singular matrix")
-    return np.linalg.matrix_power(np.linalg.inv(a), -e)
+    if e < 0:
+        if not is_invertible(a):
+            raise NotInvertibleError("negative power of a singular matrix")
+        a = np.linalg.inv(a)
+    power = np.linalg.matrix_power(a, abs(e))
+    if not np.isfinite(power).all():
+        raise ValueError(f"the matrix power with exponent {e} overflows")
+    return power
 
 
 def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:

@@ -3,7 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
-from simpow import ExponentPair, JordanEntry, JordanSpec, RootOfUnity
+from simpow.scalar import ExponentPair, RootOfUnity
+from simpow.similarity import JordanEntry, JordanSpec
 
 
 @pytest.fixture

@@ -413,6 +413,71 @@ class TestWord2:
         assert report["residual"] > 1e-3
 
 
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+class TestErrorBoundary:
+    """Every request that cannot be answered ends in one strict-JSON error
+    report with exit 1: no traceback, and no NaN or Infinity in a report."""
+
+    SHAPE = ["-r", "2", "--rp", "1", "-s", "2", "--sp", "1", "--eps", "1"]
+    CONSTRUCT = [
+        "word2", "construct", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
+        "--eps", "-1", "--u", "1/4", "--rho", "1/4",
+    ]
+    FAMILIES = {
+        # A^2 overflows
+        "solve-b overflow": ["solve-b", "{big}", "-p", "2", "-q", "3"],
+        "analyze --find-b overflow": ["analyze", "{big}", "-p", "2", "-q", "3", "--find-b"],
+        "verify overflow": ["verify", "{big}", "{big}", "-p", "2", "-q", "3"],
+        "word2 verify overflow": ["word2", "verify", "{big}", "{big}", *SHAPE],
+        # the inverse of 1e-300*I squared overflows
+        "solve-b negative power": ["solve-b", "{tiny}", "-p", "-2", "-q", "3"],
+        # C = B^-1 A B overflows inside matrix_to_json
+        "verify c overflow": ["verify", "{d23}", "{huge}", "-p", "2", "-q", "3"],
+        # A^2 and A^3 are finite, the residual is not
+        "verify residual overflow": ["verify", "{e100}", "{e100}", "-p", "2", "-q", "3"],
+        # the ST test's float arithmetic overflows
+        "word2 verify st overflow": ["word2", "verify", "{e100}", "{e100}", *SHAPE],
+        "construct --v nan": [*CONSTRUCT, "--v", "nan"],
+        "construct --v inf": [*CONSTRUCT, "--v", "inf"],
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        matrices = {
+            "big": [[1e200, 2e200], [2e200, 1e200]],
+            "tiny": np.diag([1e-300, 1e-300]),
+            "d23": np.diag([2.0, 3.0]),
+            "huge": np.diag([1e308, 1e308]),
+            "e100": np.diag([1e100, 1e100]),
+        }
+        paths = {}
+        for name, m in matrices.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(matrix_to_json(np.array(m, dtype=complex))))
+        return paths
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_strict_json_error_line(self, capsys, files, family):
+        argv = [arg.format(**files) for arg in self.FAMILIES[family]]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0], parse_constant=reject_constant)
+        assert set(report) == {"command", "error", "tool_version"}
+        assert report["command"] == " ".join(argv[:2] if argv[0] == "word2" else argv[:1])
+
+    @pytest.mark.parametrize("v", ["nan", "inf", "-inf", "1+nanj"])
+    def test_non_finite_v_is_a_bad_v(self, capsys, v):
+        code, report = run_json(capsys, *self.CONSTRUCT, f"--v={v}")
+        assert code == 1
+        assert report["error"] == f"bad --v {v!r}"
+
+
 class TestReportDiscipline:
     def test_byte_identical_reports(self, capsys, intro_spec_file):
         _, first = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b")

@@ -52,6 +52,14 @@ class TestMatIntPow:
         with pytest.raises(NotInvertibleError):
             mat_int_pow(J2, -1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "a, e", [(np.array([[1e200, 2e200], [2e200, 1e200]]), 2), (1e-300 * np.eye(2), -2)]
+    )
+    def test_overflow_is_a_value_error_naming_the_exponent(self, a, e):
+        with pytest.raises(ValueError, match=f"exponent {e} overflows"):
+            mat_int_pow(a, e)
+
     def test_inverse_power_property(self):
         rng = np.random.default_rng(1)
         for e in range(1, 9):

@@ -9,6 +9,9 @@ imported or assigned and never read fails too.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +59,11 @@ def test_every_public_name_is_used():
     ]
     assert not unused, f"public API that nothing in src/simpow or bench/ uses: {unused}"
 
+
+
+def test_numpy_free_modules_do_not_load_numpy():
+    # the package re-exports nothing, so importing spectra (and the scalar
+    # module it builds on) loads only what those modules import
+    code = "import sys, simpow.spectra; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
