@@ -426,7 +426,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
+        # an overflow surfaces as the error below, named by the check that
+        # meets the non-finite value, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
     except (ValueError, ArithmeticError) as exc:
         command = " ".join(filter(None, [args.command, getattr(args, "word2_command", None)]))
         error_report = {"command": command, "error": str(exc), "tool_version": __version__}

@@ -12,7 +12,7 @@ and constructs the non-ST solution families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isfinite
 
 import numpy as np
 
@@ -73,21 +73,31 @@ def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
 
 
 def verify_word(a: np.ndarray, b: np.ndarray, shape: WordShape) -> float:
-    """Max-abs residual of A^r B^s A^r' B^s' - eps*I."""
+    """Max-abs residual of A^r B^s A^r' B^s' - eps*I; a ValueError when the word overflows."""
     a, b = as_matrix(a), as_matrix(b)
     n = a.shape[0]
     w = word_value(a, b, shape)
-    return float(np.max(np.abs(w - shape.epsilon * np.eye(n))))
+    residual = float(np.max(np.abs(w - shape.epsilon * np.eye(n))))
+    if not isfinite(residual):
+        r, s, rp, sp = shape.exponents
+        raise ValueError(f"the word A^{r} B^{s} A^{rp} B^{sp} overflows")
+    return residual
 
 
 def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
-    """For 2x2 pairs, ST is equivalent to det(AB - BA) = 0."""
+    """For 2x2 pairs, ST is equivalent to det(AB - BA) = 0.
+
+    The test compares |det(AB - BA)| with VERIFY_TOL (|A|_F |B|_F)^2; when
+    either side overflows it decides nothing, which is a ValueError.
+    """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("ST test is for 2x2 matrices")
-    comm = a @ b - b @ a
-    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    return bool(abs(np.linalg.det(comm)) <= VERIFY_TOL * max(scale, 1.0) ** 2)
+    det = abs(np.linalg.det(a @ b - b @ a))
+    scale = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), 1.0)
+    if not isfinite(det) or not isfinite(scale * scale):
+        raise ValueError("the ST test overflows: det(AB - BA) or (|A|_F |B|_F)^2 is not finite")
+    return bool(det <= VERIFY_TOL * scale**2)
 
 
 def _roots_with_power_sign(exponent: int, sign: int) -> list[RootOfUnity]:

@@ -7,6 +7,7 @@ integer-valued quantities (ranks, Weyr sequences) robust.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -306,12 +307,16 @@ def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
     Inverse-free and relative, so an exact but ill-conditioned B is not
     charged with rounding amplified by cond(B).  The ratio is undefined
-    for B = 0, which raises LinAlgError.
+    for B = 0, which raises LinAlgError, and a ratio that overflows is a
+    ValueError.
     """
     scale = float(np.max(np.abs(b)))
     if scale == 0.0:
         raise np.linalg.LinAlgError("B is zero")
-    return float(np.max(np.abs(x @ b - b @ y))) / scale
+    residual = float(np.max(np.abs(x @ b - b @ y))) / scale
+    if not math.isfinite(residual):
+        raise ValueError("the conjugacy residual max|X B - B Y| / max|B| overflows")
+    return residual
 
 
 def find_invertible_in_span(kernel: list[tuple], seed: int = 0) -> np.ndarray | None:

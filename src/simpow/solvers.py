@@ -14,6 +14,7 @@ Two regimes are fully constructive:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -138,6 +139,96 @@ def build_cycle_conjugator(inst: CycleInstance, scale) -> np.ndarray:
     return np.diag(scale) @ sigma
 
 
+def _rational_poly_block(alphas: tuple[Fraction, ...], size: int) -> list[list[Fraction]]:
+    """a_1 J + a_2 J^2 + ... on the Jordan block J_size, exactly (Toeplitz)."""
+    coeffs = [Fraction(0)] + list(alphas[: size - 1])
+    return [
+        [coeffs[j - i] if 0 <= j - i < len(coeffs) else Fraction(0) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def _binomial_coeffs(pq: ExponentPair, d: int) -> list[Fraction]:
+    """C(q/p, 1..d-1), the coefficients of (1 + x)^(q/p) - 1, from the
+    integers C(q/p, j) = q (q - p) ... (q - (j-1) p) / (p^j j!)."""
+    coeffs, num, den = [], 1, 1
+    for j in range(1, d):
+        num *= pq.q - (j - 1) * pq.p
+        den *= pq.p * j
+        coeffs.append(Fraction(num, den))
+    return coeffs
+
+
+def _inverse_series_powers(pq: ExponentPair, d: int) -> list[list[int]]:
+    """G[k][t] = q^t t! [y^t] w(y)^k for w(y) = (1 + y)^(p/q) - 1 and 0 <= k, t < d.
+
+    Every entry is an integer.  Differentiating gives
+    (1 + y) (w^k)' = (k p / q) (w^k + w^(k-1)), so
+    G[k][t+1] = (k p - t q) G[k][t] + k p G[k-1][t]: O(d^2) integer
+    operations for the whole table (Knuth, TAOCP Vol. 2, 4.7).  w^k has
+    valuation k, so the row starts at G[k][k] = k! p^k.
+    """
+    p, q = pq.p, pq.q
+    table = [[1] + [0] * (d - 1)]
+    for k in range(1, d):
+        prev, row = table[-1], [0] * d
+        for t in range(k - 1, d - 1):
+            row[t + 1] = (k * p - t * q) * row[t] + k * p * prev[t]
+        table.append(row)
+    return table
+
+
+def _block_conjugator_entries(table: list[list[int]], pq: ExponentPair, size: int):
+    """(i, j, numerator, denominator) of every nonzero entry of the exact B
+    with B^-1 J B = M for a Jordan block of size r, unit top-left entry.
+
+    B^-1 is the Krylov basis [x^(r-1-i)] m(x)^(r-1-j), the power matrix of
+    m(x) = (1 + x)^(q/p) - 1.  Power matrices compose, so B is the power
+    matrix of the compositional inverse w(y) = (1 + y)^(p/q) - 1, whose
+    top-left entry (p/q)^(r-1) is divided out:
+    B[i][j] = G[k][t] q^(r-1-t) / (t! p^(r-1)) with t = r-1-i, k = r-1-j.
+    """
+    r = size
+    p_scale = pq.p ** (r - 1)
+    for i in range(r):
+        t = r - 1 - i
+        num_scale, den = pq.q**i, math.factorial(t) * p_scale
+        for j in range(i, r):
+            g = table[r - 1 - j][t]
+            if g:
+                yield i, j, g * num_scale, den
+
+
+def _assemble_blocks(blocks: list[list[list[Fraction]]]) -> tuple[tuple[Fraction, ...], ...]:
+    n = sum(len(b) for b in blocks)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    pos = 0
+    for block in blocks:
+        size = len(block)
+        for i in range(size):
+            for j in range(size):
+                out[pos + i][pos + j] = block[i][j]
+        pos += size
+    return tuple(tuple(row) for row in out)
+
+
+def _m_rational(sol: SingleEigSolution) -> tuple[tuple[Fraction, ...], ...]:
+    return _assemble_blocks(
+        [_rational_poly_block(sol.rational_coeffs, size) for size in sol.block_sizes]
+    )
+
+
+def _b0_rational(sol: SingleEigSolution) -> tuple[tuple[Fraction, ...], ...]:
+    table = _inverse_series_powers(sol.pq, sol.block_sizes[0])
+    blocks = []
+    for size in sol.block_sizes:
+        block = [[Fraction(0)] * size for _ in range(size)]
+        for i, j, num, den in _block_conjugator_entries(table, sol.pq, size):
+            block[i][j] = Fraction(num, den)
+        blocks.append(block)
+    return _assemble_blocks(blocks)
+
+
 @dataclass(frozen=True)
 class SingleEigSolution:
     """Solution data for spectrum {lambda}: C = lambda*I + P(N), B0^-1 N B0 = P(N).
@@ -146,18 +237,22 @@ class SingleEigSolution:
     Mtilde(N / lambda) reduces the coefficient solve to the lambda = 1 case,
     whose coefficients are rational.  Every entry of M and B0 is therefore a
     rational times a power of lambda; ``m_rational``/``b0_rational`` hold
-    the rational parts and the float64 views are rounded from them.
+    the rational parts, built from the same integer table on first read,
+    and the float64 views are rounded from them.
     entry(M)[i][j] = m_rational[i][j] * lambda^(1+i-j),
     entry(B0)[i][j] = b0_rational[i][j] * lambda^(i-j).
     """
 
     lam: RootOfUnity
     block_sizes: tuple[int, ...]
+    pq: ExponentPair
     m_matrix: np.ndarray
     b0: np.ndarray
     rational_coeffs: tuple[Fraction, ...]
-    m_rational: tuple[tuple[Fraction, ...], ...]
-    b0_rational: tuple[tuple[Fraction, ...], ...]
+
+    # the exact tables cost a Fraction per entry, which the float views do not need
+    m_rational = functools.cached_property(_m_rational)
+    b0_rational = functools.cached_property(_b0_rational)
 
     @property
     def n(self) -> int:
@@ -180,74 +275,6 @@ class SingleEigSolution:
         }
 
 
-def _rational_poly_block(alphas: list[Fraction], size: int) -> list[list[Fraction]]:
-    """a_1 J + a_2 J^2 + ... on the Jordan block J_size, exactly (Toeplitz)."""
-    coeffs = [Fraction(0)] + list(alphas[: size - 1])
-    return [
-        [coeffs[j - i] if 0 <= j - i < len(coeffs) else Fraction(0) for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def _binomial_coeffs(e: Fraction, d: int) -> list[Fraction]:
-    """C(e, 1..d-1), the coefficients of (1 + x)^e - 1, by c_j = c_(j-1) (e - j + 1) / j."""
-    coeffs = [Fraction(1)]
-    for j in range(1, d):
-        coeffs.append(coeffs[-1] * (e - j + 1) / j)
-    return coeffs[1:]
-
-
-def _inverse_series_powers(pq: ExponentPair, d: int) -> list[list[Fraction]]:
-    """[y^t] w(y)^k for w(y) = (1 + y)^(p/q) - 1 and 0 <= k, t < d.
-
-    Scaled by q^t t!, every coefficient is an integer: for w itself it is
-    the product p (p - q) ... (p - (t-1) q), and the product of two scaled
-    series is their binomial convolution.  So the table is built in integers
-    and divided once per entry.
-    """
-    w = [0, pq.p]
-    for t in range(2, d):
-        w.append(w[-1] * (pq.p - (t - 1) * pq.q))
-    scaled = [[1] + [0] * (d - 1)]
-    for k in range(1, d):
-        prev = scaled[-1]  # w^(k-1) has valuation k - 1, w has valuation 1
-        scaled.append([0] * k + [
-            sum(math.comb(t, i) * prev[i] * w[t - i] for i in range(k - 1, t))
-            for t in range(k, d)
-        ])
-    return [[Fraction(c, pq.q**t * math.factorial(t)) for t, c in enumerate(row)] for row in scaled]
-
-
-def _block_conjugator(
-    w_powers: list[list[Fraction]], ratio: Fraction, size: int
-) -> list[list[Fraction]]:
-    """Exact B with B^-1 J B = M for a Jordan block of size r, unit top-left entry.
-
-    B^-1 is the Krylov basis [x^(r-1-i)] m(x)^(r-1-j), the power matrix of
-    m(x) = (1 + x)^(q/p) - 1.  Power matrices compose, so B is the power
-    matrix of the compositional inverse w(y) = (1 + y)^(p/q) - 1, whose
-    top-left entry (p/q)^(r-1) is divided out.
-    """
-    scale = ratio ** (size - 1)
-    return [
-        [w_powers[size - 1 - j][size - 1 - i] / scale for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def _assemble_blocks(blocks: list[list[list[Fraction]]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for block in blocks:
-        size = len(block)
-        for i in range(size):
-            for j in range(size):
-                out[pos + i][pos + j] = block[i][j]
-        pos += size
-    return tuple(tuple(row) for row in out)
-
-
 def solve_single_eigenvalue(
     lam: RootOfUnity, block_sizes, pq: ExponentPair
 ) -> SingleEigSolution:
@@ -256,9 +283,10 @@ def solve_single_eigenvalue(
     Requires lam^(q-p) = 1 exactly.  The conjugate C = lam*I + sum alpha_i N^i
     with C^p = A^q and alpha_1 != 0 is lam*(I + N/lam)^(q/p), so alpha_j is
     the generalized binomial C(q/p, j) twisted by lam^(1-j).  B0 is
-    assembled block by block from the powers of the inverse series
-    (1 + y)^(p/q) - 1.  The whole computation is exact rational arithmetic
-    twisted by powers of lambda.
+    assembled block by block from the integer table of the powers of the
+    inverse series (1 + y)^(p/q) - 1.  Every float is one correctly rounded
+    int/int division (as float(Fraction) is) times its power of lambda, so
+    the views equal the rounded exact solution without a Fraction per entry.
     """
     block_sizes = tuple(sorted((int(b) for b in block_sizes), reverse=True))
     if not block_sizes or block_sizes[-1] < 1:
@@ -268,31 +296,30 @@ def solve_single_eigenvalue(
             f"lambda = {lam} violates lambda^(q-p) = 1 for (p,q)=({pq.p},{pq.q})"
         )
     d = block_sizes[0]
-    ratio = Fraction(pq.p, pq.q)
-    rational = _binomial_coeffs(1 / ratio, d)
-    w_powers = _inverse_series_powers(pq, d)
-    m_blocks = [_rational_poly_block(rational, size) for size in block_sizes]
-    b_blocks = [_block_conjugator(w_powers, ratio, size) for size in block_sizes]
-    m_rational = _assemble_blocks(m_blocks)
-    b0_rational = _assemble_blocks(b_blocks)
-    n = sum(block_sizes)
-    twist = {e: rou_to_complex(rou_pow(lam, e)) for e in range(1 - n, n + 1)}
-    m_matrix = np.zeros((n, n), dtype=complex)
-    b0 = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if m_rational[i][j]:
-                m_matrix[i, j] = float(m_rational[i][j]) * twist[1 + i - j]
-            if b0_rational[i][j]:
-                b0[i, j] = float(b0_rational[i][j]) * twist[i - j]
+    rational = _binomial_coeffs(pq, d)
+    table = _inverse_series_powers(pq, d)
+    twist = {e: rou_to_complex(rou_pow(lam, e)) for e in range(1 - d, 1)}
+    # M is Toeplitz, M[i][j] = diagonals[j - i + d - 1], on every block, so
+    # its blocks are the top-left corners of the largest one
+    diagonals = np.array(
+        [0] * d + [float(a) * twist[1 - s] if a else 0 for s, a in enumerate(rational, 1)],
+        dtype=complex,
+    )
+    index = np.arange(d)
+    m_full = diagonals[index - index[:, None] + d - 1]
+    b_blocks = {}
+    for size in set(block_sizes):
+        block = np.zeros((size, size), dtype=complex)
+        for i, j, num, den in _block_conjugator_entries(table, pq, size):
+            block[i, j] = num / den * twist[i - j]
+        b_blocks[size] = block
     return SingleEigSolution(
         lam,
         block_sizes,
-        m_matrix,
-        b0,
+        pq,
+        block_diagonal([m_full[:size, :size] for size in block_sizes]),
+        block_diagonal([b_blocks[size] for size in block_sizes]),
         tuple(rational),
-        m_rational,
-        b0_rational,
     )
 
 

@@ -422,26 +422,47 @@ class TestErrorBoundary:
     report with exit 1: no traceback, and no NaN or Infinity in a report."""
 
     SHAPE = ["-r", "2", "--rp", "1", "-s", "2", "--sp", "1", "--eps", "1"]
+    COMMUTATOR = ["-r", "1", "--rp", "-1", "-s", "1", "--sp", "-1", "--eps", "1"]
     CONSTRUCT = [
         "word2", "construct", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
         "--eps", "-1", "--u", "1/4", "--rho", "1/4",
     ]
+    POWER = "the matrix power with exponent {} overflows"
+    RESIDUAL = "the conjugacy residual max|X B - B Y| / max|B| overflows"
     FAMILIES = {
         # A^2 overflows
-        "solve-b overflow": ["solve-b", "{big}", "-p", "2", "-q", "3"],
-        "analyze --find-b overflow": ["analyze", "{big}", "-p", "2", "-q", "3", "--find-b"],
-        "verify overflow": ["verify", "{big}", "{big}", "-p", "2", "-q", "3"],
-        "word2 verify overflow": ["word2", "verify", "{big}", "{big}", *SHAPE],
+        "solve-b overflow": (["solve-b", "{big}", "-p", "2", "-q", "3"], POWER.format(2)),
+        "analyze --find-b overflow": (
+            ["analyze", "{big}", "-p", "2", "-q", "3", "--find-b"], POWER.format(2)
+        ),
+        "verify overflow": (["verify", "{big}", "{big}", "-p", "2", "-q", "3"], POWER.format(2)),
+        "word2 verify overflow": (["word2", "verify", "{big}", "{big}", *SHAPE], POWER.format(2)),
         # the inverse of 1e-300*I squared overflows
-        "solve-b negative power": ["solve-b", "{tiny}", "-p", "-2", "-q", "3"],
-        # C = B^-1 A B overflows inside matrix_to_json
-        "verify c overflow": ["verify", "{d23}", "{huge}", "-p", "2", "-q", "3"],
+        "solve-b negative power": (["solve-b", "{tiny}", "-p", "-2", "-q", "3"], POWER.format(-2)),
+        # C = B^-1 A B overflows inside matrix_to_json; A^2 = A^3 = 0
+        "verify c overflow": (
+            ["verify", "{nil}", "{shear}", "-p", "2", "-q", "3"],
+            "matrix contains non-finite entries",
+        ),
         # A^2 and A^3 are finite, the residual is not
-        "verify residual overflow": ["verify", "{e100}", "{e100}", "-p", "2", "-q", "3"],
-        # the ST test's float arithmetic overflows
-        "word2 verify st overflow": ["word2", "verify", "{e100}", "{e100}", *SHAPE],
-        "construct --v nan": [*CONSTRUCT, "--v", "nan"],
-        "construct --v inf": [*CONSTRUCT, "--v", "inf"],
+        "verify residual overflow": (
+            ["verify", "{e100}", "{e100}", "-p", "2", "-q", "3"], RESIDUAL
+        ),
+        # A^2 B = 4e308
+        "verify residual overflow, huge b": (
+            ["verify", "{d23}", "{huge}", "-p", "2", "-q", "3"], RESIDUAL
+        ),
+        # every power is finite, the word A^2 B^2 A B is not
+        "word2 verify word overflow": (
+            ["word2", "verify", "{e100}", "{e100}", *SHAPE], "the word A^2 B^2 A^1 B^1 overflows"
+        ),
+        # the word A B A^-1 B^-1 is finite, the ST test's float arithmetic is not
+        "word2 verify st overflow": (
+            ["word2", "verify", "{e100}", "{e100}", *COMMUTATOR],
+            "the ST test overflows: det(AB - BA) or (|A|_F |B|_F)^2 is not finite",
+        ),
+        "construct --v nan": ([*CONSTRUCT, "--v", "nan"], "bad --v 'nan'"),
+        "construct --v inf": ([*CONSTRUCT, "--v", "inf"], "bad --v 'inf'"),
     }
 
     @pytest.fixture
@@ -452,6 +473,8 @@ class TestErrorBoundary:
             "d23": np.diag([2.0, 3.0]),
             "huge": np.diag([1e308, 1e308]),
             "e100": np.diag([1e100, 1e100]),
+            "nil": [[0.0, 1e300], [0.0, 0.0]],
+            "shear": [[1.0, 0.0], [2e4, 1.0]],
         }
         paths = {}
         for name, m in matrices.items():
@@ -459,17 +482,22 @@ class TestErrorBoundary:
             paths[name].write_text(json.dumps(matrix_to_json(np.array(m, dtype=complex))))
         return paths
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a numpy warning would be raised, not printed, and fail the request
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_strict_json_error_line(self, capsys, files, family):
-        argv = [arg.format(**files) for arg in self.FAMILIES[family]]
-        code, out = run(capsys, *argv)
+        argv, message = self.FAMILIES[family]
+        argv = [arg.format(**files) for arg in argv]
+        code = main(argv)
+        out, err = capsys.readouterr()
         assert code == 1
+        assert err == ""
         lines = out.splitlines()
         assert len(lines) == 1
         report = json.loads(lines[0], parse_constant=reject_constant)
         assert set(report) == {"command", "error", "tool_version"}
         assert report["command"] == " ".join(argv[:2] if argv[0] == "word2" else argv[:1])
+        assert report["error"] == message
 
     @pytest.mark.parametrize("v", ["nan", "inf", "-inf", "1+nanj"])
     def test_non_finite_v_is_a_bad_v(self, capsys, v):

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from simpow import solvers
+from simpow.cli import main
 from simpow.errors import InvalidK1Error
 from simpow.matrixcore import fit_polynomial_in, mat_int_pow
 from simpow.scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
@@ -347,7 +349,38 @@ def exact_nilpotent(block_sizes):
 
 
 def exact_matmul(x, y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+    # zero terms skipped: the matrices here are block diagonal and triangular
+    return [
+        [sum((a * b for a, b in zip(row, col) if a and b), Fraction(0)) for col in zip(*y)]
+        for row in x
+    ]
+
+
+def convolution_series_powers(pq, d):
+    """Oracle for solvers._inverse_series_powers: q^t t! [y^t] w(y)^k for
+    w(y) = (1 + y)^(p/q) - 1, by the O(d^3) binomial convolution of scaled
+    series.  For w itself the scaled coefficient is p (p - q) ... (p - (t-1) q),
+    and the product of two scaled series is their binomial convolution."""
+    w = [0, pq.p]
+    for t in range(2, d):
+        w.append(w[-1] * (pq.p - (t - 1) * pq.q))
+    scaled = [[1] + [0] * (d - 1)]
+    for k in range(1, d):
+        prev = scaled[-1]  # w^(k-1) has valuation k - 1, w has valuation 1
+        scaled.append([0] * k + [
+            sum(math.comb(t, i) * prev[i] * w[t - i] for i in range(k - 1, t))
+            for t in range(k, d)
+        ])
+    return scaled
+
+
+def coprime_pairs(limit):
+    return [
+        (p, q)
+        for p in range(-limit, limit + 1)
+        for q in range(-limit, limit + 1)
+        if p and q and math.gcd(abs(p), abs(q)) == 1 and abs(p) + abs(q) > 2
+    ]
 
 
 class TestClosedForms:
@@ -377,18 +410,69 @@ class TestClosedForms:
             assert got == krylov_inverse_conjugator(list(sol.rational_coeffs), d)
 
     def test_twisted_entries_follow_rationals(self):
-        # lambda != 1 only twists the float views by powers of lambda
-        pq = ExponentPair(1, 3)
-        lam = R(1, 2)
-        sol = solve_single_eigenvalue(lam, [6, 3], pq)
-        base = solve_single_eigenvalue(R(0, 1), [6, 3], pq)
-        assert sol.rational_coeffs == base.rational_coeffs
-        assert sol.b0_rational == base.b0_rational
-        for i in range(9):
-            for j in range(9):
-                frac = sol.b0_rational[i][j]
-                twist = rou_to_complex(rou_pow(lam, i - j))
-                assert sol.b0[i, j] == (float(frac) * twist if frac else 0)
+        # lambda != 1 only twists the float views by powers of lambda, and
+        # each float is float(rational) * lambda^e bit for bit, signed zeros
+        # included; lambda^(q-p) = 1 in every case
+        cases = [
+            ((1, 3), R(1, 2), [6, 3]),
+            ((1, 3), R(1, 2), [6, 6, 3]),
+            ((-1, 2), R(1, 3), [6, 6, 3]),
+            ((3, -2), R(2, 5), [6, 6, 3]),
+            ((-3, 5), R(3, 8), [6, 6, 3]),
+            ((2, 5), R(1, 3), [24, 6, 6]),
+        ]
+        for (p, q), lam, blocks in cases:
+            pq = ExponentPair(p, q)
+            sol = solve_single_eigenvalue(lam, blocks, pq)
+            base = solve_single_eigenvalue(R(0, 1), blocks, pq)
+            assert sol.rational_coeffs == base.rational_coeffs
+            assert sol.m_rational == base.m_rational
+            assert sol.b0_rational == base.b0_rational
+            views = ((sol.m_matrix, sol.m_rational, 1), (sol.b0, sol.b0_rational, 0))
+            for view, rational, shift in views:
+                expected = np.zeros((sol.n, sol.n), dtype=complex)
+                for i in range(sol.n):
+                    for j in range(sol.n):
+                        if rational[i][j]:
+                            twist = rou_to_complex(rou_pow(lam, shift + i - j))
+                            expected[i, j] = float(rational[i][j]) * twist
+                assert view.tobytes() == expected.tobytes(), (p, q, blocks, shift)
+
+    @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
+    def test_b0_intertwines_exactly_at_d40(self, p, q):
+        blocks = (40, 13, 13, 2)
+        sol = solve_single_eigenvalue(R(0, 1), blocks, ExponentPair(p, q))
+        b0 = [list(row) for row in sol.b0_rational]
+        m = [list(row) for row in sol.m_rational]
+        nil = exact_nilpotent(blocks)
+        assert exact_matmul(nil, b0) == exact_matmul(b0, m)
+        # upper triangular with a nonzero diagonal: invertible
+        assert all(b0[i][j] == 0 for i in range(len(b0)) for j in range(i))
+        assert all(b0[i][i] != 0 for i in range(len(b0)))
+
+    def test_series_table_matches_convolution(self):
+        # the O(d^2) recurrence against the O(d^3) convolution; the table
+        # for d is the top-left corner of the table for 40
+        for p, q in coprime_pairs(7):
+            pq = ExponentPair(p, q)
+            oracle = convolution_series_powers(pq, 40)
+            for d in range(1, 41):
+                expected = [row[:d] for row in oracle[:d]]
+                assert solvers._inverse_series_powers(pq, d) == expected, (p, q, d)
+
+    def test_cli_builds_no_fraction_per_entry(self, monkeypatch, capsys):
+        # the nilpotent report needs only the d - 1 rational alpha_j
+        built = []
+
+        def counting_fraction(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(solvers, "Fraction", counting_fraction)
+        argv = ["nilpotent", "--lam", "1/3", "--blocks", "24,6,6", "-p", "2", "-q", "5"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["conjugation_residual"] < 1e-14
+        assert len(built) == 23
 
 
 def per_residue_valid_k1(n, pq):
