@@ -35,6 +35,7 @@ from .matrixcore import (
     RANK_TOL,
     VERIFY_TOL,
     conjugacy_residual,
+    eigenspace_splits,
     find_invertible_in_span,
     fit_polynomial_in,
     mat_int_pow,
@@ -46,6 +47,7 @@ from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_t
 from .similarity import (
     JordanEntry,
     JordanSpec,
+    _require_recoverable,
     matrix_from_spec,
     powers_similar_general,
     spec_from_matrix,
@@ -155,9 +157,11 @@ def cmd_analyze(args) -> dict:
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("analyze", args)
     matrix, spec = _load_matrix_or_spec(args.input)
+    splits = None  # eigenspace_splits(matrix), made at most once per request
     if spec is None:
         try:
-            spec = spec_from_matrix(matrix, pq)
+            splits = eigenspace_splits(_require_recoverable(matrix))
+            spec = spec_from_matrix(matrix, pq, splits)
         except ValueError as exc:
             raise ValueError(f"cannot recover structure: {exc}") from exc
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
@@ -190,7 +194,8 @@ def cmd_analyze(args) -> dict:
         if matrix is None:
             matrix = matrix_from_spec(spec)
         powers = _powers(matrix, normalized)
-        report["conjugator"] = _solve_conjugator(matrix, normalized, powers, args.seed)
+        splits = splits or eigenspace_splits(matrix)
+        report["conjugator"] = _solve_conjugator(matrix, normalized, powers, splits, args.seed)
     return report
 
 
@@ -198,9 +203,12 @@ def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarra
     return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
 
 
-def _solve_conjugator(matrix: np.ndarray, pq: ExponentPair, powers: tuple, seed: int) -> dict:
-    """The conjugator report; powers is (A^p, A^q), formed once per request."""
-    kernel = sylvester_kernel(matrix, pq.p, pq.q, *powers)
+def _solve_conjugator(
+    matrix: np.ndarray, pq: ExponentPair, powers: tuple, splits: list, seed: int
+) -> dict:
+    """The conjugator report; powers is (A^p, A^q) and splits is
+    eigenspace_splits(A), each formed once per request."""
+    kernel = sylvester_kernel(matrix, pq.p, pq.q, *powers, splits[-1])
     out: dict = {"kernel_dimension": sum(k.shape[1] for _, k, _ in kernel)}
     candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
     if candidate is None:
@@ -270,7 +278,8 @@ def cmd_solve_b(args) -> dict:
     matrix = _load_matrix(args.input)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
     powers = _powers(matrix, pq)
-    report["conjugator"] = _solve_conjugator(matrix, pq, powers, args.seed)
+    splits = eigenspace_splits(matrix)
+    report["conjugator"] = _solve_conjugator(matrix, pq, powers, splits, args.seed)
     coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None

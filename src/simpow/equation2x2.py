@@ -12,12 +12,12 @@ and constructs the non-ST solution families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isfinite
+from math import frexp, gcd, isfinite, ldexp
 
 import numpy as np
 
 from .matrixcore import VERIFY_TOL, as_matrix, mat_int_pow
-from .scalar import RootOfUnity, phi_k, rou_mul, rou_pow, rou_to_complex
+from .scalar import RootOfUnity, rou_mul, rou_pow, rou_to_complex
 
 DEFAULT_MAX_REPORT = 100
 
@@ -84,20 +84,44 @@ def verify_word(a: np.ndarray, b: np.ndarray, shape: WordShape) -> float:
     return residual
 
 
+def _binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(M / 2^e, e), the largest real or imaginary part of an entry of
+    M / 2^e in [1/2, 1), or None for M = 0.  Scaling by a power of two is
+    exact, and so is every product and sum later formed of the result.  A
+    largest part within 2^200 of 1 needs no scaling (e = 0): no product
+    of four such parts overflows."""
+    parts = m.view(float)
+    largest = max(map(abs, parts.ravel().tolist()))
+    if largest == 0.0:
+        return None
+    e = frexp(largest)[1]
+    if abs(e) <= 200:
+        return m, 0
+    return np.ldexp(parts, -e).view(complex), e
+
+
 def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
     """For 2x2 pairs, ST is equivalent to det(AB - BA) = 0.
 
-    The test compares |det(AB - BA)| with VERIFY_TOL (|A|_F |B|_F)^2; when
-    either side overflows it decides nothing, which is a ValueError.
+    The test compares |det(AB - BA)| with VERIFY_TOL max(|A|_F |B|_F, 1)^2.
+    It is made on A / 2^e and B / 2^f (_binary_scaled), where nothing can
+    overflow: both sides shrink by 2^(2(e+f)) exactly, so the decision is
+    the unscaled one wherever that is finite.  A zero matrix commutes with
+    every matrix, so it is ST.
     """
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("ST test is for 2x2 matrices")
+    scaled_a, scaled_b = _binary_scaled(a), _binary_scaled(b)
+    if scaled_a is None or scaled_b is None:
+        return True
+    (a, e), (b, f) = scaled_a, scaled_b
     det = abs(np.linalg.det(a @ b - b @ a))
-    scale = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), 1.0)
-    if not isfinite(det) or not isfinite(scale * scale):
-        raise ValueError("the ST test overflows: det(AB - BA) or (|A|_F |B|_F)^2 is not finite")
-    return bool(det <= VERIFY_TOL * scale**2)
+    # the floor 1 of the norm product, scaled too; capped at 2^1000, whose
+    # square is already inf and so above every finite det
+    floor = ldexp(1.0, min(-(e + f), 1000))
+    scale = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), floor)
+    return bool(det <= VERIFY_TOL * (scale * scale))
 
 
 def _roots_with_power_sign(exponent: int, sign: int) -> list[RootOfUnity]:
@@ -167,18 +191,18 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _scaled_phi(t: RootOfUnity, t2k: complex) -> complex:
+    """t^k phi_k(t) = t (1 - t^(2k)) / (1 - t^2) for a root of unity t with
+    t^2 != 1, given t2k = t^(2k): the off-diagonal factor of the k-th
+    power of [[t, 1], [0, 1/t]], from exact angles."""
+    return rou_to_complex(t) * (1.0 - t2k) / (1.0 - rou_to_complex(rou_pow(t, 2)))
+
+
 def _coupling_product(shape: WordShape, u: RootOfUnity, rho: RootOfUnity) -> complex:
     """sigma*v determined by (u, rho) for the non-ST solution family."""
-    uc, rc = rou_to_complex(u), rou_to_complex(rho)
-    cross = rou_mul(rou_pow(u, 2 * shape.r), rou_pow(rho, 2 * shape.s))
-    numerator = -1.0 - rou_to_complex(cross)
-    denominator = (
-        rou_to_complex(rou_pow(u, shape.r))
-        * phi_k(uc, shape.r)
-        * rou_to_complex(rou_pow(rho, shape.s))
-        * phi_k(rc, shape.s)
-    )
-    return numerator / denominator
+    u2r = rou_to_complex(rou_pow(u, 2 * shape.r))
+    rho2s = rou_to_complex(rou_pow(rho, 2 * shape.s))
+    return (-1.0 - u2r * rho2s) / (_scaled_phi(u, u2r) * _scaled_phi(rho, rho2s))
 
 
 @dataclass

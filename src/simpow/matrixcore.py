@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClusteringAmbiguityError, NotInvertibleError
-
 # singular values at most this times the operand's 2-norm, or a bound on it, count as 0
 RANK_TOL = 1e-9
 # residuals at most this, relative to the size of the terms, count as 0
@@ -70,7 +68,7 @@ def mat_int_pow(a: np.ndarray, e: int) -> np.ndarray:
     _require_square(a)
     if e < 0:
         if not is_invertible(a):
-            raise NotInvertibleError("negative power of a singular matrix")
+            raise ValueError("negative power of a singular matrix")
         a = np.linalg.inv(a)
     power = np.linalg.matrix_power(a, abs(e))
     if not np.isfinite(power).all():
@@ -94,6 +92,10 @@ def kernel_basis(m: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal columns spanning the numerical null space at RANK_TOL (see _rank_cut)."""
     _, s, vh = np.linalg.svd(m)
     return vh[_rank_cut(s, scale):].conj().T
+
+
+class ClusteringAmbiguityError(ValueError):
+    """Numerically computed eigenvalues cannot be clustered unambiguously."""
 
 
 def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]]:
@@ -195,11 +197,12 @@ def _generalized_eigenspace(a, vecs, members, lam, scale) -> np.ndarray | None:
     return None
 
 
-def eigenspace_splits(a: np.ndarray):
-    """The eigenvalue split of A on each rung of CLUSTER_LADDER, finest first.
+def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
+    """The eigenvalue split of A on the rungs of CLUSTER_LADDER, finest first,
+    up to the first rung whose split certifies or has one cluster.
 
     One eig(A) serves every rung: its eigenvalues are clustered by single
-    linkage at factor * tol; an ambiguous rung yields its
+    linkage at factor * tol; an ambiguous rung is its
     ClusteringAmbiguityError.  Cluster i, at mean c_i, gets the orthonormal
     basis V_i of its generalized eigenspace (the eigenvector of a lone
     eigenvalue, else the nested kernel of A - c_i of its dimension, cut at
@@ -207,24 +210,24 @@ def eigenspace_splits(a: np.ndarray):
     [V_1 ... V_k]^-1, so that A V_i = V_i A_i and W_i A = A_i W_i with
     A_i = W_i A V_i (Golub & Wilkinson, SIAM Rev. 18, 1976; Kagstrom &
     Ruhe, ACM TOMS 6, 1980).  The split certifies when every V_i has its
-    cluster's dimension and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  One
-    cluster has nothing to split and ends the ladder: coarser radii join
-    no less.
+    cluster's dimension and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  A
+    certified split, or one cluster, ends the list: coarser radii join no
+    less, and recovery never needs them.
     """
     values, vecs = np.linalg.eig(a)
     tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
     norm = float(np.linalg.norm(a))
+    splits: list[Split | ClusteringAmbiguityError] = []
     for factor in CLUSTER_LADDER:
         try:
             clusters = _cluster_eigenvalues(values, tol * factor)
         except ClusteringAmbiguityError as exc:
-            yield exc
+            splits.append(exc)
             continue
         centres = [complex(values[c].mean()) for c in clusters]
-        split = Split(factor, tol, clusters, centres, None, None)
+        splits.append(Split(factor, tol, clusters, centres, None, None))
         if len(clusters) == 1:
-            yield split
-            return
+            break
         bases = [
             _generalized_eigenspace(a, vecs, c, z, norm + abs(z)) for c, z in zip(clusters, centres)
         ]
@@ -233,8 +236,9 @@ def eigenspace_splits(a: np.ndarray):
             if s[0] <= s[-1] / np.sqrt(RANK_TOL):
                 inverse = vh.conj().T @ (u.conj().T / s[:, None])
                 lefts = np.split(inverse, np.cumsum([v.shape[1] for v in bases])[:-1])
-                split = split._replace(bases=bases, lefts=lefts)
-        yield split
+                splits[-1] = splits[-1]._replace(bases=bases, lefts=lefts)
+                break
+    return splits
 
 
 def _pair_kernel(p_c: np.ndarray, q_c: np.ndarray, scale: float) -> np.ndarray:
@@ -255,10 +259,11 @@ def _pair_kernel(p_c: np.ndarray, q_c: np.ndarray, scale: float) -> np.ndarray:
 
 
 def sylvester_kernel(
-    a: np.ndarray, p: int, q: int, a_p: np.ndarray, a_q: np.ndarray
+    a: np.ndarray, p: int, q: int, a_p: np.ndarray, a_q: np.ndarray, split
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The intertwiner space {X : A^p X = X A^q}, factored over pairs of
-    eigenvalue clusters of A; a_p and a_q are A^p and A^q (mat_int_pow).
+    eigenvalue clusters of A; a_p and a_q are A^p and A^q (mat_int_pow),
+    and split is the last rung of eigenspace_splits(A).
 
     Returns triples (V_i, K, W_j), V_i of shape n x m_i, W_j of shape
     m_j x n and K with orthonormal columns of length m_i * m_j, none of
@@ -266,34 +271,25 @@ def sylvester_kernel(
     matrices V_i reshape(K c, (m_i, m_j)) W_j, so its dimension is the
     total column count of the K.
 
-    A^p and A^q share the generalized eigenspaces of A, so with the split
-    of A (eigenspace_splits) every such X is a sum of V_i Z W_j with
-    P_i Z = Z Q_j, P_i = W_i A^p V_i and Q_j = W_j A^q V_j.  The first
-    certified rung is taken at which the c_i^p and c_j^q cluster
-    unambiguously at the same rung, on the scale max(||A^p||_2,
-    ||A^q||_2, 1), and only the pairs in one cluster are solved, each cut
-    at RANK_TOL * (||A^p||_2 + ||A^q||_2) (_pair_kernel).  A single
-    cluster, or no such rung, leaves V = W = I: the whole n^2 x n^2
+    A^p and A^q share the generalized eigenspaces of A, so on a certified
+    split every such X is a sum of V_i Z W_j with P_i Z = Z Q_j,
+    P_i = W_i A^p V_i and Q_j = W_j A^q V_j.  Only the pairs with
+    |c_i^p - c_j^q| <= DEFAULT_CLUSTER_TOL * max(||A^p||_2, ||A^q||_2, 1)
+    * factor are solved, the others having disjoint spectra, each cut
+    at RANK_TOL * (||A^p||_2 + ||A^q||_2) (_pair_kernel).  An uncertified
+    split or a single cluster leaves V = W = I: the whole n^2 x n^2
     operator, O(n^6) time instead of about O(k n^3 + sum (m_i m_j)^3).
     """
-    a = as_matrix(a)
-    n = _require_square(a)
+    n = _require_square(as_matrix(a))
     norm_p, norm_q = np.linalg.svd(np.stack([a_p, a_q]), compute_uv=False)[:, 0]
-    power_tol = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0)
-    bases, lefts, pairs = [np.eye(n)], [np.eye(n)], [(0, 0)]
-    for split in eigenspace_splits(a):
-        if not isinstance(split, Split) or split.bases is None:
-            continue
-        k, centres = len(split.centres), np.array(split.centres)
-        try:  # the pairs whose c_i^p and c_j^q fall in one cluster
-            joint = _cluster_eigenvalues(
-                np.concatenate([centres**p, centres**q]), power_tol * split.factor
-            )
-        except ClusteringAmbiguityError:
-            continue
-        pairs = [(i, j - k) for c in joint for i in c if i < k for j in c if j >= k]
+    if isinstance(split, Split) and split.bases is not None:
+        centres = np.array(split.centres)
+        reach = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0) * split.factor
+        gaps = np.abs(centres[:, None] ** p - centres[None, :] ** q)
+        pairs = np.argwhere(gaps <= reach).tolist()
         bases, lefts = split.bases, split.lefts
-        break
+    else:
+        bases, lefts, pairs = [np.eye(n)], [np.eye(n)], [(0, 0)]
     kernel = []
     for i, j in pairs:
         basis = _pair_kernel(lefts[i] @ a_p @ bases[i], lefts[j] @ a_q @ bases[j], norm_p + norm_q)

@@ -1,9 +1,9 @@
-"""Exact scalar arithmetic: roots of unity, modular inverses, and phi_k.
+"""Exact scalar arithmetic: roots of unity and modular inverses.
 
 Roots of unity are stored as reduced rational angles k/m, meaning the
 complex number exp(2*pi*i*k/m).  All angle arithmetic is exact integer
 arithmetic; conversion to floating point happens only in
-:func:`rou_to_complex` and :func:`phi_k`.
+:func:`rou_to_complex`.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import NotInvertibleError
-
-PHI_BRANCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,14 +80,14 @@ def rou_to_complex(a: RootOfUnity) -> complex:
 
 
 def mod_inverse(a: int, modulus: int) -> int:
-    """Inverse of a modulo ``modulus`` in [0, modulus); raises NotInvertibleError if none."""
+    """Inverse of a modulo ``modulus`` in [0, modulus); raises ValueError if none."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     if modulus == 1:
         return 0
     g = math.gcd(a % modulus, modulus)
     if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible mod {modulus} (gcd={g})")
+        raise ValueError(f"{a} is not invertible mod {modulus} (gcd={g})")
     return pow(a % modulus, -1, modulus)
 
 
@@ -116,21 +112,3 @@ def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[
         if abs(z - rou_to_complex(candidate)) <= tol:
             near.add(candidate)
     return sorted(near, key=lambda root: (root.order, root.num))
-
-
-def phi_k(t: complex, k: int) -> complex:
-    """Off-diagonal growth factor of k-th powers of triangular SL2 matrices.
-
-    For t*t != 1 this is (1 - t^(2k)) / (t^(k-1) * (1 - t^2)); the removable
-    singularities at t = 1 and t = -1 take the limit values k and
-    (-1)^(k-1)*k.  Within PHI_BRANCH_TOL of t^2 = 1 the limit value of the
-    nearer branch point is used.
-    """
-    if t == 0:
-        raise ValueError("phi_k is undefined at t = 0")
-    t2 = t * t
-    if abs(t2 - 1.0) < PHI_BRANCH_TOL:
-        if abs(t - 1.0) <= abs(t + 1.0):
-            return complex(k)
-        return complex(-k if k % 2 == 0 else k)
-    return (1.0 - t ** (2 * k)) / (t ** (k - 1) * (1.0 - t2))

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NormalizationRequiredError
-from .matrixcore import Split, as_matrix, block_diagonal, eigenspace_splits, weyr_characteristic
+from .matrixcore import Split, as_matrix, block_diagonal, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, powers_equal
 
@@ -191,14 +190,23 @@ def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
-def spec_from_matrix(a: np.ndarray, pq: ExponentPair) -> JordanSpec:
+def _require_recoverable(a: np.ndarray) -> np.ndarray:
+    """A as a complex matrix; a ValueError past the size that numeric
+    recovery supports, so that the caller can refuse before splitting A."""
+    a = as_matrix(a)
+    if a.shape[0] > 64:
+        raise ValueError("numeric recovery supports n <= 64")
+    return a
+
+
+def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> JordanSpec:
     """Recover a JordanSpec numerically, certified cluster by cluster.
 
-    The clusters are those of eigenspace_splits, rung by rung.  A cluster
-    of m eigenvalues is certified at an exact point when the Weyr sequence
-    there, to depth m + 1 with every rank cut at RANK_TOL * (||A||_F +
-    |point|), stops growing at m; the blocks are read off it.  On a
-    certified split that is the sequence of the cluster's own block
+    The clusters are those of splits = eigenspace_splits(A), rung by rung.
+    A cluster of m eigenvalues is certified at an exact point when the
+    Weyr sequence there, to depth m + 1 with every rank cut at RANK_TOL *
+    (||A||_F + |point|), stops growing at m; the blocks are read off it.
+    On a certified split that is the sequence of the cluster's own block
     W_i A V_i, which no other cluster can disturb; otherwise that of A.
     The point is 0 when the mean is within tol of 0; otherwise the
     admissible roots of unity within tol of the mean, smallest order first
@@ -206,13 +214,10 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair) -> JordanSpec:
     every cluster certifies gives the spec; failing that, the error of the
     finest rung is raised (ClusteringAmbiguityError or another ValueError).
     """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if n > 64:
-        raise ValueError("numeric recovery supports n <= 64")
+    a = _require_recoverable(a)
     norm = float(np.linalg.norm(a))
     finest_error = None
-    for split in eigenspace_splits(a):
+    for split in splits:
         if not isinstance(split, Split):
             finest_error = finest_error or split
             continue
@@ -292,9 +297,7 @@ def powers_similar_general(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerd
     if zero is None:
         return powers_similar_invertible(spec, pq)
     if not (1 <= pq.p < pq.q):
-        raise NormalizationRequiredError(
-            f"singular case needs 1 <= p < q, got (p,q)=({pq.p},{pq.q})"
-        )
+        raise ValueError(f"singular case needs 1 <= p < q, got (p,q)=({pq.p},{pq.q})")
     if max(zero.blocks) > pq.p:
         return SimilarityVerdict(
             False,

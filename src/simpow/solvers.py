@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidK1Error
 from .matrixcore import VERIFY_TOL, as_matrix, block_diagonal, is_invertible, matrix_to_json
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 
@@ -105,9 +104,7 @@ def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
     k1_value = k1 % modulus
     z = _violated_divisor(n, pq, k1_value, modulus)
     if z is not None:
-        raise InvalidK1Error(
-            f"k1={k1_value} lies in the excluded set for divisor z={z} of n={n}", z
-        )
+        raise ValueError(f"k1={k1_value} lies in the excluded set for divisor z={z} of n={n}")
     step = (mod_inverse(pq.p, modulus) * pq.q) % modulus
     k_seq = [k1_value]
     for _ in range(n - 1):

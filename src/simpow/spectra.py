@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InconsistentSpectrumError, NoUniqueSuccessorError
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow
 
 Eigenvalue = RootOfUnity | None  # None encodes the eigenvalue 0
@@ -87,12 +86,10 @@ def successor(lam: RootOfUnity, pq: ExponentPair) -> RootOfUnity:
     """The unique root of unity mu with mu^p = lam^q.
 
     Uniqueness needs the order of lam to be coprime to p*q; otherwise
-    NoUniqueSuccessorError is raised.
+    ValueError is raised.
     """
     if math.gcd(lam.order, abs(pq.p * pq.q)) != 1:
-        raise NoUniqueSuccessorError(
-            f"order {lam.order} of {lam} is not coprime to p*q = {pq.p * pq.q}"
-        )
+        raise ValueError(f"order {lam.order} of {lam} is not coprime to p*q = {pq.p * pq.q}")
     p_inv = mod_inverse(pq.p, lam.order)
     return rou_pow(lam, pq.q * p_inv)
 
@@ -135,7 +132,7 @@ def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposi
     same multiplicity.
     """
     if not powers_equal(u, pq):
-        raise InconsistentSpectrumError("U^p != U^q: spectrum admits no orbit structure")
+        raise ValueError("U^p != U^q: spectrum admits no orbit structure")
     mult_of = dict(u.nonzero_items())
     succ_map: dict[RootOfUnity, RootOfUnity] = {}
     orbits = []
@@ -148,9 +145,7 @@ def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposi
         while True:
             nxt = successor(current, pq)
             if nxt not in mult_of:
-                raise InconsistentSpectrumError(
-                    f"successor {nxt} of {current} is missing from the spectrum"
-                )
+                raise ValueError(f"successor {nxt} of {current} is missing from the spectrum")
             succ_map[current] = nxt
             if nxt == start:
                 break
@@ -159,7 +154,7 @@ def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposi
         seen.update(cycle)
         mults = {mult_of[ev] for ev in cycle}
         if len(mults) > 1:
-            raise InconsistentSpectrumError(
+            raise ValueError(
                 f"orbit {[str(ev) for ev in cycle]} has mixed multiplicities {sorted(mults)}"
             )
         smallest = min(range(len(cycle)), key=lambda i: cycle[i].angle)

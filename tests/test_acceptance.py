@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import cmath
 import json
 import math
 from fractions import Fraction
@@ -21,6 +20,7 @@ from simpow.equation2x2 import (
     word_value,
 )
 from simpow.matrixcore import (
+    eigenspace_splits,
     find_invertible_in_span,
     mat_int_pow,
     sylvester_kernel,
@@ -31,7 +31,6 @@ from simpow.scalar import (
     RootOfUnity,
     _admissible_roots,
     mod_inverse,
-    phi_k,
     rou_pow,
     rou_to_complex,
 )
@@ -309,7 +308,7 @@ def test_criterion_5_sylvester_oracle(nondiag_fixture):
     """The explicit B lies in the intertwiner kernel; a random member conjugates."""
     a, b, _, _, _ = nondiag_fixture
     a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
-    kernel = sylvester_kernel(a, 2, 3, a2, a3)
+    kernel = sylvester_kernel(a, 2, 3, a2, a3, eigenspace_splits(a)[-1])
     elements = kernel_elements(kernel)
     cols = np.stack([x.ravel() for x in elements], axis=1)
     coeffs, *_ = np.linalg.lstsq(cols, b.ravel(), rcond=None)
@@ -469,7 +468,7 @@ def test_criterion_7_impossible_shapes():
 
 
 def test_criterion_8_property_suites():
-    """Five randomized property suites, >= 100 cases each, fixed seeds."""
+    """Four randomized property suites, >= 100 cases each, fixed seeds."""
     failures = []
     rng = np.random.default_rng(8)
 
@@ -495,16 +494,6 @@ def test_criterion_8_property_suites():
         if current != od.orbits[0].members[0]:
             failures.append(f"orbit closure: lam={lam}")
         cases += 1
-
-    # phi_k functional identity
-    for _ in range(100):
-        t = cmath.exp(2j * math.pi * rng.uniform(0.01, 0.99))
-        k = int(rng.integers(-20, 21))
-        if abs(t * t - 1.0) < 1e-4:
-            continue
-        lhs = phi_k(t, k) * t ** (k - 1) * (1.0 - t * t)
-        if abs(lhs - (1.0 - t ** (2 * k))) >= 1e-10:
-            failures.append(f"phi identity: t={t}, k={k}")
 
     # admissible-root round trip: a root k/Q_t, Q_t = |q^t - p^t|, comes back
     # from its complex value
@@ -555,6 +544,6 @@ def test_criterion_8_property_suites():
     _report(
         8,
         not failures,
-        f"orbit closure, phi identity, admissible root round trip, weyr invariance, inverse-word "
+        f"orbit closure, admissible root round trip, weyr invariance, inverse-word "
         f"residual: >= 100 seeded cases each; failed={failures or 'none'}",
     )

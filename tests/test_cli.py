@@ -332,6 +332,45 @@ class TestVerify:
         assert report["residual"] > 1e-3
 
 
+class TestOneSplitPerRequest:
+    """Recovery and the kernel share one eigenvalue ladder: a request takes
+    at most one eig(A), and a matrix too large to recover takes none."""
+
+    @pytest.fixture
+    def eig_sizes(self, monkeypatch):
+        sizes, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda m: sizes.append(len(m)) or eig(m))
+        return sizes
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["analyze", "{a}", "-p", "2", "-q", "3", "--find-b"], 1),
+            (["analyze", "{a}", "-p", "2", "-q", "3"], 1),
+            (["solve-b", "{a}", "-p", "2", "-q", "3"], 1),
+            (["analyze", "{spec}", "-p", "3", "-q", "7", "--find-b"], 1),
+            (["analyze", "{spec}", "-p", "3", "-q", "7"], 0),
+        ],
+    )
+    def test_one_eig_per_request(
+        self, capsys, eig_sizes, nondiag_files, intro_spec_file, argv, calls
+    ):
+        argv = [arg.format(a=nondiag_files[0], spec=intro_spec_file) for arg in argv]
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert len(eig_sizes) == calls
+        if "--find-b" in argv or argv[0] == "solve-b":
+            assert report["conjugator"]["residual"] < 1e-9
+
+    def test_size_refused_before_the_split(self, capsys, eig_sizes, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(65))))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3", "--find-b")
+        assert code == 1
+        assert report["error"] == "cannot recover structure: numeric recovery supports n <= 64"
+        assert eig_sizes == []
+
+
 class TestWord2:
     def test_classify_impossible(self, capsys):
         code, report = run_json(
@@ -456,11 +495,6 @@ class TestErrorBoundary:
         "word2 verify word overflow": (
             ["word2", "verify", "{e100}", "{e100}", *SHAPE], "the word A^2 B^2 A^1 B^1 overflows"
         ),
-        # the word A B A^-1 B^-1 is finite, the ST test's float arithmetic is not
-        "word2 verify st overflow": (
-            ["word2", "verify", "{e100}", "{e100}", *COMMUTATOR],
-            "the ST test overflows: det(AB - BA) or (|A|_F |B|_F)^2 is not finite",
-        ),
         "construct --v nan": ([*CONSTRUCT, "--v", "nan"], "bad --v 'nan'"),
         "construct --v inf": ([*CONSTRUCT, "--v", "inf"], "bad --v 'inf'"),
     }
@@ -498,6 +532,15 @@ class TestErrorBoundary:
         assert set(report) == {"command", "error", "tool_version"}
         assert report["command"] == " ".join(argv[:2] if argv[0] == "word2" else argv[:1])
         assert report["error"] == message
+
+    def test_st_test_of_huge_commuting_matrices(self, capsys, files):
+        # the word A B A^-1 B^-1 is I; det(AB - BA) = 0, while the unscaled
+        # bound VERIFY_TOL (|A|_F |B|_F)^2 would overflow
+        argv = ["word2", "verify", str(files["e100"]), str(files["e100"]), *self.COMMUTATOR]
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert report["residual"] == 0.0
+        assert report["simultaneously_triangularizable"] is True
 
     @pytest.mark.parametrize("v", ["nan", "inf", "-inf", "1+nanj"])
     def test_non_finite_v_is_a_bad_v(self, capsys, v):

@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
 from simpow.equation2x2 import (
     TriangularPair,
     WordShape,
+    _coupling_product,
     classify,
     construct_solution,
     is_simultaneously_triangularizable,
     verify_word,
     word_value,
 )
-from simpow.matrixcore import mat_int_pow
-from simpow.scalar import RootOfUnity, rou_pow
+from simpow.matrixcore import VERIFY_TOL, mat_int_pow
+from simpow.scalar import RootOfUnity, rou_pow, rou_to_complex
 
 R = RootOfUnity
 WORKED_SHAPE = WordShape(3, 3, 1, 1, -1)
@@ -73,6 +76,58 @@ class TestSimultaneouslyTriangularizable:
         with pytest.raises(ValueError):
             is_simultaneously_triangularizable(np.eye(3), np.eye(3))
 
+    def test_zero_matrix_is_st(self):
+        other = np.array([[1.0, 2.0], [3.0, 4.0j]])
+        assert is_simultaneously_triangularizable(np.zeros((2, 2)), other)
+        assert is_simultaneously_triangularizable(other, np.zeros((2, 2)))
+
+
+def st_unscaled(a, b):
+    """The ST decision on A and B as given, |det(AB - BA)| <= VERIFY_TOL
+    max(|A|_F |B|_F, 1)^2, or None where one of its quantities is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = abs(np.linalg.det(a @ b - b @ a))
+        scale = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), 1.0)
+        bound = VERIFY_TOL * scale * scale
+    if not (math.isfinite(det) and math.isfinite(bound)):
+        return None
+    return bool(det <= bound)
+
+
+class TestScaleFreeST:
+    """The ST test on 10^e A and 10^f B over e, f in -200..200: the decision
+    on A and B as given wherever that is finite, and never an overflow."""
+
+    rng = np.random.default_rng(12)
+    PAIRS = {
+        "commuting": (np.diag([1.0, 2.0]), np.diag([3.0, -4.0j])),
+        "triangular": ([[1.0, 2.0], [0.0, 3.0]], [[2.0j, -1.0], [0.0, 1.0]]),
+        "opposite nilpotents": ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+        "generic": (rng.standard_normal((2, 2)), rng.standard_normal((2, 2)) * 1j),
+        "non-ST solution": construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 1.0),
+    }
+    EXPONENTS = range(-200, 201, 25)
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_scale_grid(self, name):
+        a, b = (np.asarray(m, dtype=complex) for m in self.PAIRS[name])
+        assert np.linalg.norm(a) * np.linalg.norm(b) >= 1.0
+        unit = is_simultaneously_triangularizable(a, b)
+        finite = 0
+        for e in self.EXPONENTS:
+            for f in self.EXPONENTS:
+                scaled_a, scaled_b = 10.0**e * a, 10.0**f * b
+                got = is_simultaneously_triangularizable(scaled_a, scaled_b)
+                reference = st_unscaled(scaled_a, scaled_b)
+                if reference is not None:
+                    assert got == reference, (e, f)
+                    finite += 1
+                if e + f >= 0:  # |A|_F |B|_F >= 1: det / (|A|_F |B|_F)^2 alone decides
+                    assert got == unit, (e, f)
+                elif e + f <= -20:  # the floor 1 dwarfs every det
+                    assert got, (e, f)
+        assert 0 < finite < len(self.EXPONENTS) ** 2
+
 
 class TestClassify:
     def test_impossible_difference_one(self):
@@ -124,6 +179,32 @@ class TestClassify:
                 for u, rho in family.pairs:
                     assert rou_pow(u, dr) == target_u
                     assert rou_pow(rho, ds) == minus_ae
+
+
+def phi(t, k):
+    """phi_k(t) = (1 - t^(2k)) / (t^(k-1) (1 - t^2)), t^2 != 1, in complex powers."""
+    return (1.0 - t ** (2 * k)) / (t ** (k - 1) * (1.0 - t * t))
+
+
+class TestCouplingProduct:
+    @pytest.mark.parametrize(
+        "shape",
+        [WORKED_SHAPE, WordShape(5, 4, 2, -1, 1), WordShape(-3, 5, 2, 1, -1),
+         WordShape(203, 157, 3, 7, 1)],
+        ids=str,
+    )
+    def test_matches_the_phi_formula(self, shape):
+        # sigma*v = (-1 - u^2r rho^2s) / (u^r phi_r(u) rho^s phi_s(rho)),
+        # evaluated in complex powers, against the exact-angle form
+        pairs = [pair for family in classify(shape).families for pair in family.pairs]
+        assert pairs
+        r, s = shape.r, shape.s
+        for u, rho in pairs:
+            uc, rc = rou_to_complex(u), rou_to_complex(rho)
+            expected = (-1.0 - uc ** (2 * r) * rc ** (2 * s)) / (
+                uc**r * phi(uc, r) * rc**s * phi(rc, s)
+            )
+            assert abs(_coupling_product(shape, u, rho) - expected) <= 1e-10 * abs(expected)
 
 
 class TestConstructSolution:

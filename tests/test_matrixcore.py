@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from simpow import matrixcore
-from simpow.errors import ClusteringAmbiguityError, NotInvertibleError
 from simpow.matrixcore import (
+    CLUSTER_LADDER,
     RANK_TOL,
     VERIFY_TOL,
+    ClusteringAmbiguityError,
+    Split,
     conjugacy_residual,
+    eigenspace_splits,
     find_invertible_in_span,
     fit_polynomial_in,
     kernel_basis,
@@ -19,11 +22,11 @@ from simpow.matrixcore import (
     sylvester_kernel,
     weyr_characteristic,
 )
-from simpow.scalar import ExponentPair, RootOfUnity, rou_pow
+from simpow.scalar import ExponentPair, RootOfUnity
 from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
 from simpow.solvers import nilpotent_from_blocks, solve_single_eigenvalue
 from simpow.spectra import successor
-from test_similarity import FIXTURE_SPECS
+from test_similarity import FIXTURE_SPECS, exact_dimension, integer_conjugate
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 J3 = np.eye(3, k=1, dtype=complex)
@@ -49,7 +52,7 @@ class TestMatIntPow:
         assert np.max(np.abs(lhs - mat_int_pow(a, 3))) < 1e-12
 
     def test_negative_power_of_singular(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(ValueError, match="negative power of a singular matrix"):
             mat_int_pow(J2, -1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -76,8 +79,10 @@ def assert_kernel_residuals(p, q, basis):
 
 
 def intertwiners(a, p, q):
-    """sylvester_kernel of A, handed A^p and A^q as the CLI forms them."""
-    return sylvester_kernel(a, p, q, mat_int_pow(a, p), mat_int_pow(a, q))
+    """sylvester_kernel of A, handed A^p, A^q and the last rung of the
+    split of A as the CLI forms them."""
+    a_p, a_q = mat_int_pow(a, p), mat_int_pow(a, q)
+    return sylvester_kernel(a, p, q, a_p, a_q, eigenspace_splits(a)[-1])
 
 
 def own_scale(m, lam):
@@ -144,7 +149,7 @@ class TestSylvesterKernel:
                 assert_kernel_residuals(p, q, kernel_elements(kernel))
 
     def test_singular_negative_exponent(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(ValueError, match="negative power of a singular matrix"):
             intertwiners(J2, -1, 2)
 
 
@@ -208,20 +213,6 @@ def dense_dimension(p, q):
     n = len(p)
     s = np.linalg.svd(np.kron(p, np.eye(n)) - np.kron(np.eye(n), q.T), compute_uv=False)
     return int(np.count_nonzero(s <= RANK_TOL * s[0]))
-
-
-def exact_dimension(spec, pq):
-    """dim {X : A^p X = X A^q} for an invertible spec: a Jordan block of size b at
-    lam stays one block of size b at lam^e in A^e, and two blocks of sizes b and c
-    at equal eigenvalues intertwine in min(b, c) dimensions."""
-    return sum(
-        min(b, c)
-        for e in spec.entries
-        for f in spec.entries
-        if rou_pow(e.eigenvalue, pq.p) == rou_pow(f.eigenvalue, pq.q)
-        for b in e.blocks
-        for c in f.blocks
-    )
 
 
 def cycle_spec(rng, pq, n_max):
@@ -425,6 +416,54 @@ class TestStructuredKernel:
         assert kernel_dimension(kernel) == exact_dimension(spec, pq)
         assert_kernel_residuals(*powers(a, pq), kernel_elements(kernel))
         assert (11, 11) not in dense_calls and (24, 24) not in dense_calls
+
+
+class TestEigenspaceSplits:
+    """The ladder ends at its first certified rung, and the kernel takes that
+    rung or, when none certifies, the whole operator."""
+
+    # conjugated 3-blocks scatter their eigenvalues far beyond the finest
+    # radius, which splits each into three clusters and cannot certify
+    THREE_BLOCKS = JordanSpec(
+        (JordanEntry(RootOfUnity(1, 5), (3,)), JordanEntry(RootOfUnity(4, 5), (3,)))
+    )
+
+    def test_ends_at_the_first_certified_rung(self):
+        for seed in range(3):
+            a = matrix_from_spec(self.THREE_BLOCKS, conjugate_seed=seed)
+            splits = eigenspace_splits(a)
+            assert [s.factor for s in splits] == list(CLUSTER_LADDER[:2])
+            assert len(splits[0].clusters) == 6 and splits[0].bases is None
+            assert len(splits[1].clusters) == 2 and splits[1].bases is not None
+
+    def test_one_cluster_ends_the_ladder(self):
+        [split] = eigenspace_splits(np.eye(3))
+        assert split.factor == CLUSTER_LADDER[0] and split.clusters == [[0, 1, 2]]
+
+    def test_uncertified_split_solves_the_whole_operator(self, dense_calls):
+        # Phi_5^2 + Phi_7 under integer operations (n = 14): no rung certifies
+        a, _ = integer_conjugate([(5, 2), (7, 1)], 40, seed=43)
+        last = eigenspace_splits(a)[-1]
+        assert isinstance(last, Split) and last.bases is None
+        p, q = powers(a, ExponentPair(2, 3))
+        kernel = intertwiners(a, 2, 3)
+        assert dense_calls == [(14, 14)]
+        scale = np.linalg.norm(p, 2) + np.linalg.norm(q, 2)
+        whole = kernel_basis(matrixcore._sylvester_operator(p, q), scale)
+        assert kernel_dimension(kernel) == whole.shape[1]
+
+    def test_kernel_takes_the_rung_it_is_given(self, dense_calls):
+        # the certified rung splits the 3-blocks apart, the uncertified one
+        # leaves the whole 36 x 36 operator
+        a = matrix_from_spec(self.THREE_BLOCKS, conjugate_seed=0)
+        p, q = powers(a, ExponentPair(2, 3))
+        uncertified, certified = eigenspace_splits(a)
+        split_kernel = sylvester_kernel(a, 2, 3, p, q, certified)
+        assert (6, 6) not in dense_calls
+        whole_kernel = sylvester_kernel(a, 2, 3, p, q, uncertified)
+        assert dense_calls[-1] == (6, 6)
+        exact = exact_dimension(self.THREE_BLOCKS, ExponentPair(2, 3))
+        assert kernel_dimension(split_kernel) == kernel_dimension(whole_kernel) == exact
 
 
 def loop_clusters(values, threshold):

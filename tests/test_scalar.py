@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simpow.errors import NotInvertibleError
 from simpow.scalar import (
     ExponentPair,
     RootOfUnity,
     _admissible_roots,
     mod_inverse,
-    phi_k,
     rou_mul,
     rou_pow,
     rou_to_complex,
@@ -144,7 +141,7 @@ class TestModInverse:
         assert mod_inverse(1, 7) == 1
 
     def test_not_invertible(self):
-        with pytest.raises(NotInvertibleError):
+        with pytest.raises(ValueError, match="not invertible mod 9"):
             mod_inverse(3, 9)
 
     def test_trivial_ring(self):
@@ -170,36 +167,6 @@ class TestExponentPair:
             ExponentPair(1, 1)
         with pytest.raises(ValueError):
             ExponentPair(1, -1)
-
-
-class TestPhiK:
-    def test_k_one_is_one(self):
-        for t in (0.3 + 0.4j, 2.0 + 0j, 1j, -1.0 + 0j):
-            assert phi_k(t, 1) == pytest.approx(1.0)
-
-    def test_t_one(self):
-        assert phi_k(1.0 + 0j, 7) == 7.0
-
-    def test_t_minus_one(self):
-        assert phi_k(-1.0 + 0j, 4) == -4.0
-        assert phi_k(-1.0 + 0j, 5) == 5.0
-
-    def test_t_i_k_three_against_matrix_power(self):
-        # oracle: (1,2) entry of [[u, v], [0, 1/u]]^3 computed by repeated
-        # multiplication equals v * phi_3(u)
-        u, v = 1j, 0.8 - 0.3j
-        a = np.array([[u, v], [0, 1 / u]], dtype=complex)
-        cubed = a @ a @ a
-        assert phi_k(u, 3) == pytest.approx(-1.0)
-        assert cubed[0, 1] == pytest.approx(v * phi_k(u, 3), abs=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            phi_k(0j, 3)
-
-    def test_near_branch_point_takes_the_limit(self):
-        assert phi_k(1.0 + 1e-9, 5) == 5.0  # within PHI_BRANCH_TOL of t^2 = 1
-        assert phi_k(-1.0 - 1e-9, 4) == -4.0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -256,34 +223,3 @@ def test_snap_matches_brute_force_oracle():
             z = complex(rng.normal(), rng.normal())
         tol = 10.0 ** rng.uniform(-10, -4)
         assert _admissible_roots(z, PQ23, 8, tol) == _snap_oracle(z, PQ23, 8, tol)
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(
-    angle=st.floats(min_value=0.01, max_value=0.99),
-    k=st.integers(min_value=-20, max_value=20),
-)
-def test_phi_functional_identity(angle, k):
-    t = cmath.exp(2j * math.pi * angle)
-    if abs(t * t - 1.0) < 1e-4:
-        return
-    lhs = phi_k(t, k) * t ** (k - 1) * (1.0 - t * t)
-    assert abs(lhs - (1.0 - t ** (2 * k))) < 1e-10
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(
-    angle=st.floats(min_value=0.0, max_value=1.0),
-    v_re=st.floats(min_value=-2, max_value=2),
-    v_im=st.floats(min_value=-2, max_value=2),
-    k=st.integers(min_value=-10, max_value=10),
-)
-def test_triangular_power_inverse(angle, v_re, v_im, k):
-    # A^k built from the phi formula times A^-k built the same way is I
-    u = cmath.exp(2j * math.pi * angle)
-    v = complex(v_re, v_im)
-
-    def power(e):
-        return np.array([[u**e, v * phi_k(u, e)], [0, u**-e]], dtype=complex)
-
-    assert np.max(np.abs(power(k) @ power(-k) - np.eye(2))) < 1e-10

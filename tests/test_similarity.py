@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from simpow import matrixcore, similarity
-from simpow.errors import ClusteringAmbiguityError, NormalizationRequiredError
 from simpow.matrixcore import (
+    ClusteringAmbiguityError,
     Split,
     eigenspace_splits,
     find_invertible_in_span,
@@ -68,9 +68,14 @@ def recoverable(spec, pq):
     return out
 
 
+def recover(a, pq):
+    """spec_from_matrix on the splits of A, as `analyze` makes them."""
+    return spec_from_matrix(a, pq, eigenspace_splits(a))
+
+
 def numeric_verdict(a, pq):
     """The one route from a matrix to a verdict, as `analyze` takes it."""
-    return powers_similar_general(spec_from_matrix(a, pq), pq)
+    return powers_similar_general(recover(a, pq), pq)
 
 
 class TestJordanSpec:
@@ -90,7 +95,7 @@ class TestJordanSpec:
 
     def test_equality_ignores_entry_order(self):
         spec = JordanSpec((entry(R(0, 1), 2), entry(R(1, 2), 1)))
-        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=4), ExponentPair(1, 3))
+        recovered = recover(matrix_from_spec(spec, conjugate_seed=4), ExponentPair(1, 3))
         assert recovered.entries == (entry(R(1, 2), 1), entry(R(0, 1), 2))
         assert recovered == spec
         assert hash(recovered) == hash(spec)
@@ -102,21 +107,21 @@ class TestJordanSpec:
 
 class TestSpecFromMatrix:
     def test_identity(self, pq23):
-        spec = spec_from_matrix(np.eye(3), pq23)
+        spec = recover(np.eye(3), pq23)
         assert spec.entries == (entry(R(0, 1), 1, 1, 1),)
 
     def test_jordan_block(self, pq23):
-        spec = spec_from_matrix(np.eye(3, k=1, dtype=complex), pq23)
+        spec = recover(np.eye(3, k=1, dtype=complex), pq23)
         assert spec.entries == (entry(None, 3),)
 
     def test_nondiag_matrix(self, nondiag_fixture, pq23):
         a, _, _, _, _ = nondiag_fixture
-        spec = spec_from_matrix(a, pq23)
+        spec = recover(a, pq23)
         by_ev = {e.eigenvalue: e.blocks for e in spec.entries}
         assert by_ev == {R(1, 5): (2,), R(4, 5): (2,)}
 
     def test_non_root_kept_complex(self, pq23):
-        spec = spec_from_matrix(np.diag([2.0, 3.0]), pq23)
+        spec = recover(np.diag([2.0, 3.0]), pq23)
         kinds = {type(e.eigenvalue) for e in spec.entries}
         assert kinds == {complex}
 
@@ -124,15 +129,15 @@ class TestSpecFromMatrix:
         # two eigenvalues separated by ~1.5x the threshold: too close to split
         gap = 1.5e-6
         with pytest.raises(ClusteringAmbiguityError):
-            spec_from_matrix(np.diag([1.0, 1.0 + gap]), pq23)
+            recover(np.diag([1.0, 1.0 + gap]), pq23)
 
     def test_intro_matrix_structure(self, intro_matrix, intro_spec):
-        recovered = spec_from_matrix(intro_matrix, ExponentPair(3, 5))
+        recovered = recover(intro_matrix, ExponentPair(3, 5))
         assert recovered == intro_spec
 
     def test_size_limit(self, pq23):
         with pytest.raises(ValueError):
-            spec_from_matrix(np.eye(65), pq23)
+            recover(np.eye(65), pq23)
 
 
 class TestSpecFromMatrixHardInputs:
@@ -146,7 +151,7 @@ class TestSpecFromMatrixHardInputs:
         assert math.lcm(*(abs(q**t - p**t) for t in range(1, n + 1))) > 2**63
         inst = build_cycle_instance(n, pq, 1)
         spec = JordanSpec(tuple(entry(ev, 1) for ev in inst.spectrum))
-        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=n), pq)
+        recovered = recover(matrix_from_spec(spec, conjugate_seed=n), pq)
         assert recovered == spec
 
     @pytest.mark.parametrize("seed", range(4))
@@ -167,7 +172,7 @@ class TestSpecFromMatrixHardInputs:
     )
     def test_conjugated_long_blocks(self, pq, spec, seed):
         pq = ExponentPair(*pq)
-        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=seed), pq)
+        recovered = recover(matrix_from_spec(spec, conjugate_seed=seed), pq)
         assert recovered == spec
 
     @pytest.mark.parametrize("delta", [3e-6, 1e-5])
@@ -180,7 +185,7 @@ class TestSpecFromMatrixHardInputs:
         extra = rou_to_complex(lam) * cmath.exp(1j * delta)
         spec = JordanSpec(tuple(entry(ev, 1) for ev in cycle(lam, pq)) + (entry(extra, 1),))
         try:
-            recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=seed), pq)
+            recovered = recover(matrix_from_spec(spec, conjugate_seed=seed), pq)
         except ValueError:
             return  # refusing is allowed; a wrong spec is not
         assert recoverable(recovered, pq) == recoverable(spec, pq)
@@ -201,9 +206,28 @@ def _cycles(pq, max_order=30, max_len=8):
     return out
 
 
+def exact_dimension(spec, pq):
+    """dim {X : A^p X = X A^q} for an invertible spec: a Jordan block of size b at
+    lam stays one block of size b at lam^e in A^e, and two blocks of sizes b and c
+    at equal eigenvalues intertwine in min(b, c) dimensions."""
+    return sum(
+        min(b, c)
+        for e in spec.entries
+        for f in spec.entries
+        if rou_pow(e.eigenvalue, pq.p) == rou_pow(f.eigenvalue, pq.q)
+        for b in e.blocks
+        for c in f.blocks
+    )
+
+
+
 def test_seeded_cycle_recovery():
     """Specs of whole successor cycles (blocks <= 5, n <= 16): recovery
-    returns the generating spec or raises ValueError, never another spec."""
+    returns the generating spec or raises ValueError, never another spec,
+    and the kernel on the last rung of the same splits, as `analyze
+    --find-b` takes it, has the exact dimension.  Case 443 (5-blocks at
+    8/21 and 20/21 beside 1-blocks, (2, 5)) got 18 instead of 16 when the
+    kernel re-clustered the powers of the centres on a rung of its own."""
     rng = random.Random(5)
     pairs = [ExponentPair(p, q) for p, q in [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5), (2, 5)]]
     cycles = {pq: _cycles(pq) for pq in pairs}
@@ -217,8 +241,13 @@ def test_seeded_cycle_recovery():
                 entries += [entry(ev, *blocks) for ev in members]
                 n += len(members) * sum(blocks)
         spec = JordanSpec(tuple(entries))
+        a = matrix_from_spec(spec, conjugate_seed=case)
+        splits = eigenspace_splits(a)
+        a_p, a_q = mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
+        kernel = sylvester_kernel(a, pq.p, pq.q, a_p, a_q, splits[-1])
+        assert sum(k.shape[1] for _, k, _ in kernel) == exact_dimension(spec, pq), case
         try:
-            got = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=case), pq)
+            got = spec_from_matrix(a, pq, splits)
         except ValueError:
             continue
         assert got == spec, (pq, spec.to_json(), got.to_json())
@@ -288,7 +317,7 @@ class TestSplitCertificate:
             tuple(entry(R(k, 19), 1) for k in (4, 13, 9, 15, 6, 10))
             + (entry(R(3, 16), 5), entry(R(5, 16), 5))
         )
-        assert spec_from_matrix(matrix_from_spec(spec, conjugate_seed=340), pq) == spec
+        assert recover(matrix_from_spec(spec, conjugate_seed=340), pq) == spec
 
     def test_cyclotomic(self):
         assert cyclotomic(1) == [-1, 1]
@@ -316,7 +345,7 @@ class TestSplitCertificate:
         monkeypatch.setattr(
             similarity, "weyr_characteristic", lambda m, *args: sizes.append(len(m)) or weyr(m, *args)
         )
-        assert spec_from_matrix(a, ExponentPair(2, 3)) == spec
+        assert recover(a, ExponentPair(2, 3)) == spec
         assert set(sizes) == {14}
 
 
@@ -393,9 +422,9 @@ class TestPowersSimilarGeneral:
         assert powers_similar_general(spec, ExponentPair(2, 3)).similar
 
     def test_normalization_required(self, intro_spec):
-        with pytest.raises(NormalizationRequiredError):
+        with pytest.raises(ValueError, match="singular case needs 1 <= p < q"):
             powers_similar_general(intro_spec, ExponentPair(5, 3))
-        with pytest.raises(NormalizationRequiredError):
+        with pytest.raises(ValueError, match="singular case needs 1 <= p < q"):
             powers_similar_general(intro_spec, ExponentPair(-3, 5))
 
     def test_invertible_spec_any_signs(self, pq23):
@@ -435,7 +464,7 @@ class TestStructuralNumericAgreement:
     def test_agreement(self, spec_idx, pq23):
         spec = FIXTURE_SPECS[spec_idx]
         structural = powers_similar_general(spec, pq23)
-        recovered = spec_from_matrix(matrix_from_spec(spec, conjugate_seed=spec_idx), pq23)
+        recovered = recover(matrix_from_spec(spec, conjugate_seed=spec_idx), pq23)
         assert recoverable(recovered, pq23) == recoverable(spec, pq23)
         assert powers_similar_general(recovered, pq23).similar == structural.similar
 
@@ -449,7 +478,8 @@ class TestSoundness:
         assert verdict.similar
         a = matrix_from_spec(spec, conjugate_seed=100 + spec_idx)
         ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
-        b = find_invertible_in_span(sylvester_kernel(a, pq23.p, pq23.q, ap, aq), seed=0)
+        kernel = sylvester_kernel(a, pq23.p, pq23.q, ap, aq, eigenspace_splits(a)[-1])
+        b = find_invertible_in_span(kernel, seed=0)
         assert b is not None
         assert np.max(np.abs(np.linalg.solve(b, ap @ b) - aq)) < 1e-8
 
@@ -467,6 +497,7 @@ class TestRootOfIdentityConsequence:
         alpha = mod_inverse(pq23.p, int(m))
         a = matrix_from_spec(spec)
         ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
-        b = find_invertible_in_span(sylvester_kernel(a, pq23.p, pq23.q, ap, aq), seed=1)
+        kernel = sylvester_kernel(a, pq23.p, pq23.q, ap, aq, eigenspace_splits(a)[-1])
+        b = find_invertible_in_span(kernel, seed=1)
         c = np.linalg.solve(b, a @ b)
         assert np.max(np.abs(c - mat_int_pow(a, alpha * pq23.q))) < 1e-8
