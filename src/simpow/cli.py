@@ -17,6 +17,7 @@ argparse's usage message.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import sys
@@ -25,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .equation2x2 import (
+    DEFAULT_MAX_REPORT,
     WordShape,
     classify,
     construct_solution,
@@ -34,6 +36,7 @@ from .equation2x2 import (
 from .matrixcore import (
     RANK_TOL,
     VERIFY_TOL,
+    as_matrix,
     conjugacy_residual,
     eigenspace_splits,
     find_invertible_in_span,
@@ -47,7 +50,6 @@ from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_t
 from .similarity import (
     JordanEntry,
     JordanSpec,
-    _require_recoverable,
     matrix_from_spec,
     powers_similar_general,
     spec_from_matrix,
@@ -65,7 +67,12 @@ from .spectra import powers_equal
 
 
 def _load_matrix_or_spec(path: str):
-    """Returns (matrix or None, spec or None) from a JSON input file."""
+    """Returns (matrix or None, spec or None) from a JSON input file.
+
+    The one place an input file is checked: a matrix must be square,
+    non-empty and finite, a spec non-empty with finite [re, im]
+    eigenvalues.  Nothing that reads the result checks it again.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -73,7 +80,7 @@ def _load_matrix_or_spec(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
         try:
-            matrix = matrix_from_json(data)
+            matrix = as_matrix(matrix_from_json(data))
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"bad matrix file {path}: {exc}") from exc
         if matrix.size == 0:
@@ -88,6 +95,10 @@ def _load_matrix_or_spec(path: str):
             raise ValueError(f"bad spec file {path}: {exc}") from exc
         if not spec.entries:
             raise ValueError(f"bad spec file {path}: the spec is empty")
+        for ev in (e.eigenvalue for e in spec.entries):
+            if isinstance(ev, complex) and not cmath.isfinite(ev):
+                pair = [ev.real, ev.imag]
+                raise ValueError(f"bad spec file {path}: eigenvalue {pair} is not finite")
         return None, spec
     raise ValueError(f"{path}: expected a matrix object or a spec list")
 
@@ -160,7 +171,7 @@ def cmd_analyze(args) -> dict:
     splits = None  # eigenspace_splits(matrix), made at most once per request
     if spec is None:
         try:
-            splits = eigenspace_splits(_require_recoverable(matrix))
+            splits = eigenspace_splits(matrix)
             spec = spec_from_matrix(matrix, pq, splits)
         except ValueError as exc:
             raise ValueError(f"cannot recover structure: {exc}") from exc
@@ -193,8 +204,8 @@ def cmd_analyze(args) -> dict:
     if args.find_b:
         if matrix is None:
             matrix = matrix_from_spec(spec)
+            splits = eigenspace_splits(matrix)
         powers = _powers(matrix, normalized)
-        splits = splits or eigenspace_splits(matrix)
         report["conjugator"] = _solve_conjugator(matrix, normalized, powers, splits, args.seed)
     return report
 
@@ -277,8 +288,8 @@ def cmd_solve_b(args) -> dict:
     report = _seeded_report("solve-b", args)
     matrix = _load_matrix(args.input)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    powers = _powers(matrix, pq)
     splits = eigenspace_splits(matrix)
+    powers = _powers(matrix, pq)
     report["conjugator"] = _solve_conjugator(matrix, pq, powers, splits, args.seed)
     coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w_cl = w2.add_parser("classify", help="enumerate non-ST solution families")
     _add_shape(w_cl)
-    w_cl.add_argument("--max-report", type=int, default=100, dest="max_report")
+    w_cl.add_argument("--max-report", type=int, default=DEFAULT_MAX_REPORT, dest="max_report")
     w_cl.set_defaults(func=cmd_word2_classify)
 
     w_co = w2.add_parser("construct", help="build a non-ST solution pair")

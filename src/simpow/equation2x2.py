@@ -74,10 +74,8 @@ def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
 
 def verify_word(a: np.ndarray, b: np.ndarray, shape: WordShape) -> float:
     """Max-abs residual of A^r B^s A^r' B^s' - eps*I; a ValueError when the word overflows."""
-    a, b = as_matrix(a), as_matrix(b)
-    n = a.shape[0]
     w = word_value(a, b, shape)
-    residual = float(np.max(np.abs(w - shape.epsilon * np.eye(n))))
+    residual = float(np.max(np.abs(w - shape.epsilon * np.eye(len(a)))))
     if not isfinite(residual):
         r, s, rp, sp = shape.exponents
         raise ValueError(f"the word A^{r} B^{s} A^{rp} B^{sp} overflows")
@@ -133,10 +131,9 @@ def _roots_with_power_sign(exponent: int, sign: int) -> list[RootOfUnity]:
 
 
 def _phi_vanishes(u: RootOfUnity, k: int) -> bool:
-    """phi_k(u) = 0 for a root of unity u, exactly: u^2 != 1 and u^(2k) = 1."""
-    if u.order <= 2:
-        return False
-    return rou_pow(u, 2 * k).num == 0
+    """phi_k(u) = 0 for a root of unity u, exactly: u^2 != 1 and u^(2k) = 1,
+    that is, u's order (exact: the angle is reduced) is above 2 and divides 2k."""
+    return u.order > 2 and (2 * k) % u.order == 0
 
 
 def _passes_pair_constraints(u: RootOfUnity, rho: RootOfUnity, shape: WordShape) -> bool:

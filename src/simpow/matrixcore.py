@@ -33,12 +33,6 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def _require_square(m: np.ndarray) -> int:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m.shape[0]
-
-
 def _rank_cut(s: np.ndarray, scale: float | None = None) -> int:
     """Count of the descending singular values s above RANK_TOL * scale.
 
@@ -55,8 +49,7 @@ def rank_with_tol(m: np.ndarray) -> int:
 
 
 def is_invertible(m: np.ndarray) -> bool:
-    n = _require_square(m)
-    return rank_with_tol(m) == n
+    return rank_with_tol(m) == len(m)
 
 
 def mat_int_pow(a: np.ndarray, e: int) -> np.ndarray:
@@ -64,8 +57,6 @@ def mat_int_pow(a: np.ndarray, e: int) -> np.ndarray:
 
     A power with a non-finite entry (overflow) is a ValueError naming e.
     """
-    a = as_matrix(a)
-    _require_square(a)
     if e < 0:
         if not is_invertible(a):
             raise ValueError("negative power of a singular matrix")
@@ -212,8 +203,11 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
     Ruhe, ACM TOMS 6, 1980).  The split certifies when every V_i has its
     cluster's dimension and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  A
     certified split, or one cluster, ends the list: coarser radii join no
-    less, and recovery never needs them.
+    less, and recovery never needs them.  Every command that splits A
+    passes here once, so past n = 64 it is refused before the eig.
     """
+    if len(a) > 64:
+        raise ValueError("numeric recovery supports n <= 64")
     values, vecs = np.linalg.eig(a)
     tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
     norm = float(np.linalg.norm(a))
@@ -280,7 +274,7 @@ def sylvester_kernel(
     split or a single cluster leaves V = W = I: the whole n^2 x n^2
     operator, O(n^6) time instead of about O(k n^3 + sum (m_i m_j)^3).
     """
-    n = _require_square(as_matrix(a))
+    n = len(a)
     norm_p, norm_q = np.linalg.svd(np.stack([a_p, a_q]), compute_uv=False)[:, 0]
     if isinstance(split, Split) and split.bases is not None:
         centres = np.array(split.centres)
@@ -351,12 +345,7 @@ def fit_polynomial_in(
     running residual only.  Returns the coefficients of the smallest
     degree that passes, or None.
     """
-    matrix_s, target_t = as_matrix(matrix_s), as_matrix(target_t)
-    n = _require_square(matrix_s)
-    if _require_square(target_t) != n:
-        raise ValueError("operands must have equal size")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+    n = len(matrix_s)
     threshold = VERIFY_TOL * max(np.linalg.norm(target_t), 1e-300)
     powers = [np.eye(n, dtype=complex)]
     for _ in range(min(max_degree, n - 1)):  # S^n and up add nothing (Cayley-Hamilton)
@@ -387,10 +376,6 @@ def weyr_characteristic(m: np.ndarray, lam: complex, depth: int, scale: float) -
     a block of a larger operator that operator's; once they stop growing
     the list is padded to depth with the last one.
     """
-    m = as_matrix(m)
-    _require_square(m)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     dims = [kernel.shape[1] for kernel in _nested_kernels(m, complex(lam), scale, depth)]
     return dims + dims[-1:] * (depth - len(dims))
 

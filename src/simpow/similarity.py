@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import Split, as_matrix, block_diagonal, weyr_characteristic
+from .matrixcore import Split, block_diagonal, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, powers_equal
 
@@ -190,15 +190,6 @@ def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
-def _require_recoverable(a: np.ndarray) -> np.ndarray:
-    """A as a complex matrix; a ValueError past the size that numeric
-    recovery supports, so that the caller can refuse before splitting A."""
-    a = as_matrix(a)
-    if a.shape[0] > 64:
-        raise ValueError("numeric recovery supports n <= 64")
-    return a
-
-
 def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> JordanSpec:
     """Recover a JordanSpec numerically, certified cluster by cluster.
 
@@ -214,7 +205,6 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> JordanSpe
     every cluster certifies gives the spec; failing that, the error of the
     finest rung is raised (ClusteringAmbiguityError or another ValueError).
     """
-    a = _require_recoverable(a)
     norm = float(np.linalg.norm(a))
     finest_error = None
     for split in splits:

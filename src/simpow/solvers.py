@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrixcore import VERIFY_TOL, as_matrix, block_diagonal, is_invertible, matrix_to_json
+from .matrixcore import VERIFY_TOL, block_diagonal, is_invertible, matrix_to_json
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 
 # the largest Q = |q^n - p^n| whose residues enumerate_valid_k1 lists: at
@@ -71,15 +71,6 @@ def _excluded_divisors(n: int) -> list[int]:
     return [z for z in range(1, n) if n % z == 0]
 
 
-def _violated_divisor(n: int, pq: ExponentPair, k1: int, modulus: int) -> int | None:
-    """Strict divisor z of n whose excluded coset contains k1, if any."""
-    for z in _excluded_divisors(n):
-        step = modulus // abs(pq.q**z - pq.p**z)
-        if k1 % step == 0:
-            return z
-    return None
-
-
 def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[int]:
     """All seed residues k1 whose cycle k_u = (p^-1 q)^(u-1) k1 has n distinct values.
 
@@ -102,13 +93,14 @@ def enumerate_valid_k1(n: int, pq: ExponentPair) -> list[int]:
 def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
     modulus = _power_modulus(n, pq)
     k1_value = k1 % modulus
-    z = _violated_divisor(n, pq, k1_value, modulus)
-    if z is not None:
-        raise ValueError(f"k1={k1_value} lies in the excluded set for divisor z={z} of n={n}")
     step = (mod_inverse(pq.p, modulus) * pq.q) % modulus
     k_seq = [k1_value]
     for _ in range(n - 1):
         k_seq.append((k_seq[-1] * step) % modulus)
+    if k1_value in k_seq[1:]:
+        # the cycle's period z divides n: k1 lies in the excluded set of z
+        z = k_seq.index(k1_value, 1)
+        raise ValueError(f"k1={k1_value} lies in the excluded set for divisor z={z} of n={n}")
     return CycleInstance(
         n=n,
         pq=pq,
@@ -339,7 +331,6 @@ def realize_conjugate_c(a: np.ndarray, b: np.ndarray) -> ConjugateResult:
     When (A, B) solves the conjugacy equation, C must commute with A; the
     check is reported, never enforced.
     """
-    a, b = as_matrix(a), as_matrix(b)
     if not is_invertible(b):
         raise ValueError("b is singular")
     c = np.linalg.solve(b, a @ b)

@@ -7,6 +7,7 @@ from simpow import cli
 from simpow.cli import main
 from simpow.matrixcore import RANK_TOL, VERIFY_TOL, matrix_to_json
 from simpow.similarity import JordanSpec, matrix_from_spec
+from test_similarity import integer_conjugate
 
 
 def run(capsys, *argv):
@@ -231,6 +232,38 @@ class TestMalformedInput:
             assert code == 1
             assert report["error"] == f"bad matrix file {wide}: shape (2, 3) is not square"
 
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            ({"rows": 1, "cols": 1, "data": [[NAN, 0.0]]}, "matrix contains non-finite entries"),
+            ({"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, -INF], [0.0, 0.0], [1.0, 0.0]]},
+             "matrix contains non-finite entries"),
+            ([{"eigenvalue": [NAN, 0.0], "blocks": [1]}], "eigenvalue [nan, 0.0] is not finite"),
+            ([{"eigenvalue": "1/3", "blocks": [1]}, {"eigenvalue": [0.0, INF], "blocks": [1]}],
+             "eigenvalue [0.0, inf] is not finite"),
+        ],
+        ids=["matrix nan", "matrix -inf", "spec nan", "spec inf"],
+    )
+    def test_non_finite_input_is_a_bad_file(self, capsys, tmp_path, files, content, error):
+        # json writes and reads NaN and Infinity; the loader refuses them, once
+        path = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(json.dumps(content))
+        kind = "matrix" if isinstance(content, dict) else "spec"
+        for argv in (
+            ["analyze", path, "-p", "2", "-q", "3"],
+            ["analyze", path, "-p", "2", "-q", "3", "--find-b"],
+            ["solve-b", path, "-p", "2", "-q", "3"],
+            ["verify", path, files["b2"], "-p", "2", "-q", "3"],
+            ["word2", "verify", files["b2"], path, *self.SHAPE],
+        ):
+            code = main(argv)
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 1
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == f"bad {kind} file {path}: {error}"
+
     def test_a_and_b_of_different_sizes(self, capsys, files):
         a, b = files["a3"], files["b2"]
         for argv in (
@@ -316,6 +349,22 @@ class TestSolveB:
         assert report["conjugator"]["residual"] < 1e-9
         assert report["polynomial_in_a_q"] is not None
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1b: the whole-operator rung keeps directions outside the kernel",
+    )
+    def test_ill_conditioned_integer_matrix(self, capsys, tmp_path):
+        # companion(Phi_7) under 35 integer operations: ||A||_2 = 2.5e6, so the
+        # finest clustering radius 1e-6 ||A||_2 = 2.5 passes the 0.87 gap
+        # between primitive 7th roots; the one cluster sends the kernel to the
+        # whole n^2 x n^2 operator, whose cut keeps 12 dimensions, not the exact
+        # 6 (analyze refuses the same file)
+        a, _ = integer_conjugate([(7, 1)], 35, seed=1)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(a)))
+        code, report = run_json(capsys, "solve-b", str(path), "-p", "2", "-q", "3")
+        assert code == 1 or report["conjugator"]["kernel_dimension"] == 6
+
 
 class TestVerify:
     def test_nondiag_pair(self, capsys, nondiag_files):
@@ -368,6 +417,31 @@ class TestOneSplitPerRequest:
         code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3", "--find-b")
         assert code == 1
         assert report["error"] == "cannot recover structure: numeric recovery supports n <= 64"
+        assert eig_sizes == []
+
+    @pytest.mark.parametrize("command", [["analyze", "--find-b"], ["solve-b"]])
+    @pytest.mark.parametrize("kind", ["matrix", "spec"])
+    def test_every_split_refuses_n_past_64(self, capsys, eig_sizes, tmp_path, command, kind):
+        # the cap sits in eigenspace_splits, which every command that splits A
+        # passes through; without it solve-b on 2 I at n = 65 ran for 116 s
+        # and peaked at 1.95 GB
+        content = (
+            matrix_to_json(2.0 * np.eye(65)) if kind == "matrix"
+            else [{"eigenvalue": "0/1", "blocks": [64, 1]}]
+        )
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(content))
+        code, report = run_json(capsys, command[0], str(path), "-p", "2", "-q", "3", *command[1:])
+        assert code == 1
+        assert report["error"].endswith("numeric recovery supports n <= 64")
+        assert eig_sizes == []
+
+    def test_spec_verdict_at_any_size(self, capsys, eig_sizes, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([{"eigenvalue": "0/1", "blocks": [64, 1]}]))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+        assert code == 0
+        assert report["verdict"]["similar"] is True
         assert eig_sizes == []
 
 

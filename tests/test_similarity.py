@@ -324,6 +324,20 @@ class TestSplitCertificate:
         assert cyclotomic(5) == [1, 1, 1, 1, 1]
         assert cyclotomic(12) == [1, 0, -1, 0, 1]
 
+    def test_recovery_walks_the_ladder(self):
+        # Phi_5 + Phi_7 under 40 integer operations, n = 10: the rungs are
+        # uncertified, ambiguous and one cluster, and only the first recovers;
+        # recovery on the last rung alone would refuse
+        pq = ExponentPair(2, 3)
+        a, spec = integer_conjugate([(5, 1), (7, 1)], 40, seed=6)
+        splits = eigenspace_splits(a)
+        assert [type(s) for s in splits] == [Split, ClusteringAmbiguityError, Split]
+        assert len(splits[0].clusters) == 10 and splits[0].bases is None
+        assert len(splits[-1].clusters) == 1
+        assert spec_from_matrix(a, pq, splits) == spec
+        with pytest.raises(ValueError, match="no point certifies the 10 eigenvalue"):
+            spec_from_matrix(a, pq, splits[-1:])
+
     def test_uncertified_split_recovers_on_the_whole_matrix(self, monkeypatch):
         # Phi_5^2 + Phi_7 under 40 integer operations, n = 14, entries up to
         # 1.4e4: every cluster's basis has its size, but the stacked bases

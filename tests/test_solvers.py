@@ -11,7 +11,6 @@ from simpow.matrixcore import fit_polynomial_in, mat_int_pow
 from simpow.scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 from simpow.solvers import (
     _power_modulus,
-    _violated_divisor,
     build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
@@ -94,14 +93,19 @@ class TestBuildCycleInstance:
     @pytest.mark.parametrize("p,q", [(2, 3), (1, 3), (3, 5), (-1, 2), (1, 2)])
     def test_divisor_test_alone_decides(self, p, q):
         # the cycle of k1 repeats after z steps, z the least divisor of n with
-        # (q^z - p^z) k1 = 0 mod Q: exactly the coset _violated_divisor tests
+        # (q^z - p^z) k1 = 0 mod Q: the least strict divisor whose coset
+        # (Q / |q^z - p^z|) Z/Q holds k1, if any
         pq = ExponentPair(p, q)
         for n in range(1, 7):
             modulus = _power_modulus(n, pq)
             if modulus > 10**4:
                 continue
             for k1 in range(modulus):
-                z = _violated_divisor(n, pq, k1, modulus)
+                z = next(
+                    (z for z in range(1, n)
+                     if n % z == 0 and k1 % (modulus // abs(q**z - p**z)) == 0),
+                    None,
+                )
                 if z is not None:
                     with pytest.raises(ValueError, match=f"for divisor z={z} of n={n}$"):
                         build_cycle_instance(n, pq, k1)
