@@ -34,6 +34,7 @@ from .equation2x2 import (
     verify_word,
 )
 from .matrixcore import (
+    MAX_RECOVERY_N,
     RANK_TOL,
     VERIFY_TOL,
     as_matrix,
@@ -59,7 +60,6 @@ from .solvers import (
     build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
-    nilpotent_from_blocks,
     realize_conjugate_c,
     solve_single_eigenvalue,
 )
@@ -101,6 +101,13 @@ def _load_matrix_or_spec(path: str):
                 raise ValueError(f"bad spec file {path}: eigenvalue {pair} is not finite")
         return None, spec
     raise ValueError(f"{path}: expected a matrix object or a spec list")
+
+
+def _recoverable_matrix(spec: JordanSpec) -> np.ndarray:
+    """The matrix of a spec to split, refused before it is built past the cap."""
+    if spec.n > MAX_RECOVERY_N:
+        raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
+    return matrix_from_spec(spec)
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -192,18 +199,14 @@ def cmd_analyze(args) -> dict:
         spec = _exact_roots(spec, normalized, args.input)
     report["spec"] = spec.to_json()
 
-    try:
-        spectrum = spec.spectrum()
-        report["spectrum"] = spectrum.to_json()
-        report["power_spectra_equal"] = powers_equal(spectrum, normalized)
-    except ValueError:
-        report["spectrum"] = None
-        report["power_spectra_equal"] = False
-    report["verdict"] = powers_similar_general(spec, normalized).to_json()
+    spectrum = spec.spectrum()
+    report["spectrum"] = None if spectrum is None else spectrum.to_json()
+    report["power_spectra_equal"] = spectrum is not None and powers_equal(spectrum, normalized)
+    report["verdict"] = powers_similar_general(spec, normalized, spectrum).to_json()
 
     if args.find_b:
         if matrix is None:
-            matrix = matrix_from_spec(spec)
+            matrix = _recoverable_matrix(spec)
             splits = eigenspace_splits(matrix)
         powers = _powers(matrix, normalized)
         report["conjugator"] = _solve_conjugator(matrix, normalized, powers, splits, args.seed)
@@ -233,8 +236,6 @@ def _solve_conjugator(
 
 def cmd_generate(args) -> dict:
     pq = ExponentPair(args.p, args.q)
-    if args.n < 1:
-        raise ValueError(f"n must be >= 1, got {args.n}")
     report = _base_report("generate")
     report["inputs"] = {"n": args.n, "p": pq.p, "q": pq.q, "k1": args.k1, "scale": args.scale}
     report["valid_k1"] = enumerate_valid_k1(args.n, pq)
@@ -266,11 +267,9 @@ def cmd_nilpotent(args) -> dict:
     report = _base_report("nilpotent")
     report["inputs"] = {"lambda": str(lam), "blocks": blocks, "p": pq.p, "q": pq.q}
     solution = solve_single_eigenvalue(lam, blocks, pq)
-    n = solution.n
-    lam_c = rou_to_complex(lam)
-    nil = nilpotent_from_blocks(solution.block_sizes)
-    a_mat = lam_c * np.eye(n) + nil
-    c_mat = lam_c * np.eye(n) + solution.m_matrix
+    a_mat = matrix_from_spec(JordanSpec((JordanEntry(lam, solution.block_sizes),)))
+    nil = matrix_from_spec(JordanSpec((JordanEntry(None, solution.block_sizes),)))
+    c_mat = rou_to_complex(lam) * np.eye(solution.n) + solution.m_matrix
     power_residual = np.max(np.abs(mat_int_pow(c_mat, pq.p) - mat_int_pow(a_mat, pq.q)))
     report["solution"] = solution.to_json()
     report["alpha_exact"] = [str(c) for c in solution.rational_coeffs] if lam.num == 0 else None
@@ -286,7 +285,9 @@ def cmd_nilpotent(args) -> dict:
 def cmd_solve_b(args) -> dict:
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("solve-b", args)
-    matrix = _load_matrix(args.input)
+    matrix, spec = _load_matrix_or_spec(args.input)
+    if matrix is None:
+        matrix = _recoverable_matrix(spec)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
     splits = eigenspace_splits(matrix)
     powers = _powers(matrix, pq)

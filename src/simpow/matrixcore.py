@@ -21,6 +21,8 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # the clustering radii, finest first, in units of that: a Jordan block of size k
 # scatters its computed eigenvalues by about (u * ||A||)^(1/k), their mean by rounding
 CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
+# the largest n numeric recovery splits; its n^2 x n^2 kernel operator grows as n^4
+MAX_RECOVERY_N = 64
 
 
 def as_matrix(data) -> np.ndarray:
@@ -204,10 +206,10 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
     cluster's dimension and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  A
     certified split, or one cluster, ends the list: coarser radii join no
     less, and recovery never needs them.  Every command that splits A
-    passes here once, so past n = 64 it is refused before the eig.
+    passes here once, so past MAX_RECOVERY_N it is refused before the eig.
     """
-    if len(a) > 64:
-        raise ValueError("numeric recovery supports n <= 64")
+    if len(a) > MAX_RECOVERY_N:
+        raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
     values, vecs = np.linalg.eig(a)
     tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
     norm = float(np.linalg.norm(a))

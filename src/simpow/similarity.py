@@ -16,7 +16,7 @@ import numpy as np
 
 from .matrixcore import Split, block_diagonal, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
-from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, powers_equal
+from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, successor_walk
 
 JordanEigenvalue = RootOfUnity | complex | None  # None encodes 0
 
@@ -82,14 +82,11 @@ class JordanSpec:
     def invertible_part(self) -> "JordanSpec":
         return JordanSpec(tuple(e for e in self.entries if e.eigenvalue is not None))
 
-    def spectrum(self) -> SpectrumMultiset:
-        """Multiset spectrum; only valid when all eigenvalues are 0 or roots of unity."""
-        pairs = []
-        for e in self.entries:
-            if isinstance(e.eigenvalue, complex):
-                raise ValueError("spectrum undefined for non-root-of-unity eigenvalues")
-            pairs.append((e.eigenvalue, e.multiplicity))
-        return SpectrumMultiset(tuple(pairs))
+    def spectrum(self) -> SpectrumMultiset | None:
+        """Multiset spectrum; None when an eigenvalue is neither 0 nor a root of unity."""
+        if any(isinstance(e.eigenvalue, complex) for e in self.entries):
+            return None
+        return SpectrumMultiset(tuple((e.eigenvalue, e.multiplicity) for e in self.entries))
 
     def to_json(self) -> list:
         out = []
@@ -236,10 +233,14 @@ def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm
     raise ValueError(f"no point certifies the {mult} eigenvalue(s) around {center:.6g}")
 
 
-def powers_similar_invertible(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerdict:
+def powers_similar_invertible(
+    spec: JordanSpec, pq: ExponentPair, spectrum: SpectrumMultiset | None = None
+) -> SimilarityVerdict:
     """Verdict for invertible matrices: A^p ~ A^q iff the power spectra agree
     as multisets and the Jordan structure is constant along every orbit.
 
+    spectrum is the caller's spectrum of spec, its 0 included or not, so
+    that caller and verdict read one successor walk; None makes it here.
     An eigenvalue that is no RootOfUnity fails: on a successor cycle of
     length t <= n it would be a root of unity of order dividing |q^t - p^t|.
     """
@@ -256,20 +257,20 @@ def powers_similar_invertible(spec: JordanSpec, pq: ExponentPair) -> SimilarityV
                     f"(p,q) = ({pq.p},{pq.q}))"
                 ),
             )
-    full = spec.spectrum()
-    distinct = full.distinct()
-    if not powers_equal(full, pq):
-        if powers_equal(distinct, pq):
-            # the distinct values align under the action but multiplicities
-            # vary along an orbit
-            reason = FailureReason.ORBIT_MULTIPLICITY_MISMATCH
-        else:
-            reason = FailureReason.SPECTRA_POWER_MISMATCH
+    if spectrum is None:
+        spectrum = spec.spectrum()
+    walk = successor_walk(spectrum, pq)
+    if not walk.uniform:
+        # closed: the distinct values align, but a multiplicity varies along an orbit
+        reason = (
+            FailureReason.ORBIT_MULTIPLICITY_MISMATCH if walk.closed
+            else FailureReason.SPECTRA_POWER_MISMATCH
+        )
         return SimilarityVerdict(False, reason)
-    orbits = orbit_decomposition(full, pq)
-    blocks_of = {_ev_key(e.eigenvalue): e.blocks for e in spec.entries}
+    orbits = orbit_decomposition(spectrum, pq)
+    blocks_of = {e.eigenvalue: e.blocks for e in spec.entries}
     for orbit in orbits.orbits:
-        structures = {blocks_of[_ev_key(ev)] for ev in orbit.members}
+        structures = {blocks_of[ev] for ev in orbit.members}
         if len(structures) > 1:
             members = " -> ".join(str(ev) for ev in orbit.members)
             return SimilarityVerdict(
@@ -281,11 +282,13 @@ def powers_similar_invertible(spec: JordanSpec, pq: ExponentPair) -> SimilarityV
     return SimilarityVerdict(True, orbit_report=orbits)
 
 
-def powers_similar_general(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerdict:
+def powers_similar_general(
+    spec: JordanSpec, pq: ExponentPair, spectrum: SpectrumMultiset | None = None
+) -> SimilarityVerdict:
     """Verdict allowing a singular part; requires 1 <= p < q in that case."""
     zero = spec.zero_entry()
     if zero is None:
-        return powers_similar_invertible(spec, pq)
+        return powers_similar_invertible(spec, pq, spectrum)
     if not (1 <= pq.p < pq.q):
         raise ValueError(f"singular case needs 1 <= p < q, got (p,q)=({pq.p},{pq.q})")
     if max(zero.blocks) > pq.p:
@@ -297,4 +300,4 @@ def powers_similar_general(spec: JordanSpec, pq: ExponentPair) -> SimilarityVerd
     invertible = spec.invertible_part()
     if not invertible.entries:
         return SimilarityVerdict(True)
-    return powers_similar_invertible(invertible, pq)
+    return powers_similar_invertible(invertible, pq, spectrum)

@@ -312,12 +312,6 @@ def solve_single_eigenvalue(
     )
 
 
-def nilpotent_from_blocks(block_sizes) -> np.ndarray:
-    """Direct sum of Jordan nilpotent blocks (largest first)."""
-    sizes = sorted((int(b) for b in block_sizes), reverse=True)
-    return block_diagonal([np.eye(size, k=1) for size in sizes])
-
-
 @dataclass
 class ConjugateResult:
     c: np.ndarray
@@ -328,8 +322,10 @@ class ConjugateResult:
 def realize_conjugate_c(a: np.ndarray, b: np.ndarray) -> ConjugateResult:
     """C = B^-1 A B, reporting whether C commutes with A.
 
-    When (A, B) solves the conjugacy equation, C must commute with A; the
-    check is reported, never enforced.
+    When (A, B) solves the conjugacy equation and A is invertible, C must
+    commute with A: A is then a polynomial in A^q = C^p.  For a singular A
+    that is no theorem, and a correct B can report false.  The check is
+    reported, never enforced.
     """
     if not is_invertible(b):
         raise ValueError("b is singular")

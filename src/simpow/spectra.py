@@ -31,6 +31,8 @@ class SpectrumMultiset:
     """
 
     items: tuple[tuple[Eigenvalue, int], ...]
+    # successor_walk(self, pq) by pq, so that each fact about U is walked once
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         merged: dict[Eigenvalue, int] = {}
@@ -48,38 +50,11 @@ class SpectrumMultiset:
     def nonzero_items(self) -> tuple[tuple[RootOfUnity, int], ...]:
         return tuple((ev, m) for ev, m in self.items if ev is not None)
 
-    def distinct(self) -> "SpectrumMultiset":
-        return SpectrumMultiset(tuple((ev, 1) for ev, _ in self.items))
-
     def to_json(self) -> list:
         return [
             {"angle": "zero" if ev is None else str(ev), "mult": m}
             for ev, m in self.items
         ]
-
-
-def multiset_power(u: SpectrumMultiset, e: int) -> SpectrumMultiset:
-    """Raise every eigenvalue to the e-th power, merging collisions.
-
-    0^e is 0 for e > 0; e = 0 maps everything (including 0, since A^0 = I)
-    to 1.  A negative power of a multiset containing 0 is an error.
-    """
-    if e < 0 and u.zero_multiplicity > 0:
-        raise ValueError("negative power of a spectrum containing 0")
-    pairs = []
-    for ev, mult in u.items:
-        if e == 0:
-            pairs.append((RootOfUnity(0, 1), mult))
-        elif ev is None:
-            pairs.append((None, mult))
-        else:
-            pairs.append((rou_pow(ev, e), mult))
-    return SpectrumMultiset(tuple(pairs))
-
-
-def powers_equal(u: SpectrumMultiset, pq: ExponentPair) -> bool:
-    """True iff U^p and U^q are equal as multisets."""
-    return multiset_power(u, pq.p) == multiset_power(u, pq.q)
 
 
 def successor(lam: RootOfUnity, pq: ExponentPair) -> RootOfUnity:
@@ -111,7 +86,7 @@ class OrbitDecomposition:
 
     orbits: tuple[Orbit, ...]
     delta: int
-    successor_map: dict[RootOfUnity, RootOfUnity] = field(default_factory=dict)
+    successor_map: dict[RootOfUnity, RootOfUnity]
 
     def to_json(self) -> dict:
         return {
@@ -124,42 +99,64 @@ class OrbitDecomposition:
         }
 
 
-def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposition:
-    """Decompose the nonzero part of u into successor-cycles.
-
-    Requires powers_equal(u, pq); zero eigenvalues are skipped (they do not
-    take part in the action).  Every member of one cycle must carry the
-    same multiplicity.
+@dataclass(frozen=True)
+class SuccessorWalk:
+    """successor(lambda) for the distinct nonzero eigenvalues of U
+    (``successors``, empty when an order is not coprime to p*q): ``closed``
+    when it permutes them, ``uniform`` when it also keeps every
+    multiplicity, which is exactly U^p = U^q.
     """
-    if not powers_equal(u, pq):
+
+    closed: bool
+    uniform: bool
+    successors: dict[RootOfUnity, RootOfUnity]
+
+
+def successor_walk(u: SpectrumMultiset, pq: ExponentPair) -> SuccessorWalk:
+    """The successor action on u, walked once per spectrum and pair.
+
+    It decides U^p = U^q (README, Verdict): equal powers need orders
+    coprime to p*q, then x -> x^p is injective and lambda^q lies in U^p
+    only as successor(lambda)^p.  A negative power of 0 is an error.
+    """
+    if u.zero_multiplicity and min(pq.p, pq.q) < 0:
+        raise ValueError("negative power of a spectrum containing 0")
+    walk = u._walks.get(pq)
+    if walk is None:
+        mult_of = dict(u.nonzero_items())
+        coprime = all(math.gcd(ev.order, pq.p * pq.q) == 1 for ev in mult_of)
+        succ = {ev: successor(ev, pq) for ev in mult_of} if coprime else {}
+        closed = coprime and all(mu in mult_of for mu in succ.values())
+        uniform = closed and all(mult_of[mu] == mult_of[ev] for ev, mu in succ.items())
+        walk = u._walks[pq] = SuccessorWalk(closed, uniform, succ)
+    return walk
+
+
+def powers_equal(u: SpectrumMultiset, pq: ExponentPair) -> bool:
+    """True iff U^p and U^q are equal as multisets."""
+    return successor_walk(u, pq).uniform
+
+
+def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposition:
+    """Decompose the nonzero part of u into the cycles of successor_walk.
+
+    Requires U^p = U^q; zero eigenvalues are skipped (they do not take part
+    in the action).  Every member of one cycle carries the same multiplicity.
+    """
+    walk = successor_walk(u, pq)
+    if not walk.uniform:
         raise ValueError("U^p != U^q: spectrum admits no orbit structure")
-    mult_of = dict(u.nonzero_items())
-    succ_map: dict[RootOfUnity, RootOfUnity] = {}
+    # u lists eigenvalues by increasing angle, so each cycle is entered at
+    # its smallest member and the cycles come out in order of it
     orbits = []
     seen: set[RootOfUnity] = set()
-    for start, _ in u.nonzero_items():
+    for start, mult in u.nonzero_items():
         if start in seen:
             continue
         cycle = [start]
-        current = start
-        while True:
-            nxt = successor(current, pq)
-            if nxt not in mult_of:
-                raise ValueError(f"successor {nxt} of {current} is missing from the spectrum")
-            succ_map[current] = nxt
-            if nxt == start:
-                break
+        while (nxt := walk.successors[cycle[-1]]) != start:
             cycle.append(nxt)
-            current = nxt
         seen.update(cycle)
-        mults = {mult_of[ev] for ev in cycle}
-        if len(mults) > 1:
-            raise ValueError(
-                f"orbit {[str(ev) for ev in cycle]} has mixed multiplicities {sorted(mults)}"
-            )
-        smallest = min(range(len(cycle)), key=lambda i: cycle[i].angle)
-        members = tuple(cycle[smallest:] + cycle[:smallest])
-        orbits.append(Orbit(members, mults.pop()))
-    orbits.sort(key=lambda orb: orb.members[0].angle)
+        orbits.append(Orbit(tuple(cycle), mult))
     delta = math.lcm(*(len(orb) for orb in orbits)) if orbits else 1
-    return OrbitDecomposition(tuple(orbits), delta, succ_map)
+    return OrbitDecomposition(tuple(orbits), delta, dict(walk.successors))

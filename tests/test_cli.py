@@ -1,13 +1,21 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simpow import cli
+from simpow import cli, spectra
 from simpow.cli import main
 from simpow.matrixcore import RANK_TOL, VERIFY_TOL, matrix_to_json
 from simpow.similarity import JordanSpec, matrix_from_spec
+from simpow.spectra import SpectrumMultiset
 from test_similarity import integer_conjugate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -294,6 +302,12 @@ class TestGenerate:
         assert code == 0
         assert report["residual"] < 1e-10
 
+    def test_n_below_one(self, capsys):
+        code, out = run(capsys, "generate", "-n", "0", "-p", "2", "-q", "3")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["error"] == "n must be >= 1, got 0"
+
     def test_invalid_k1(self, capsys):
         code, report = run_json(capsys, "generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "0")
         assert code == 1
@@ -436,6 +450,25 @@ class TestOneSplitPerRequest:
         assert report["error"].endswith("numeric recovery supports n <= 64")
         assert eig_sizes == []
 
+    @pytest.mark.parametrize("command", [["analyze", "--find-b"], ["solve-b"]])
+    def test_spec_refused_before_it_is_built(self, tmp_path, command):
+        # n = 20000 would take 2.98 GiB per complex matrix; under a 2 GiB
+        # address-space limit building it ended in a MemoryError traceback
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps([{"eigenvalue": "0/1", "blocks": [20000]}]))
+        limit = 2 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "simpow.cli", command[0], str(path), "-p", "2", "-q", "3",
+             *command[1:]],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric recovery supports n <= 64"
+
     def test_spec_verdict_at_any_size(self, capsys, eig_sizes, tmp_path):
         path = tmp_path / "big.json"
         path.write_text(json.dumps([{"eigenvalue": "0/1", "blocks": [64, 1]}]))
@@ -443,6 +476,41 @@ class TestOneSplitPerRequest:
         assert code == 0
         assert report["verdict"]["similar"] is True
         assert eig_sizes == []
+
+
+class TestOneWalkPerRequest:
+    """The spectrum of a spec is sorted once per analyze, and the successor
+    action on it is walked once: successor() runs once per distinct nonzero
+    eigenvalue of a coprime spectrum and never for one that is not."""
+
+    @pytest.mark.parametrize(
+        "spec, p, q, successors",
+        [
+            ("intro", 3, 7, 2),  # similar, with a nilpotent part
+            ("intro", 3, 5, 2),  # jordan-structure-mismatch-in-orbit
+            ([{"eigenvalue": "1/5", "blocks": [2]}, {"eigenvalue": "4/5", "blocks": [1]}], 2, 3, 2),
+            ([{"eigenvalue": "1/3", "blocks": [1]}, {"eigenvalue": "1/5", "blocks": [1]}], 2, 3, 0),
+        ],
+    )
+    def test_one_sort_one_walk(
+        self, capsys, monkeypatch, tmp_path, intro_spec_file, spec, p, q, successors
+    ):
+        path = intro_spec_file
+        if spec != "intro":
+            path = str(tmp_path / "spec.json")
+            Path(path).write_text(json.dumps(spec))
+        sorts, walked = [], []
+        post_init, successor = SpectrumMultiset.__post_init__, spectra.successor
+        monkeypatch.setattr(
+            SpectrumMultiset, "__post_init__", lambda u: sorts.append(u) or post_init(u)
+        )
+        monkeypatch.setattr(
+            spectra, "successor", lambda lam, pq: walked.append(lam) or successor(lam, pq)
+        )
+        code, report = run_json(capsys, "analyze", path, "-p", str(p), "-q", str(q))
+        assert code == 0
+        assert len(sorts) == 1
+        assert len(walked) == successors == len(set(walked))
 
 
 class TestWord2:

@@ -24,7 +24,7 @@ from simpow.matrixcore import (
 )
 from simpow.scalar import ExponentPair, RootOfUnity
 from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
-from simpow.solvers import nilpotent_from_blocks, solve_single_eigenvalue
+from simpow.solvers import solve_single_eigenvalue
 from simpow.spectra import successor
 from test_similarity import FIXTURE_SPECS, exact_dimension, integer_conjugate
 
@@ -527,7 +527,8 @@ class TestConjugacyResidual:
         # the exact B0 of the single-eigenvalue solver at d = 32 has cond ~ 4e17:
         # the solved form max|B0^-1 N B0 - M| is O(1), the inverse-free one is not
         solution = solve_single_eigenvalue(RootOfUnity(1, 2), [32], ExponentPair(1, 3))
-        nil, b0, m = nilpotent_from_blocks(solution.block_sizes), solution.b0, solution.m_matrix
+        nil = matrix_from_spec(JordanSpec((JordanEntry(None, solution.block_sizes),)))
+        b0, m = solution.b0, solution.m_matrix
         assert np.linalg.cond(b0) > 1e16
         assert np.max(np.abs(np.linalg.solve(b0, nil @ b0) - m)) > 0.1
         assert conjugacy_residual(b0, nil, m) <= 1e-14

@@ -14,13 +14,18 @@ from simpow.solvers import (
     build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
-    nilpotent_from_blocks,
     realize_conjugate_c,
     solve_single_eigenvalue,
 )
+from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec
 from simpow.spectra import SpectrumMultiset, orbit_decomposition, powers_equal
 
 R = RootOfUnity
+
+
+def nilpotent(*blocks):
+    """The direct sum of nilpotent Jordan blocks of the given sizes."""
+    return matrix_from_spec(JordanSpec((JordanEntry(None, blocks),)))
 
 
 def brute_force_valid_k1(n, pq):
@@ -219,7 +224,7 @@ class TestSolveSingleEigenvalue:
         lam = R(1, 2)  # (-1)^2 = 1 = lambda^(q-p)
         sol = solve_single_eigenvalue(lam, [3, 2], pq)
         lam_c = rou_to_complex(lam)
-        nil = nilpotent_from_blocks([3, 2])
+        nil = nilpotent(3, 2)
         a = lam_c * np.eye(5) + nil
         c = lam_c * np.eye(5) + sol.m_matrix
         assert np.max(np.abs(mat_int_pow(c, 3) - mat_int_pow(a, 5))) < 1e-12
@@ -229,7 +234,7 @@ class TestSolveSingleEigenvalue:
         pq = ExponentPair(-2, 3)
         sol = solve_single_eigenvalue(R(0, 1), [3], pq)
         assert sol.rational_coeffs[0] == Fraction(3, -2)
-        nil = nilpotent_from_blocks([3])
+        nil = nilpotent(3)
         a = np.eye(3) + nil
         c = np.eye(3) + sol.m_matrix
         assert np.max(np.abs(mat_int_pow(c, -2) - mat_int_pow(a, 3))) < 1e-12
@@ -245,7 +250,7 @@ class TestCommutesWithN:
     def test_commutant_coset_property(self, pq23):
         # every invertible Delta commuting with N gives another conjugator Delta @ B0
         sol = solve_single_eigenvalue(R(0, 1), [3], pq23)
-        nil = nilpotent_from_blocks([3])
+        nil = nilpotent(3)
         a = np.eye(3) + nil
         rng = np.random.default_rng(23)
         for _ in range(10):

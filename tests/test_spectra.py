@@ -1,13 +1,15 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simpow.scalar import ExponentPair, RootOfUnity, rou_pow
+from simpow.similarity import FailureReason, JordanEntry, JordanSpec, powers_similar_general
 from simpow.spectra import (
     SpectrumMultiset,
-    multiset_power,
     orbit_decomposition,
     powers_equal,
     successor,
@@ -42,32 +44,6 @@ class TestSpectrumMultiset:
             for item in u.to_json()
         )
         assert SpectrumMultiset(parsed) == u
-
-
-class TestMultisetPower:
-    def test_collapse_to_one(self):
-        u = spectrum((R(1, 5), 1), (R(4, 5), 1))
-        assert multiset_power(u, 5) == spectrum((R(0, 1), 2))
-
-    def test_identity_power(self):
-        u = spectrum((R(1, 5), 1), (R(4, 5), 1))
-        assert multiset_power(u, 1) == u
-
-    def test_angle_doubling(self):
-        u = spectrum((R(1, 5), 1), (R(4, 5), 1))
-        assert multiset_power(u, 2) == spectrum((R(2, 5), 1), (R(3, 5), 1))
-
-    def test_zero_stays_zero(self):
-        u = spectrum((None, 2), (R(1, 3), 1))
-        assert multiset_power(u, 3) == spectrum((None, 2), (R(0, 1), 1))
-
-    def test_negative_power_of_zero_fails(self):
-        with pytest.raises(ValueError):
-            multiset_power(spectrum((None, 1)), -1)
-
-    def test_zeroth_power_gives_ones(self):
-        u = spectrum((None, 1), (R(1, 3), 2))
-        assert multiset_power(u, 0) == spectrum((R(0, 1), 3))
 
 
 class TestPowersEqual:
@@ -196,3 +172,145 @@ def test_power_map_injective_on_distinct(data):
     for exponent in (pq.p, pq.q):
         images = {rou_pow(ev, exponent) for ev in distinct}
         assert len(images) == len(distinct)
+
+
+# ---------------------------------------------------------------- oracle
+#
+# A test-local oracle that knows nothing of successors: it raises every
+# Jordan block of A to the e-th power and counts the results.
+
+
+PAIRS = [(2, 3), (3, 2), (-2, 3), (2, -3), (1, -3), (-1, 2), (1, 2), (2, 5), (3, 5), (-3, 4), (4, 7)]
+ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 15, 19, 21, 35]
+BLOCKS = [(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+def power_angle(ev, e):
+    """ev^e as its reduced angle (num, order); None (the eigenvalue 0) stays None."""
+    if ev is None:
+        return None
+    num = ev.num * e % ev.order
+    g = math.gcd(num, ev.order)
+    return num // g, ev.order // g
+
+
+def block_powers(entries, e):
+    """Counter of the Jordan blocks of A^e as (eigenvalue, size); entries
+    maps each eigenvalue of A (None for 0) to its block sizes.  A nonzero
+    block keeps its size; a nilpotent block of size k splits into k mod e
+    blocks of size ceil(k/e) and the rest of size floor(k/e)."""
+    out = Counter()
+    for ev, blocks in entries.items():
+        for k in blocks:
+            if ev is not None:
+                out[power_angle(ev, e), k] += 1
+                continue
+            out[None, -(-k // e)] += k % e
+            if k // e:
+                out[None, k // e] += e - k % e
+    return +out
+
+
+def power_counter(mults, e):
+    """Counter of the eigenvalues of U^e; mults maps eigenvalue to multiplicity."""
+    if e < 0 and None in mults:
+        raise ValueError("negative power of a spectrum containing 0")
+    out = Counter()
+    for ev, m in mults.items():
+        out[power_angle(ev, e)] += m
+    return out
+
+
+def oracle_reason(entries, pq):
+    """The failure reason the verdict must give, in its order of checks."""
+    zero = entries.get(None)
+    if zero and max(zero) > pq.p:
+        return FailureReason.NILPOTENT_PART_TOO_DEEP
+    nonzero = {ev: sum(blocks) for ev, blocks in entries.items() if ev is not None}
+    ones = dict.fromkeys(nonzero, 1)
+    if power_counter(ones, pq.p) != power_counter(ones, pq.q):
+        return FailureReason.SPECTRA_POWER_MISMATCH
+    if power_counter(nonzero, pq.p) != power_counter(nonzero, pq.q):
+        return FailureReason.ORBIT_MULTIPLICITY_MISMATCH
+    invertible = {ev: blocks for ev, blocks in entries.items() if ev is not None}
+    if block_powers(invertible, pq.p) != block_powers(invertible, pq.q):
+        return FailureReason.JORDAN_STRUCTURE_MISMATCH
+    return None
+
+
+def successor_angle(k, m, pq):
+    return k * pq.q * pow(pq.p, -1, m) % m if m > 1 else 0
+
+
+def random_entries(rng, pq):
+    """Eigenvalue -> blocks: whole or partial successor cycles, orders not
+    coprime to p*q, one block multiset per cycle or not, and sometimes 0."""
+    entries = {}
+    for _ in range(rng.randint(0, 3)):
+        m = rng.choice(ORDERS)
+        k = rng.randrange(m)
+        members = [k]
+        if math.gcd(m, pq.p * pq.q) == 1:
+            while (nxt := successor_angle(members[-1], m, pq)) != k:
+                members.append(nxt)
+            if rng.random() < 0.2:
+                members = members[: rng.randint(1, len(members))]
+        blocks = rng.choice(BLOCKS)
+        for num in members:
+            entries.setdefault(R(num, m), blocks if rng.random() < 0.85 else rng.choice(BLOCKS))
+    if not entries or rng.random() < 0.3:
+        entries[None] = rng.choice(BLOCKS)
+    return entries
+
+
+def test_counter_oracle():
+    """powers_equal, orbit_decomposition and every verdict agree with the
+    block-counting oracle on 12,000 seeded spectra."""
+    rng = random.Random(2011)
+    seen = Counter()
+    for _ in range(12_000):
+        pq = ExponentPair(*rng.choice(PAIRS))
+        entries = random_entries(rng, pq)
+        mults = {ev: sum(blocks) for ev, blocks in entries.items()}
+        u = SpectrumMultiset(tuple(mults.items()))
+        try:
+            expected = power_counter(mults, pq.p) == power_counter(mults, pq.q)
+        except ValueError:
+            expected = "raises"
+        seen[expected] += 1
+        if expected == "raises":
+            for fn in (powers_equal, orbit_decomposition):
+                with pytest.raises(ValueError, match="negative power of a spectrum containing 0"):
+                    fn(u, pq)
+        else:
+            assert powers_equal(u, pq) is expected
+        if expected is False:
+            with pytest.raises(ValueError, match=r"^U\^p != U\^q: spectrum admits no orbit structure$"):
+                orbit_decomposition(u, pq)
+        if expected is True:
+            od = orbit_decomposition(u, pq)
+            members = [ev for orbit in od.orbits for ev in orbit.members]
+            assert len(members) == len(set(members)) == len(mults) - (None in mults)
+            assert set(members) == set(mults) - {None}
+            for orbit in od.orbits:
+                assert orbit.members[0].angle == min(ev.angle for ev in orbit.members)
+                for lam, mu in zip(orbit.members, orbit.members[1:] + orbit.members[:1]):
+                    assert power_angle(mu, pq.p) == power_angle(lam, pq.q)
+                    assert od.successor_map[lam] == mu
+                    assert mults[lam] == orbit.multiplicity
+            assert [o.members[0].angle for o in od.orbits] == sorted(o.members[0].angle for o in od.orbits)
+            assert od.delta == math.lcm(*(len(o) for o in od.orbits))
+
+        spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries.items()))
+        if None in entries and not 1 <= pq.p < pq.q:
+            with pytest.raises(ValueError, match="singular case needs 1 <= p < q"):
+                powers_similar_general(spec, pq)
+            continue
+        verdict = powers_similar_general(spec, pq)
+        reason = oracle_reason(entries, pq)
+        seen[reason] += 1
+        assert verdict.failure_reason is reason
+        assert verdict.similar is (reason is None)
+        assert verdict.similar is (block_powers(entries, pq.p) == block_powers(entries, pq.q))
+    # every outcome is well represented
+    assert min(seen.values()) >= 200, seen
