@@ -57,11 +57,12 @@ from .similarity import (
 )
 from .solvers import (
     _power_modulus,
-    build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
+    intertwiner_dimension,
     realize_conjugate_c,
     solve_single_eigenvalue,
+    spec_conjugator,
 )
 from .spectra import powers_equal
 
@@ -103,8 +104,9 @@ def _load_matrix_or_spec(path: str):
     raise ValueError(f"{path}: expected a matrix object or a spec list")
 
 
-def _recoverable_matrix(spec: JordanSpec) -> np.ndarray:
-    """The matrix of a spec to split, refused before it is built past the cap."""
+def _spec_matrix(spec: JordanSpec) -> np.ndarray:
+    """The matrix of a spec, refused before it is built past MAX_RECOVERY_N:
+    every command that turns a spec into a matrix does it here."""
     if spec.n > MAX_RECOVERY_N:
         raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
     return matrix_from_spec(spec)
@@ -112,9 +114,7 @@ def _recoverable_matrix(spec: JordanSpec) -> np.ndarray:
 
 def _load_matrix(path: str) -> np.ndarray:
     matrix, spec = _load_matrix_or_spec(path)
-    if matrix is None:
-        matrix = matrix_from_spec(spec)
-    return matrix
+    return _spec_matrix(spec) if matrix is None else matrix
 
 
 def _load_pair(path_a: str, path_b: str) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +206,11 @@ def cmd_analyze(args) -> dict:
 
     if args.find_b:
         if matrix is None:
-            matrix = _recoverable_matrix(spec)
-            splits = eigenspace_splits(matrix)
+            matrix = _spec_matrix(spec)
         powers = _powers(matrix, normalized)
-        report["conjugator"] = _solve_conjugator(matrix, normalized, powers, splits, args.seed)
+        report["conjugator"] = _solve_conjugator(
+            matrix, spec, normalized, powers, splits, args.seed
+        )
     return report
 
 
@@ -218,19 +219,31 @@ def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarra
 
 
 def _solve_conjugator(
-    matrix: np.ndarray, pq: ExponentPair, powers: tuple, splits: list, seed: int
+    matrix: np.ndarray, spec: JordanSpec, pq: ExponentPair, powers: tuple, splits, seed: int
 ) -> dict:
-    """The conjugator report; powers is (A^p, A^q) and splits is
-    eigenspace_splits(A), each formed once per request."""
-    kernel = sylvester_kernel(matrix, pq.p, pq.q, *powers, splits[-1])
-    out: dict = {"kernel_dimension": sum(k.shape[1] for _, k, _ in kernel)}
-    candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
-    if candidate is None:
-        out["b"] = None
-        out["residual"] = None
-        return out
-    out["b"] = matrix_to_json(candidate)
-    out["residual"] = conjugacy_residual(candidate, *powers)
+    """The conjugator report; powers is (A^p, A^q), formed once per request.
+
+    A spec file (splits None) takes its kernel dimension from the count
+    and, when its verdict is similar, B from the closed form: no eig and
+    no draw.  A matrix file takes both from the kernel on
+    splits = eigenspace_splits(A) and one draw with seed.
+    """
+    if splits is None:
+        # the powers refuse a negative power of a singular A, so a singular
+        # spec has p, q >= 1 here; the verdict takes them as analyze
+        # normalizes them, p < q
+        normalized = pq.swapped() if spec.zero_entry() is not None and pq.p > pq.q else pq
+        dimension = intertwiner_dimension(spec, pq)
+        similar = powers_similar_general(spec, normalized).similar
+        candidate = spec_conjugator(spec, pq) if similar else None
+    else:
+        kernel = sylvester_kernel(matrix, pq.p, pq.q, *powers, splits[-1])
+        dimension = sum(k.shape[1] for _, k, _ in kernel)
+        candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
+    out = {"kernel_dimension": dimension, "b": None, "residual": None}
+    if candidate is not None:
+        out["b"] = matrix_to_json(candidate)
+        out["residual"] = conjugacy_residual(candidate, *powers)
     return out
 
 
@@ -246,8 +259,14 @@ def cmd_generate(args) -> dict:
     scale = (
         _parse_complex_list(args.scale, "--scale") if args.scale else [1.0 + 0j] * args.n
     )
-    b = build_cycle_conjugator(inst, scale)
-    a = inst.diagonal_matrix()
+    if len(scale) != inst.n:
+        raise ValueError(f"need {inst.n} scale entries, got {len(scale)}")
+    if any(s == 0 for s in scale):
+        raise ValueError("scale entries must be nonzero")
+    # the cycle's 1-blocks: B maps e_u to e_(u+1), a successor's place
+    cycle = JordanSpec(tuple(JordanEntry(ev, (1,)) for ev in inst.spectrum))
+    a = _spec_matrix(cycle)
+    b = np.diag(scale) @ spec_conjugator(cycle, pq)
     report["instance"] = inst.to_json()
     report["a"] = matrix_to_json(a)
     report["b"] = matrix_to_json(b)
@@ -286,12 +305,15 @@ def cmd_solve_b(args) -> dict:
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("solve-b", args)
     matrix, spec = _load_matrix_or_spec(args.input)
+    splits = None
     if matrix is None:
-        matrix = _recoverable_matrix(spec)
+        spec = _exact_roots(spec, pq, args.input)
+        matrix = _spec_matrix(spec)
+    else:
+        splits = eigenspace_splits(matrix)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    splits = eigenspace_splits(matrix)
     powers = _powers(matrix, pq)
-    report["conjugator"] = _solve_conjugator(matrix, pq, powers, splits, args.seed)
+    report["conjugator"] = _solve_conjugator(matrix, spec, pq, powers, splits, args.seed)
     coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
@@ -385,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_an)
     p_an.add_argument("--find-b", action="store_true", dest="find_b")
-    p_an.add_argument("--seed", type=int, default=0, help="seed of the draw of B")
+    p_an.add_argument("--seed", type=int, default=0, help="seed of the draw of B (matrix files)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="distinct-eigenvalue solutions from a seed residue")
@@ -401,10 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pq(p_nil)
     p_nil.set_defaults(func=cmd_nilpotent)
 
-    p_sb = sub.add_parser("solve-b", help="conjugator via the intertwiner kernel")
+    p_sb = sub.add_parser(
+        "solve-b", help="conjugator B: exact for a spec, from the intertwiner kernel for a matrix"
+    )
     p_sb.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_sb)
-    p_sb.add_argument("--seed", type=int, default=0, help="seed of the draw of B")
+    p_sb.add_argument("--seed", type=int, default=0, help="seed of the draw of B (matrix files)")
     p_sb.set_defaults(func=cmd_solve_b)
 
     p_ver = sub.add_parser("verify", help="residual of B^-1 A^p B = A^q")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrixcore import Split, block_diagonal, weyr_characteristic
+from .matrixcore import Split, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, successor_walk
 
@@ -151,21 +151,24 @@ class SimilarityVerdict:
         }
 
 
-def jordan_block(ev: complex, size: int) -> np.ndarray:
-    return ev * np.eye(size, dtype=complex) + np.eye(size, k=1, dtype=complex)
-
-
 def matrix_from_spec(spec: JordanSpec, conjugate_seed: int | None = None) -> np.ndarray:
     """Materialize a concrete matrix with the given Jordan structure.
 
-    With a seed, the direct sum of Jordan blocks is conjugated by a random
-    unitary matrix (well-conditioned, so the structure survives numerically).
+    The direct sum of the Jordan blocks lambda*I + N, in the order of the
+    entries and of their blocks.  With a seed, it is conjugated by a
+    random unitary matrix (well-conditioned, so the structure survives
+    numerically).
     """
-    a = block_diagonal([
-        jordan_block(_ev_complex(e.eigenvalue), size)
-        for e in spec.entries
-        for size in e.blocks
-    ])
+    a = np.zeros((spec.n, spec.n), dtype=complex)
+    start = 0
+    for e in spec.entries:
+        lam = _ev_complex(e.eigenvalue) + 0j  # a -0.0 part becomes 0.0, as in lambda*I + N
+        for size in e.blocks:
+            for k in range(start, start + size):
+                a[k, k] = lam
+                if k > start:
+                    a[k - 1, k] = 1.0
+            start += size
     if conjugate_seed is None:
         return a
     n = spec.n

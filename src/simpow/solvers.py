@@ -1,6 +1,6 @@
 """Constructive solvers for the conjugacy equation B^-1 A^p B = A^q.
 
-Two regimes are fully constructive:
+Two regimes are fully constructive, and one constructor serves both:
 
 * distinct eigenvalues: A = diag of one successor-cycle of roots of unity
   inside Z/(q^n - p^n), with B = diag(scale) times the cycle permutation;
@@ -10,6 +10,10 @@ Two regimes are fully constructive:
   conjugator B0 realizes it.  B0 is the power matrix of the compositional
   inverse series (1 + y)^(p/q) - 1, in closed form as well.  Every other
   conjugator is Delta @ B0 for an invertible Delta commuting with N.
+
+A Jordan spec with A^p similar to A^q is a direct sum of those two cases
+along the successor orbits: spec_conjugator builds its B in closed form,
+and intertwiner_dimension counts the space of all of them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrixcore import VERIFY_TOL, block_diagonal, is_invertible, matrix_to_json
+from .matrixcore import (
+    DEFAULT_CLUSTER_TOL, VERIFY_TOL, block_diagonal, is_invertible, matrix_to_json
+)
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
+from .similarity import JordanEntry, JordanSpec, _ev_complex
+from .spectra import successor
 
 # the largest Q = |q^n - p^n| whose residues enumerate_valid_k1 lists: at
 # 2^24 the list is already about 150 MB of JSON, and the sieve takes Q bytes
@@ -44,9 +52,6 @@ class CycleInstance:
     k1: int
     k_seq: tuple[int, ...]
     spectrum: tuple[RootOfUnity, ...]
-
-    def diagonal_matrix(self) -> np.ndarray:
-        return np.diag([rou_to_complex(ev) for ev in self.spectrum])
 
     def to_json(self) -> dict:
         return {
@@ -109,23 +114,6 @@ def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
         k_seq=tuple(k_seq),
         spectrum=tuple(RootOfUnity(k, modulus) for k in k_seq),
     )
-
-
-def build_cycle_conjugator(inst: CycleInstance, scale) -> np.ndarray:
-    """B = diag(scale) @ Sigma with Sigma the cycle permutation e_u -> e_{u+1}.
-
-    For A = inst.diagonal_matrix() this gives B^-1 A^p B = A^q.
-    """
-    scale = [complex(s) for s in scale]
-    if len(scale) != inst.n:
-        raise ValueError(f"need {inst.n} scale entries, got {len(scale)}")
-    if any(s == 0 for s in scale):
-        raise ValueError("scale entries must be nonzero")
-    n = inst.n
-    sigma = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        sigma[(j + 1) % n, j] = 1.0
-    return np.diag(scale) @ sigma
 
 
 def _rational_poly_block(alphas: tuple[Fraction, ...], size: int) -> list[list[Fraction]]:
@@ -271,9 +259,10 @@ def solve_single_eigenvalue(
 
     Requires lam^(q-p) = 1 exactly.  The conjugate C = lam*I + sum alpha_i N^i
     with C^p = A^q and alpha_1 != 0 is lam*(I + N/lam)^(q/p), so alpha_j is
-    the generalized binomial C(q/p, j) twisted by lam^(1-j).  B0 is
-    assembled block by block from the integer table of the powers of the
-    inverse series (1 + y)^(p/q) - 1.  Every float is one correctly rounded
+    the generalized binomial C(q/p, j) twisted by lam^(1-j).  lam is its
+    own successor, so B0 is spec_conjugator of the one-eigenvalue spec,
+    built from the integer table of the powers of the inverse series
+    (1 + y)^(p/q) - 1.  Every float is one correctly rounded
     int/int division (as float(Fraction) is) times its power of lambda, so
     the views equal the rounded exact solution without a Fraction per entry.
     """
@@ -286,7 +275,6 @@ def solve_single_eigenvalue(
         )
     d = block_sizes[0]
     rational = _binomial_coeffs(pq, d)
-    table = _inverse_series_powers(pq, d)
     twist = {e: rou_to_complex(rou_pow(lam, e)) for e in range(1 - d, 1)}
     # M is Toeplitz, M[i][j] = diagonals[j - i + d - 1], on every block, so
     # its blocks are the top-left corners of the largest one
@@ -296,19 +284,106 @@ def solve_single_eigenvalue(
     )
     index = np.arange(d)
     m_full = diagonals[index - index[:, None] + d - 1]
-    b_blocks = {}
-    for size in set(block_sizes):
-        block = np.zeros((size, size), dtype=complex)
-        for i, j, num, den in _block_conjugator_entries(table, pq, size):
-            block[i, j] = num / den * twist[i - j]
-        b_blocks[size] = block
     return SingleEigSolution(
         lam,
         block_sizes,
         pq,
         block_diagonal([m_full[:size, :size] for size in block_sizes]),
-        block_diagonal([b_blocks[size] for size in block_sizes]),
+        spec_conjugator(JordanSpec((JordanEntry(lam, block_sizes),)), pq),
         tuple(rational),
+    )
+
+
+def spec_conjugator(spec: JordanSpec, pq: ExponentPair) -> np.ndarray:
+    """B with A^p B = B A^q for A = matrix_from_spec(spec), in closed form
+    (README, Conjugator of a spec).
+
+    Block k of lambda maps to block k of mu = successor(lambda), whose
+    blocks the verdict makes equal, as X[i][j] = R[i][j] mu^i lambda^-j,
+    that is diag((mu/lambda)^i) B0(lambda), with R the base conjugator at
+    lambda = 1 and each root evaluated from its exact angle (at
+    mu = lambda, the B0 of solve_single_eigenvalue).  Blocks at 0 map to
+    themselves by the identity: no longer than min(p, q), they vanish in
+    A^p and A^q.  A spec whose powers are not similar has no such B:
+    ValueError.
+    """
+    place, n = {}, 0  # eigenvalue -> (its first row and column in A, its blocks)
+    for e in spec.entries:
+        place[e.eigenvalue], n = (n, e.blocks), n + e.multiplicity
+    b = np.zeros((n, n), dtype=complex)
+    d = max((e.blocks[0] for e in spec.entries if e.eigenvalue is not None), default=1)
+    table = _inverse_series_powers(pq, d)
+    r_of = {}  # block size -> the (i, j, R[i][j]) of its nonzero entries, built once
+    for lam, (col, blocks) in place.items():
+        if lam is None:
+            if blocks[0] > min(pq.p, pq.q):
+                raise ValueError(f"a block of size {blocks[0]} at 0 survives A^p or A^q")
+            end = col + sum(blocks)
+            b[col:end, col:end] = np.eye(end - col)
+            continue
+        if not isinstance(lam, RootOfUnity):
+            raise ValueError(f"eigenvalue {lam} is no root of unity")
+        mu = successor(lam, pq)
+        row, mu_blocks = place.get(mu, (0, ()))
+        if mu_blocks != blocks:
+            raise ValueError(f"the blocks {blocks} at {lam} differ at its successor {mu}")
+        # mu has the order m of lambda, so mu^i lambda^-j = exp(2 pi i k / m)
+        # with k = i c - j a mod m
+        a, c, m = lam.num, mu.num, lam.order
+        twist = {0: 1 + 0j}
+        for size in blocks:
+            if size not in r_of:
+                entries = _block_conjugator_entries(table, pq, size)
+                r_of[size] = [(i, j, num / den) for i, j, num, den in entries]
+            for i, j, r in r_of[size]:
+                k = (i * c - j * a) % m
+                w = twist.get(k)
+                if w is None:
+                    w = twist[k] = rou_to_complex(RootOfUnity(k, m))
+                b[row + i, col + j] = r * w
+            row, col = row + size, col + size
+    return b
+
+
+def intertwiner_dimension(spec: JordanSpec, pq: ExponentPair) -> int:
+    """dim {X : A^p X = X A^q} for A of Jordan structure spec: the sum of
+    min(b, c) over the Jordan blocks b of A^p and c of A^q at one
+    eigenvalue (Gantmacher, Theory of Matrices, ch. VIII).
+
+    A block of size b at lambda != 0 is one block of size b at lambda^e
+    in A^e; J_b(0)^e splits into one block per residue class mod e of
+    its b indices.  0 and roots of unity are exact keys; a complex
+    eigenvalue's power is compared by value, at DEFAULT_CLUSTER_TOL
+    relative to max(|x|, |y|, 1).
+    """
+
+    def power_blocks(e: int) -> list:
+        out = []
+        for entry in spec.entries:
+            ev = entry.eigenvalue
+            if ev is None or ev == 0:  # a complex 0 splits as well
+                if e < 0:
+                    raise ValueError("negative power of a singular matrix")
+                sizes = [len(range(k, b, e)) for b in entry.blocks for k in range(min(e, b))]
+                out.append((None, sizes))
+            else:
+                key = rou_pow(ev, e) if isinstance(ev, RootOfUnity) else ev**e
+                out.append((key, entry.blocks))
+        return out
+
+    def same(x, y) -> bool:
+        if not (isinstance(x, complex) or isinstance(y, complex)):
+            return x == y
+        x, y = _ev_complex(x), _ev_complex(y)
+        return abs(x - y) <= DEFAULT_CLUSTER_TOL * max(abs(x), abs(y), 1.0)
+
+    return sum(
+        min(b, c)
+        for x, bs in power_blocks(pq.p)
+        for y, cs in power_blocks(pq.q)
+        if same(x, y)
+        for b in bs
+        for c in cs
     )
 
 

@@ -35,13 +35,13 @@ from simpow.scalar import (
     rou_to_complex,
 )
 from simpow.solvers import (
-    build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
     solve_single_eigenvalue,
 )
 from simpow.spectra import SpectrumMultiset, orbit_decomposition, successor
 from test_matrixcore import kernel_elements, own_scale
+from test_solvers import cycle_pair
 
 R = RootOfUnity
 
@@ -132,8 +132,7 @@ def test_criterion_3_distinct_eigenvalue_instances():
     for pq, k1_values in ((pq23, got23), (pq13, got13)):
         for k1 in k1_values:
             inst = build_cycle_instance(2, pq, k1)
-            a = inst.diagonal_matrix()
-            b = build_cycle_conjugator(inst, [1.0, 1.0])
+            a, b = cycle_pair(inst, [1.0, 1.0])
             residual = np.max(
                 np.abs(np.linalg.solve(b, mat_int_pow(a, pq.p) @ b) - mat_int_pow(a, pq.q))
             )

@@ -397,7 +397,8 @@ class TestVerify:
 
 class TestOneSplitPerRequest:
     """Recovery and the kernel share one eigenvalue ladder: a request takes
-    at most one eig(A), and a matrix too large to recover takes none."""
+    at most one eig(A), a matrix too large to recover takes none, and so
+    does a spec file, whose conjugator is built in closed form."""
 
     @pytest.fixture
     def eig_sizes(self, monkeypatch):
@@ -411,7 +412,8 @@ class TestOneSplitPerRequest:
             (["analyze", "{a}", "-p", "2", "-q", "3", "--find-b"], 1),
             (["analyze", "{a}", "-p", "2", "-q", "3"], 1),
             (["solve-b", "{a}", "-p", "2", "-q", "3"], 1),
-            (["analyze", "{spec}", "-p", "3", "-q", "7", "--find-b"], 1),
+            (["analyze", "{spec}", "-p", "3", "-q", "7", "--find-b"], 0),
+            (["solve-b", "{spec}", "-p", "3", "-q", "7"], 0),
             (["analyze", "{spec}", "-p", "3", "-q", "7"], 0),
         ],
     )
@@ -450,16 +452,26 @@ class TestOneSplitPerRequest:
         assert report["error"].endswith("numeric recovery supports n <= 64")
         assert eig_sizes == []
 
-    @pytest.mark.parametrize("command", [["analyze", "--find-b"], ["solve-b"]])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["analyze", "{spec}", "-p", "2", "-q", "3", "--find-b"],
+            ["solve-b", "{spec}", "-p", "2", "-q", "3"],
+            ["verify", "{spec}", "{spec}", "-p", "2", "-q", "3"],
+            ["word2", "verify", "{spec}", "{spec}", "-r", "1", "--rp", "1", "-s", "1", "--sp", "1",
+             "--eps", "1"],
+        ],
+    )
     def test_spec_refused_before_it_is_built(self, tmp_path, command):
         # n = 20000 would take 2.98 GiB per complex matrix; under a 2 GiB
-        # address-space limit building it ended in a MemoryError traceback
+        # address-space limit building it ended in a MemoryError traceback,
+        # in verify and word2 verify too: every spec becomes a matrix
+        # through the one capped step
         path = tmp_path / "huge.json"
         path.write_text(json.dumps([{"eigenvalue": "0/1", "blocks": [20000]}]))
         limit = 2 * 2**30
         proc = subprocess.run(
-            [sys.executable, "-m", "simpow.cli", command[0], str(path), "-p", "2", "-q", "3",
-             *command[1:]],
+            [sys.executable, "-m", "simpow.cli", *(arg.format(spec=path) for arg in command)],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
@@ -476,6 +488,80 @@ class TestOneSplitPerRequest:
         assert code == 0
         assert report["verdict"]["similar"] is True
         assert eig_sizes == []
+
+
+N40_SPEC = [{"eigenvalue": "0/1", "blocks": [3] * 12}] + [
+    {"eigenvalue": f"{k}/65", "blocks": [1]} for k in (1, 34, 51, 44)
+]
+
+
+class TestSpecConjugatorReports:
+    """A spec file's conjugator comes from the closed form, with its
+    kernel dimension counted from the spec: deterministic, and present for
+    every similar spec."""
+
+    @pytest.mark.parametrize("command", [["analyze", "--find-b"], ["solve-b"]])
+    def test_n40_spec(self, capsys, tmp_path, command):
+        # twelve 3-blocks at 1 and the 4-cycle {1, 34, 51, 44}/65 under (2, 3):
+        # 12 * 12 * 3 + 4 = 436 dimensions; through the kernel SVD this took 2.5 s
+        path = tmp_path / "n40.json"
+        path.write_text(json.dumps(N40_SPEC))
+        code, report = run_json(capsys, command[0], str(path), "-p", "2", "-q", "3", *command[1:])
+        assert code == 0
+        assert report["conjugator"]["kernel_dimension"] == 436
+        assert report["conjugator"]["b"]["rows"] == 40
+        assert report["conjugator"]["residual"] < 1e-12
+
+    @pytest.mark.parametrize("size", [11, 13, 16])
+    @pytest.mark.parametrize("command", [["analyze", "--find-b"], ["solve-b"]])
+    def test_single_blocks_the_draw_missed(self, capsys, tmp_path, size, command):
+        # one draw from the kernel found no invertible B for these similar specs
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps([{"eigenvalue": "0/1", "blocks": [size]}]))
+        code, report = run_json(capsys, command[0], str(path), "-p", "2", "-q", "3", *command[1:])
+        assert code == 0
+        assert report["conjugator"]["kernel_dimension"] == size
+        assert report["conjugator"]["b"] is not None
+        assert report["conjugator"]["residual"] < 1e-12
+
+    @pytest.mark.parametrize("pair", [("3", "7"), ("3", "5")])
+    def test_b_exactly_when_similar(self, capsys, intro_spec_file, pair):
+        p, q = pair
+        _, analyzed = run_json(capsys, "analyze", intro_spec_file, "-p", p, "-q", q, "--find-b")
+        _, solved = run_json(capsys, "solve-b", intro_spec_file, "-p", p, "-q", q)
+        similar = analyzed["verdict"]["similar"]
+        assert similar == (pair == ("3", "7"))
+        for report in (analyzed, solved):
+            assert (report["conjugator"]["b"] is not None) == similar
+            assert (report["conjugator"]["residual"] is not None) == similar
+
+    def test_singular_pair_with_p_above_q(self, capsys, tmp_path):
+        # solve-b keeps (p, q) = (3, 2), whose B is the one analyze finds for
+        # the normalized (2, 3); the blocks at 0 vanish in both powers
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps([{"eigenvalue": "zero", "blocks": [2, 1]},
+                                    {"eigenvalue": "0/1", "blocks": [2]}]))
+        _, analyzed = run_json(capsys, "analyze", str(path), "-p", "3", "-q", "2", "--find-b")
+        _, solved = run_json(capsys, "solve-b", str(path), "-p", "3", "-q", "2")
+        assert analyzed["normalized"]["swapped"] is True
+        assert analyzed["conjugator"]["kernel_dimension"] == solved["conjugator"]["kernel_dimension"]
+        assert solved["conjugator"]["residual"] < 1e-12
+
+    def test_solve_b_snaps_a_written_root(self, capsys, tmp_path):
+        # solve-b reads [re, im] as analyze does, so the file written with
+        # floats describes the matrix of the one written with "1/5"
+        z = complex(np.cos(2 * np.pi / 5), np.sin(2 * np.pi / 5))
+        written = [{"eigenvalue": [z.real, z.imag], "blocks": [2]}, {"eigenvalue": "4/5", "blocks": [2]}]
+        exact = [{"eigenvalue": "1/5", "blocks": [2]}, {"eigenvalue": "4/5", "blocks": [2]}]
+        reports = []
+        for name, spec in (("written.json", written), ("exact.json", exact)):
+            path = tmp_path / name
+            path.write_text(json.dumps(spec))
+            code, report = run_json(capsys, "solve-b", str(path), "-p", "2", "-q", "3")
+            assert code == 0
+            reports.append({k: v for k, v in report.items() if k != "inputs"})
+        assert reports[0] == reports[1]
+        assert reports[0]["conjugator"]["b"] is not None
 
 
 class TestOneWalkPerRequest:
@@ -727,18 +813,23 @@ class TestReportDiscipline:
         assert capsys.readouterr().out == ""
 
     def test_seed_changes_conjugator_deterministically(self, capsys, intro_spec_file, nondiag_files):
+        # a matrix file's B is a seeded draw from the kernel; a spec file's B
+        # is the closed form, the same for every seed
         a_path, _ = nondiag_files
-        for argv in (
-            ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b"],
-            ["solve-b", a_path, "-p", "2", "-q", "3"],
+        for argv, drawn in (
+            (["analyze", a_path, "-p", "2", "-q", "3", "--find-b"], True),
+            (["solve-b", a_path, "-p", "2", "-q", "3"], True),
+            (["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b"], False),
+            (["solve-b", intro_spec_file, "-p", "3", "-q", "7"], False),
         ):
             _, r1 = run_json(capsys, *argv, "--seed", "1")
             _, again = run_json(capsys, *argv, "--seed", "1")
             _, r2 = run_json(capsys, *argv, "--seed", "2")
+            assert (r1["seed"], r2["seed"]) == (1, 2)
             assert r1["conjugator"]["b"] is not None
             assert r1["conjugator"]["b"] == again["conjugator"]["b"]
             assert r2["conjugator"]["b"] is not None
-            assert r1["conjugator"]["b"] != r2["conjugator"]["b"]
+            assert (r1["conjugator"]["b"] != r2["conjugator"]["b"]) == drawn
 
     def test_negative_seed_is_an_error_report(self, capsys, intro_spec_file, nondiag_files):
         # numpy's generator rejects a negative seed with a traceback
@@ -796,3 +887,44 @@ class TestParserReuse:
         capsys.readouterr()
         _, after = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7")
         assert after == before
+
+
+class TestBenchTracer:
+    """bench/tracer.py wraps every public simpow function from outside and
+    its hooks read some of their arguments (sylvester_kernel's A,
+    fit_polynomial_in's max_degree, classify's families).  Run traced, every
+    command must answer as it does untraced, or a signature change would
+    show only when the benchmark runs."""
+
+    def test_every_command_answers_the_same_traced(
+        self, capsys, monkeypatch, intro_spec_file, nondiag_files
+    ):
+        monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
+        from tracer import Tracer
+
+        a_path, _ = nondiag_files
+        argvs = TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files) + [
+            ["analyze", a_path, "-p", "2", "-q", "3", "--find-b"],
+            ["analyze", a_path, "-p", "2", "-q", "3"],
+            ["solve-b", intro_spec_file, "-p", "3", "-q", "7"],
+            ["verify", intro_spec_file, intro_spec_file, "-p", "3", "-q", "7"],
+        ]
+        untraced = [run(capsys, *argv) for argv in argvs]
+        tracer = Tracer()
+        tracer.install()
+        try:
+            traced = []
+            for argv in argvs:
+                code = cli.main(argv)  # the wrapped main
+                traced.append((code, capsys.readouterr().out))
+        finally:
+            tracer.uninstall()
+        assert traced == untraced
+        assert {code for code, _ in traced} == {0, 1}
+        for name in ("cli.main", "matrixcore.sylvester_kernel", "matrixcore.fit_polynomial_in",
+                     "solvers.enumerate_valid_k1", "equation2x2.classify",
+                     "similarity.spec_from_matrix", "solvers.spec_conjugator"):
+            assert tracer.calls[name][0] > 0, name
+        assert tracer.counters["matrixcore.sylvester_kernel.gflop"] > 0
+        assert tracer.counters["matrixcore.fit_polynomial_in.degrees_tried"] > 0
+        assert cli.main is main

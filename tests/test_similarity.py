@@ -105,6 +105,39 @@ class TestJordanSpec:
         assert not np.array_equal(matrix_from_spec(recovered), matrix_from_spec(spec))
 
 
+class TestMatrixFromSpec:
+    def test_bytes_of_the_block_sum(self):
+        # the reference: the direct sum of lambda*I + N, whose sum turns a
+        # -0.0 part into 0.0; the benchmark's matrix files are built from it
+        rng = random.Random(3)
+        parts = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e200]
+        for case in range(400):
+            entries = {}
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.random()
+                ev = (
+                    None if kind < 0.2
+                    else R(rng.randrange(30), rng.randint(1, 30)) if kind < 0.6
+                    else complex(rng.choice(parts), rng.choice(parts))
+                )
+                entries.setdefault(ev, tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3))))
+            spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries.items()))
+            seed = case if case % 2 else None
+            blocks = [
+                similarity._ev_complex(e.eigenvalue) * np.eye(size, dtype=complex)
+                + np.eye(size, k=1, dtype=complex)
+                for e in spec.entries
+                for size in e.blocks
+            ]
+            expected = matrixcore.block_diagonal(blocks)
+            if seed is not None:
+                g = np.random.default_rng(seed)
+                shape = (spec.n, spec.n)
+                q, _ = np.linalg.qr(g.standard_normal(shape) + 1j * g.standard_normal(shape))
+                expected = q.conj().T @ expected @ q
+            assert matrix_from_spec(spec, seed).tobytes() == expected.tobytes(), (case, spec)
+
+
 class TestSpecFromMatrix:
     def test_identity(self, pq23):
         spec = recover(np.eye(3), pq23)

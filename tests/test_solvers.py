@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,18 +8,25 @@ import pytest
 
 from simpow import solvers
 from simpow.cli import main
-from simpow.matrixcore import fit_polynomial_in, mat_int_pow
+from simpow.matrixcore import (
+    conjugacy_residual,
+    eigenspace_splits,
+    fit_polynomial_in,
+    mat_int_pow,
+    sylvester_kernel,
+)
 from simpow.scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 from simpow.solvers import (
     _power_modulus,
-    build_cycle_conjugator,
     build_cycle_instance,
     enumerate_valid_k1,
+    intertwiner_dimension,
     realize_conjugate_c,
     solve_single_eigenvalue,
+    spec_conjugator,
 )
-from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec
-from simpow.spectra import SpectrumMultiset, orbit_decomposition, powers_equal
+from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
+from simpow.spectra import SpectrumMultiset, orbit_decomposition, powers_equal, successor
 
 R = RootOfUnity
 
@@ -26,6 +34,17 @@ R = RootOfUnity
 def nilpotent(*blocks):
     """The direct sum of nilpotent Jordan blocks of the given sizes."""
     return matrix_from_spec(JordanSpec((JordanEntry(None, blocks),)))
+
+
+def cycle_spec(inst):
+    """The spec of a cycle instance: one 1-block per eigenvalue, in cycle order."""
+    return JordanSpec(tuple(JordanEntry(ev, (1,)) for ev in inst.spectrum))
+
+
+def cycle_pair(inst, scale):
+    """A and B of generate --k1: the cycle's matrix and diag(scale) times its conjugator."""
+    spec = cycle_spec(inst)
+    return matrix_from_spec(spec), np.diag(scale) @ spec_conjugator(spec, inst.pq)
 
 
 def brute_force_valid_k1(n, pq):
@@ -128,26 +147,28 @@ class TestBuildCycleInstance:
                 assert len(od.orbits[0]) == n
 
 
-class TestBuildCycleConjugator:
+class TestCycleConjugator:
     def test_antidiagonal(self, pq23):
         inst = build_cycle_instance(2, pq23, 1)
-        b = build_cycle_conjugator(inst, [1, 1])
+        a, b = cycle_pair(inst, [1, 1])
         assert np.array_equal(b, np.array([[0, 1], [1, 0]], dtype=complex))
-        a = inst.diagonal_matrix()
+        assert np.array_equal(a, np.diag([rou_to_complex(ev) for ev in inst.spectrum]))
         residual = np.max(np.abs(np.linalg.solve(b, mat_int_pow(a, 2) @ b) - mat_int_pow(a, 3)))
         assert residual < 1e-12
 
     def test_scale_invariance(self, pq23):
         inst = build_cycle_instance(2, pq23, 1)
-        b = build_cycle_conjugator(inst, [2, 5j])
-        a = inst.diagonal_matrix()
+        a, b = cycle_pair(inst, [2, 5j])
         residual = np.max(np.abs(np.linalg.solve(b, mat_int_pow(a, 2) @ b) - mat_int_pow(a, 3)))
         assert residual < 1e-12
 
-    def test_zero_scale_rejected(self, pq23):
-        inst = build_cycle_instance(2, pq23, 1)
-        with pytest.raises(ValueError):
-            build_cycle_conjugator(inst, [1, 0])
+    @pytest.mark.parametrize(
+        "scale, error", [("1,0", "scale entries must be nonzero"), ("1", "need 2 scale entries, got 1")]
+    )
+    def test_bad_scale_rejected(self, capsys, scale, error):
+        code = main(["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", f"--scale={scale}"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == error
 
     def test_random_instances(self):
         rng = np.random.default_rng(17)
@@ -160,8 +181,7 @@ class TestBuildCycleConjugator:
             for k1 in enumerate_valid_k1(n, pq)[:6]:
                 inst = build_cycle_instance(n, pq, k1)
                 scale = rng.standard_normal(n) + 1j * rng.standard_normal(n) + 2.0
-                b = build_cycle_conjugator(inst, scale)
-                a = inst.diagonal_matrix()
+                a, b = cycle_pair(inst, scale)
                 aq = mat_int_pow(a, q)
                 residual = np.max(np.abs(np.linalg.solve(b, mat_int_pow(a, p) @ b) - aq))
                 assert residual <= 1e-10 * max(np.max(np.abs(aq)), 1.0)
@@ -293,7 +313,7 @@ class TestPolynomialRealization:
         # constructed invertible solutions admit A = poly(A^q)
         for n, k1 in [(2, 1), (3, 1), (4, 3)]:
             inst = build_cycle_instance(n, pq23, k1)
-            a = inst.diagonal_matrix()
+            a = matrix_from_spec(cycle_spec(inst))
             coeffs = fit_polynomial_in(mat_int_pow(a, pq23.q), a, n - 1)
             assert coeffs is not None
 
@@ -308,8 +328,7 @@ class TestPolynomialRealization:
             for u in range(n):
                 expected = inst.spectrum[(u + 1) % n]
                 assert rou_pow(inst.spectrum[u], alpha * pq23.q) == expected
-            a = inst.diagonal_matrix()
-            b = build_cycle_conjugator(inst, [1.0] * n)
+            a, b = cycle_pair(inst, [1.0] * n)
             c = np.linalg.solve(b, a @ b)
             assert np.max(np.abs(c - mat_int_pow(a, alpha * pq23.q))) < 1e-10
 
@@ -498,3 +517,169 @@ def test_enumerate_valid_k1_matches_definition(p, q):
         assert enumerate_valid_k1(n, pq) == per_residue_valid_k1(n, pq)
         n += 1
     assert n > 5
+
+
+def exact_spec_conjugator(spec, pq):
+    """The B of spec_conjugator at 50 digits, from the exact base conjugator:
+    block k at lambda goes to block k at mu = successor(lambda) as
+    R[i][j] mu^i lambda^-j, with R the b0_rational of lambda = 1; blocks
+    at 0 stay in place as the identity."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    start, pos = {}, 0
+    for e in spec.entries:
+        start[e.eigenvalue], pos = pos, pos + e.multiplicity
+    out = mp.matrix(pos)
+    for e in spec.entries:
+        col = start[e.eigenvalue]
+        if e.eigenvalue is None:
+            for k in range(e.multiplicity):
+                out[col + k, col + k] = 1
+            continue
+        mu = successor(e.eigenvalue, pq)
+        row = start[mu]
+        lam_mp, mu_mp = (mp.expjpi(2 * mp.mpf(r.num) / r.order) for r in (e.eigenvalue, mu))
+        for size in e.blocks:
+            r = solve_single_eigenvalue(R(0, 1), [size], pq).b0_rational
+            for i in range(size):
+                for j in range(size):
+                    if r[i][j]:
+                        value = mp.mpf(r[i][j].numerator) / r[i][j].denominator
+                        out[row + i, col + j] = value * mu_mp**i * lam_mp**-j
+            row, col = row + size, col + size
+    return out
+
+
+def exact_spec_matrix(spec):
+    """matrix_from_spec at 50 digits, its roots of unity evaluated exactly."""
+    import mpmath as mp
+
+    mp.mp.dps = 50
+    out, pos = mp.matrix(spec.n), 0
+    for e in spec.entries:
+        ev = e.eigenvalue
+        lam = 0 if ev is None else mp.expjpi(2 * mp.mpf(ev.num) / ev.order)
+        for size in e.blocks:
+            for k in range(size):
+                out[pos + k, pos + k] = lam
+                if k:
+                    out[pos + k - 1, pos + k] = 1
+            pos += size
+    return out
+
+
+# similar specs with blocks at 0, at a root and along cycles, for pairs with
+# p > q and negative exponents
+SIMILAR_SPECS = [
+    ([(R(1, 4), (1, 1)), (R(3, 4), (2,)), (None, (3,))], (3, 7)),
+    ([(R(0, 1), (3, 3)), (R(1, 65), (1,)), (R(34, 65), (1,)), (R(51, 65), (1,)),
+      (R(44, 65), (1,))], (2, 3)),
+    ([(R(0, 1), (11,))], (2, 3)),
+    ([(R(1, 5), (2,)), (R(4, 5), (2,))], (2, 3)),
+    ([(None, (2, 1)), (R(0, 1), (2,))], (3, 2)),
+    ([(R(1, 9), (2, 1)), (R(7, 9), (2, 1)), (R(4, 9), (2, 1)), (R(1, 3), (3,))], (-1, 2)),
+    ([(R(1, 5), (3,)), (R(2, 5), (1, 1))], (3, -2)),
+]
+
+
+def random_parity_spec(rng, pq):
+    """A seeded spec with n <= 12 for the pair pq: whole successor cycles of
+    roots of order |q^t - p^t|, t <= 3, with equal blocks along a cycle
+    except where one member's blocks are changed; sometimes a root of small
+    order that need not close up, and complex eigenvalues, some pairs of
+    them with w^q = z^p; for p, q > 0 often a part at 0 first, sometimes
+    deeper than min(p, q)."""
+    entries = {}
+
+    def add(ev, blocks):
+        if ev not in entries and sum(map(sum, entries.values())) + sum(blocks) <= 12:
+            entries[ev] = blocks
+
+    if min(pq.p, pq.q) > 0 and rng.random() < 0.35:
+        depth = min(pq.p, pq.q) + (rng.random() < 0.2)
+        add(None, tuple(rng.randint(1, depth) for _ in range(rng.randint(1, 3))))
+    for _ in range(rng.randint(1, 3)):
+        t = rng.randint(1, 3)
+        order = abs(pq.q**t - pq.p**t)
+        cycle = [R(rng.randrange(order), order)]
+        while (mu := successor(cycle[-1], pq)) != cycle[0]:
+            cycle.append(mu)
+        blocks = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+        for ev in cycle:
+            add(ev, blocks if rng.random() > 0.08 else blocks + (1,))
+    if rng.random() < 0.2:
+        order = rng.randint(1, 12)
+        add(R(rng.randrange(order), order), (rng.randint(1, 2),))
+    if rng.random() < 0.2:
+        w = complex(rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0))
+        blocks = (rng.randint(1, 2),)
+        add(w, blocks)
+        if rng.random() < 0.5:
+            add((w**pq.q) ** (1 / pq.p), blocks)
+    return JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries.items()))
+
+
+class TestSpecConjugator:
+    """spec_conjugator and intertwiner_dimension: the closed forms that
+    solve-b and analyze --find-b of a spec file report."""
+
+    def test_parity_with_the_kernel_on_seeded_specs(self):
+        # intertwiner_dimension equals the dimension of the numeric kernel of
+        # matrix_from_spec(spec), and spec_conjugator is an invertible B with
+        # a residual of at most 1e-12 exactly when the verdict is similar
+        rng = random.Random(17)
+        pairs = [(2, 3), (1, 2), (1, 3), (3, 5), (-1, 2), (2, 5), (3, -2), (3, 2), (5, 2)]
+        seen = {"similar": 0, "not similar": 0, "singular p > q": 0, "complex": 0, "negative": 0}
+        for case in range(2000):
+            pq = ExponentPair(*pairs[case % len(pairs)])
+            spec = random_parity_spec(rng, pq)
+            a = matrix_from_spec(spec)
+            a_p, a_q = mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
+            kernel = sylvester_kernel(a, pq.p, pq.q, a_p, a_q, eigenspace_splits(a)[-1])
+            dimension = intertwiner_dimension(spec, pq)
+            assert dimension == sum(k.shape[1] for _, k, _ in kernel), (case, spec, pq)
+            singular = spec.zero_entry() is not None
+            normalized = pq.swapped() if singular and pq.p > pq.q else pq
+            if powers_similar_general(spec, normalized).similar:
+                b = spec_conjugator(spec, pq)
+                assert np.linalg.matrix_rank(b) == spec.n, (case, spec, pq)
+                assert conjugacy_residual(b, a_p, a_q) <= 1e-12, (case, spec, pq)
+                seen["similar"] += 1
+            else:
+                with pytest.raises(ValueError):
+                    spec_conjugator(spec, pq)
+                seen["not similar"] += 1
+            seen["singular p > q"] += singular and pq.p > pq.q
+            seen["complex"] += any(isinstance(e.eigenvalue, complex) for e in spec.entries)
+            seen["negative"] += min(pq.p, pq.q) < 0
+        assert min(seen.values()) >= 100, sorted(seen.items())
+
+    @pytest.mark.parametrize("entries, pair", SIMILAR_SPECS)
+    def test_exact_at_50_digits(self, entries, pair):
+        # A^p B = B A^q holds for the exact B at 50 digits, and the float B
+        # is that B rounded entry by entry
+        import mpmath as mp
+
+        pq = ExponentPair(*pair)
+        spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
+        exact, a = exact_spec_conjugator(spec, pq), exact_spec_matrix(spec)
+        residual = a**pq.p * exact - exact * a**pq.q
+        assert max(abs(x) for x in residual) < mp.mpf(10) ** -40
+        b = spec_conjugator(spec, pq)
+        for i in range(spec.n):
+            for j in range(spec.n):
+                x = complex(exact[i, j])
+                assert abs(b[i, j] - x) <= 2e-15 * abs(x), (i, j, b[i, j], x)
+
+    @pytest.mark.parametrize("pair", [(2, 3), (3, 2), (1, 2)])
+    def test_complex_zero_splits_as_zero_does(self, pair):
+        # [0.0, 0.0] in a spec file is a complex 0, which no snap turns into
+        # "zero"; its blocks still split in A^p and A^q
+        pq = ExponentPair(*pair)
+        for ev in (0j, None):
+            spec = JordanSpec((JordanEntry(ev, (3, 2)), JordanEntry(R(0, 1), (1,))))
+            a = matrix_from_spec(spec)
+            a_p, a_q = mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
+            kernel = sylvester_kernel(a, pq.p, pq.q, a_p, a_q, eigenspace_splits(a)[-1])
+            assert intertwiner_dimension(spec, pq) == sum(k.shape[1] for _, k, _ in kernel)
