@@ -40,17 +40,16 @@ from .matrixcore import (
     as_matrix,
     conjugacy_residual,
     eigenspace_splits,
-    find_invertible_in_span,
     fit_polynomial_in,
     mat_int_pow,
     matrix_from_json,
     matrix_to_json,
-    sylvester_kernel,
 )
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_to_complex
 from .similarity import (
     JordanEntry,
     JordanSpec,
+    RecoveredSpec,
     matrix_from_spec,
     powers_similar_general,
     spec_from_matrix,
@@ -133,7 +132,7 @@ def _base_report(command: str) -> dict:
 
 
 def _seeded_report(command: str, args) -> dict:
-    """The base report of a command that draws B, with its --seed."""
+    """The base report of a command that reports B, with its --seed (echoed; it draws nothing)."""
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return {**_base_report(command), "seed": args.seed}
@@ -171,17 +170,20 @@ def _parse_complex_list(text: str, label: str) -> list[complex]:
         raise ValueError(f"bad {label} {text!r}: expected comma-separated complex numbers") from exc
 
 
+def _recover(matrix: np.ndarray, pq: ExponentPair) -> RecoveredSpec:
+    """The certified spec of a matrix file, from its one eigenspace split."""
+    try:
+        return spec_from_matrix(matrix, pq, eigenspace_splits(matrix))
+    except ValueError as exc:
+        raise ValueError(f"cannot recover structure: {exc}") from exc
+
+
 def cmd_analyze(args) -> dict:
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("analyze", args)
     matrix, spec = _load_matrix_or_spec(args.input)
-    splits = None  # eigenspace_splits(matrix), made at most once per request
     if spec is None:
-        try:
-            splits = eigenspace_splits(matrix)
-            spec = spec_from_matrix(matrix, pq, splits)
-        except ValueError as exc:
-            raise ValueError(f"cannot recover structure: {exc}") from exc
+        spec = _recover(matrix, pq)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
 
     normalized = pq
@@ -207,10 +209,7 @@ def cmd_analyze(args) -> dict:
     if args.find_b:
         if matrix is None:
             matrix = _spec_matrix(spec)
-        powers = _powers(matrix, normalized)
-        report["conjugator"] = _solve_conjugator(
-            matrix, spec, normalized, powers, splits, args.seed
-        )
+        report["conjugator"] = _solve_conjugator(spec, normalized, _powers(matrix, normalized))
     return report
 
 
@@ -218,32 +217,36 @@ def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarra
     return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
 
 
-def _solve_conjugator(
-    matrix: np.ndarray, spec: JordanSpec, pq: ExponentPair, powers: tuple, splits, seed: int
-) -> dict:
-    """The conjugator report; powers is (A^p, A^q), formed once per request.
-
-    A spec file (splits None) takes its kernel dimension from the count
-    and, when its verdict is similar, B from the closed form: no eig and
-    no draw.  A matrix file takes both from the kernel on
-    splits = eigenspace_splits(A) and one draw with seed.
+def _solve_conjugator(spec: JordanSpec, pq: ExponentPair, powers: tuple) -> dict:
+    """The conjugator report of A with Jordan structure spec; powers is
+    (A^p, A^q), formed once per request.  kernel_dimension is counted from
+    the spec and, when its verdict is similar, B is its closed form, on A
+    itself for a spec file and carried to A's basis for a matrix file.
+    There B is refused as recovery is when the Jordan basis is singular or
+    B misses A^p B = B A^q by more than VERIFY_TOL * (||A^p||_F +
+    ||A^q||_F) relative to max|B|: a structure certified on an
+    ill-conditioned A can be a nearby matrix's.
     """
-    if splits is None:
-        # the powers refuse a negative power of a singular A, so a singular
-        # spec has p, q >= 1 here; the verdict takes them as analyze
-        # normalizes them, p < q
-        normalized = pq.swapped() if spec.zero_entry() is not None and pq.p > pq.q else pq
-        dimension = intertwiner_dimension(spec, pq)
-        similar = powers_similar_general(spec, normalized).similar
-        candidate = spec_conjugator(spec, pq) if similar else None
-    else:
-        kernel = sylvester_kernel(matrix, pq.p, pq.q, *powers, splits[-1])
-        dimension = sum(k.shape[1] for _, k, _ in kernel)
-        candidate = find_invertible_in_span(kernel, seed=seed) if kernel else None
-    out = {"kernel_dimension": dimension, "b": None, "residual": None}
-    if candidate is not None:
-        out["b"] = matrix_to_json(candidate)
-        out["residual"] = conjugacy_residual(candidate, *powers)
+    # the powers refuse a negative power of a singular A, so a singular
+    # spec has p, q >= 1 here; the verdict takes them as analyze
+    # normalizes them, p < q
+    normalized = pq.swapped() if spec.zero_entry() is not None and pq.p > pq.q else pq
+    out = {"kernel_dimension": intertwiner_dimension(spec, pq), "b": None, "residual": None}
+    if not powers_similar_general(spec, normalized).similar:
+        return out
+    b, recovered = spec_conjugator(spec, pq), isinstance(spec, RecoveredSpec)
+    if recovered:
+        try:
+            b = spec.from_jordan_basis(b)
+        except ValueError as exc:
+            raise ValueError(f"cannot recover structure: {exc}") from exc
+    residual = conjugacy_residual(b, *powers)
+    bound = VERIFY_TOL * sum(float(np.linalg.norm(power)) for power in powers)
+    if recovered and residual > bound:
+        raise ValueError(
+            f"cannot recover structure: its B misses A^p B = B A^q by {residual:.3e} > {bound:.3e}"
+        )
+    out["b"], out["residual"] = matrix_to_json(b), residual
     return out
 
 
@@ -305,15 +308,14 @@ def cmd_solve_b(args) -> dict:
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("solve-b", args)
     matrix, spec = _load_matrix_or_spec(args.input)
-    splits = None
     if matrix is None:
         spec = _exact_roots(spec, pq, args.input)
         matrix = _spec_matrix(spec)
-    else:
-        splits = eigenspace_splits(matrix)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
     powers = _powers(matrix, pq)
-    report["conjugator"] = _solve_conjugator(matrix, spec, pq, powers, splits, args.seed)
+    if spec is None:
+        spec = _recover(matrix, pq)
+    report["conjugator"] = _solve_conjugator(spec, pq, powers)
     coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_an)
     p_an.add_argument("--find-b", action="store_true", dest="find_b")
-    p_an.add_argument("--seed", type=int, default=0, help="seed of the draw of B (matrix files)")
+    p_an.add_argument("--seed", type=int, default=0, help="echoed as seed; B draws nothing")
     p_an.set_defaults(func=cmd_analyze)
 
     p_gen = sub.add_parser("generate", help="distinct-eigenvalue solutions from a seed residue")
@@ -424,11 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_nil.set_defaults(func=cmd_nilpotent)
 
     p_sb = sub.add_parser(
-        "solve-b", help="conjugator B: exact for a spec, from the intertwiner kernel for a matrix"
+        "solve-b", help="conjugator B in closed form, on a spec or a matrix's certified structure"
     )
     p_sb.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_sb)
-    p_sb.add_argument("--seed", type=int, default=0, help="seed of the draw of B (matrix files)")
+    p_sb.add_argument("--seed", type=int, default=0, help="echoed as seed; B draws nothing")
     p_sb.set_defaults(func=cmd_solve_b)
 
     p_ver = sub.add_parser("verify", help="residual of B^-1 A^p B = A^q")

@@ -21,7 +21,7 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # the clustering radii, finest first, in units of that: a Jordan block of size k
 # scatters its computed eigenvalues by about (u * ||A||)^(1/k), their mean by rounding
 CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
-# the largest n numeric recovery splits; its n^2 x n^2 kernel operator grows as n^4
+# the largest n numeric recovery splits: a cluster of n takes up to n + 1 SVDs, O(n^4)
 MAX_RECOVERY_N = 64
 
 
@@ -131,16 +131,6 @@ def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]
     return clusters
 
 
-def _sylvester_operator(p_mat: np.ndarray, q_mat: np.ndarray) -> np.ndarray:
-    """kron(P, I) - kron(I, Q^T): the map X -> PX - XQ on row-major vectorizations."""
-    m_p, m_q = len(p_mat), len(q_mat)
-    eye_p, eye_q = np.eye(m_p), np.eye(m_q)
-    # axes (i, j, k, l): P[i, k] delta[j, l] - delta[i, k] Q[l, j]
-    op = p_mat[:, None, :, None] * eye_q[None, :, None, :]
-    op = op - eye_p[:, None, :, None] * q_mat.T[None, :, None, :]
-    return op.reshape(m_p * m_q, m_p * m_q)
-
-
 def _nested_kernels(m: np.ndarray, lam: complex, scale: float, depth: int):
     """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1..depth, while they grow.
 
@@ -168,8 +158,7 @@ def _nested_kernels(m: np.ndarray, lam: complex, scale: float, depth: int):
 class Split(NamedTuple):
     """One unambiguous rung of the eigenvalue split of A (eigenspace_splits)."""
 
-    factor: int  # the clustering radius is factor * tol
-    tol: float  # DEFAULT_CLUSTER_TOL * max(||A||_2, 1)
+    tol: float  # DEFAULT_CLUSTER_TOL * max(||A||_2, 1); the rung clusters at a multiple of it
     clusters: list[list[int]]  # indices into the eigenvalues of A
     centres: list[complex]  # the cluster means
     bases: list[np.ndarray] | None  # the V_i, orthonormal, when the split certifies
@@ -195,7 +184,7 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
     up to the first rung whose split certifies or has one cluster.
 
     One eig(A) serves every rung: its eigenvalues are clustered by single
-    linkage at factor * tol; an ambiguous rung is its
+    linkage at tol times the rung's factor; an ambiguous rung is its
     ClusteringAmbiguityError.  Cluster i, at mean c_i, gets the orthonormal
     basis V_i of its generalized eigenspace (the eigenvector of a lone
     eigenvalue, else the nested kernel of A - c_i of its dimension, cut at
@@ -221,7 +210,7 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
             splits.append(exc)
             continue
         centres = [complex(values[c].mean()) for c in clusters]
-        splits.append(Split(factor, tol, clusters, centres, None, None))
+        splits.append(Split(tol, clusters, centres, None, None))
         if len(clusters) == 1:
             break
         bases = [
@@ -235,63 +224,6 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
                 splits[-1] = splits[-1]._replace(bases=bases, lefts=lefts)
                 break
     return splits
-
-
-def _pair_kernel(p_c: np.ndarray, q_c: np.ndarray, scale: float) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of Z -> P_c Z - Z Q_c on
-    row-major vectorizations, cut at RANK_TOL * scale.
-
-    With mu the mean eigenvalue of P_c, ||P_c - mu||_F + ||Q_c - mu||_F
-    bounds the operator's 2-norm and so every singular value: within the
-    cut, the kernel is every m_p x m_q matrix, the rank decision the SVD
-    would make, without the SVD.
-    """
-    m_p, m_q = len(p_c), len(q_c)
-    mu = np.trace(p_c) / m_p
-    spread = np.linalg.norm(p_c - mu * np.eye(m_p)) + np.linalg.norm(q_c - mu * np.eye(m_q))
-    if spread <= RANK_TOL * scale:
-        return np.eye(m_p * m_q, dtype=complex)
-    return kernel_basis(_sylvester_operator(p_c, q_c), scale)
-
-
-def sylvester_kernel(
-    a: np.ndarray, p: int, q: int, a_p: np.ndarray, a_q: np.ndarray, split
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The intertwiner space {X : A^p X = X A^q}, factored over pairs of
-    eigenvalue clusters of A; a_p and a_q are A^p and A^q (mat_int_pow),
-    and split is the last rung of eigenspace_splits(A).
-
-    Returns triples (V_i, K, W_j), V_i of shape n x m_i, W_j of shape
-    m_j x n and K with orthonormal columns of length m_i * m_j, none of
-    them empty.  The space is the direct sum over the triples of the
-    matrices V_i reshape(K c, (m_i, m_j)) W_j, so its dimension is the
-    total column count of the K.
-
-    A^p and A^q share the generalized eigenspaces of A, so on a certified
-    split every such X is a sum of V_i Z W_j with P_i Z = Z Q_j,
-    P_i = W_i A^p V_i and Q_j = W_j A^q V_j.  Only the pairs with
-    |c_i^p - c_j^q| <= DEFAULT_CLUSTER_TOL * max(||A^p||_2, ||A^q||_2, 1)
-    * factor are solved, the others having disjoint spectra, each cut
-    at RANK_TOL * (||A^p||_2 + ||A^q||_2) (_pair_kernel).  An uncertified
-    split or a single cluster leaves V = W = I: the whole n^2 x n^2
-    operator, O(n^6) time instead of about O(k n^3 + sum (m_i m_j)^3).
-    """
-    n = len(a)
-    norm_p, norm_q = np.linalg.svd(np.stack([a_p, a_q]), compute_uv=False)[:, 0]
-    if isinstance(split, Split) and split.bases is not None:
-        centres = np.array(split.centres)
-        reach = DEFAULT_CLUSTER_TOL * max(norm_p, norm_q, 1.0) * split.factor
-        gaps = np.abs(centres[:, None] ** p - centres[None, :] ** q)
-        pairs = np.argwhere(gaps <= reach).tolist()
-        bases, lefts = split.bases, split.lefts
-    else:
-        bases, lefts, pairs = [np.eye(n)], [np.eye(n)], [(0, 0)]
-    kernel = []
-    for i, j in pairs:
-        basis = _pair_kernel(lefts[i] @ a_p @ bases[i], lefts[j] @ a_q @ bases[j], norm_p + norm_q)
-        if basis.shape[1]:
-            kernel.append((bases[i], basis, lefts[j]))
-    return kernel
 
 
 def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -309,29 +241,6 @@ def conjugacy_residual(b: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     if not math.isfinite(residual):
         raise ValueError("the conjugacy residual max|X B - B Y| / max|B| overflows")
     return residual
-
-
-def find_invertible_in_span(kernel: list[tuple], seed: int = 0) -> np.ndarray | None:
-    """One random element of a sylvester_kernel space, if it is invertible at RANK_TOL.
-
-    The element is the sum over the triples (V, K, W) of
-    V reshape(K c, (m_i, m_j)) W, the c slices of one complex Gaussian
-    vector from default_rng(seed).  One draw decides: c -> B is linear
-    and injective, so det B is a polynomial in c, nonzero when the space
-    holds an invertible element; a Gaussian draw misses its zeros almost
-    surely, and None means the space holds none.  Deterministic for a
-    fixed seed.
-    """
-    if not kernel:
-        raise ValueError("empty kernel")
-    dims = [k.shape[1] for _, k, _ in kernel]
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(sum(dims)) + 1j * rng.standard_normal(sum(dims))
-    candidate = sum(
-        v @ (k @ c).reshape(v.shape[1], w.shape[0]) @ w
-        for (v, k, w), c in zip(kernel, np.split(coeffs, np.cumsum(dims)[:-1]))
-    )
-    return candidate if is_invertible(candidate) else None
 
 
 def fit_polynomial_in(
@@ -370,15 +279,21 @@ def fit_polynomial_in(
     return None
 
 
-def weyr_characteristic(m: np.ndarray, lam: complex, depth: int, scale: float) -> list[int]:
+def weyr_characteristic(
+    m: np.ndarray, lam: complex, depth: int, scale: float, kernels: list | None = None
+) -> list[int]:
     """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant.
 
     The dimensions of the nested kernels cut at RANK_TOL * scale
     (_nested_kernels), a bound on ||M - lam*I||_2: ||M||_F + |lam|, or for
     a block of a larger operator that operator's; once they stop growing
-    the list is padded to depth with the last one.
+    the list is padded to depth with the last one.  A list passed as
+    kernels receives the kernels themselves, K_1 up to the last that grew.
     """
-    dims = [kernel.shape[1] for kernel in _nested_kernels(m, complex(lam), scale, depth)]
+    found = list(_nested_kernels(m, complex(lam), scale, depth))
+    if kernels is not None:
+        kernels.extend(found)
+    dims = [kernel.shape[1] for kernel in found]
     return dims + dims[-1:] * (depth - len(dims))
 
 

@@ -98,9 +98,11 @@ def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[
     on a successor cycle of some length t <= n, so it satisfies
     lambda^Q_t = 1 with Q_t = |q^t - p^t| (never 0 for an ExponentPair).
     For each t the one candidate is the Q_t-th root of unity nearest in
-    angle to z.  The orders are exact integers, with no bound on their
-    lcm; Q_t grows with t, and past 2^53 the angle of a double no longer
-    tells its Q_t-th roots apart, so larger t propose nothing.
+    angle to z, measured from its reduced angle as rou_to_complex
+    evaluates it; only those within tol are built.  The orders are exact
+    integers, with no bound on their lcm; Q_t grows with t, and past 2^53
+    the angle of a double no longer tells its Q_t-th roots apart, so
+    larger t propose nothing.
     """
     theta = cmath.phase(z) / (2.0 * math.pi)
     near = set()
@@ -108,7 +110,10 @@ def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[
         order = abs(pq.q**t - pq.p**t)
         if order > 2**53:
             break
-        candidate = RootOfUnity(round(theta * order), order)
-        if abs(z - rou_to_complex(candidate)) <= tol:
-            near.add(candidate)
-    return sorted(near, key=lambda root: (root.order, root.num))
+        num = round(theta * order) % order
+        g = math.gcd(num, order)
+        num, den = num // g, order // g
+        angle = 2.0 * math.pi * num / den
+        if abs(z - complex(math.cos(angle), math.sin(angle))) <= tol:
+            near.add((den, num))
+    return [RootOfUnity(num, den) for den, num in sorted(near)]

@@ -4,17 +4,19 @@ A JordanSpec is the exact structural description of a matrix: per
 eigenvalue, the multiset of Jordan block sizes.  The verdicts implement
 the characterization of when A^p and A^q are similar, for invertible and
 singular A.  A matrix reaches them through spec_from_matrix, which
-certifies the structure it recovers.
+certifies the structure it recovers and keeps what certified it, from
+which the Jordan basis of the matrix is built.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matrixcore import Split, weyr_characteristic
+from .matrixcore import Split, is_invertible, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, successor_walk
 
@@ -111,7 +113,8 @@ class JordanSpec:
             elif isinstance(ev, str):
                 parsed = RootOfUnity.from_str(ev)
             else:
-                parsed = complex(ev[0], ev[1])
+                # a complex 0 is the eigenvalue 0, whose blocks split in a power
+                parsed = complex(ev[0], ev[1]) or None
             blocks = tuple(item["blocks"])
             if any(type(b) is not int for b in blocks):  # bool is an int subclass
                 raise ValueError(f"block sizes must be integers, got {item['blocks']}")
@@ -190,7 +193,63 @@ def _blocks_from_weyr(dims: list[int], multiplicity: int) -> tuple[int, ...]:
     return tuple(sorted(blocks, reverse=True))
 
 
-def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> JordanSpec:
+@dataclass(frozen=True, eq=False)
+class RecoveredSpec(JordanSpec):
+    """A JordanSpec that spec_from_matrix certified on a matrix A, equal to
+    and hashed as the plain spec.  Per entry, its certificate is the
+    shifted matrix S = M - lam whose nested kernels K_1 < ... < K_d
+    certified it at its point lam, those kernels, and the V_i that carries
+    M's coordinates to A's (None when M is A itself)."""
+
+    certificates: tuple = field(default=(), repr=False)
+
+    def jordan_basis(self) -> np.ndarray:
+        """V with A V = V J for J = matrix_from_spec(self): the Jordan chains
+        of every entry, in the order of its blocks (_jordan_chains)."""
+        columns = []
+        for entry, (shifted, kernels, basis) in zip(self.entries, self.certificates):
+            chains = _jordan_chains(entry.blocks, shifted, kernels)
+            columns.append(chains if basis is None else basis @ chains)
+        return np.hstack(columns)
+
+    def from_jordan_basis(self, x: np.ndarray) -> np.ndarray:
+        """V x V^-1 for V = jordan_basis(); ValueError when V is not
+        invertible at RANK_TOL."""
+        v = self.jordan_basis()
+        if not is_invertible(v):
+            raise ValueError("the Jordan basis of the certified structure is singular")
+        return v @ x @ np.linalg.inv(v)
+
+
+def _jordan_chains(blocks: tuple[int, ...], shifted: np.ndarray, kernels: list) -> np.ndarray:
+    """Columns x_0, ..., x_(j-1) of one Jordan chain of S = shifted per
+    block of size j, longest first: S x_0 = 0 and S x_i = x_(i-1).
+
+    Built top-down in the nested kernels K_k = kernels[k - 1] of S
+    (Kagstrom & Ruhe, ACM TOMS 6, 1980): a chain of length j starts at a
+    vector of K_j independent of K_(j-1) and of the longer chains' vectors
+    at level j.  With 1-blocks only, K_1 is taken as it is.
+    """
+    if blocks[0] == 1:
+        return kernels[0]
+    counts = Counter(blocks)
+    level = np.zeros((len(shifted), 0), dtype=complex)  # the chains' vectors at level j
+    levels = []  # levels[d - j] is the level of j
+    for j in range(blocks[0], 0, -1):
+        if counts[j]:
+            # in K_j's coordinates, the complement of K_(j-1) and the level
+            below = level if j == 1 else np.hstack([kernels[j - 2], level])
+            u = np.linalg.svd(kernels[j - 1].conj().T @ below)[0]
+            level = np.hstack([level, kernels[j - 1] @ u[:, below.shape[1] :]])
+        levels.append(level)
+        level = shifted @ level
+    top = blocks[0]
+    return np.stack(
+        [levels[top - i][:, c] for c, size in enumerate(blocks) for i in range(1, size + 1)], axis=1
+    )
+
+
+def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> RecoveredSpec:
     """Recover a JordanSpec numerically, certified cluster by cluster.
 
     The clusters are those of splits = eigenspace_splits(A), rung by rung.
@@ -202,8 +261,10 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> JordanSpe
     The point is 0 when the mean is within tol of 0; otherwise the
     admissible roots of unity within tol of the mean, smallest order first
     (_admissible_roots), then the mean itself.  The first rung at which
-    every cluster certifies gives the spec; failing that, the error of the
-    finest rung is raised (ClusteringAmbiguityError or another ValueError).
+    every cluster certifies gives the spec, which keeps the nested kernels
+    of each certificate for its Jordan basis; failing that, the error of
+    the finest rung is raised (ClusteringAmbiguityError or another
+    ValueError).
     """
     norm = float(np.linalg.norm(a))
     finest_error = None
@@ -213,26 +274,32 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> JordanSpe
             continue
         try:
             indices = range(len(split.clusters))
-            return JordanSpec(tuple(_certified_entry(a, split, i, pq, norm) for i in indices))
+            certified = [_certified_entry(a, split, i, pq, norm) for i in indices]
         except ValueError as exc:
             finest_error = finest_error or exc
+            continue
+        entries, certificates = zip(*certified)
+        return RecoveredSpec(entries, certificates)
     raise finest_error
 
 
 def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm: float):
     """The entry of the i-th cluster of split, ||A||_F = norm, at the first
-    point that certifies it; ValueError when none does (see spec_from_matrix)."""
-    m = a if split.bases is None else split.lefts[i] @ a @ split.bases[i]
+    point that certifies it, and its certificate; ValueError when none
+    does (see spec_from_matrix)."""
+    basis = None if split.bases is None else split.bases[i]
+    m = a if basis is None else split.lefts[i] @ a @ basis
     mult, center = len(split.clusters[i]), split.centres[i]
     if abs(center) <= split.tol:
         points: list[JordanEigenvalue] = [None]
     else:
         points = [*_admissible_roots(center, pq, len(a), split.tol), center]
     for ev in points:
-        lam = _ev_complex(ev)
-        dims = weyr_characteristic(m, lam, mult + 1, norm + abs(lam))
+        lam, kernels = _ev_complex(ev), []
+        dims = weyr_characteristic(m, lam, mult + 1, norm + abs(lam), kernels)
         if dims[-1] == mult:
-            return JordanEntry(ev, _blocks_from_weyr(dims, mult))
+            entry = JordanEntry(ev, _blocks_from_weyr(dims, mult))
+            return entry, (m - lam * np.eye(len(m)), kernels, basis)
     raise ValueError(f"no point certifies the {mult} eigenvalue(s) around {center:.6g}")
 
 

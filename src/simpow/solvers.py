@@ -352,39 +352,38 @@ def intertwiner_dimension(spec: JordanSpec, pq: ExponentPair) -> int:
 
     A block of size b at lambda != 0 is one block of size b at lambda^e
     in A^e; J_b(0)^e splits into one block per residue class mod e of
-    its b indices.  0 and roots of unity are exact keys; a complex
-    eigenvalue's power is compared by value, at DEFAULT_CLUSTER_TOL
-    relative to max(|x|, |y|, 1).
+    its b indices.  0 and roots of unity are exact keys, met by lookup;
+    only a complex eigenvalue's power is compared by value, with every
+    key, at DEFAULT_CLUSTER_TOL relative to max(|x|, |y|, 1).
     """
 
-    def power_blocks(e: int) -> list:
-        out = []
+    def power_blocks(e: int) -> dict:
+        out: dict = {}  # 0 (None), a root of unity or a complex value -> the blocks there
         for entry in spec.entries:
-            ev = entry.eigenvalue
-            if ev is None or ev == 0:  # a complex 0 splits as well
+            ev, sizes = entry.eigenvalue, entry.blocks
+            if ev is None:
                 if e < 0:
                     raise ValueError("negative power of a singular matrix")
-                sizes = [len(range(k, b, e)) for b in entry.blocks for k in range(min(e, b))]
-                out.append((None, sizes))
+                sizes = [len(range(k, b, e)) for b in sizes for k in range(min(e, b))]
             else:
-                key = rou_pow(ev, e) if isinstance(ev, RootOfUnity) else ev**e
-                out.append((key, entry.blocks))
+                ev = rou_pow(ev, e) if isinstance(ev, RootOfUnity) else ev**e
+            out.setdefault(ev, []).extend(sizes)
         return out
 
-    def same(x, y) -> bool:
-        if not (isinstance(x, complex) or isinstance(y, complex)):
-            return x == y
+    def close(x, y) -> bool:
         x, y = _ev_complex(x), _ev_complex(y)
         return abs(x - y) <= DEFAULT_CLUSTER_TOL * max(abs(x), abs(y), 1.0)
 
-    return sum(
-        min(b, c)
-        for x, bs in power_blocks(pq.p)
-        for y, cs in power_blocks(pq.q)
-        if same(x, y)
-        for b in bs
-        for c in cs
-    )
+    blocks_p, blocks_q = power_blocks(pq.p), power_blocks(pq.q)
+    inexact_q = [y for y in blocks_q if isinstance(y, complex)]
+    met = [(x, x) for x in blocks_p if x in blocks_q and not isinstance(x, complex)]
+    met += [
+        (x, y)
+        for x in blocks_p
+        for y in (blocks_q if isinstance(x, complex) else inexact_q)
+        if close(x, y)
+    ]
+    return sum(min(b, c) for x, y in met for b in blocks_p[x] for c in blocks_q[y])
 
 
 @dataclass

@@ -19,13 +19,7 @@ from simpow.equation2x2 import (
     verify_word,
     word_value,
 )
-from simpow.matrixcore import (
-    eigenspace_splits,
-    find_invertible_in_span,
-    mat_int_pow,
-    sylvester_kernel,
-    weyr_characteristic,
-)
+from simpow.matrixcore import mat_int_pow, matrix_from_json, matrix_to_json, weyr_characteristic
 from simpow.scalar import (
     ExponentPair,
     RootOfUnity,
@@ -40,7 +34,7 @@ from simpow.solvers import (
     solve_single_eigenvalue,
 )
 from simpow.spectra import SpectrumMultiset, orbit_decomposition, successor
-from test_matrixcore import kernel_elements, own_scale
+from test_matrixcore import dense_kernel, own_scale
 from test_solvers import cycle_pair
 
 R = RootOfUnity
@@ -303,25 +297,29 @@ def test_criterion_4_single_eigenvalue_solver():
     )
 
 
-def test_criterion_5_sylvester_oracle(nondiag_fixture):
-    """The explicit B lies in the intertwiner kernel; a random member conjugates."""
+def test_criterion_5_sylvester_oracle(capsys, tmp_path, nondiag_fixture):
+    """The explicit B lies in the dense intertwiner kernel; solve-b's B conjugates."""
     a, b, _, _, _ = nondiag_fixture
     a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
-    kernel = sylvester_kernel(a, 2, 3, a2, a3, eigenspace_splits(a)[-1])
-    elements = kernel_elements(kernel)
+    elements = dense_kernel(a2, a3)
     cols = np.stack([x.ravel() for x in elements], axis=1)
     coeffs, *_ = np.linalg.lstsq(cols, b.ravel(), rcond=None)
     projection = float(np.linalg.norm(cols @ coeffs - b.ravel()))
-    found = find_invertible_in_span(kernel, seed=0)
-    residual = (
-        np.max(np.abs(np.linalg.solve(found, a2 @ found) - a3)) if found is not None else np.inf
-    )
-    ok = projection < 1e-9 and residual < 1e-9
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(matrix_to_json(a)))
+    code, report = run_cli_json(capsys, "solve-b", str(path), "-p", "2", "-q", "3")
+    found = report["conjugator"]["b"] if code == 0 else None
+    residual = np.inf
+    if found is not None:
+        found = matrix_from_json(found)
+        residual = np.max(np.abs(np.linalg.solve(found, a2 @ found) - a3))
+    dimension = report["conjugator"]["kernel_dimension"] if code == 0 else None
+    ok = projection < 1e-9 and residual < 1e-9 and dimension == len(elements)
     _report(
         5,
         ok,
-        f"kernel dim {len(elements)}, projection residual {projection:.2e} < 1e-9, "
-        f"conjugation residual {residual:.2e} < 1e-9",
+        f"kernel dim {len(elements)} (solve-b {dimension}), projection residual "
+        f"{projection:.2e} < 1e-9, conjugation residual {residual:.2e} < 1e-9",
     )
 
 

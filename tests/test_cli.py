@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,19 @@ import pytest
 
 from simpow import cli, spectra
 from simpow.cli import main
-from simpow.matrixcore import RANK_TOL, VERIFY_TOL, matrix_to_json
+from simpow.matrixcore import (
+    RANK_TOL,
+    VERIFY_TOL,
+    conjugacy_residual,
+    mat_int_pow,
+    matrix_from_json,
+    matrix_to_json,
+)
+from simpow.scalar import ExponentPair
 from simpow.similarity import JordanSpec, matrix_from_spec
+from simpow.solvers import intertwiner_dimension
 from simpow.spectra import SpectrumMultiset
-from test_similarity import integer_conjugate
+from test_similarity import integer_conjugate, integer_corpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,11 +153,36 @@ class TestAnalyze:
         assert code == 1
         assert report["error"].startswith("bad spec file")
 
-    def test_unrecoverable_matrix(self, capsys, tmp_path):
-        # eigenvalues 1.5e-6 apart: too close to split, too far apart to certify merged
+    def test_complex_zero_is_zero(self, capsys, tmp_path):
+        # [0.0, 0.0] is read as the eigenvalue 0, whose blocks split in a
+        # power: the same report as "zero"; a spec holding both forms holds
+        # 0 twice
+        reports = []
+        for name, zero in (("complex", [0.0, 0.0]), ("zero", "zero")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps([{"eigenvalue": zero, "blocks": [2]}]))
+            code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3", "--find-b")
+            assert code == 0
+            del report["inputs"]["path"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["spec"] == [{"eigenvalue": "zero", "blocks": [2]}]
+        assert reports[0]["verdict"]["similar"] is True
+        assert reports[0]["conjugator"]["kernel_dimension"] == 4
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps([{"eigenvalue": [0.0, 0.0], "blocks": [2]},
+                                    {"eigenvalue": "zero", "blocks": [1]}]))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+        assert code == 1
+        assert report["error"] == f"bad spec file {path}: eigenvalues must be pairwise distinct"
+
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--find-b"], ["solve-b"]])
+    def test_unrecoverable_matrix(self, capsys, tmp_path, command):
+        # eigenvalues 1.5e-6 apart: too close to split, too far apart to
+        # certify merged; solve-b builds no B from a structure it cannot certify
         path = tmp_path / "a.json"
         path.write_text(json.dumps(matrix_to_json(np.diag([1.0, 1.0 + 1.5e-6]))))
-        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+        code, report = run_json(capsys, command[0], str(path), "-p", "2", "-q", "3", *command[1:])
         assert code == 1
         assert report["error"].startswith("cannot recover structure")
 
@@ -363,22 +398,19 @@ class TestSolveB:
         assert report["conjugator"]["residual"] < 1e-9
         assert report["polynomial_in_a_q"] is not None
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1b: the whole-operator rung keeps directions outside the kernel",
-    )
     def test_ill_conditioned_integer_matrix(self, capsys, tmp_path):
         # companion(Phi_7) under 35 integer operations: ||A||_2 = 2.5e6, so the
         # finest clustering radius 1e-6 ||A||_2 = 2.5 passes the 0.87 gap
-        # between primitive 7th roots; the one cluster sends the kernel to the
-        # whole n^2 x n^2 operator, whose cut keeps 12 dimensions, not the exact
-        # 6 (analyze refuses the same file)
+        # between primitive 7th roots and the one cluster certifies at no
+        # point; the exact count is 6, and solve-b answers it or refuses as
+        # analyze does
         a, _ = integer_conjugate([(7, 1)], 35, seed=1)
         path = tmp_path / "a.json"
         path.write_text(json.dumps(matrix_to_json(a)))
         code, report = run_json(capsys, "solve-b", str(path), "-p", "2", "-q", "3")
         assert code == 1 or report["conjugator"]["kernel_dimension"] == 6
-
+        if code == 1:
+            assert report["error"].startswith("cannot recover structure: ")
 
 class TestVerify:
     def test_nondiag_pair(self, capsys, nondiag_files):
@@ -396,9 +428,9 @@ class TestVerify:
 
 
 class TestOneSplitPerRequest:
-    """Recovery and the kernel share one eigenvalue ladder: a request takes
-    at most one eig(A), a matrix too large to recover takes none, and so
-    does a spec file, whose conjugator is built in closed form."""
+    """Recovery and the conjugator share one eigenvalue ladder: a request
+    takes at most one eig(A), a matrix too large to recover takes none, and
+    so does a spec file, whose structure is known."""
 
     @pytest.fixture
     def eig_sizes(self, monkeypatch):
@@ -562,6 +594,66 @@ class TestSpecConjugatorReports:
             reports.append({k: v for k, v in report.items() if k != "inputs"})
         assert reports[0] == reports[1]
         assert reports[0]["conjugator"]["b"] is not None
+
+
+class TestMatrixConjugator:
+    """A matrix file's kernel_dimension is the count of the spec that
+    recovery certifies, and its B is that spec's closed form carried to A's
+    basis by the Jordan chains of the certificate: no n^2 x n^2 operator
+    and no draw."""
+
+    def test_integer_corpus_agrees_with_analyze(self, capsys, tmp_path):
+        # 240 integer matrices (seeds 1000-1239, n <= 20) under (2, 3), many
+        # of them ill-conditioned: every exit-0 solve-b reports the count of
+        # the spec analyze reports, and a B within the bound it refuses at
+        answered = refused = 0
+        for seed in range(1000, 1240):
+            a, _ = integer_corpus(seed)
+            path = tmp_path / f"{seed}.json"
+            path.write_text(json.dumps(matrix_to_json(a)))
+            code, report = run_json(capsys, "solve-b", str(path), "-p", "2", "-q", "3")
+            if code == 1:
+                assert report["error"].startswith("cannot recover structure: "), seed
+                refused += 1
+                continue
+            _, analyzed = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+            # a borderline split may go either way in a second eig
+            if "error" in analyzed:
+                continue
+            spec = JordanSpec.from_json(analyzed["spec"])
+            conjugator = report["conjugator"]
+            assert conjugator["kernel_dimension"] == intertwiner_dimension(spec, ExponentPair(2, 3)), seed
+            assert (conjugator["b"] is not None) == analyzed["verdict"]["similar"], seed
+            if conjugator["b"] is not None:
+                b = matrix_from_json(conjugator["b"])
+                a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
+                bound = VERIFY_TOL * (np.linalg.norm(a2) + np.linalg.norm(a3))
+                assert conjugacy_residual(b, a2, a3) <= bound, seed
+            answered += 1
+        assert answered >= 200 and refused <= 30
+
+    @pytest.mark.parametrize(
+        "blocks, dimension, limit_ms",
+        [((4, 3, 2, 1) * 4, 480, 50), ((4, 3, 2, 1) * 6 + (4,), 1204, 250)],
+        ids=["n40", "n64"],
+    )
+    def test_single_eigenvalue(self, capsys, tmp_path, blocks, dimension, limit_ms):
+        # one cluster at 1, whose chains take the nested kernels of A - 1
+        # that recovery certified: no n^2 x n^2 operator, whose SVD at
+        # n = 40 took seconds
+        spec = JordanSpec.from_json([{"eigenvalue": "0/1", "blocks": list(blocks)}])
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(matrix_from_spec(spec, conjugate_seed=3))))
+        argv = ["solve-b", str(path), "-p", "2", "-q", "3"]
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, report = run_json(capsys, *argv)
+            elapsed.append(time.perf_counter() - start)
+        assert code == 0
+        assert report["conjugator"]["kernel_dimension"] == dimension
+        assert report["conjugator"]["residual"] <= 1e-12
+        assert min(elapsed) * 1e3 < limit_ms
 
 
 class TestOneWalkPerRequest:
@@ -801,8 +893,8 @@ class TestReportDiscipline:
         assert capsys.readouterr().out == ""
 
     def test_seed_only_where_b_is_drawn(self, capsys, intro_spec_file, nondiag_files):
-        # analyze --find-b and solve-b draw B from the kernel; nothing else
-        # takes a seed or echoes one
+        # analyze and solve-b accept --seed and echo it, although B is now
+        # deterministic; nothing else takes a seed or echoes one
         for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
             draws = argv[0] in ("analyze", "solve-b")
             _, report = run_json(capsys, *argv)
@@ -812,24 +904,20 @@ class TestReportDiscipline:
                     main([*argv, "--seed", "1"])
         assert capsys.readouterr().out == ""
 
-    def test_seed_changes_conjugator_deterministically(self, capsys, intro_spec_file, nondiag_files):
-        # a matrix file's B is a seeded draw from the kernel; a spec file's B
-        # is the closed form, the same for every seed
+    def test_seed_leaves_the_conjugator_unchanged(self, capsys, intro_spec_file, nondiag_files):
+        # B is a closed form, for a matrix file in the basis of its Jordan
+        # chains: no seed draws anything, and every seed gives the same report
         a_path, _ = nondiag_files
-        for argv, drawn in (
-            (["analyze", a_path, "-p", "2", "-q", "3", "--find-b"], True),
-            (["solve-b", a_path, "-p", "2", "-q", "3"], True),
-            (["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b"], False),
-            (["solve-b", intro_spec_file, "-p", "3", "-q", "7"], False),
+        for argv in (
+            ["analyze", a_path, "-p", "2", "-q", "3", "--find-b"],
+            ["solve-b", a_path, "-p", "2", "-q", "3"],
+            ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b"],
+            ["solve-b", intro_spec_file, "-p", "3", "-q", "7"],
         ):
-            _, r1 = run_json(capsys, *argv, "--seed", "1")
-            _, again = run_json(capsys, *argv, "--seed", "1")
-            _, r2 = run_json(capsys, *argv, "--seed", "2")
-            assert (r1["seed"], r2["seed"]) == (1, 2)
-            assert r1["conjugator"]["b"] is not None
-            assert r1["conjugator"]["b"] == again["conjugator"]["b"]
-            assert r2["conjugator"]["b"] is not None
-            assert (r1["conjugator"]["b"] != r2["conjugator"]["b"]) == drawn
+            reports = [run_json(capsys, *argv, "--seed", seed)[1] for seed in ("0", "1", "2", "977")]
+            assert [report.pop("seed") for report in reports] == [0, 1, 2, 977]
+            assert reports[0]["conjugator"]["b"] is not None
+            assert all(report == reports[0] for report in reports)
 
     def test_negative_seed_is_an_error_report(self, capsys, intro_spec_file, nondiag_files):
         # numpy's generator rejects a negative seed with a traceback
@@ -891,8 +979,8 @@ class TestParserReuse:
 
 class TestBenchTracer:
     """bench/tracer.py wraps every public simpow function from outside and
-    its hooks read some of their arguments (sylvester_kernel's A,
-    fit_polynomial_in's max_degree, classify's families).  Run traced, every
+    its hooks read some of their arguments and results (fit_polynomial_in's
+    max_degree, spec_from_matrix's spec, classify's families).  Run traced, every
     command must answer as it does untraced, or a signature change would
     show only when the benchmark runs."""
 
@@ -921,10 +1009,9 @@ class TestBenchTracer:
             tracer.uninstall()
         assert traced == untraced
         assert {code for code, _ in traced} == {0, 1}
-        for name in ("cli.main", "matrixcore.sylvester_kernel", "matrixcore.fit_polynomial_in",
+        for name in ("cli.main", "matrixcore.fit_polynomial_in",
                      "solvers.enumerate_valid_k1", "equation2x2.classify",
                      "similarity.spec_from_matrix", "solvers.spec_conjugator"):
             assert tracer.calls[name][0] > 0, name
-        assert tracer.counters["matrixcore.sylvester_kernel.gflop"] > 0
         assert tracer.counters["matrixcore.fit_polynomial_in.degrees_tried"] > 0
         assert cli.main is main

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -131,6 +133,43 @@ class TestSnap:
         # no cycle length below 1, no distance below 0: no candidate
         assert _admissible_roots(1 + 0j, PQ23, 0, 1e-9) == []
         assert _admissible_roots(1.1 + 0j, PQ23, 5, 0.0) == []
+
+    def test_matches_the_root_per_candidate_loop(self):
+        # the distance is taken from each candidate's reduced angle before a
+        # RootOfUnity is built; the lists equal those of the loop that built
+        # one per candidate, on roots exact or nudged by up to 1e-7 and on
+        # points off the circle, with tolerances 0 and from 1e-12 to 1e-3
+        rng = random.Random(4)
+        pairs = [ExponentPair(p, q) for p, q in [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5), (2, 5), (3, 7)]]
+        found = 0
+        for _ in range(4000):
+            pq, n = rng.choice(pairs), rng.randint(1, 24)
+            if rng.random() < 0.5:
+                t = rng.randint(1, n)
+                order = abs(pq.q**t - pq.p**t)
+                root = rou_to_complex(RootOfUnity(rng.randrange(order), order))
+                z = root * (1 + rng.choice((0.0, rng.uniform(-1e-7, 1e-7))))
+            else:
+                z = cmath.exp(2j * math.pi * rng.random()) * rng.uniform(0.9, 1.1)
+            tol = rng.choice((0.0, 10 ** rng.uniform(-12, -3), 10 ** rng.uniform(-12, -3)))
+            roots = _admissible_roots(z, pq, n, tol)
+            assert roots == candidate_loop(z, pq, n, tol), (z, pq, n, tol)
+            found += len(roots)
+        assert found > 1500
+
+
+def candidate_loop(z, pq, n, tol):
+    """Reference: one RootOfUnity per cycle length, kept when within tol."""
+    theta = cmath.phase(z) / (2.0 * math.pi)
+    near = set()
+    for t in range(1, n + 1):
+        order = abs(pq.q**t - pq.p**t)
+        if order > 2**53:
+            break
+        candidate = RootOfUnity(round(theta * order), order)
+        if abs(z - rou_to_complex(candidate)) <= tol:
+            near.add(candidate)
+    return sorted(near, key=lambda root: (root.order, root.num))
 
 
 class TestModInverse:

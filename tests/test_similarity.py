@@ -7,12 +7,12 @@ import pytest
 
 from simpow import matrixcore, similarity
 from simpow.matrixcore import (
+    VERIFY_TOL,
     ClusteringAmbiguityError,
     Split,
+    conjugacy_residual,
     eigenspace_splits,
-    find_invertible_in_span,
     mat_int_pow,
-    sylvester_kernel,
 )
 from simpow.scalar import (
     ExponentPair,
@@ -31,7 +31,7 @@ from simpow.similarity import (
     powers_similar_invertible,
     spec_from_matrix,
 )
-from simpow.solvers import build_cycle_instance
+from simpow.solvers import build_cycle_instance, spec_conjugator
 from simpow.spectra import successor
 
 R = RootOfUnity
@@ -254,13 +254,18 @@ def exact_dimension(spec, pq):
 
 
 
+def recovered_conjugator(a, pq):
+    """B = V B_J V^-1 for the recovered spec of A, with B_J its closed form
+    and V its Jordan basis, as solve-b builds it for a similar spec."""
+    spec = recover(a, pq)
+    return spec.from_jordan_basis(spec_conjugator(spec, pq))
+
+
 def test_seeded_cycle_recovery():
     """Specs of whole successor cycles (blocks <= 5, n <= 16): recovery
     returns the generating spec or raises ValueError, never another spec,
-    and the kernel on the last rung of the same splits, as `analyze
-    --find-b` takes it, has the exact dimension.  Case 443 (5-blocks at
-    8/21 and 20/21 beside 1-blocks, (2, 5)) got 18 instead of 16 when the
-    kernel re-clustered the powers of the centres on a rung of its own."""
+    and the closed-form B of a recovered spec, carried to A's basis by its
+    Jordan chains, solves A^p B = B A^q."""
     rng = random.Random(5)
     pairs = [ExponentPair(p, q) for p, q in [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5), (2, 5)]]
     cycles = {pq: _cycles(pq) for pq in pairs}
@@ -275,15 +280,15 @@ def test_seeded_cycle_recovery():
                 n += len(members) * sum(blocks)
         spec = JordanSpec(tuple(entries))
         a = matrix_from_spec(spec, conjugate_seed=case)
-        splits = eigenspace_splits(a)
-        a_p, a_q = mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
-        kernel = sylvester_kernel(a, pq.p, pq.q, a_p, a_q, splits[-1])
-        assert sum(k.shape[1] for _, k, _ in kernel) == exact_dimension(spec, pq), case
         try:
-            got = spec_from_matrix(a, pq, splits)
+            got = spec_from_matrix(a, pq, eigenspace_splits(a))
         except ValueError:
             continue
         assert got == spec, (pq, spec.to_json(), got.to_json())
+        b = got.from_jordan_basis(spec_conjugator(got, pq))
+        a_p, a_q = mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
+        bound = VERIFY_TOL * (np.linalg.norm(a_p) + np.linalg.norm(a_q))
+        assert conjugacy_residual(b, a_p, a_q) <= 0.1 * bound, case
         recovered += 1
     assert recovered >= 0.9 * cases
 
@@ -335,6 +340,21 @@ def integer_conjugate(summands, ops, seed):
             if math.gcd(r, m) == 1:
                 blocks.setdefault(R(r, m), []).append(k)
     return a.astype(complex), JordanSpec(tuple(entry(ev, *b) for ev, b in blocks.items()))
+
+
+def integer_corpus(seed):
+    """(A, spec) of the seeded integer corpus: a direct sum of companion
+    matrices of Phi_m^k, m in {5, 7, 13, 19} and k <= 3, with n <= 20,
+    under 0-60 integer operations (integer_conjugate)."""
+    rng = random.Random(seed)
+    degree = {5: 4, 7: 6, 13: 12, 19: 18}
+    summands, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        m, k = rng.choice(list(degree)), rng.randint(1, 3)
+        if n + degree[m] * k <= 20:
+            summands.append((m, k))
+            n += degree[m] * k
+    return integer_conjugate(summands or [(5, 1)], rng.randint(0, 60), seed)
 
 
 class TestSplitCertificate:
@@ -525,9 +545,7 @@ class TestSoundness:
         assert verdict.similar
         a = matrix_from_spec(spec, conjugate_seed=100 + spec_idx)
         ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
-        kernel = sylvester_kernel(a, pq23.p, pq23.q, ap, aq, eigenspace_splits(a)[-1])
-        b = find_invertible_in_span(kernel, seed=0)
-        assert b is not None
+        b = recovered_conjugator(a, pq23)
         assert np.max(np.abs(np.linalg.solve(b, ap @ b) - aq)) < 1e-8
 
 
@@ -543,8 +561,49 @@ class TestRootOfIdentityConsequence:
             assert rou_pow(e.eigenvalue, int(m)) == R(0, 1)
         alpha = mod_inverse(pq23.p, int(m))
         a = matrix_from_spec(spec)
-        ap, aq = mat_int_pow(a, pq23.p), mat_int_pow(a, pq23.q)
-        kernel = sylvester_kernel(a, pq23.p, pq23.q, ap, aq, eigenspace_splits(a)[-1])
-        b = find_invertible_in_span(kernel, seed=1)
+        b = recovered_conjugator(a, pq23)
         c = np.linalg.solve(b, a @ b)
         assert np.max(np.abs(c - mat_int_pow(a, alpha * pq23.q))) < 1e-8
+
+
+class TestJordanBasis:
+    """spec_from_matrix keeps the nested kernels of each certificate, and
+    the Jordan basis V built from them gives A V = V J with
+    J = matrix_from_spec of the recovered spec."""
+
+    SPECS = [
+        JordanSpec((entry(R(1, 5), 3, 1), entry(R(4, 5), 3, 1))),
+        JordanSpec((entry(R(0, 1), 4, 3, 2, 1, 1),)),
+        JordanSpec((entry(None, 2, 2, 1), entry(R(1, 5), 2), entry(R(4, 5), 2))),
+        JordanSpec((entry(R(1, 7), 1, 1, 1), entry(R(2, 7), 2, 2))),
+    ]
+
+    @pytest.mark.parametrize("spec_idx", range(len(SPECS)))
+    def test_chains_in_block_order(self, spec_idx):
+        spec = self.SPECS[spec_idx]
+        for seed in range(3):
+            a = matrix_from_spec(spec, conjugate_seed=seed)
+            recovered = recover(a, ExponentPair(2, 3))
+            assert recovered == spec
+            v, j = recovered.jordan_basis(), matrix_from_spec(recovered)
+            assert np.linalg.norm(a @ v - v @ j) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(v)
+            assert np.linalg.cond(v) < 1e3
+            x = np.random.default_rng(seed).standard_normal((spec.n, spec.n))
+            assert np.allclose(recovered.from_jordan_basis(x), v @ x @ np.linalg.inv(v))
+
+    def test_equal_to_the_plain_spec(self):
+        spec = self.SPECS[0]
+        recovered = recover(matrix_from_spec(spec, conjugate_seed=1), ExponentPair(2, 3))
+        assert type(recovered) is not JordanSpec
+        assert recovered == spec and hash(recovered) == hash(spec)
+        assert recovered.to_json() == spec.to_json()
+
+    def test_singular_basis_is_refused(self):
+        # a basis that is not invertible at RANK_TOL ends as recovery's refusals do
+        spec = self.SPECS[0]
+        recovered = recover(matrix_from_spec(spec, conjugate_seed=1), ExponentPair(2, 3))
+        shifted, kernels, basis = recovered.certificates[0]
+        flat = (shifted, kernels, np.zeros_like(basis))
+        broken = similarity.RecoveredSpec(recovered.entries, (flat,) + recovered.certificates[1:])
+        with pytest.raises(ValueError, match="Jordan basis .* is singular"):
+            broken.from_jordan_basis(np.eye(spec.n))
