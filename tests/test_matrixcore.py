@@ -314,6 +314,53 @@ class TestStructuredKernel:
         assert_conjugates(a, pq, b)
 
 
+class TestSmallMatrixConjugators:
+    """The conjugator route of a matrix file on small matrices whose
+    intertwiners are known by hand, each against the dense operator."""
+
+    def test_identity(self):
+        # every X intertwines I^2 and I^3, and B is the identity itself
+        a = np.eye(3)
+        _, dimension, b = solve_b(a, ExponentPair(2, 3))
+        assert dimension == dense_dimension(*powers(a, ExponentPair(2, 3))) == 9
+        assert np.max(np.abs(b - np.eye(3))) < 1e-12
+
+    def test_distinct_diagonal(self):
+        # A = diag(1, -1) and A^3 = A: the intertwiners are the diagonal
+        # matrices, and B is one of them
+        a, pq = np.diag([1.0, -1.0]), ExponentPair(1, 3)
+        _, dimension, b = solve_b(a, pq)
+        assert dimension == dense_dimension(*powers(a, pq)) == 2
+        assert np.max(np.abs(b - np.diag(np.diag(b)))) < 1e-12
+        assert_conjugates(a, pq, b)
+
+    def test_no_root_of_unity_has_no_intertwiner(self):
+        # A^2 = diag(4, 9) and A^3 = diag(8, 27) share no eigenvalue
+        a, pq = np.diag([2.0, 3.0]), ExponentPair(2, 3)
+        _, dimension, b = solve_b(a, pq)
+        assert dimension == dense_dimension(*powers(a, pq)) == 0
+        assert b is None
+
+    @pytest.mark.parametrize(
+        "a, pair, dimension, similar",
+        [(J2, (2, 3), 4, True), (J2, (3, 2), 4, True), (J3, (2, 3), 6, False)],
+        ids=["J2", "J2-swapped", "J3"],
+    )
+    def test_nilpotent(self, a, pair, dimension, similar):
+        # J2^2 = J2^3 = 0; J3^2 != 0 = J3^3, so their kernel holds no invertible B
+        pq = ExponentPair(*pair)
+        recovered, got, b = solve_b(a, pq)
+        assert recovered.zero_entry() is not None
+        assert got == dense_dimension(*powers(a, pq)) == dimension
+        assert (b is not None) == similar
+        if similar:
+            assert_conjugates(a, pq, b)
+
+    def test_singular_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative power of a singular matrix"):
+            solve_b(J2, ExponentPair(-1, 2))
+
+
 class TestEigenspaceSplits:
     """The ladder ends at its first certified rung; the chains of the
     conjugator are taken on the rung that recovery certifies."""
