@@ -105,7 +105,9 @@ def _load_matrix_or_spec(path: str):
 
 def _spec_matrix(spec: JordanSpec) -> np.ndarray:
     """The matrix of a spec, refused before it is built past MAX_RECOVERY_N:
-    every command that turns a spec into a matrix does it here."""
+    analyze --find-b, solve-b, verify and word2 verify of a spec file and
+    generate --k1 of its cycle build it here.  nilpotent builds its A and
+    N itself, uncapped."""
     if spec.n > MAX_RECOVERY_N:
         raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
     return matrix_from_spec(spec)
@@ -185,18 +187,8 @@ def cmd_analyze(args) -> dict:
     if spec is None:
         spec = _recover(matrix, pq)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-
-    normalized = pq
-    swapped = False
-    if spec.zero_entry() is not None and not (1 <= pq.p < pq.q):
-        if 1 <= pq.q < pq.p:
-            normalized, swapped = pq.swapped(), True
-        else:
-            raise ValueError(
-                f"singular input needs positive exponents (got p={pq.p}, q={pq.q}); "
-                "similarity of negative powers of a singular matrix is undefined"
-            )
-    report["normalized"] = {"p": normalized.p, "q": normalized.q, "swapped": swapped}
+    normalized = _normalized(spec, pq)
+    report["normalized"] = {"p": normalized.p, "q": normalized.q, "swapped": normalized != pq}
     if matrix is None:
         spec = _exact_roots(spec, normalized, args.input)
     report["spec"] = spec.to_json()
@@ -204,45 +196,55 @@ def cmd_analyze(args) -> dict:
     spectrum = spec.spectrum()
     report["spectrum"] = None if spectrum is None else spectrum.to_json()
     report["power_spectra_equal"] = spectrum is not None and powers_equal(spectrum, normalized)
-    report["verdict"] = powers_similar_general(spec, normalized, spectrum).to_json()
+    verdict = powers_similar_general(spec, normalized, spectrum)
+    report["verdict"] = verdict.to_json()
 
     if args.find_b:
         if matrix is None:
             matrix = _spec_matrix(spec)
-        report["conjugator"] = _solve_conjugator(spec, normalized, _powers(matrix, normalized))
+        powers = _powers(matrix, normalized)
+        report["conjugator"] = _solve_conjugator(spec, normalized, verdict.similar, powers)
     return report
+
+
+def _normalized(spec: JordanSpec, pq: ExponentPair) -> ExponentPair:
+    """The pair the verdict takes: pq itself, or for a singular spec
+    1 <= p < q, swapping p and q when 1 <= q < p."""
+    if spec.zero_entry() is None or 1 <= pq.p < pq.q:
+        return pq
+    if 1 <= pq.q < pq.p:
+        return pq.swapped()
+    raise ValueError(
+        f"singular input needs positive exponents (got p={pq.p}, q={pq.q}); "
+        "similarity of negative powers of a singular matrix is undefined"
+    )
 
 
 def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarray]:
     return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
 
 
-def _solve_conjugator(spec: JordanSpec, pq: ExponentPair, powers: tuple) -> dict:
-    """The conjugator report of A with Jordan structure spec; powers is
-    (A^p, A^q), formed once per request.  kernel_dimension is counted from
-    the spec and, when its verdict is similar, B is its closed form, on A
-    itself for a spec file and carried to A's basis for a matrix file.
-    There B is refused as recovery is when the Jordan basis is singular or
-    B misses A^p B = B A^q by more than VERIFY_TOL * (||A^p||_F +
-    ||A^q||_F) relative to max|B|: a structure certified on an
-    ill-conditioned A can be a nearby matrix's.
+def _solve_conjugator(spec: JordanSpec, pq: ExponentPair, similar: bool, powers: tuple) -> dict:
+    """The conjugator report of A with Jordan structure spec, whose verdict
+    is similar or not; powers is (A^p, A^q), formed once per request.
+    kernel_dimension is counted from the spec and, when similar, B is its
+    closed form carried to A's basis (the identity for a spec file).  B is
+    refused as recovery is when that basis is singular or B misses
+    A^p B = B A^q by more than VERIFY_TOL * (||A^p||_F + ||A^q||_F)
+    relative to max|B|: a structure certified on an ill-conditioned A can
+    be a nearby matrix's.
     """
-    # the powers refuse a negative power of a singular A, so a singular
-    # spec has p, q >= 1 here; the verdict takes them as analyze
-    # normalizes them, p < q
-    normalized = pq.swapped() if spec.zero_entry() is not None and pq.p > pq.q else pq
     out = {"kernel_dimension": intertwiner_dimension(spec, pq), "b": None, "residual": None}
-    if not powers_similar_general(spec, normalized).similar:
+    if not similar:
         return out
-    b, recovered = spec_conjugator(spec, pq), isinstance(spec, RecoveredSpec)
-    if recovered:
-        try:
-            b = spec.from_jordan_basis(b)
-        except ValueError as exc:
-            raise ValueError(f"cannot recover structure: {exc}") from exc
+    b = spec_conjugator(spec, pq)
+    try:
+        b = spec.from_jordan_basis(b)
+    except ValueError as exc:
+        raise ValueError(f"cannot recover structure: {exc}") from exc
     residual = conjugacy_residual(b, *powers)
     bound = VERIFY_TOL * sum(float(np.linalg.norm(power)) for power in powers)
-    if recovered and residual > bound:
+    if residual > bound:
         raise ValueError(
             f"cannot recover structure: its B misses A^p B = B A^q by {residual:.3e} > {bound:.3e}"
         )
@@ -315,7 +317,8 @@ def cmd_solve_b(args) -> dict:
     powers = _powers(matrix, pq)
     if spec is None:
         spec = _recover(matrix, pq)
-    report["conjugator"] = _solve_conjugator(spec, pq, powers)
+    similar = powers_similar_general(spec, _normalized(spec, pq)).similar
+    report["conjugator"] = _solve_conjugator(spec, pq, similar, powers)
     coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None

@@ -60,7 +60,8 @@ class JordanSpec:
 
     def __post_init__(self):
         eigenvalues = [e.eigenvalue for e in self.entries]
-        if len(set(map(_ev_key, eigenvalues))) != len(eigenvalues):
+        # 0 (None), roots of unity and complex values hash and compare apart
+        if len(set(eigenvalues)) != len(eigenvalues):
             raise ValueError("eigenvalues must be pairwise distinct")
 
     def __eq__(self, other):
@@ -80,6 +81,11 @@ class JordanSpec:
             if e.eigenvalue is None:
                 return e
         return None
+
+    def from_jordan_basis(self, x: np.ndarray) -> np.ndarray:
+        """x carried from the basis of matrix_from_spec(self) to the matrix's
+        own: the same basis for a plain spec (see RecoveredSpec)."""
+        return x
 
     def invertible_part(self) -> "JordanSpec":
         return JordanSpec(tuple(e for e in self.entries if e.eigenvalue is not None))
@@ -120,14 +126,6 @@ class JordanSpec:
                 raise ValueError(f"block sizes must be integers, got {item['blocks']}")
             entries.append(JordanEntry(parsed, blocks))
         return cls(tuple(entries))
-
-
-def _ev_key(ev: JordanEigenvalue):
-    if ev is None:
-        return ("zero",)
-    if isinstance(ev, RootOfUnity):
-        return ("rou", ev.num, ev.order)
-    return ("c", complex(ev))
 
 
 def _ev_complex(ev: JordanEigenvalue) -> complex:

@@ -18,7 +18,6 @@ and intertwiner_dimension counts the space of all of them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -116,15 +115,6 @@ def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
     )
 
 
-def _rational_poly_block(alphas: tuple[Fraction, ...], size: int) -> list[list[Fraction]]:
-    """a_1 J + a_2 J^2 + ... on the Jordan block J_size, exactly (Toeplitz)."""
-    coeffs = [Fraction(0)] + list(alphas[: size - 1])
-    return [
-        [coeffs[j - i] if 0 <= j - i < len(coeffs) else Fraction(0) for j in range(size)]
-        for i in range(size)
-    ]
-
-
 def _binomial_coeffs(pq: ExponentPair, d: int) -> list[Fraction]:
     """C(q/p, 1..d-1), the coefficients of (1 + x)^(q/p) - 1, from the
     integers C(q/p, j) = q (q - p) ... (q - (j-1) p) / (p^j j!)."""
@@ -176,36 +166,6 @@ def _block_conjugator_entries(table: list[list[int]], pq: ExponentPair, size: in
                 yield i, j, g * num_scale, den
 
 
-def _assemble_blocks(blocks: list[list[list[Fraction]]]) -> tuple[tuple[Fraction, ...], ...]:
-    n = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for block in blocks:
-        size = len(block)
-        for i in range(size):
-            for j in range(size):
-                out[pos + i][pos + j] = block[i][j]
-        pos += size
-    return tuple(tuple(row) for row in out)
-
-
-def _m_rational(sol: SingleEigSolution) -> tuple[tuple[Fraction, ...], ...]:
-    return _assemble_blocks(
-        [_rational_poly_block(sol.rational_coeffs, size) for size in sol.block_sizes]
-    )
-
-
-def _b0_rational(sol: SingleEigSolution) -> tuple[tuple[Fraction, ...], ...]:
-    table = _inverse_series_powers(sol.pq, sol.block_sizes[0])
-    blocks = []
-    for size in sol.block_sizes:
-        block = [[Fraction(0)] * size for _ in range(size)]
-        for i, j, num, den in _block_conjugator_entries(table, sol.pq, size):
-            block[i][j] = Fraction(num, den)
-        blocks.append(block)
-    return _assemble_blocks(blocks)
-
-
 @dataclass(frozen=True)
 class SingleEigSolution:
     """Solution data for spectrum {lambda}: C = lambda*I + P(N), B0^-1 N B0 = P(N).
@@ -213,23 +173,18 @@ class SingleEigSolution:
     The solution is exact: with lambda^(q-p) = 1, substituting M = lambda *
     Mtilde(N / lambda) reduces the coefficient solve to the lambda = 1 case,
     whose coefficients are rational.  Every entry of M and B0 is therefore a
-    rational times a power of lambda; ``m_rational``/``b0_rational`` hold
-    the rational parts, built from the same integer table on first read,
-    and the float64 views are rounded from them.
-    entry(M)[i][j] = m_rational[i][j] * lambda^(1+i-j),
-    entry(B0)[i][j] = b0_rational[i][j] * lambda^(i-j).
+    rational times a power of lambda, and the float64 views are rounded
+    from the exact integer data: _binomial_coeffs for M, the table of
+    _inverse_series_powers read by _block_conjugator_entries for B0.
+    entry(M)[i][j] = rational_coeffs[j-i-1] * lambda^(1+i-j) for j > i,
+    entry(B0)[i][j] = R[i][j] * lambda^(i-j), R the B0 of lambda = 1.
     """
 
     lam: RootOfUnity
     block_sizes: tuple[int, ...]
-    pq: ExponentPair
     m_matrix: np.ndarray
     b0: np.ndarray
     rational_coeffs: tuple[Fraction, ...]
-
-    # the exact tables cost a Fraction per entry, which the float views do not need
-    m_rational = functools.cached_property(_m_rational)
-    b0_rational = functools.cached_property(_b0_rational)
 
     @property
     def n(self) -> int:
@@ -266,14 +221,12 @@ def solve_single_eigenvalue(
     int/int division (as float(Fraction) is) times its power of lambda, so
     the views equal the rounded exact solution without a Fraction per entry.
     """
-    block_sizes = tuple(sorted((int(b) for b in block_sizes), reverse=True))
-    if not block_sizes or block_sizes[-1] < 1:
-        raise ValueError(f"block sizes must be positive, got {block_sizes}")
+    entry = JordanEntry(lam, tuple(int(b) for b in block_sizes))
     if rou_pow(lam, pq.q - pq.p).num != 0:
         raise ValueError(
             f"lambda = {lam} violates lambda^(q-p) = 1 for (p,q)=({pq.p},{pq.q})"
         )
-    d = block_sizes[0]
+    d = entry.blocks[0]
     rational = _binomial_coeffs(pq, d)
     twist = {e: rou_to_complex(rou_pow(lam, e)) for e in range(1 - d, 1)}
     # M is Toeplitz, M[i][j] = diagonals[j - i + d - 1], on every block, so
@@ -286,10 +239,9 @@ def solve_single_eigenvalue(
     m_full = diagonals[index - index[:, None] + d - 1]
     return SingleEigSolution(
         lam,
-        block_sizes,
-        pq,
-        block_diagonal([m_full[:size, :size] for size in block_sizes]),
-        spec_conjugator(JordanSpec((JordanEntry(lam, block_sizes),)), pq),
+        entry.blocks,
+        block_diagonal([m_full[:size, :size] for size in entry.blocks]),
+        spec_conjugator(JordanSpec((entry,)), pq),
         tuple(rational),
     )
 

@@ -35,7 +35,7 @@ from simpow.solvers import (
 )
 from simpow.spectra import SpectrumMultiset, orbit_decomposition, successor
 from test_matrixcore import dense_kernel, own_scale
-from test_solvers import cycle_pair
+from test_solvers import cycle_pair, exact_solution
 
 R = RootOfUnity
 
@@ -188,9 +188,10 @@ def _mp_rou(r: RootOfUnity):
     return mp.e ** (2j * mp.pi * r.num / r.order)
 
 
-def _mp_from_exact(sol, which):
+def _mp_from_exact(sol, pq, which):
     """M or B0 from its rationals: entry [i][j] is twisted by lambda^(1+i-j) or lambda^(i-j)."""
-    rational, shift = (sol.m_rational, 1) if which == "m" else (sol.b0_rational, 0)
+    m_rat, b_rat = exact_solution(pq, sol.block_sizes)
+    rational, shift = (m_rat, 1) if which == "m" else (b_rat, 0)
     n = sol.n
     out = mp.matrix(n)
     for i in range(n):
@@ -231,9 +232,7 @@ def test_criterion_4_single_eigenvalue_solver():
     for p, q in _coprime_pairs(5):
         pq = ExponentPair(p, q)
         for d in range(1, 9):
-            sol = solve_single_eigenvalue(R(0, 1), [d], pq)
-            m_rat = [list(row) for row in sol.m_rational]
-            b_rat = [list(row) for row in sol.b0_rational]
+            m_rat, b_rat = exact_solution(pq, [d])
             nil = [[Fraction(j == i + 1) for j in range(d)] for i in range(d)]
             eye = _frac_identity(d)
             lhs_mat = [[eye[i][j] + m_rat[i][j] for j in range(d)] for i in range(d)]
@@ -276,8 +275,8 @@ def test_criterion_4_single_eigenvalue_solver():
                 for i in range(size - 1):
                     nil_mp[pos + i, pos + i + 1] = mp.mpf(1)
                 pos += size
-            m_mp = _mp_from_exact(sol, "m")
-            b0_mp = _mp_from_exact(sol, "b0")
+            m_mp = _mp_from_exact(sol, pq, "m")
+            b0_mp = _mp_from_exact(sol, pq, "b0")
             a_mp = mp.eye(n) * lam_mp + nil_mp
             c_mp = mp.eye(n) * lam_mp + m_mp
             power_res = max(abs(x) for x in (c_mp**p - a_mp**q))

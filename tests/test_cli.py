@@ -579,6 +579,23 @@ class TestSpecConjugatorReports:
         assert analyzed["conjugator"]["kernel_dimension"] == solved["conjugator"]["kernel_dimension"]
         assert solved["conjugator"]["residual"] < 1e-12
 
+    @pytest.mark.parametrize("blocks", [[64], [30, 30]])
+    @pytest.mark.parametrize("pair", [(2, 3), (1, 3), (-1, 2), (3, 5), (2, 5), (1, 2), (3, -2)])
+    def test_b_passes_the_matrix_file_bound(self, capsys, tmp_path, blocks, pair):
+        # a spec file's B meets the bound a matrix file's B is refused at,
+        # VERIFY_TOL (||A^p||_F + ||A^q||_F), with decades to spare, at the
+        # largest blocks the n <= 64 cap allows
+        spec = [{"eigenvalue": "0/1", "blocks": blocks}]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        p, q = pair
+        code, report = run_json(capsys, "analyze", str(path), "-p", str(p), "-q", str(q), "--find-b")
+        assert code == 0
+        assert report["conjugator"]["b"] is not None
+        a = matrix_from_spec(JordanSpec.from_json(spec))
+        bound = VERIFY_TOL * (np.linalg.norm(mat_int_pow(a, p)) + np.linalg.norm(mat_int_pow(a, q)))
+        assert report["conjugator"]["residual"] <= 1e-6 * bound
+
     def test_solve_b_snaps_a_written_root(self, capsys, tmp_path):
         # solve-b reads [re, im] as analyze does, so the file written with
         # floats describes the matrix of the one written with "1/5"
@@ -689,6 +706,29 @@ class TestOneWalkPerRequest:
         assert code == 0
         assert len(sorts) == 1
         assert len(walked) == successors == len(set(walked))
+
+
+class TestOneVerdictPerRequest:
+    """analyze --find-b and solve-b judge the pair once per request, on the
+    pair analyze normalizes to, and the conjugator reads that verdict."""
+
+    @pytest.mark.parametrize("command", [["analyze", "--find-b"], ["solve-b"]])
+    @pytest.mark.parametrize(
+        "kind, p, q",
+        [("spec", 3, 7), ("spec", 3, 5), ("spec", 7, 3), ("matrix", 2, 3)],
+        ids=["similar", "not-similar", "singular-p-above-q", "matrix"],
+    )
+    def test_one_verdict(
+        self, capsys, monkeypatch, intro_spec_file, nondiag_files, command, kind, p, q
+    ):
+        judged, judge = [], cli.powers_similar_general
+        monkeypatch.setattr(
+            cli, "powers_similar_general", lambda *args: judged.append(args[1]) or judge(*args)
+        )
+        path = intro_spec_file if kind == "spec" else nondiag_files[0]
+        code, report = run_json(capsys, command[0], path, "-p", str(p), "-q", str(q), *command[1:])
+        assert code == 0
+        assert judged == [ExponentPair(min(p, q), max(p, q))]
 
 
 class TestWord2:

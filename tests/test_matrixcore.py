@@ -77,8 +77,9 @@ def solve_b(a, pq):
     """(spec, kernel_dimension, B or None) as solve-b reports them for the
     matrix file of A: the recovered spec, its count and, when it is
     similar, its closed-form conjugator carried to A's basis."""
-    spec = cli._recover(a, pq)
-    report = cli._solve_conjugator(spec, pq, powers(a, pq))
+    a_powers, spec = powers(a, pq), cli._recover(a, pq)
+    similar = cli.powers_similar_general(spec, cli._normalized(spec, pq)).similar
+    report = cli._solve_conjugator(spec, pq, similar, a_powers)
     b = report["b"]
     return spec, report["kernel_dimension"], None if b is None else matrix_from_json(b)
 

@@ -1,5 +1,5 @@
-"""Every public function, class, method and module-level name of simpow is
-used by the program.
+"""Every public function, class, method, class-level and module-level name
+of simpow is used by the program.
 
 A public name must be referred to somewhere other than its own
 definition: in the package itself (the CLI included) or in the benchmark
@@ -19,9 +19,19 @@ SOURCES = sorted((ROOT / "src" / "simpow").glob("*.py"))
 USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
 
 
+def assigned_names(node: ast.stmt):
+    """The public plain names an Assign or AnnAssign statement binds."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                yield target.id
+
+
 def public_definitions(tree: ast.Module):
     """(qualified name, bare name) of the public top-level functions,
-    classes and assigned names and the public methods of those classes."""
+    classes and assigned names, and of the public methods and class-level
+    assigned names (fields, enum members, class attributes) of those
+    classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.name
@@ -29,10 +39,10 @@ def public_definitions(tree: ast.Module):
                 for member in node.body:
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
                         yield f"{node.name}.{member.name}", member.name
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                    yield target.id, target.id
+                    for name in assigned_names(member):
+                        yield f"{node.name}.{name}", name
+        for name in assigned_names(node):
+            yield name, name
 
 
 def referenced_names(tree: ast.Module) -> set[str]:

@@ -234,6 +234,15 @@ class TestSolveSingleEigenvalue:
         with pytest.raises(ValueError):
             solve_single_eigenvalue(R(1, 3), [2], pq23)
 
+    @pytest.mark.parametrize("blocks", [[], [3, 0], [-1]])
+    def test_non_positive_blocks(self, pq23, blocks):
+        # refused by the JordanEntry the solution is built on, before any block is read
+        with pytest.raises(ValueError, match="block sizes must be positive"):
+            solve_single_eigenvalue(R(0, 1), blocks, pq23)
+
+    def test_blocks_sorted_by_the_entry(self, pq23):
+        assert solve_single_eigenvalue(R(0, 1), [1, 3, 2], pq23).block_sizes == (3, 2, 1)
+
     def test_residuals_nontrivial_lambda(self):
         pq = ExponentPair(3, 5)
         lam = R(1, 2)  # (-1)^2 = 1 = lambda^(q-p)
@@ -370,6 +379,29 @@ def exact_nilpotent(block_sizes):
     return out
 
 
+def exact_solution(pq, blocks):
+    """M and B0 of solve_single_eigenvalue at lambda = 1 as Fraction
+    matrices, from the integers its floats are rounded from:
+    solvers._binomial_coeffs for M, Toeplitz on every block, and the
+    _inverse_series_powers table read by _block_conjugator_entries for B0.
+    At lambda, entry [i][j] is twisted by lambda^(1+i-j) in M and by
+    lambda^(i-j) in B0."""
+    blocks = sorted(blocks, reverse=True)
+    alphas = solvers._binomial_coeffs(pq, blocks[0])
+    table = solvers._inverse_series_powers(pq, blocks[0])
+    n = sum(blocks)
+    m, b0 = ([[Fraction(0)] * n for _ in range(n)] for _ in range(2))
+    pos = 0
+    for size in blocks:
+        for i in range(size):
+            for j in range(i + 1, size):
+                m[pos + i][pos + j] = alphas[j - i - 1]
+        for i, j, num, den in solvers._block_conjugator_entries(table, pq, size):
+            b0[pos + i][pos + j] = Fraction(num, den)
+        pos += size
+    return m, b0
+
+
 def exact_matmul(x, y):
     # zero terms skipped: the matrices here are block diagonal and triangular
     return [
@@ -417,9 +449,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
     def test_b0_intertwines_exactly(self, p, q):
         blocks = (12, 5, 2, 1)
-        sol = solve_single_eigenvalue(R(0, 1), blocks, ExponentPair(p, q))
-        b0 = [list(row) for row in sol.b0_rational]
-        m = [list(row) for row in sol.m_rational]
+        m, b0 = exact_solution(ExponentPair(p, q), blocks)
         nil = exact_nilpotent(blocks)
         assert exact_matmul(nil, b0) == exact_matmul(b0, m)
         assert all(b0[i][i] != 0 for i in range(len(b0)))
@@ -427,8 +457,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
     def test_b0_matches_krylov_inverse(self, p, q):
         for d in (1, 2, 5, 12):
-            sol = solve_single_eigenvalue(R(0, 1), [d], ExponentPair(p, q))
-            got = [list(row) for row in sol.b0_rational]
+            pq = ExponentPair(p, q)
+            sol = solve_single_eigenvalue(R(0, 1), [d], pq)
+            got = exact_solution(pq, [d])[1]
             assert got == krylov_inverse_conjugator(list(sol.rational_coeffs), d)
 
     def test_twisted_entries_follow_rationals(self):
@@ -448,9 +479,8 @@ class TestClosedForms:
             sol = solve_single_eigenvalue(lam, blocks, pq)
             base = solve_single_eigenvalue(R(0, 1), blocks, pq)
             assert sol.rational_coeffs == base.rational_coeffs
-            assert sol.m_rational == base.m_rational
-            assert sol.b0_rational == base.b0_rational
-            views = ((sol.m_matrix, sol.m_rational, 1), (sol.b0, sol.b0_rational, 0))
+            m, b0 = exact_solution(pq, blocks)
+            views = ((sol.m_matrix, m, 1), (sol.b0, b0, 0))
             for view, rational, shift in views:
                 expected = np.zeros((sol.n, sol.n), dtype=complex)
                 for i in range(sol.n):
@@ -463,9 +493,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
     def test_b0_intertwines_exactly_at_d40(self, p, q):
         blocks = (40, 13, 13, 2)
-        sol = solve_single_eigenvalue(R(0, 1), blocks, ExponentPair(p, q))
-        b0 = [list(row) for row in sol.b0_rational]
-        m = [list(row) for row in sol.m_rational]
+        m, b0 = exact_solution(ExponentPair(p, q), blocks)
         nil = exact_nilpotent(blocks)
         assert exact_matmul(nil, b0) == exact_matmul(b0, m)
         # upper triangular with a nonzero diagonal: invertible
@@ -517,7 +545,7 @@ def test_enumerate_valid_k1_matches_definition(p, q):
 def exact_spec_conjugator(spec, pq):
     """The B of spec_conjugator at 50 digits, from the exact base conjugator:
     block k at lambda goes to block k at mu = successor(lambda) as
-    R[i][j] mu^i lambda^-j, with R the b0_rational of lambda = 1; blocks
+    R[i][j] mu^i lambda^-j, with R the exact B0 of lambda = 1; blocks
     at 0 stay in place as the identity."""
     import mpmath as mp
 
@@ -536,7 +564,7 @@ def exact_spec_conjugator(spec, pq):
         row = start[mu]
         lam_mp, mu_mp = (mp.expjpi(2 * mp.mpf(r.num) / r.order) for r in (e.eigenvalue, mu))
         for size in e.blocks:
-            r = solve_single_eigenvalue(R(0, 1), [size], pq).b0_rational
+            r = exact_solution(pq, [size])[1]
             for i in range(size):
                 for j in range(size):
                     if r[i][j]:
