@@ -12,12 +12,13 @@ and constructs the non-ST solution families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import frexp, gcd, isfinite, ldexp
 
 import numpy as np
 
 from .matrixcore import VERIFY_TOL, as_matrix, mat_int_pow
-from .scalar import RootOfUnity, rou_mul, rou_pow, rou_to_complex
+from .scalar import RootOfUnity, rou_pow, rou_to_complex
 
 DEFAULT_MAX_REPORT = 100
 
@@ -122,30 +123,32 @@ def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(det <= VERIFY_TOL * (scale * scale))
 
 
-def _roots_with_power_sign(exponent: int, sign: int) -> list[RootOfUnity]:
-    """All u with u^exponent = sign (sign = +-1), exponent != 0."""
-    m = abs(exponent)
-    if sign == 1:
-        return [RootOfUnity(j, m) for j in range(m)]
-    return [RootOfUnity(2 * j + 1, 2 * m) for j in range(m)]
+def _admissible_order(order: int, k: int) -> bool:
+    """t^2 != 1 and phi_k(t) != 0 for a root of unity t of reduced order
+    ``order``: the order is above 2 and does not divide 2k."""
+    return order > 2 and (2 * k) % order != 0
 
 
-def _phi_vanishes(u: RootOfUnity, k: int) -> bool:
-    """phi_k(u) = 0 for a root of unity u, exactly: u^2 != 1 and u^(2k) = 1,
-    that is, u's order (exact: the angle is reduced) is above 2 and divides 2k."""
-    return u.order > 2 and (2 * k) % u.order == 0
+def _candidates(d: int, sign: int, k: int) -> list[RootOfUnity]:
+    """The roots t of t^d = sign (d != 0, sign = +-1) of admissible order
+    for phi_k, by increasing angle: j/|d| for sign 1, (2j+1)/(2|d|) for -1."""
+    den, first, step = (abs(d), 0, 1) if sign == 1 else (2 * abs(d), 1, 2)
+    reduced = ((num // g, den // g) for num in range(first, den, step) for g in [gcd(num, den)])
+    return [RootOfUnity(num, order) for num, order in reduced if _admissible_order(order, k)]
 
 
-def _passes_pair_constraints(u: RootOfUnity, rho: RootOfUnity, shape: WordShape) -> bool:
-    """Exact angle form of u^2r + rho^2s != 0 and 1 + u^2r rho^2s != 0."""
-    u2r = rou_pow(u, 2 * shape.r)
-    rho2s = rou_pow(rho, 2 * shape.s)
-    half = RootOfUnity(1, 2)
-    if u2r == rou_mul(rho2s, half):
-        return False
-    if rou_mul(u2r, rho2s) == half:
-        return False
-    return True
+def _angle_key(t: RootOfUnity, k: int, n: int) -> int:
+    """n times the angle of t^(2k), an exact integer mod n for n a multiple of t's order."""
+    return t.num * (n // t.order) * 2 * k % n
+
+
+def _excluded_keys(u: RootOfUnity, shape: WordShape, n: int) -> tuple[int, int]:
+    """The two keys _angle_key(rho, s, n) that fail with u (n even, a
+    multiple of the orders of u and rho).  u^2r = -rho^2s and
+    u^2r rho^2s = -1 both say angle(rho^2s) = +-(angle(u^2r) - 1/2) mod 1,
+    one congruence mod n up to sign."""
+    x = (_angle_key(u, shape.r, n) - n // 2) % n
+    return x, -x % n
 
 
 @dataclass
@@ -167,6 +170,11 @@ class SolutionFamily:
         return _coupling_product(self.shape, u, rho)
 
     def to_json(self) -> dict:
+        # each factor of sigma*v depends on u alone or on rho alone: it is
+        # computed once per candidate that the listed pairs use
+        r, s = self.shape.r, self.shape.s
+        u_factors = {u: _candidate_factors(u, r) for u in {u for u, _ in self.pairs}}
+        rho_factors = {rho: _candidate_factors(rho, s) for rho in {rho for _, rho in self.pairs}}
         return {
             "alpha": self.alpha,
             "u": [str(u) for u in self.u_candidates],
@@ -175,7 +183,7 @@ class SolutionFamily:
                 {
                     "u": str(u),
                     "rho": str(rho),
-                    "sigma_v": _complex_pair(self.sigma_v(u, rho)),
+                    "sigma_v": _complex_pair(_coupling(u_factors[u], rho_factors[rho])),
                 }
                 for u, rho in self.pairs
             ],
@@ -188,18 +196,24 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _scaled_phi(t: RootOfUnity, t2k: complex) -> complex:
-    """t^k phi_k(t) = t (1 - t^(2k)) / (1 - t^2) for a root of unity t with
-    t^2 != 1, given t2k = t^(2k): the off-diagonal factor of the k-th
-    power of [[t, 1], [0, 1/t]], from exact angles."""
-    return rou_to_complex(t) * (1.0 - t2k) / (1.0 - rou_to_complex(rou_pow(t, 2)))
+def _candidate_factors(t: RootOfUnity, k: int) -> tuple[complex, complex]:
+    """(t^(2k), t^k phi_k(t)) for a root of unity t with t^2 != 1, from
+    exact angles: t^k phi_k(t) = t (1 - t^(2k)) / (1 - t^2) is the
+    off-diagonal factor of the k-th power of [[t, 1], [0, 1/t]]."""
+    t2k = rou_to_complex(rou_pow(t, 2 * k))
+    return t2k, rou_to_complex(t) * (1.0 - t2k) / (1.0 - rou_to_complex(rou_pow(t, 2)))
+
+
+def _coupling(u_factors: tuple[complex, complex], rho_factors: tuple[complex, complex]) -> complex:
+    """sigma*v = (-1 - u^2r rho^2s) / (u^r phi_r(u) rho^s phi_s(rho)) from
+    the _candidate_factors of u and rho."""
+    (u2r, u_phi), (rho2s, rho_phi) = u_factors, rho_factors
+    return (-1.0 - u2r * rho2s) / (u_phi * rho_phi)
 
 
 def _coupling_product(shape: WordShape, u: RootOfUnity, rho: RootOfUnity) -> complex:
     """sigma*v determined by (u, rho) for the non-ST solution family."""
-    u2r = rou_to_complex(rou_pow(u, 2 * shape.r))
-    rho2s = rou_to_complex(rou_pow(rho, 2 * shape.s))
-    return (-1.0 - u2r * rho2s) / (_scaled_phi(u, u2r) * _scaled_phi(rho, rho2s))
+    return _coupling(_candidate_factors(u, shape.r), _candidate_factors(rho, shape.s))
 
 
 @dataclass
@@ -239,41 +253,25 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
                 "use construct/verify with explicit parameters"
             ),
         )
+    n = 2 * abs(dr) * abs(ds)  # even, and a multiple of every candidate's order
     families = []
     for alpha in (1, -1):
-        u_cands = [
-            u
-            for u in _roots_with_power_sign(dr, alpha)
-            if u.order > 2 and not _phi_vanishes(u, shape.r)
-        ]
-        rho_cands = [
-            rho
-            for rho in _roots_with_power_sign(ds, -alpha * shape.epsilon)
-            if rho.order > 2 and not _phi_vanishes(rho, shape.s)
-        ]
-        pairs = []
-        truncated = False
-        for u in u_cands:
-            for rho in rho_cands:
-                if not _passes_pair_constraints(u, rho, shape):
-                    continue
-                if len(pairs) >= max_report:
-                    truncated = True
-                    break
-                pairs.append((u, rho))
-            if truncated:
-                break
+        u_cands = _candidates(dr, alpha, shape.r)
+        rho_cands = _candidates(ds, -alpha * shape.epsilon, shape.s)
+        rho_keys = [_angle_key(rho, shape.s, n) for rho in rho_cands]
+        admitted = (
+            (u, rho)
+            for u in u_cands
+            for excluded in [_excluded_keys(u, shape, n)]
+            for rho, key in zip(rho_cands, rho_keys)
+            if key not in excluded
+        )
+        pairs = list(islice(admitted, max_report + 1))  # one past the cap marks truncation
         if pairs:
-            families.append(
-                SolutionFamily(
-                    alpha=alpha,
-                    u_candidates=tuple(u_cands),
-                    rho_candidates=tuple(rho_cands),
-                    pairs=tuple(pairs),
-                    shape=shape,
-                    truncated=truncated,
-                )
-            )
+            families.append(SolutionFamily(
+                alpha, tuple(u_cands), tuple(rho_cands), tuple(pairs[:max_report]), shape,
+                truncated=len(pairs) > max_report,
+            ))
     if not families:
         return ClassifyResult((), empty_reason="both alpha branches are empty")
     return ClassifyResult(tuple(families))
@@ -304,11 +302,12 @@ def construct_solution(
     expected = RootOfUnity(0, 1) if -alpha * shape.epsilon == 1 else RootOfUnity(1, 2)
     if rho_power != expected:
         raise ValueError(f"rho^(s-s') = {rho_power}, expected {expected}")
-    if _phi_vanishes(u, shape.r):
+    if not _admissible_order(u.order, shape.r):
         raise ValueError(f"phi_r(u) = 0 for u = {u}: A^r would be +-I")
-    if _phi_vanishes(rho, shape.s):
+    if not _admissible_order(rho.order, shape.s):
         raise ValueError(f"phi_s(rho) = 0 for rho = {rho}: B^s would be +-I")
-    if not _passes_pair_constraints(u, rho, shape):
+    n = 2 * u.order * rho.order
+    if _angle_key(rho, shape.s, n) in _excluded_keys(u, shape, n):
         raise ValueError(f"(u, rho) = ({u}, {rho}) fails the non-degeneracy conditions")
     sigma = _coupling_product(shape, u, rho) / v
     pair = TriangularPair(rou_to_complex(u), v, rou_to_complex(rho), sigma)

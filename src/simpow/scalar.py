@@ -9,6 +9,8 @@ arithmetic; conversion to floating point happens only in
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +32,9 @@ class RootOfUnity:
             raise ValueError(f"order must be >= 1, got {self.order}")
         num = self.num % self.order
         g = math.gcd(num, self.order)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "order", self.order // g)
+        if g != 1 or num != self.num:  # a reduced angle is stored as given
+            object.__setattr__(self, "num", num // g)
+            object.__setattr__(self, "order", self.order // g)
 
     @property
     def angle(self) -> Fraction:
@@ -63,11 +66,6 @@ class ExponentPair:
         return ExponentPair(self.q, self.p)
 
 
-def rou_mul(a: RootOfUnity, b: RootOfUnity) -> RootOfUnity:
-    """Multiply two roots of unity (add angles mod 1)."""
-    return RootOfUnity(a.num * b.order + b.num * a.order, a.order * b.order)
-
-
 def rou_pow(a: RootOfUnity, e: int) -> RootOfUnity:
     """Raise a root of unity to any integer power (e reduced mod order first)."""
     return RootOfUnity(a.num * (e % a.order), a.order)
@@ -91,6 +89,17 @@ def mod_inverse(a: int, modulus: int) -> int:
     return pow(a % modulus, -1, modulus)
 
 
+@functools.lru_cache(maxsize=128)
+def _cycle_orders(p: int, q: int) -> tuple[int, ...]:
+    """|q^t - p^t| for t = 1, 2, ..., up to the last one within 2^53."""
+    orders = []
+    for t in itertools.count(1):
+        order = abs(q**t - p**t)
+        if order > 2**53:
+            return tuple(orders)
+        orders.append(order)
+
+
 def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[RootOfUnity]:
     """The admissible roots of unity within ``tol`` of z, smallest order first.
 
@@ -106,10 +115,7 @@ def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[
     """
     theta = cmath.phase(z) / (2.0 * math.pi)
     near = set()
-    for t in range(1, n + 1):
-        order = abs(pq.q**t - pq.p**t)
-        if order > 2**53:
-            break
+    for order in _cycle_orders(pq.p, pq.q)[:n]:
         num = round(theta * order) % order
         g = math.gcd(num, order)
         num, den = num // g, order // g

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from simpow.equation2x2 import (
 )
 from simpow.matrixcore import VERIFY_TOL, mat_int_pow
 from simpow.scalar import RootOfUnity, rou_pow, rou_to_complex
+from test_scalar import rou_mul
 
 R = RootOfUnity
 WORKED_SHAPE = WordShape(3, 3, 1, 1, -1)
@@ -179,6 +182,147 @@ class TestClassify:
                 for u, rho in family.pairs:
                     assert rou_pow(u, dr) == target_u
                     assert rou_pow(rho, ds) == minus_ae
+
+
+def object_passes(shape, u, rho):
+    """Reference: u^2r != -rho^2s and u^2r rho^2s != -1, through rou_mul."""
+    u2r, rho2s, half = rou_pow(u, 2 * shape.r), rou_pow(rho, 2 * shape.s), R(1, 2)
+    return u2r != rou_mul(rho2s, half) and rou_mul(u2r, rho2s) != half
+
+
+def object_sigma_v(shape, u, rho):
+    """Reference: sigma*v of one pair, every factor evaluated for it."""
+    def scaled_phi(t, t2k):
+        return rou_to_complex(t) * (1.0 - t2k) / (1.0 - rou_to_complex(rou_pow(t, 2)))
+
+    u2r = rou_to_complex(rou_pow(u, 2 * shape.r))
+    rho2s = rou_to_complex(rou_pow(rho, 2 * shape.s))
+    return (-1.0 - u2r * rho2s) / (scaled_phi(u, u2r) * scaled_phi(rho, rho2s))
+
+
+def object_classify(shape, max_report):
+    """Reference: classify(shape, max_report).to_json() with one RootOfUnity
+    per angle, the pair conditions through rou_mul and sigma*v evaluated
+    per pair."""
+    def roots(exponent, sign):
+        m = abs(exponent)
+        if sign == 1:
+            return [R(j, m) for j in range(m)]
+        return [R(2 * j + 1, 2 * m) for j in range(m)]
+
+    def admissible(t, k):
+        return t.order > 2 and not (2 * k) % t.order == 0
+
+    dr, ds = shape.r - shape.r_prime, shape.s - shape.s_prime
+    if abs(dr) == 1 or abs(ds) == 1:
+        return {"families": [], "empty_reason": "r-r' = +-1 or s-s' = +-1: no non-ST solutions"}
+    if dr == 0 or ds == 0:
+        return {"families": [], "empty_reason": (
+            "r = r' or s = s': the family is continuous and not enumerable; "
+            "use construct/verify with explicit parameters")}
+    families = []
+    for alpha in (1, -1):
+        us = [u for u in roots(dr, alpha) if admissible(u, shape.r)]
+        rhos = [rho for rho in roots(ds, -alpha * shape.epsilon) if admissible(rho, shape.s)]
+        admitted = []  # up to the first pair past the cap
+        for u in us:
+            admitted += [(u, rho) for rho in rhos if object_passes(shape, u, rho)]
+            if len(admitted) > max_report:
+                break
+        if admitted:
+            families.append({
+                "alpha": alpha,
+                "u": [str(u) for u in us],
+                "rho": [str(rho) for rho in rhos],
+                "pairs": [
+                    {"u": str(u), "rho": str(rho), "sigma_v": [z.real, z.imag]}
+                    for u, rho in admitted[:max_report]
+                    for z in [object_sigma_v(shape, u, rho)]
+                ],
+                "coupling": "sigma*v = (-1 - u^(2r) rho^(2s)) / (u^r phi_r(u) rho^s phi_s(rho))",
+                "truncated": len(admitted) > max_report,
+            })
+    if not families:
+        return {"families": [], "empty_reason": "both alpha branches are empty"}
+    return {"families": families, "empty_reason": None}
+
+
+def seeded_shape(rng, differences):
+    """A WordShape whose r - r' and s - s' are drawn from differences."""
+    def exponents():
+        difference = rng.choice(differences)
+        while True:
+            x_prime = rng.choice((-1, 1)) * (1 if difference == 0 else rng.randint(1, 9))
+            x = x_prime + difference
+            if x != 0 and math.gcd(abs(x), abs(x_prime)) == 1:
+                return x, x_prime
+
+    (r, r_prime), (s, s_prime) = exponents(), exponents()
+    return WordShape(r, s, r_prime, s_prime, rng.choice((-1, 1)))
+
+
+class TestClassifyOracle:
+    MAX_REPORTS = (1, 3, 100, 10**6)
+    SMALL = (0, 1, -1, *range(-16, 17))  # 0 and +-1 drawn twice as often
+    LARGE = (*range(-500, -299), *range(300, 501))
+
+    def check(self, shape, max_report):
+        result = classify(shape, max_report)
+        expected = object_classify(shape, max_report)
+        assert json.dumps(result.to_json()) == json.dumps(expected), (shape, max_report)
+        for family, reference in zip(result.families, expected["families"]):
+            assert len(family.u_candidates) == len(reference["u"])
+            assert len(family.rho_candidates) == len(reference["rho"])
+            assert len(family.pairs) == len(reference["pairs"])
+        return result
+
+    def test_matches_the_object_per_pair_classifier(self):
+        # integer keys and per-candidate factors give the bytes of one
+        # RootOfUnity per angle and sigma*v per pair, over both signs of
+        # r - r' and s - s', eps = +-1, the empty and continuum cases and
+        # every report cap
+        rng = random.Random(20)
+        seen = {"empty": 0, "continuum": 0, "truncated": 0, "listed": 0}
+        for case in range(2000):
+            result = self.check(seeded_shape(rng, self.SMALL), self.MAX_REPORTS[case % 4])
+            reason = result.empty_reason or ""
+            seen["empty"] += "+-1" in reason
+            seen["continuum"] += "continuous" in reason
+            seen["truncated"] += any(family.truncated for family in result.families)
+            seen["listed"] += bool(result.families)
+        assert min(seen.values()) >= 100, seen
+
+    def test_large_shapes(self):
+        # |r - r'| and |s - s'| from 300 to 500, and the largest shape of
+        # the benchmark; caps 1, 3 and 100
+        rng = random.Random(21)
+        shapes = [seeded_shape(rng, self.LARGE) for _ in range(8)] + [WordShape(-403, 297, 1, -8, 1)]
+        for case, shape in enumerate(shapes):
+            assert self.check(shape, self.MAX_REPORTS[case % 3]).families
+
+    def test_construct_uses_the_same_pair_test_and_factors(self):
+        # construct_solution admits exactly the pairs of the object test,
+        # r = r' (u free, of any order) included, and its sigma is the
+        # per-pair sigma*v divided by v, bit for bit
+        rng = random.Random(22)
+        shapes = [seeded_shape(rng, (0, 2, -2, 3, -3, 4, -4, 5, -5, 6, 12, -12)) for _ in range(40)]
+        admitted = rejected = 0
+        for shape in shapes:
+            dr, ds = shape.r - shape.r_prime, shape.s - shape.s_prime
+            u_order, rho_order = 2 * abs(dr) or 24, 2 * abs(ds) or 24
+            for u in [R(j, u_order) for j in range(u_order)]:
+                for rho in [R(j, rho_order) for j in range(rho_order)]:
+                    try:
+                        _, b = construct_solution(shape, u, rho, 0.5 - 1j)
+                    except ValueError as exc:
+                        if "non-degeneracy" in str(exc):
+                            assert not object_passes(shape, u, rho)
+                            rejected += 1
+                        continue
+                    assert object_passes(shape, u, rho)
+                    assert complex(b[1, 0]) == object_sigma_v(shape, u, rho) / (0.5 - 1j)
+                    admitted += 1
+        assert admitted > 1000 and rejected > 100, (admitted, rejected)
 
 
 def phi(t, k):

@@ -12,12 +12,16 @@ from simpow.scalar import (
     RootOfUnity,
     _admissible_roots,
     mod_inverse,
-    rou_mul,
     rou_pow,
     rou_to_complex,
 )
 
 PQ23 = ExponentPair(2, 3)
+
+
+def rou_mul(a, b):
+    """Reference: the product of two roots of unity, by adding their angles mod 1."""
+    return RootOfUnity(a.num * b.order + b.num * a.order, a.order * b.order)
 
 
 class TestRootOfUnity:
