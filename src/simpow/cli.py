@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__
+from . import RANK_TOL, VERIFY_TOL, __version__
 from .equation2x2 import (
     DEFAULT_MAX_REPORT,
     WordShape,
@@ -33,37 +33,30 @@ from .equation2x2 import (
     is_simultaneously_triangularizable,
     verify_word,
 )
-from .matrixcore import (
-    MAX_RECOVERY_N,
-    RANK_TOL,
-    VERIFY_TOL,
-    as_matrix,
-    conjugacy_residual,
-    eigenspace_splits,
-    fit_polynomial_in,
-    mat_int_pow,
-    matrix_from_json,
-    matrix_to_json,
-)
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_to_complex
-from .similarity import (
-    JordanEntry,
-    JordanSpec,
-    RecoveredSpec,
-    matrix_from_spec,
-    powers_similar_general,
-    spec_from_matrix,
-)
-from .solvers import (
-    _power_modulus,
-    build_cycle_instance,
-    enumerate_valid_k1,
-    intertwiner_dimension,
-    realize_conjugate_c,
-    solve_single_eigenvalue,
-    spec_conjugator,
-)
-from .spectra import powers_equal
+
+# Imported above: only the layers that word2 classify loads anyway.
+# similarity, spectra, solvers and matrixcore (with numpy) are imported by
+# the code that uses them, so a cold start loads what its command needs.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .similarity import JordanSpec, RecoveredSpec
+
+
+@contextlib.contextmanager
+def _numeric():
+    """numpy's error state for the array arithmetic of a request, entered
+    once per request: a decorator on the numeric commands, a context in
+    analyze and generate around their numeric parts.  An overflow
+    surfaces as the error report, named by the check that meets the
+    non-finite value, so numpy's warnings would only repeat it.  numpy is
+    imported here, so the exact commands (word2 classify, generate
+    without --k1, analyze of a spec without --find-b) never load it."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield
 
 
 def _load_matrix_or_spec(path: str):
@@ -79,6 +72,8 @@ def _load_matrix_or_spec(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
+        from .matrixcore import as_matrix, matrix_from_json
+
         try:
             matrix = as_matrix(matrix_from_json(data))
         except (KeyError, ValueError, TypeError) as exc:
@@ -89,6 +84,8 @@ def _load_matrix_or_spec(path: str):
             raise ValueError(f"bad matrix file {path}: shape {matrix.shape} is not square")
         return matrix, None
     if isinstance(data, list):
+        from .similarity import JordanSpec
+
         try:
             spec = JordanSpec.from_json(data)
         except (KeyError, ValueError, TypeError, IndexError) as exc:
@@ -108,6 +105,9 @@ def _spec_matrix(spec: JordanSpec) -> np.ndarray:
     analyze --find-b, solve-b, verify and word2 verify of a spec file and
     generate --k1 of its cycle build it here.  nilpotent builds its A and
     N itself, uncapped."""
+    from .matrixcore import MAX_RECOVERY_N
+    from .similarity import matrix_from_spec
+
     if spec.n > MAX_RECOVERY_N:
         raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
     return matrix_from_spec(spec)
@@ -144,6 +144,8 @@ def _exact_roots(spec: JordanSpec, pq: ExponentPair, path: str) -> JordanSpec:
     """The spec with each complex eigenvalue replaced by the first admissible
     root of unity within RANK_TOL * (|z| + 1) of it: the rank cut that
     certifies a 1x1 block [z] at that root in spec_from_matrix."""
+    from .similarity import JordanEntry, JordanSpec
+
     entries = []
     for entry in spec.entries:
         ev = entry.eigenvalue
@@ -174,6 +176,9 @@ def _parse_complex_list(text: str, label: str) -> list[complex]:
 
 def _recover(matrix: np.ndarray, pq: ExponentPair) -> RecoveredSpec:
     """The certified spec of a matrix file, from its one eigenspace split."""
+    from .matrixcore import eigenspace_splits
+    from .similarity import spec_from_matrix
+
     try:
         return spec_from_matrix(matrix, pq, eigenspace_splits(matrix))
     except ValueError as exc:
@@ -181,11 +186,15 @@ def _recover(matrix: np.ndarray, pq: ExponentPair) -> RecoveredSpec:
 
 
 def cmd_analyze(args) -> dict:
+    from .similarity import powers_similar_general
+    from .spectra import powers_equal
+
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("analyze", args)
     matrix, spec = _load_matrix_or_spec(args.input)
     if spec is None:
-        spec = _recover(matrix, pq)
+        with _numeric():
+            spec = _recover(matrix, pq)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
     normalized = _normalized(spec, pq)
     report["normalized"] = {"p": normalized.p, "q": normalized.q, "swapped": normalized != pq}
@@ -200,10 +209,11 @@ def cmd_analyze(args) -> dict:
     report["verdict"] = verdict.to_json()
 
     if args.find_b:
-        if matrix is None:
-            matrix = _spec_matrix(spec)
-        powers = _powers(matrix, normalized)
-        report["conjugator"] = _solve_conjugator(spec, normalized, verdict.similar, powers)
+        with _numeric():
+            if matrix is None:
+                matrix = _spec_matrix(spec)
+            powers = _powers(matrix, normalized)
+            report["conjugator"] = _solve_conjugator(spec, normalized, verdict.similar, powers)
     return report
 
 
@@ -221,6 +231,8 @@ def _normalized(spec: JordanSpec, pq: ExponentPair) -> ExponentPair:
 
 
 def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarray]:
+    from .matrixcore import mat_int_pow
+
     return mat_int_pow(matrix, pq.p), mat_int_pow(matrix, pq.q)
 
 
@@ -234,6 +246,11 @@ def _solve_conjugator(spec: JordanSpec, pq: ExponentPair, similar: bool, powers:
     relative to max|B|: a structure certified on an ill-conditioned A can
     be a nearby matrix's.
     """
+    import numpy as np
+
+    from .matrixcore import conjugacy_residual, matrix_to_json
+    from .solvers import intertwiner_dimension, spec_conjugator
+
     out = {"kernel_dimension": intertwiner_dimension(spec, pq), "b": None, "residual": None}
     if not similar:
         return out
@@ -253,6 +270,9 @@ def _solve_conjugator(spec: JordanSpec, pq: ExponentPair, similar: bool, powers:
 
 
 def cmd_generate(args) -> dict:
+    from .similarity import JordanEntry, JordanSpec
+    from .solvers import _power_modulus, build_cycle_instance, enumerate_valid_k1, spec_conjugator
+
     pq = ExponentPair(args.p, args.q)
     report = _base_report("generate")
     report["inputs"] = {"n": args.n, "p": pq.p, "q": pq.q, "k1": args.k1, "scale": args.scale}
@@ -260,6 +280,10 @@ def cmd_generate(args) -> dict:
     report["modulus"] = _power_modulus(args.n, pq)
     if args.k1 is None:
         return report
+    import numpy as np
+
+    from .matrixcore import conjugacy_residual, matrix_to_json
+
     inst = build_cycle_instance(args.n, pq, args.k1)
     scale = (
         _parse_complex_list(args.scale, "--scale") if args.scale else [1.0 + 0j] * args.n
@@ -270,16 +294,24 @@ def cmd_generate(args) -> dict:
         raise ValueError("scale entries must be nonzero")
     # the cycle's 1-blocks: B maps e_u to e_(u+1), a successor's place
     cycle = JordanSpec(tuple(JordanEntry(ev, (1,)) for ev in inst.spectrum))
-    a = _spec_matrix(cycle)
-    b = np.diag(scale) @ spec_conjugator(cycle, pq)
     report["instance"] = inst.to_json()
-    report["a"] = matrix_to_json(a)
-    report["b"] = matrix_to_json(b)
-    report["residual"] = conjugacy_residual(b, *_powers(a, pq))
+    with _numeric():
+        a = _spec_matrix(cycle)
+        b = np.diag(scale) @ spec_conjugator(cycle, pq)
+        report["a"] = matrix_to_json(a)
+        report["b"] = matrix_to_json(b)
+        report["residual"] = conjugacy_residual(b, *_powers(a, pq))
     return report
 
 
+@_numeric()
 def cmd_nilpotent(args) -> dict:
+    import numpy as np
+
+    from .matrixcore import conjugacy_residual, mat_int_pow
+    from .similarity import JordanEntry, JordanSpec, matrix_from_spec
+    from .solvers import solve_single_eigenvalue
+
     pq = ExponentPair(args.p, args.q)
     lam = _parse_rou(args.lam, "--lam")
     try:
@@ -306,7 +338,11 @@ def cmd_nilpotent(args) -> dict:
     return report
 
 
+@_numeric()
 def cmd_solve_b(args) -> dict:
+    from .matrixcore import fit_polynomial_in
+    from .similarity import powers_similar_general
+
     pq = ExponentPair(args.p, args.q)
     report = _seeded_report("solve-b", args)
     matrix, spec = _load_matrix_or_spec(args.input)
@@ -326,7 +362,11 @@ def cmd_solve_b(args) -> dict:
     return report
 
 
+@_numeric()
 def cmd_verify(args) -> dict:
+    from .matrixcore import conjugacy_residual, matrix_to_json
+    from .solvers import realize_conjugate_c
+
     pq = ExponentPair(args.p, args.q)
     a, b = _load_pair(args.a, args.b)
     report = _base_report("verify")
@@ -350,7 +390,10 @@ def cmd_word2_classify(args) -> dict:
     return report
 
 
+@_numeric()
 def cmd_word2_construct(args) -> dict:
+    from .matrixcore import matrix_to_json
+
     shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
     u = _parse_rou(args.u, "--u")
     rho = _parse_rou(args.rho, "--rho")
@@ -358,7 +401,7 @@ def cmd_word2_construct(args) -> dict:
         v = complex(args.v)
     except ValueError as exc:
         raise ValueError(f"bad --v {args.v!r}") from exc
-    if not np.isfinite(v):
+    if not cmath.isfinite(v):
         raise ValueError(f"bad --v {args.v!r}")
     report = _base_report("word2 construct")
     report["inputs"] = {
@@ -374,6 +417,7 @@ def cmd_word2_construct(args) -> dict:
     return report
 
 
+@_numeric()
 def cmd_word2_verify(args) -> dict:
     shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
     a, b = _load_pair(args.a, args.b)
@@ -476,10 +520,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # an overflow surfaces as the error below, named by the check that
-        # meets the non-finite value, so numpy's warnings would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
+        out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
     except (ValueError, ArithmeticError) as exc:
         command = " ".join(filter(None, [args.command, getattr(args, "word2_command", None)]))
         error_report = {"command": command, "error": str(exc), "tool_version": __version__}

@@ -7,6 +7,9 @@ triangular pair built from roots of unity u, rho with a single coupling
 constraint tying the off-diagonal parameters together.  This module
 evaluates the word and its residual, tests a pair for ST, and classifies
 and constructs the non-ST solution families.
+
+classify is exact and loads no numpy; the functions that build or test
+matrices import it, and matrixcore, where they run.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import frexp, gcd, isfinite, ldexp
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .matrixcore import VERIFY_TOL, as_matrix, mat_int_pow
+from . import VERIFY_TOL
 from .scalar import RootOfUnity, rou_pow, rou_to_complex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_REPORT = 100
 
@@ -62,19 +67,27 @@ class TriangularPair:
             raise ValueError("diagonal parameters must be nonzero")
 
     def a_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.u, self.v], [0.0, 1.0 / self.u]], dtype=complex)
 
     def b_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[self.rho, 0.0], [self.sigma, 1.0 / self.rho]], dtype=complex)
 
 
 def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
+    from .matrixcore import mat_int_pow
+
     r, s, rp, sp = shape.exponents
     return mat_int_pow(a, r) @ mat_int_pow(b, s) @ mat_int_pow(a, rp) @ mat_int_pow(b, sp)
 
 
 def verify_word(a: np.ndarray, b: np.ndarray, shape: WordShape) -> float:
     """Max-abs residual of A^r B^s A^r' B^s' - eps*I; a ValueError when the word overflows."""
+    import numpy as np
+
     w = word_value(a, b, shape)
     residual = float(np.max(np.abs(w - shape.epsilon * np.eye(len(a)))))
     if not isfinite(residual):
@@ -89,6 +102,8 @@ def _binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int] | None:
     exact, and so is every product and sum later formed of the result.  A
     largest part within 2^200 of 1 needs no scaling (e = 0): no product
     of four such parts overflows."""
+    import numpy as np
+
     parts = m.view(float)
     largest = max(map(abs, parts.ravel().tolist()))
     if largest == 0.0:
@@ -108,6 +123,10 @@ def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
     the unscaled one wherever that is finite.  A zero matrix commutes with
     every matrix, so it is ST.
     """
+    import numpy as np
+
+    from .matrixcore import as_matrix
+
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError("ST test is for 2x2 matrices")

@@ -12,13 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# singular values at most this times the operand's 2-norm, or a bound on it, count as 0
-RANK_TOL = 1e-9
-# residuals at most this, relative to the size of the terms, count as 0
-VERIFY_TOL = 1e-9
-# eigenvalues closer than this, relative to the operand's 2-norm, are one cluster
-DEFAULT_CLUSTER_TOL = 1e-6
-# the clustering radii, finest first, in units of that: a Jordan block of size k
+from . import DEFAULT_CLUSTER_TOL, RANK_TOL, VERIFY_TOL
+
+# the clustering radii, finest first, in units of DEFAULT_CLUSTER_TOL: a Jordan block of size k
 # scatters its computed eigenvalues by about (u * ||A||)^(1/k), their mean by rounding
 CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
 # the largest n numeric recovery splits: a cluster of n takes up to n + 1 SVDs, O(n^4)

@@ -6,6 +6,9 @@ the characterization of when A^p and A^q are similar, for invertible and
 singular A.  A matrix reaches them through spec_from_matrix, which
 certifies the structure it recovers and keeps what certified it, from
 which the Jordan basis of the matrix is built.
+
+The verdicts on a spec are exact and load no numpy; the functions that
+build or read matrices import it, and matrixcore, where they run.
 """
 
 from __future__ import annotations
@@ -13,12 +16,15 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .matrixcore import Split, is_invertible, weyr_characteristic
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, successor_walk
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .matrixcore import Split
 
 JordanEigenvalue = RootOfUnity | complex | None  # None encodes 0
 
@@ -160,6 +166,8 @@ def matrix_from_spec(spec: JordanSpec, conjugate_seed: int | None = None) -> np.
     random unitary matrix (well-conditioned, so the structure survives
     numerically).
     """
+    import numpy as np
+
     a = np.zeros((spec.n, spec.n), dtype=complex)
     start = 0
     for e in spec.entries:
@@ -204,6 +212,8 @@ class RecoveredSpec(JordanSpec):
     def jordan_basis(self) -> np.ndarray:
         """V with A V = V J for J = matrix_from_spec(self): the Jordan chains
         of every entry, in the order of its blocks (_jordan_chains)."""
+        import numpy as np
+
         columns = []
         for entry, (shifted, kernels, basis) in zip(self.entries, self.certificates):
             chains = _jordan_chains(entry.blocks, shifted, kernels)
@@ -213,6 +223,10 @@ class RecoveredSpec(JordanSpec):
     def from_jordan_basis(self, x: np.ndarray) -> np.ndarray:
         """V x V^-1 for V = jordan_basis(); ValueError when V is not
         invertible at RANK_TOL."""
+        import numpy as np
+
+        from .matrixcore import is_invertible
+
         v = self.jordan_basis()
         if not is_invertible(v):
             raise ValueError("the Jordan basis of the certified structure is singular")
@@ -228,6 +242,8 @@ def _jordan_chains(blocks: tuple[int, ...], shifted: np.ndarray, kernels: list) 
     vector of K_j independent of K_(j-1) and of the longer chains' vectors
     at level j.  With 1-blocks only, K_1 is taken as it is.
     """
+    import numpy as np
+
     if blocks[0] == 1:
         return kernels[0]
     counts = Counter(blocks)
@@ -264,6 +280,10 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> Recovered
     the finest rung is raised (ClusteringAmbiguityError or another
     ValueError).
     """
+    import numpy as np
+
+    from .matrixcore import Split
+
     norm = float(np.linalg.norm(a))
     finest_error = None
     for split in splits:
@@ -285,6 +305,10 @@ def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm
     """The entry of the i-th cluster of split, ||A||_F = norm, at the first
     point that certifies it, and its certificate; ValueError when none
     does (see spec_from_matrix)."""
+    import numpy as np
+
+    from .matrixcore import weyr_characteristic
+
     basis = None if split.bases is None else split.bases[i]
     m = a if basis is None else split.lefts[i] @ a @ basis
     mult, center = len(split.clusters[i]), split.centres[i]

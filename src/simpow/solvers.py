@@ -14,6 +14,9 @@ Two regimes are fully constructive, and one constructor serves both:
 A Jordan spec with A^p similar to A^q is a direct sum of those two cases
 along the successor orbits: spec_conjugator builds its B in closed form,
 and intertwiner_dimension counts the space of all of them.
+
+The residue enumeration is exact and loads no numpy; the functions that
+build matrices import it, and matrixcore, where they run.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .matrixcore import (
-    DEFAULT_CLUSTER_TOL, VERIFY_TOL, block_diagonal, is_invertible, matrix_to_json
-)
+from . import DEFAULT_CLUSTER_TOL, VERIFY_TOL
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 from .similarity import JordanEntry, JordanSpec, _ev_complex
 from .spectra import successor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the largest Q = |q^n - p^n| whose residues enumerate_valid_k1 lists: at
 # 2^24 the list is already about 150 MB of JSON, and the sieve takes Q bytes
@@ -191,6 +194,8 @@ class SingleEigSolution:
         return sum(self.block_sizes)
 
     def to_json(self) -> dict:
+        from .matrixcore import matrix_to_json
+
         # alpha_j = rational_coeffs[j-1] * lambda^(1-j); at lambda = 1 the
         # rational itself, so a negative alpha_j keeps an unsigned imaginary 0
         coeffs = [
@@ -221,6 +226,10 @@ def solve_single_eigenvalue(
     int/int division (as float(Fraction) is) times its power of lambda, so
     the views equal the rounded exact solution without a Fraction per entry.
     """
+    import numpy as np
+
+    from .matrixcore import block_diagonal
+
     entry = JordanEntry(lam, tuple(int(b) for b in block_sizes))
     if rou_pow(lam, pq.q - pq.p).num != 0:
         raise ValueError(
@@ -259,6 +268,8 @@ def spec_conjugator(spec: JordanSpec, pq: ExponentPair) -> np.ndarray:
     A^p and A^q.  A spec whose powers are not similar has no such B:
     ValueError.
     """
+    import numpy as np
+
     place, n = {}, 0  # eigenvalue -> (its first row and column in A, its blocks)
     for e in spec.entries:
         place[e.eigenvalue], n = (n, e.blocks), n + e.multiplicity
@@ -353,6 +364,10 @@ def realize_conjugate_c(a: np.ndarray, b: np.ndarray) -> ConjugateResult:
     that is no theorem, and a correct B can report false.  The check is
     reported, never enforced.
     """
+    import numpy as np
+
+    from .matrixcore import is_invertible
+
     if not is_invertible(b):
         raise ValueError("b is singular")
     c = np.linalg.solve(b, a @ b)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow
 
@@ -18,7 +17,11 @@ Eigenvalue = RootOfUnity | None  # None encodes the eigenvalue 0
 
 
 def _sort_key(ev: Eigenvalue):
-    return (0, Fraction(0)) if ev is None else (1, ev.angle)
+    """0 first, then by increasing angle.  num / order is correctly rounded,
+    so it is monotone in the exact angle and decides a comparison with one
+    float compare; only two angles whose orders multiply to more than 2^52
+    can share a double and fall through to the exact angle."""
+    return (0,) if ev is None else (1, ev.num / ev.order, ev.angle)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simpow import cli, spectra
+from simpow import cli, similarity, spectra
 from simpow.cli import main
 from simpow.matrixcore import (
     RANK_TOL,
@@ -721,9 +721,10 @@ class TestOneVerdictPerRequest:
     def test_one_verdict(
         self, capsys, monkeypatch, intro_spec_file, nondiag_files, command, kind, p, q
     ):
-        judged, judge = [], cli.powers_similar_general
+        judged, judge = [], similarity.powers_similar_general
         monkeypatch.setattr(
-            cli, "powers_similar_general", lambda *args: judged.append(args[1]) or judge(*args)
+            similarity, "powers_similar_general",
+            lambda *args: judged.append(args[1]) or judge(*args),
         )
         path = intro_spec_file if kind == "spec" else nondiag_files[0]
         code, report = run_json(capsys, command[0], path, "-p", str(p), "-q", str(q), *command[1:])
@@ -1051,7 +1052,10 @@ class TestBenchTracer:
         assert {code for code, _ in traced} == {0, 1}
         for name in ("cli.main", "matrixcore.fit_polynomial_in",
                      "solvers.enumerate_valid_k1", "equation2x2.classify",
-                     "similarity.spec_from_matrix", "solvers.spec_conjugator"):
+                     "similarity.spec_from_matrix", "solvers.spec_conjugator",
+                     "equation2x2.verify_word", "equation2x2.construct_solution",
+                     "equation2x2.is_simultaneously_triangularizable",
+                     "matrixcore.mat_int_pow", "similarity.powers_similar_general"):
             assert tracer.calls[name][0] > 0, name
         assert tracer.counters["matrixcore.fit_polynomial_in.degrees_tried"] > 0
         assert cli.main is main

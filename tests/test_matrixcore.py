@@ -78,7 +78,7 @@ def solve_b(a, pq):
     matrix file of A: the recovered spec, its count and, when it is
     similar, its closed-form conjugator carried to A's basis."""
     a_powers, spec = powers(a, pq), cli._recover(a, pq)
-    similar = cli.powers_similar_general(spec, cli._normalized(spec, pq)).similar
+    similar = powers_similar_general(spec, cli._normalized(spec, pq)).similar
     report = cli._solve_conjugator(spec, pq, similar, a_powers)
     b = report["b"]
     return spec, report["kernel_dimension"], None if b is None else matrix_from_json(b)

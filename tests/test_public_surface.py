@@ -9,10 +9,16 @@ imported or assigned and never read fails too.
 """
 
 import ast
+import cmath
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from simpow import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "simpow").glob("*.py"))
@@ -71,9 +77,69 @@ def test_every_public_name_is_used():
 
 
 
-def test_numpy_free_modules_do_not_load_numpy():
-    # the package re-exports nothing, so importing spectra (and the scalar
-    # module it builds on) loads only what those modules import
-    code = "import sys, simpow.spectra; assert 'numpy' not in sys.modules, 'numpy loaded'"
+# the exact commands and their error reports, run in a fresh process that
+# must not load numpy; "{...}" names a spec file written by spec_files
+EXACT_ARGVS = {
+    "import simpow.cli": None,
+    "classify empty": ["word2", "classify", "-r", "2", "--rp", "1", "-s", "3", "--sp", "1",
+                       "--eps", "1"],
+    "classify continuum": ["word2", "classify", "-r", "1", "--rp", "1", "-s", "3", "--sp", "1",
+                           "--eps", "1"],
+    "classify enumerated": ["word2", "classify", "-r", "-403", "--rp", "1", "-s", "297",
+                            "--sp", "-8", "--eps", "1"],
+    "classify truncated": ["word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
+                           "--eps", "-1", "--max-report", "1"],
+    "generate": ["generate", "-n", "6", "-p", "2", "-q", "3"],
+    "analyze zero entry": ["analyze", "{zero}", "-p", "3", "-q", "7"],
+    "analyze [re, im] eigenvalue": ["analyze", "{complex}", "-p", "2", "-q", "3"],
+    "error --max-report 0": ["word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
+                             "--eps", "-1", "--max-report", "0"],
+    "error generate -n 0": ["generate", "-n", "0", "-p", "2", "-q", "3"],
+    "error unreadable spec": ["analyze", "{missing}", "-p", "2", "-q", "3"],
+}
+
+# runs cli.main on its arguments (none: only the import), then reports on
+# stderr whether numpy was loaded
+CHILD = """
+import sys
+from simpow import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+sys.stdout.flush()
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.fixture
+def spec_files(tmp_path):
+    fifth = cmath.exp(2j * cmath.pi / 5)  # snaps to the root 1/5; 2 snaps to nothing
+    specs = {
+        "zero": [
+            {"eigenvalue": "1/4", "blocks": [1, 1]},
+            {"eigenvalue": "3/4", "blocks": [2]},
+            {"eigenvalue": "zero", "blocks": [3]},
+        ],
+        "complex": [
+            {"eigenvalue": [fifth.real, fifth.imag], "blocks": [1]},
+            {"eigenvalue": [2.0, 0.0], "blocks": [2]},
+        ],
+    }
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, spec in specs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(spec))
+    return paths
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
+def test_numpy_free_modules_do_not_load_numpy(capsys, spec_files, argv):
+    # the exact commands answer in a process without numpy, with the bytes
+    # and exit code they have in this one, where numpy is loaded
+    argv = [arg.format(**spec_files) for arg in argv or []]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
+    )
+    assert child.stderr == "False\n", child.stderr
+    code = cli.main(argv) if argv else 0
+    assert (child.returncode, child.stdout) == (code, capsys.readouterr().out)

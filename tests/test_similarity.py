@@ -408,9 +408,9 @@ class TestSplitCertificate:
         assert [v.shape[1] for v in bases] == [len(c) for c in splits[0].clusters]
         assert np.linalg.cond(np.hstack(bases)) > 1 / math.sqrt(matrixcore.RANK_TOL)
         sizes = []
-        weyr = similarity.weyr_characteristic
+        weyr = matrixcore.weyr_characteristic
         monkeypatch.setattr(
-            similarity, "weyr_characteristic", lambda m, *args: sizes.append(len(m)) or weyr(m, *args)
+            matrixcore, "weyr_characteristic", lambda m, *args: sizes.append(len(m)) or weyr(m, *args)
         )
         assert recover(a, ExponentPair(2, 3)) == spec
         assert set(sizes) == {14}

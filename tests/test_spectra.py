@@ -45,6 +45,34 @@ class TestSpectrumMultiset:
         )
         assert SpectrumMultiset(parsed) == u
 
+    def test_sorted_by_exact_angle(self):
+        # the sort keys on the double num / order first; above order 2^26
+        # distinct angles can share a double, and there the exact angle
+        # decides: the items come out as a Fraction-keyed sort orders them
+        rng = random.Random(21)
+        collisions = 0
+        for _ in range(2000):
+            evs = []
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.1:
+                    evs.append(None)
+                elif rng.random() < 0.4:
+                    evs.append(R(rng.randrange(64), rng.randint(1, 64)))
+                else:
+                    order = rng.randint(2**26 + 1, 2 ** rng.randint(27, 62))
+                    num = rng.randrange(order)
+                    evs += [R(num, order), R(num + 1, order)][: rng.randint(1, 2)]
+            rng.shuffle(evs)  # a stable sort on the double alone would keep this order
+            counts = Counter()
+            for ev in evs:
+                counts[ev] += rng.randint(1, 3)
+            u = SpectrumMultiset(tuple(counts.items()))
+            exact = sorted(counts.items(), key=lambda it: (it[0] is not None, it[0] and it[0].angle))
+            assert u.items == tuple(exact)
+            doubles = [ev.num / ev.order for ev in counts if ev is not None]
+            collisions += len(doubles) - len(set(doubles))
+        assert collisions > 500
+
 
 class TestPowersEqual:
     def test_ones_fixed(self, pq23):
