@@ -169,9 +169,12 @@ def _parse_rou(text: str, label: str) -> RootOfUnity:
 
 def _parse_complex_list(text: str, label: str) -> list[complex]:
     try:
-        return [complex(part) for part in text.split(",") if part]
+        values = [complex(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise ValueError(f"bad {label} {text!r}: expected comma-separated complex numbers") from exc
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError(f"bad {label} {text!r}")
+    return values
 
 
 def _recover(matrix: np.ndarray, pq: ExponentPair) -> RecoveredSpec:
@@ -280,10 +283,6 @@ def cmd_generate(args) -> dict:
     report["modulus"] = _power_modulus(args.n, pq)
     if args.k1 is None:
         return report
-    import numpy as np
-
-    from .matrixcore import conjugacy_residual, matrix_to_json
-
     inst = build_cycle_instance(args.n, pq, args.k1)
     scale = (
         _parse_complex_list(args.scale, "--scale") if args.scale else [1.0 + 0j] * args.n
@@ -292,6 +291,10 @@ def cmd_generate(args) -> dict:
         raise ValueError(f"need {inst.n} scale entries, got {len(scale)}")
     if any(s == 0 for s in scale):
         raise ValueError("scale entries must be nonzero")
+    import numpy as np
+
+    from .matrixcore import conjugacy_residual, matrix_to_json
+
     # the cycle's 1-blocks: B maps e_u to e_(u+1), a successor's place
     cycle = JordanSpec(tuple(JordanEntry(ev, (1,)) for ev in inst.spectrum))
     report["instance"] = inst.to_json()
@@ -445,42 +448,53 @@ def _add_shape(parser: argparse.ArgumentParser):
     parser.add_argument("--eps", type=int, required=True, choices=(-1, 1))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
+    """The full parser.  leaves, when given, receives each command's own
+    parser under its path in argv: ("analyze",), ..., ("word2", "classify"),
+    ...  The full parser hands a command's arguments to that parser once it
+    has read the command's name."""
     parser = argparse.ArgumentParser(
         prog="simpow",
         description="Similarity of matrix powers and 2x2 matrix word equations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = {} if leaves is None else leaves
 
-    p_an = sub.add_parser("analyze", help="similarity verdict for A^p vs A^q")
+    def add(subparsers, *path, **kwargs) -> argparse.ArgumentParser:
+        leaves[path] = subparsers.add_parser(path[-1], **kwargs)
+        return leaves[path]
+
+    p_an = add(sub, "analyze", help="similarity verdict for A^p vs A^q")
     p_an.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_an)
     p_an.add_argument("--find-b", action="store_true", dest="find_b")
     p_an.add_argument("--seed", type=int, default=0, help="echoed as seed; B draws nothing")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_gen = sub.add_parser("generate", help="distinct-eigenvalue solutions from a seed residue")
+    p_gen = add(sub, "generate", help="distinct-eigenvalue solutions from a seed residue")
     p_gen.add_argument("-n", type=int, required=True)
     _add_pq(p_gen)
     p_gen.add_argument("--k1", type=int, default=None)
     p_gen.add_argument("--scale", type=str, default=None, help="comma-separated complex scales")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_nil = sub.add_parser("nilpotent", help="single-eigenvalue solver")
+    p_nil = add(sub, "nilpotent", help="single-eigenvalue solver")
     p_nil.add_argument("--lam", type=str, required=True, help="eigenvalue as 'k/m'")
     p_nil.add_argument("--blocks", type=str, required=True, help="comma-separated block sizes")
     _add_pq(p_nil)
     p_nil.set_defaults(func=cmd_nilpotent)
 
-    p_sb = sub.add_parser(
-        "solve-b", help="conjugator B in closed form, on a spec or a matrix's certified structure"
+    p_sb = add(
+        sub,
+        "solve-b",
+        help="conjugator B in closed form, on a spec or a matrix's certified structure",
     )
     p_sb.add_argument("input", help="matrix or spec JSON file")
     _add_pq(p_sb)
     p_sb.add_argument("--seed", type=int, default=0, help="echoed as seed; B draws nothing")
     p_sb.set_defaults(func=cmd_solve_b)
 
-    p_ver = sub.add_parser("verify", help="residual of B^-1 A^p B = A^q")
+    p_ver = add(sub, "verify", help="residual of B^-1 A^p B = A^q")
     p_ver.add_argument("a", help="matrix JSON file for A")
     p_ver.add_argument("b", help="matrix JSON file for B")
     _add_pq(p_ver)
@@ -489,19 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_w2 = sub.add_parser("word2", help="the 2x2 word equation A^r B^s A^r' B^s' = eps*I")
     w2 = p_w2.add_subparsers(dest="word2_command", required=True)
 
-    w_cl = w2.add_parser("classify", help="enumerate non-ST solution families")
+    w_cl = add(w2, "word2", "classify", help="enumerate non-ST solution families")
     _add_shape(w_cl)
     w_cl.add_argument("--max-report", type=int, default=DEFAULT_MAX_REPORT, dest="max_report")
     w_cl.set_defaults(func=cmd_word2_classify)
 
-    w_co = w2.add_parser("construct", help="build a non-ST solution pair")
+    w_co = add(w2, "word2", "construct", help="build a non-ST solution pair")
     _add_shape(w_co)
     w_co.add_argument("--u", type=str, required=True, help="root of unity 'k/m'")
     w_co.add_argument("--rho", type=str, required=True, help="root of unity 'k/m'")
     w_co.add_argument("--v", type=str, required=True, help="nonzero complex number")
     w_co.set_defaults(func=cmd_word2_construct)
 
-    w_ve = w2.add_parser("verify", help="word residual for explicit matrices")
+    w_ve = add(w2, "word2", "verify", help="word residual for explicit matrices")
     w_ve.add_argument("a", help="matrix JSON file for A")
     w_ve.add_argument("b", help="matrix JSON file for B")
     _add_shape(w_ve)
@@ -511,14 +525,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call: parsing leaves it unchanged, so
-    in-process callers need not pay for building it on every call."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and its commands' own, built on the first call:
+    parsing leaves them unchanged, so in-process callers need not pay for
+    building them on every call."""
+    leaves = {}
+    return build_parser(leaves), leaves
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed once: by its command's own parser when argv names a
+    command, by the full parser otherwise (no arguments, -h, an unknown
+    command, word2 without its subcommand).  The namespace, the messages
+    and the exit codes are the full parser's: it would read the command's
+    name and hand the rest to the same parser, and it reports what that
+    parser leaves over."""
+    parser, leaves = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = tuple(argv[:2] if argv[:1] == ["word2"] else argv[:1])
+    if path not in leaves:
+        return parser.parse_args(argv)
+    names = argparse.Namespace(**dict(zip(("command", "word2_command"), path)))
+    args, extras = leaves[path].parse_known_args(argv[len(path):], names)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
     except (ValueError, ArithmeticError) as exc:

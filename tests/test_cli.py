@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -336,6 +337,14 @@ class TestGenerate:
         )
         assert code == 0
         assert report["residual"] < 1e-10
+
+    @pytest.mark.parametrize("scale", ["nan,1", "inf,1", "-inf,1", "1,1+nanj"])
+    def test_non_finite_scale_is_a_bad_scale(self, capsys, scale):
+        code, report = run_json(
+            capsys, "generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", f"--scale={scale}"
+        )
+        assert code == 1
+        assert report["error"] == f"bad --scale {scale!r}"
 
     def test_n_below_one(self, capsys):
         code, out = run(capsys, "generate", "-n", "0", "-p", "2", "-q", "3")
@@ -1007,6 +1016,26 @@ class TestParserReuse:
         assert reused == fresh
         assert {code for code, _ in fresh} == {0, 1}
 
+    @staticmethod
+    def exiting_argv(spec_path):
+        """argv that argparse ends with SystemExit: bad ones (exit 2) and help (exit 0)."""
+        shape = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
+        return [
+            ["word2", "classify", *shape, "--no-such-flag", "1"],
+            ["word2", "classify", *shape[:-1], "0"],
+            ["nilpotent", "--lam", "0/1", "-p", "2", "-q", "3"],
+            ["generate", "-n", "x", "-p", "2", "-q", "3"],
+            ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", "--scale=1,2", "extra"],
+            ["analyze"],
+            ["word2"],
+            ["no-such-command"],
+            [],
+            ["-h"],
+            ["analyze", spec_path, "-p", "3", "-q", "7", "-h"],
+            ["word2", "construct", "-h"],
+            ["word2", "-h"],
+        ]
+
     def test_bad_argv_still_exits(self, capsys, intro_spec_file):
         _, before = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7")
         bad = (["analyze"], ["no-such-command"], ["word2"], ["generate", "-n", "x", "-p", "2", "-q", "3"])
@@ -1016,6 +1045,51 @@ class TestParserReuse:
         capsys.readouterr()
         _, after = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7")
         assert after == before
+
+    def test_same_namespace_as_the_full_parser(self, intro_spec_file, nondiag_files):
+        # a command's own parser reads its arguments as the full parser
+        # does, abbreviations and negative values included
+        reference = cli.build_parser()
+        argvs = self.argv_sequence(intro_spec_file, *nondiag_files) + [
+            ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find"],
+            ["word2", "classify", "-r", "3", "--rp", "1", "-s", "-5", "--sp", "-7", "--eps", "1",
+             "--max", "2"],
+        ]
+        for argv in argvs:
+            assert vars(cli._parse_args(argv)) == vars(reference.parse_args(argv)), argv
+
+    def test_same_exit_and_messages_as_the_full_parser(self, capsys, monkeypatch, intro_spec_file):
+        # through main's argv and through sys.argv, as the console script parses
+        reference = cli.build_parser()
+        for argv in self.exiting_argv(intro_spec_file):
+            outcomes = []
+            for parse, parse_argv in (
+                (reference.parse_args, argv),
+                (cli._parse_args, argv),
+                (cli._parse_args, None),
+            ):
+                monkeypatch.setattr(sys, "argv", ["simpow", *argv])
+                with pytest.raises(SystemExit) as exit_info:
+                    parse(parse_argv)
+                outcomes.append((exit_info.value.code, *capsys.readouterr()))
+            assert outcomes[1] == outcomes[2] == outcomes[0], argv
+            assert outcomes[0][0] == (0 if "-h" in argv else 2)
+
+    def test_one_parse_per_request(self, capsys, monkeypatch, intro_spec_file, nondiag_files):
+        # the full parser would parse argv, then hand the rest to the
+        # command's parser (and word2's to its subcommand's): 2 or 3 parses
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in self.argv_sequence(intro_spec_file, *nondiag_files):
+            calls.clear()
+            run(capsys, *argv)
+            assert calls == ["simpow " + " ".join(argv[:2 if argv[0] == "word2" else 1])]
 
 
 class TestBenchTracer:

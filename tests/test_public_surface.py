@@ -95,6 +95,8 @@ EXACT_ARGVS = {
     "error --max-report 0": ["word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
                              "--eps", "-1", "--max-report", "0"],
     "error generate -n 0": ["generate", "-n", "0", "-p", "2", "-q", "3"],
+    "error --scale nan": ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1",
+                          "--scale=nan,1"],
     "error unreadable spec": ["analyze", "{missing}", "-p", "2", "-q", "3"],
 }
 
