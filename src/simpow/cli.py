@@ -48,19 +48,44 @@ if TYPE_CHECKING:
 def _numeric():
     """numpy's error state for the array arithmetic of a request, entered
     once per request: a decorator on the numeric commands, a context in
-    analyze and generate around their numeric parts.  An overflow
-    surfaces as the error report, named by the check that meets the
-    non-finite value, so numpy's warnings would only repeat it.  numpy is
-    imported here, so the exact commands (word2 classify, generate
-    without --k1, analyze of a spec without --find-b) never load it."""
+    analyze, generate and word2 verify around their numeric parts.  An
+    overflow surfaces as the error report, named by the check that meets
+    the non-finite value, so numpy's warnings would only repeat it.  numpy
+    is imported here, so the commands that never enter it (word2 classify
+    and construct, word2 verify of 2x2 matrix files, generate without
+    --k1, analyze of a spec without --find-b) never load it."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
         yield
 
 
+def _check_finite(entries: list[complex]):
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("matrix contains non-finite entries")
+
+
+def matrix_from_json(data: dict) -> tuple[tuple[complex, ...], ...]:
+    """The rows of a matrix JSON object as tuples of complex; a ValueError
+    for a wrong entry count or a non-finite entry."""
+    rows, cols = data["rows"], data["cols"]
+    entries = [complex(re, im) for re, im in data["data"]]
+    if len(entries) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+    _check_finite(entries)
+    return tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+
+
+def _rows_to_json(m: tuple[tuple[complex, ...], ...]) -> dict:
+    """matrixcore.matrix_to_json of a matrix given as rows of complex, without numpy."""
+    entries = [z for row in m for z in row]
+    _check_finite(entries)
+    return {"rows": len(m), "cols": len(m[0]), "data": [[z.real, z.imag] for z in entries]}
+
+
 def _load_matrix_or_spec(path: str):
-    """Returns (matrix or None, spec or None) from a JSON input file.
+    """Returns (matrix or None, spec or None) from a JSON input file, a
+    matrix as rows of complex (matrix_from_json), read without numpy.
 
     The one place an input file is checked: a matrix must be square,
     non-empty and finite, a spec non-empty with finite [re, im]
@@ -72,16 +97,15 @@ def _load_matrix_or_spec(path: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
-        from .matrixcore import as_matrix, matrix_from_json
-
         try:
-            matrix = as_matrix(matrix_from_json(data))
+            matrix = matrix_from_json(data)
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"bad matrix file {path}: {exc}") from exc
-        if matrix.size == 0:
+        shape = (len(matrix), len(matrix[0]) if matrix else 0)
+        if 0 in shape:
             raise ValueError(f"bad matrix file {path}: the matrix is empty")
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"bad matrix file {path}: shape {matrix.shape} is not square")
+        if shape[0] != shape[1]:
+            raise ValueError(f"bad matrix file {path}: shape {shape} is not square")
         return matrix, None
     if isinstance(data, list):
         from .similarity import JordanSpec
@@ -102,9 +126,9 @@ def _load_matrix_or_spec(path: str):
 
 def _spec_matrix(spec: JordanSpec) -> np.ndarray:
     """The matrix of a spec, refused before it is built past MAX_RECOVERY_N:
-    analyze --find-b, solve-b, verify and word2 verify of a spec file and
-    generate --k1 of its cycle build it here.  nilpotent builds its A and
-    N itself, uncapped."""
+    analyze --find-b, solve-b, verify and word2 verify of a spec file,
+    generate --k1 of its cycle and nilpotent of its one eigenvalue build
+    it here."""
     from .matrixcore import MAX_RECOVERY_N
     from .similarity import matrix_from_spec
 
@@ -113,12 +137,13 @@ def _spec_matrix(spec: JordanSpec) -> np.ndarray:
     return matrix_from_spec(spec)
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _load_matrix(path: str):
+    """A matrix file's rows of complex, or a spec file's matrix as an array."""
     matrix, spec = _load_matrix_or_spec(path)
     return _spec_matrix(spec) if matrix is None else matrix
 
 
-def _load_pair(path_a: str, path_b: str) -> tuple[np.ndarray, np.ndarray]:
+def _load_pair(path_a: str, path_b: str) -> tuple:
     a, b = _load_matrix(path_a), _load_matrix(path_b)
     if len(a) != len(b):
         raise ValueError(f"A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
@@ -196,6 +221,9 @@ def cmd_analyze(args) -> dict:
     report = _seeded_report("analyze", args)
     matrix, spec = _load_matrix_or_spec(args.input)
     if spec is None:
+        import numpy as np
+
+        matrix = np.array(matrix)
         with _numeric():
             spec = _recover(matrix, pq)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
@@ -312,7 +340,7 @@ def cmd_nilpotent(args) -> dict:
     import numpy as np
 
     from .matrixcore import conjugacy_residual, mat_int_pow
-    from .similarity import JordanEntry, JordanSpec, matrix_from_spec
+    from .similarity import JordanEntry, JordanSpec
     from .solvers import solve_single_eigenvalue
 
     pq = ExponentPair(args.p, args.q)
@@ -325,9 +353,9 @@ def cmd_nilpotent(args) -> dict:
         raise ValueError(f"bad --blocks {args.blocks!r}: need positive sizes")
     report = _base_report("nilpotent")
     report["inputs"] = {"lambda": str(lam), "blocks": blocks, "p": pq.p, "q": pq.q}
+    a_mat = _spec_matrix(JordanSpec((JordanEntry(lam, tuple(blocks)),)))
     solution = solve_single_eigenvalue(lam, blocks, pq)
-    a_mat = matrix_from_spec(JordanSpec((JordanEntry(lam, solution.block_sizes),)))
-    nil = matrix_from_spec(JordanSpec((JordanEntry(None, solution.block_sizes),)))
+    nil = _spec_matrix(JordanSpec((JordanEntry(None, solution.block_sizes),)))
     c_mat = rou_to_complex(lam) * np.eye(solution.n) + solution.m_matrix
     power_residual = np.max(np.abs(mat_int_pow(c_mat, pq.p) - mat_int_pow(a_mat, pq.q)))
     report["solution"] = solution.to_json()
@@ -352,6 +380,10 @@ def cmd_solve_b(args) -> dict:
     if matrix is None:
         spec = _exact_roots(spec, pq, args.input)
         matrix = _spec_matrix(spec)
+    else:
+        import numpy as np
+
+        matrix = np.array(matrix)
     report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
     powers = _powers(matrix, pq)
     if spec is None:
@@ -367,11 +399,13 @@ def cmd_solve_b(args) -> dict:
 
 @_numeric()
 def cmd_verify(args) -> dict:
+    import numpy as np
+
     from .matrixcore import conjugacy_residual, matrix_to_json
     from .solvers import realize_conjugate_c
 
     pq = ExponentPair(args.p, args.q)
-    a, b = _load_pair(args.a, args.b)
+    a, b = map(np.array, _load_pair(args.a, args.b))
     report = _base_report("verify")
     report["inputs"] = {"a": args.a, "b": args.b, "p": pq.p, "q": pq.q}
     conj = realize_conjugate_c(a, b)
@@ -393,10 +427,7 @@ def cmd_word2_classify(args) -> dict:
     return report
 
 
-@_numeric()
 def cmd_word2_construct(args) -> dict:
-    from .matrixcore import matrix_to_json
-
     shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
     u = _parse_rou(args.u, "--u")
     rho = _parse_rou(args.rho, "--rho")
@@ -412,15 +443,14 @@ def cmd_word2_construct(args) -> dict:
         "eps": shape.epsilon, "u": str(u), "rho": str(rho), "v": [v.real, v.imag],
     }
     a, b = construct_solution(shape, u, rho, v)
-    report["a"] = matrix_to_json(a)
-    report["b"] = matrix_to_json(b)
-    report["sigma"] = [complex(b[1, 0]).real, complex(b[1, 0]).imag]
+    report["a"] = _rows_to_json(a)
+    report["b"] = _rows_to_json(b)
+    report["sigma"] = [b[1][0].real, b[1][0].imag]
     report["residual"] = verify_word(a, b, shape)
     report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
 
 
-@_numeric()
 def cmd_word2_verify(args) -> dict:
     shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
     a, b = _load_pair(args.a, args.b)
@@ -429,9 +459,12 @@ def cmd_word2_verify(args) -> dict:
         "a": args.a, "b": args.b, "r": shape.r, "s": shape.s,
         "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
     }
-    report["residual"] = verify_word(a, b, shape)
     if len(a) == 2:
+        report["residual"] = verify_word(a, b, shape)
         report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
+    else:
+        with _numeric():
+            report["residual"] = verify_word(a, b, shape)
     return report
 
 

@@ -8,24 +8,34 @@ constraint tying the off-diagonal parameters together.  This module
 evaluates the word and its residual, tests a pair for ST, and classifies
 and constructs the non-ST solution families.
 
-classify is exact and loads no numpy; the functions that build or test
-matrices import it, and matrixcore, where they run.
+Nothing here loads numpy for a 2x2 matrix: construct_solution returns
+nested tuples of Python complex, and the word, its powers and the ST test
+of every 2x2 input run on a small kernel of them (_mul, _power, _inverse),
+dividing by exact powers of two where a determinant or norm could
+overflow.  Only verify_word on a larger input imports numpy and
+matrixcore, through word_value, which also serves the tests as the
+kernel's oracle.
 """
 
 from __future__ import annotations
 
+import cmath
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
-from math import frexp, gcd, isfinite, ldexp
+from math import frexp, gcd, inf, isfinite, ldexp, sqrt
 from typing import TYPE_CHECKING
 
-from . import VERIFY_TOL
+from . import RANK_TOL, VERIFY_TOL
 from .scalar import RootOfUnity, rou_pow, rou_to_complex
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_MAX_REPORT = 100
+
+# a 2x2 matrix ((a, b), (c, d)) of Python complex, row by row
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 @dataclass(frozen=True)
@@ -66,15 +76,97 @@ class TriangularPair:
         if self.u == 0 or self.rho == 0:
             raise ValueError("diagonal parameters must be nonzero")
 
-    def a_matrix(self) -> np.ndarray:
-        import numpy as np
+    def a_matrix(self) -> Matrix2:
+        return ((self.u, self.v), (0j, 1.0 / self.u))
 
-        return np.array([[self.u, self.v], [0.0, 1.0 / self.u]], dtype=complex)
+    def b_matrix(self) -> Matrix2:
+        return ((self.rho, 0j), (self.sigma, 1.0 / self.rho))
 
-    def b_matrix(self) -> np.ndarray:
-        import numpy as np
 
-        return np.array([[self.rho, 0.0], [self.sigma, 1.0 / self.rho]], dtype=complex)
+def _matrix2(m) -> Matrix2:
+    """A 2x2 matrix (nested sequences or an array) as nested tuples of complex."""
+    (a, b), (c, d) = m
+    return ((complex(a), complex(b)), (complex(c), complex(d)))
+
+
+def _finite(m: Matrix2) -> bool:
+    return all(map(cmath.isfinite, m[0] + m[1]))
+
+
+def _mul(x: Matrix2, y: Matrix2) -> Matrix2:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _frobenius2(m: Matrix2) -> float:
+    """|M|_F^2"""
+    return sum(x * x for z in m[0] + m[1] for x in (z.real, z.imag))
+
+
+def _times_power_of_two(m: Matrix2, k: int) -> Matrix2:
+    """M * 2^k, exact for every part that stays a normal float; an
+    OverflowError when one leaves the float range."""
+    return tuple(tuple(complex(ldexp(z.real, k), ldexp(z.imag, k)) for z in row) for row in m)
+
+
+def _binary_scaled(m: Matrix2) -> tuple[Matrix2, int] | None:
+    """(M / 2^e, e), the largest real or imaginary part of an entry of
+    M / 2^e in [1/2, 1), or None for M = 0.  Scaling by a power of two is
+    exact, and so is every product and sum later formed of the result.  A
+    largest part within 2^200 of 1 needs no scaling (e = 0): no product
+    of four such parts overflows."""
+    largest = max(abs(x) for z in m[0] + m[1] for x in (z.real, z.imag))
+    if largest == 0.0:
+        return None
+    e = frexp(largest)[1]
+    if abs(e) <= 200:
+        return m, 0
+    return _times_power_of_two(m, -e), e
+
+
+def _inverse(m: Matrix2) -> Matrix2:
+    """M^-1, or a ValueError where matrixcore.is_invertible would refuse M:
+    sigma_min <= RANK_TOL sigma_max.  For S = M / 2^e (_binary_scaled),
+    sigma_max sigma_min = |det S| and sigma_max^2 + sigma_min^2 = |S|_F^2,
+    so sigma_min > RANK_TOL sigma_max is |det S| > RANK_TOL sigma_max^2 with
+    sigma_max^2 = (|S|_F^2 + sqrt(|S|_F^4 - 4 |det S|^2)) / 2, none of which
+    can overflow.  S^-1 is the adjugate of S over det S, and M^-1 is
+    S^-1 / 2^e; an OverflowError when that leaves the float range."""
+    scaled = _binary_scaled(m)
+    if scaled is not None:
+        s, e = scaled
+        (a, b), (c, d) = s
+        det = a * d - b * c
+        size = abs(det)
+        f2 = _frobenius2(s)
+        sigma_max2 = (f2 + sqrt(max(f2 - 2 * size, 0.0) * (f2 + 2 * size))) / 2
+        if size > RANK_TOL * sigma_max2:
+            inverse = ((d / det, -b / det), (-c / det, a / det))
+            return _times_power_of_two(inverse, -e) if e else inverse
+    raise ValueError("negative power of a singular matrix")
+
+
+def _power(m: Matrix2, e: int) -> Matrix2:
+    """M^e for e != 0 by binary powering, the messages those of
+    matrixcore.mat_int_pow: a singular M under a negative e, and a power
+    with a non-finite entry."""
+    overflow = f"the matrix power with exponent {e} overflows"
+    if e < 0:
+        try:
+            m = _inverse(m)
+        except OverflowError:
+            raise ValueError(overflow) from None
+    power, n = None, abs(e)
+    while n:
+        if n & 1:
+            power = m if power is None else _mul(power, m)
+        n >>= 1
+        if n:
+            m = _mul(m, m)
+    if not _finite(power):
+        raise ValueError(overflow)
+    return power
 
 
 def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
@@ -84,38 +176,32 @@ def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
     return mat_int_pow(a, r) @ mat_int_pow(b, s) @ mat_int_pow(a, rp) @ mat_int_pow(b, sp)
 
 
-def verify_word(a: np.ndarray, b: np.ndarray, shape: WordShape) -> float:
-    """Max-abs residual of A^r B^s A^r' B^s' - eps*I; a ValueError when the word overflows."""
-    import numpy as np
+def verify_word(a, b, shape: WordShape) -> float:
+    """Max-abs residual of A^r B^s A^r' B^s' - eps*I; a ValueError when the
+    word overflows.  A 2x2 pair is evaluated on the 2x2 kernel, in the
+    order of word_value, which evaluates every other size."""
+    eps, (r, s, rp, sp) = shape.epsilon, shape.exponents
+    if len(a) == 2:
+        a, b = _matrix2(a), _matrix2(b)
+        powers = (_power(a, r), _power(b, s), _power(a, rp), _power(b, sp))
+        (w, x), (y, z) = _mul(_mul(_mul(powers[0], powers[1]), powers[2]), powers[3])
+        terms = (w - eps, x, y, z - eps)
+        residual = inf  # also where max would skip a nan
+        if all(map(cmath.isfinite, terms)):
+            with suppress(OverflowError):  # an |entry| past the float range
+                residual = max(map(abs, terms))
+    else:
+        import numpy as np
 
-    w = word_value(a, b, shape)
-    residual = float(np.max(np.abs(w - shape.epsilon * np.eye(len(a)))))
+        w = word_value(a, b, shape)
+        residual = float(np.max(np.abs(w - eps * np.eye(len(a)))))
     if not isfinite(residual):
-        r, s, rp, sp = shape.exponents
         raise ValueError(f"the word A^{r} B^{s} A^{rp} B^{sp} overflows")
     return residual
 
 
-def _binary_scaled(m: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(M / 2^e, e), the largest real or imaginary part of an entry of
-    M / 2^e in [1/2, 1), or None for M = 0.  Scaling by a power of two is
-    exact, and so is every product and sum later formed of the result.  A
-    largest part within 2^200 of 1 needs no scaling (e = 0): no product
-    of four such parts overflows."""
-    import numpy as np
-
-    parts = m.view(float)
-    largest = max(map(abs, parts.ravel().tolist()))
-    if largest == 0.0:
-        return None
-    e = frexp(largest)[1]
-    if abs(e) <= 200:
-        return m, 0
-    return np.ldexp(parts, -e).view(complex), e
-
-
-def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
-    """For 2x2 pairs, ST is equivalent to det(AB - BA) = 0.
+def is_simultaneously_triangularizable(a, b) -> bool:
+    """For 2x2 pairs, ST is equivalent to det(AB - BA) = 0 (Shemesh, LAA 62, 1984).
 
     The test compares |det(AB - BA)| with VERIFY_TOL max(|A|_F |B|_F, 1)^2.
     It is made on A / 2^e and B / 2^f (_binary_scaled), where nothing can
@@ -123,23 +209,23 @@ def is_simultaneously_triangularizable(a: np.ndarray, b: np.ndarray) -> bool:
     the unscaled one wherever that is finite.  A zero matrix commutes with
     every matrix, so it is ST.
     """
-    import numpy as np
-
-    from .matrixcore import as_matrix
-
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
+    if len(a) != 2 or len(b) != 2:
         raise ValueError("ST test is for 2x2 matrices")
+    a, b = _matrix2(a), _matrix2(b)
+    if not (_finite(a) and _finite(b)):
+        raise ValueError("matrix contains non-finite entries")
     scaled_a, scaled_b = _binary_scaled(a), _binary_scaled(b)
     if scaled_a is None or scaled_b is None:
         return True
     (a, e), (b, f) = scaled_a, scaled_b
-    det = abs(np.linalg.det(a @ b - b @ a))
+    (p, q), (r, s) = _mul(a, b)
+    (w, x), (y, z) = _mul(b, a)
+    det = abs((p - w) * (s - z) - (q - x) * (r - y))
     # the floor 1 of the norm product, scaled too; capped at 2^1000, whose
     # square is already inf and so above every finite det
     floor = ldexp(1.0, min(-(e + f), 1000))
-    scale = max(float(np.linalg.norm(a)) * float(np.linalg.norm(b)), floor)
-    return bool(det <= VERIFY_TOL * (scale * scale))
+    scale = max(sqrt(_frobenius2(a)) * sqrt(_frobenius2(b)), floor)
+    return det <= VERIFY_TOL * (scale * scale)
 
 
 def _admissible_order(order: int, k: int) -> bool:
@@ -298,7 +384,7 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
 
 def construct_solution(
     shape: WordShape, u: RootOfUnity, rho: RootOfUnity, v: complex
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[Matrix2, Matrix2]:
     """Build the triangular non-ST solution pair for admissible (u, rho, v).
 
     sigma is forced by the coupling rule, so sigma*v depends only on

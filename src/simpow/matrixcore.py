@@ -300,11 +300,3 @@ def matrix_to_json(m: np.ndarray) -> dict:
         "cols": m.shape[1],
         "data": np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist(),
     }
-
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    rows, cols = data["rows"], data["cols"]
-    entries = [complex(re, im) for re, im in data["data"]]
-    if len(entries) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    return np.array(entries, dtype=complex).reshape(rows, cols)

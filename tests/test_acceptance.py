@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from simpow.cli import main
+from simpow.cli import main, matrix_from_json
 from simpow.equation2x2 import (
     WordShape,
     classify,
@@ -19,7 +19,7 @@ from simpow.equation2x2 import (
     verify_word,
     word_value,
 )
-from simpow.matrixcore import mat_int_pow, matrix_from_json, matrix_to_json, weyr_characteristic
+from simpow.matrixcore import mat_int_pow, matrix_to_json, weyr_characteristic
 from simpow.scalar import (
     ExponentPair,
     RootOfUnity,
@@ -310,7 +310,7 @@ def test_criterion_5_sylvester_oracle(capsys, tmp_path, nondiag_fixture):
     found = report["conjugator"]["b"] if code == 0 else None
     residual = np.inf
     if found is not None:
-        found = matrix_from_json(found)
+        found = np.asarray(matrix_from_json(found))
         residual = np.max(np.abs(np.linalg.solve(found, a2 @ found) - a3))
     dimension = report["conjugator"]["kernel_dimension"] if code == 0 else None
     ok = projection < 1e-9 and residual < 1e-9 and dimension == len(elements)
@@ -340,7 +340,7 @@ def test_criterion_6_word_equation_families():
     """Worked instance, then every family member in the exponent-6 box."""
     failures = []
     shape = WordShape(3, 3, 1, 1, -1)
-    a, b = construct_solution(shape, R(1, 4), R(1, 4), 1.0)
+    a, b = map(np.asarray, construct_solution(shape, R(1, 4), R(1, 4), 1.0))
     sigma = complex(b[1, 0])
     if abs(sigma - 2.0) > 1e-12:
         failures.append(f"sigma={sigma}")

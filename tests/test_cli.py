@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from simpow import cli, similarity, spectra
-from simpow.cli import main
+from simpow.cli import main, matrix_from_json
 from simpow.matrixcore import (
     RANK_TOL,
     VERIFY_TOL,
     conjugacy_residual,
     mat_int_pow,
-    matrix_from_json,
     matrix_to_json,
 )
 from simpow.scalar import ExponentPair
@@ -45,6 +44,17 @@ def intro_spec_file(tmp_path, intro_spec):
     path = tmp_path / "intro_spec.json"
     path.write_text(json.dumps(intro_spec.to_json()))
     return str(path)
+
+
+@pytest.fixture
+def pair2_files(tmp_path):
+    """A 2x2 solution of A^3 B^3 A B = -I (u = rho = i, v = 1, sigma = 2), as matrix files."""
+    paths = []
+    for name, m in (("a2", [[1j, 1.0], [0.0, -1j]]), ("b2", [[1j, 0.0], [2.0, -1j]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(matrix_to_json(np.array(m, dtype=complex))))
+        paths.append(str(path))
+    return paths
 
 
 @pytest.fixture
@@ -398,6 +408,24 @@ class TestNilpotent:
         assert code == 1
         assert "error" in report
 
+    def test_size_refused_before_it_is_solved(self):
+        # n = 3000 is refused by the cap of every matrix built from a spec,
+        # before the solver allocates: uncapped, --blocks 1000 took 10.7 s
+        # and 747 MB, and --blocks 3000 under a 1.5 GiB address-space limit
+        # ended in a MemoryError traceback
+        limit = 3 * 2**29
+        proc = subprocess.run(
+            [sys.executable, "-m", "simpow.cli", "nilpotent", "--lam", "0/1", "--blocks", "3000",
+             "-p", "2", "-q", "3"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric recovery supports n <= 64"
+
 
 class TestSolveB:
     def test_nondiag_matrix(self, capsys, nondiag_files):
@@ -651,7 +679,7 @@ class TestMatrixConjugator:
             assert conjugator["kernel_dimension"] == intertwiner_dimension(spec, ExponentPair(2, 3)), seed
             assert (conjugator["b"] is not None) == analyzed["verdict"]["similar"], seed
             if conjugator["b"] is not None:
-                b = matrix_from_json(conjugator["b"])
+                b = np.asarray(matrix_from_json(conjugator["b"]))
                 a2, a3 = mat_int_pow(a, 2), mat_int_pow(a, 3)
                 bound = VERIFY_TOL * (np.linalg.norm(a2) + np.linalg.norm(a3))
                 assert conjugacy_residual(b, a2, a3) <= bound, seed
@@ -804,6 +832,15 @@ class TestWord2:
         assert report["residual"] < 1e-12
         assert report["simultaneously_triangularizable"] is False
 
+    def test_construct_subnormal_v(self, capsys):
+        # sigma = 2 / v overflows: the report cannot hold B
+        code, report = run_json(
+            capsys, "word2", "construct", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
+            "--eps", "-1", "--u", "1/4", "--rho", "1/4", "--v", "1e-320",
+        )
+        assert code == 1
+        assert report["error"] == "matrix contains non-finite entries"
+
     def test_construct_inadmissible(self, capsys):
         code, report = run_json(
             capsys, "word2", "construct", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
@@ -925,10 +962,10 @@ class TestReportDiscipline:
         _, second = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7", "--find-b")
         assert first == second
 
-    def test_tolerances_echoed(self, capsys, intro_spec_file, nondiag_files):
+    def test_tolerances_echoed(self, capsys, intro_spec_file, nondiag_files, pair2_files):
         # the checker under bench/ reads verify_tol from every report
         commands = set()
-        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
+        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files):
             code, report = run_json(capsys, *argv)
             if code == 0:
                 commands.add(report["command"])
@@ -936,16 +973,18 @@ class TestReportDiscipline:
         assert len(commands) == 8
 
     @pytest.mark.parametrize("flag", [["--rank-tol", "1e-8"], ["--verify-tol", "1e-7"], ["--pretty"]])
-    def test_removed_flags_are_rejected(self, capsys, intro_spec_file, nondiag_files, flag):
-        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
+    def test_removed_flags_are_rejected(
+        self, capsys, intro_spec_file, nondiag_files, pair2_files, flag
+    ):
+        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files):
             with pytest.raises(SystemExit):
                 main([*argv, *flag])
         assert capsys.readouterr().out == ""
 
-    def test_seed_only_where_b_is_drawn(self, capsys, intro_spec_file, nondiag_files):
+    def test_seed_only_where_b_is_drawn(self, capsys, intro_spec_file, nondiag_files, pair2_files):
         # analyze and solve-b accept --seed and echo it, although B is now
         # deterministic; nothing else takes a seed or echoes one
-        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files):
+        for argv in TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files):
             draws = argv[0] in ("analyze", "solve-b")
             _, report = run_json(capsys, *argv)
             assert ("seed" in report) == draws
@@ -987,7 +1026,7 @@ class TestParserReuse:
     """main() builds its parser once; reusing it must not change any output."""
 
     @staticmethod
-    def argv_sequence(spec_path, a_path, b_path):
+    def argv_sequence(spec_path, a_path, b_path, a2_path, b2_path):
         shape = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
         return [
             ["analyze", spec_path, "-p", "3", "-q", "7", "--find-b", "--seed", "2"],
@@ -1004,10 +1043,13 @@ class TestParserReuse:
             ["word2", "construct", *shape, "--u", "1/4", "--rho", "1/4", "--v", "1"],
             ["word2", "verify", a_path, b_path, "-r", "2", "--rp", "-1", "-s", "1", "--sp", "1",
              "--eps", "1"],
+            ["word2", "verify", a2_path, b2_path, *shape],
         ]
 
-    def test_same_bytes_as_a_fresh_parser(self, capsys, intro_spec_file, nondiag_files):
-        argvs = self.argv_sequence(intro_spec_file, *nondiag_files)
+    def test_same_bytes_as_a_fresh_parser(
+        self, capsys, intro_spec_file, nondiag_files, pair2_files
+    ):
+        argvs = self.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files)
         fresh = []
         for argv in argvs:
             cli._parser.cache_clear()
@@ -1046,11 +1088,11 @@ class TestParserReuse:
         _, after = run(capsys, "analyze", intro_spec_file, "-p", "3", "-q", "7")
         assert after == before
 
-    def test_same_namespace_as_the_full_parser(self, intro_spec_file, nondiag_files):
+    def test_same_namespace_as_the_full_parser(self, intro_spec_file, nondiag_files, pair2_files):
         # a command's own parser reads its arguments as the full parser
         # does, abbreviations and negative values included
         reference = cli.build_parser()
-        argvs = self.argv_sequence(intro_spec_file, *nondiag_files) + [
+        argvs = self.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files) + [
             ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find"],
             ["word2", "classify", "-r", "3", "--rp", "1", "-s", "-5", "--sp", "-7", "--eps", "1",
              "--max", "2"],
@@ -1075,7 +1117,9 @@ class TestParserReuse:
             assert outcomes[1] == outcomes[2] == outcomes[0], argv
             assert outcomes[0][0] == (0 if "-h" in argv else 2)
 
-    def test_one_parse_per_request(self, capsys, monkeypatch, intro_spec_file, nondiag_files):
+    def test_one_parse_per_request(
+        self, capsys, monkeypatch, intro_spec_file, nondiag_files, pair2_files
+    ):
         # the full parser would parse argv, then hand the rest to the
         # command's parser (and word2's to its subcommand's): 2 or 3 parses
         calls = []
@@ -1086,7 +1130,7 @@ class TestParserReuse:
             return parse_known_args(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        for argv in self.argv_sequence(intro_spec_file, *nondiag_files):
+        for argv in self.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files):
             calls.clear()
             run(capsys, *argv)
             assert calls == ["simpow " + " ".join(argv[:2 if argv[0] == "word2" else 1])]
@@ -1100,13 +1144,13 @@ class TestBenchTracer:
     show only when the benchmark runs."""
 
     def test_every_command_answers_the_same_traced(
-        self, capsys, monkeypatch, intro_spec_file, nondiag_files
+        self, capsys, monkeypatch, intro_spec_file, nondiag_files, pair2_files
     ):
         monkeypatch.syspath_prepend(str(SRC.parent / "bench"))
         from tracer import Tracer
 
         a_path, _ = nondiag_files
-        argvs = TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files) + [
+        argvs = TestParserReuse.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files) + [
             ["analyze", a_path, "-p", "2", "-q", "3", "--find-b"],
             ["analyze", a_path, "-p", "2", "-q", "3"],
             ["solve-b", intro_spec_file, "-p", "3", "-q", "7"],

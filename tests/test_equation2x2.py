@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -9,14 +10,17 @@ from simpow.equation2x2 import (
     TriangularPair,
     WordShape,
     _coupling_product,
+    _matrix2,
+    _power,
     classify,
     construct_solution,
     is_simultaneously_triangularizable,
     verify_word,
     word_value,
 )
-from simpow.matrixcore import VERIFY_TOL, mat_int_pow
+from simpow.matrixcore import RANK_TOL, VERIFY_TOL, mat_int_pow
 from simpow.scalar import RootOfUnity, rou_pow, rou_to_complex
+from test_acceptance import _word_shapes_in_box
 from test_scalar import rou_mul
 
 R = RootOfUnity
@@ -313,7 +317,7 @@ class TestClassifyOracle:
             for u in [R(j, u_order) for j in range(u_order)]:
                 for rho in [R(j, rho_order) for j in range(rho_order)]:
                     try:
-                        _, b = construct_solution(shape, u, rho, 0.5 - 1j)
+                        _, b = map(np.asarray, construct_solution(shape, u, rho, 0.5 - 1j))
                     except ValueError as exc:
                         if "non-degeneracy" in str(exc):
                             assert not object_passes(shape, u, rho)
@@ -353,14 +357,14 @@ class TestCouplingProduct:
 
 class TestConstructSolution:
     def test_worked_example(self):
-        a, b = construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 1.0)
+        a, b = map(np.asarray, construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 1.0))
         assert b[1, 0] == pytest.approx(2.0, abs=1e-12)
         word = word_value(a, b, WORKED_SHAPE)
         assert np.max(np.abs(word + np.eye(2))) < 1e-12
         assert not is_simultaneously_triangularizable(a, b)
 
     def test_sigma_v_product_invariant(self):
-        a7, b7 = construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 7.0)
+        a7, b7 = map(np.asarray, construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 7.0))
         assert b7[1, 0] == pytest.approx(2.0 / 7.0, abs=1e-12)
         assert verify_word(a7, b7, WORKED_SHAPE) < 1e-12
 
@@ -410,7 +414,7 @@ class TestVerifyWord:
         assert verify_word(np.eye(2), np.eye(2), WordShape(2, 3, 1, 1, 1)) == 0.0
 
     def test_perturbed_v_breaks_coupling(self):
-        a, b = construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 1.0)
+        a, b = map(np.asarray, construct_solution(WORKED_SHAPE, R(1, 4), R(1, 4), 1.0))
         a_perturbed = a.copy()
         a_perturbed[0, 1] *= 1.1
         assert verify_word(a_perturbed, b, WORKED_SHAPE) > 1e-3
@@ -438,3 +442,193 @@ class TestContinuousFamily:
             a, b = construct_solution(shape, u, R(1, 4), 1.0)
             assert verify_word(a, b, shape) < 1e-12
             assert not is_simultaneously_triangularizable(a, b)
+
+
+def numpy_residual(a, b, shape):
+    """verify_word's residual and overflow error through word_value, as
+    every size but 2x2 takes them."""
+    residual = float(np.max(np.abs(word_value(a, b, shape) - shape.epsilon * np.eye(2))))
+    if not math.isfinite(residual):
+        r, s, rp, sp = shape.exponents
+        raise ValueError(f"the word A^{r} B^{s} A^{rp} B^{sp} overflows")
+    return residual
+
+
+def norm_product_bound(factors, power=1):
+    """VERIFY_TOL times the product of the factors' Frobenius norms, to the
+    given power, formed in logarithms so that no partial product over- or
+    underflows."""
+    norms = [math.hypot(*np.asarray(f, dtype=complex).view(float).ravel()) for f in factors]
+    log2 = -math.inf if 0.0 in norms else math.log2(VERIFY_TOL) + power * sum(map(math.log2, norms))
+    return 2.0**log2 if log2 < 1024 else math.inf
+
+
+def error_kind(result):
+    """What outcome() gave: a value, a singular matrix, or an overflow of a power or the word."""
+    if not isinstance(result, str):
+        return "value"
+    if "singular" in result:
+        return "singular"
+    return ("word" if "word" in result else "power") + " overflow"
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def times_power_of_two(m, k):
+    """M * 2^k, part by part."""
+    return np.ldexp(np.asarray(m, dtype=complex).view(float), k).view(complex)
+
+
+def near_cut(rng, above):
+    """A 2x2 matrix with sigma_min / sigma_max = RANK_TOL (1 +- 1e-4): it
+    passes is_invertible's cut when above, fails it otherwise."""
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    ratio = RANK_TOL * (1.0 + (1e-4 if above else -1e-4))
+    return u @ np.diag([1.0, ratio]) @ v.conj().T
+
+
+def box_solutions():
+    """(shape, A, B) for every construct_solution output of the classify
+    families in the exponent-6 box of acceptance criterion 6 (v = 1),
+    once per (r, s, u, rho), which fixes A and B."""
+    seen = set()
+    for shape in _word_shapes_in_box(6, 2, 6):
+        for family in classify(shape, max_report=10**6).families:
+            for u, rho in family.pairs:
+                if (shape.r, shape.s, u, rho) not in seen:
+                    seen.add((shape.r, shape.s, u, rho))
+                    yield (shape, *construct_solution(shape, u, rho, 1.0))
+
+
+class TestKernelOracle:
+    """The 2x2 kernel of verify_word and the ST test against numpy: its
+    powers against mat_int_pow and its word residual against word_value's
+    on np.asarray of the same input, within VERIFY_TOL times the product
+    of the factors' Frobenius norms (rounding moves both by far less), its
+    ST verdict against the det test, and every error with the same message.
+    Each check tallies what it compared in ``seen``: "value" or the error."""
+
+    @staticmethod
+    def assert_same_power(seen, m, e):
+        m = np.asarray(m, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            expected = outcome(mat_int_pow, m, e)
+            got = outcome(_power, _matrix2(m), e)
+        if isinstance(expected, str) or isinstance(got, str):
+            assert got == expected, e
+            seen[error_kind(got)] += 1
+            return
+        bound = norm_product_bound([m if e > 0 else np.linalg.inv(m)], abs(e))
+        assert np.max(np.abs(np.asarray(got) - expected)) <= bound, e
+        seen["power"] += 1
+
+    @staticmethod
+    def assert_same_word(seen, a, b, shape):
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = outcome(verify_word, a, b, shape)
+            expected = outcome(numpy_residual, a, b, shape)
+        if isinstance(expected, str) or isinstance(got, str):
+            assert got == expected, shape
+            seen[error_kind(got)] += 1
+            return
+        r, s, rp, sp = shape.exponents
+        a, b = _matrix2(a), _matrix2(b)
+        factors = [_power(a, r), _power(b, s), _power(a, rp), _power(b, sp)]
+        assert abs(got - expected) <= norm_product_bound(factors), shape
+        seen["word"] += 1
+
+    def check_scaled_pair(self, seen, rng, a, b):
+        """A and B as given, under the ST test, a word and a power each, of
+        exponents in -450..450."""
+        with np.errstate(divide="ignore", under="ignore"):
+            reference = st_unscaled(a, b)
+        if reference is not None:
+            assert is_simultaneously_triangularizable(a, b) is reference
+            seen["st"] += 1
+        exponents = [rng.choice((-1, 1)) * rng.randint(1, 450) for _ in range(4)]
+        if math.gcd(exponents[0], exponents[2]) == math.gcd(exponents[1], exponents[3]) == 1:
+            self.assert_same_word(seen, a, b, WordShape(*exponents, rng.choice((-1, 1))))
+        for m in (a, b):
+            self.assert_same_power(seen, m, rng.choice((-1, 1)) * rng.randint(1, 450))
+
+    def test_box_solutions(self):
+        # each pair's own word and ST verdict; every eighth pair also
+        # scaled, A by 2^k and B by 2^j with k, j in -600..600
+        rng = random.Random(23)
+        seen = collections.Counter()
+        for pair, (shape, a, b) in enumerate(box_solutions()):
+            self.assert_same_word(seen, a, b, shape)
+            assert is_simultaneously_triangularizable(a, b) is st_unscaled(*map(np.asarray, (a, b)))
+            if pair % 8 == 0:
+                a, b = (times_power_of_two(m, rng.randint(-600, 600)) for m in (a, b))
+                self.check_scaled_pair(seen, rng, a, b)
+        assert pair > 25000
+        assert all(seen[kind] >= 100 for kind in ("st", "word", "power", "power overflow")), seen
+
+    def test_random_pairs(self):
+        gen = np.random.default_rng(24)
+        rng = random.Random(24)
+        seen = collections.Counter()
+        for _ in range(1500):
+            a, b = gen.standard_normal((2, 2, 2)) + 1j * gen.standard_normal((2, 2, 2))
+            self.assert_same_word(seen, a, b, WordShape(3, -2, 1, 5, 1))
+            assert is_simultaneously_triangularizable(a, b) is st_unscaled(a, b)
+            a, b = (times_power_of_two(m, rng.randint(-600, 600)) for m in (a, b))
+            self.check_scaled_pair(seen, rng, a, b)
+        assert all(seen[kind] >= 100 for kind in ("st", "word", "power", "power overflow")), seen
+
+    def test_rank_cut(self):
+        # just above the cut a negative power is a value or an overflow, just
+        # below it the singular-matrix error; near the cut both inverses
+        # carry an error of cond(M) times rounding, so a value is not
+        # compared there, but the positive powers are
+        gen = np.random.default_rng(25)
+        rng = random.Random(25)
+        seen = collections.Counter()
+        for case in range(400):
+            above = case % 2 == 0
+            m = times_power_of_two(near_cut(gen, above), rng.randint(-600, 600))
+            e = -rng.randint(1, 450)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                expected = outcome(mat_int_pow, m, e)
+            got = outcome(_power, _matrix2(m), e)
+            if isinstance(got, str) or isinstance(expected, str):
+                assert got == expected, case
+            seen[("above " if above else "below ") + error_kind(got)] += 1
+            self.assert_same_power(seen, m, rng.randint(1, 450))
+        assert set(seen) >= {"above value", "above power overflow", "below singular"}, seen
+        assert seen["below singular"] == 200, seen
+
+    @pytest.mark.parametrize(
+        "a, b, exponents, message",
+        [
+            (np.diag([1.0, 0.0]), np.eye(2), (2, -1, -1, 1), "negative power of a singular matrix"),
+            (np.zeros((2, 2)), np.eye(2), (2, -1, -1, 1), "negative power of a singular matrix"),
+            ([[1e200, 2e200], [2e200, 1e200]], np.eye(2), (2, -1, -1, 1),
+             "the matrix power with exponent 2 overflows"),
+            # A^2 underflows to 0, and A^-1 = 2^1070 I is past the float range
+            (2.0**-1070 * np.eye(2), np.eye(2), (2, -1, -1, 1),
+             "the matrix power with exponent -1 overflows"),
+            # every power is finite, the word is not
+            (1e100 * np.eye(2), 1e100 * np.eye(2), (2, 2, 1, 1),
+             "the word A^2 B^2 A^1 B^1 overflows"),
+            # every entry of the word A^2 is finite, the modulus of one is not
+            ([[1.0, 0.65e308 * (1 + 1j)], [0.0, 1.0]], np.eye(2), (1, 1, 1, 1),
+             "the word A^1 B^1 A^1 B^1 overflows"),
+        ],
+        ids=["singular", "zero", "power", "inverse", "word", "modulus"],
+    )
+    def test_same_errors(self, a, b, exponents, message):
+        shape = WordShape(*exponents, 1)
+        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            assert outcome(numpy_residual, a, b, shape) == message
+        assert outcome(verify_word, a, b, shape) == message

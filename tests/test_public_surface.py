@@ -78,7 +78,9 @@ def test_every_public_name_is_used():
 
 
 # the exact commands and their error reports, run in a fresh process that
-# must not load numpy; "{...}" names a spec file written by spec_files
+# must not load numpy; "{...}" names a spec or 2x2 matrix file written by
+# spec_files
+SHAPE = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
 EXACT_ARGVS = {
     "import simpow.cli": None,
     "classify empty": ["word2", "classify", "-r", "2", "--rp", "1", "-s", "3", "--sp", "1",
@@ -98,6 +100,14 @@ EXACT_ARGVS = {
     "error --scale nan": ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1",
                           "--scale=nan,1"],
     "error unreadable spec": ["analyze", "{missing}", "-p", "2", "-q", "3"],
+    "word2 construct": ["word2", "construct", *SHAPE, "--u", "1/4", "--rho", "1/4", "--v", "1"],
+    "word2 verify 2x2": ["word2", "verify", "{a}", "{b}", *SHAPE],
+    "error word2 verify singular": ["word2", "verify", "{singular}", "{b}", "-r", "2", "--rp", "-1",
+                                    "-s", "1", "--sp", "1", "--eps", "1"],
+    "error word2 verify word overflow": ["word2", "verify", "{e100}", "{e100}", "-r", "2",
+                                         "--rp", "1", "-s", "2", "--sp", "1", "--eps", "1"],
+    "error word2 construct --v 1e-320": ["word2", "construct", *SHAPE, "--u", "1/4", "--rho",
+                                         "1/4", "--v", "1e-320"],
 }
 
 # runs cli.main on its arguments (none: only the import), then reports on
@@ -126,6 +136,15 @@ def spec_files(tmp_path):
             {"eigenvalue": [2.0, 0.0], "blocks": [2]},
         ],
     }
+    # the 2x2 solution u = rho = i, v = 1, sigma = 2 of SHAPE, a singular
+    # matrix and one whose word with B = A overflows where no power does
+    matrices = {
+        "a": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, -1.0]],
+        "b": [[0.0, 1.0], [0.0, 0.0], [2.0, 0.0], [0.0, -1.0]],
+        "singular": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "e100": [[1e100, 0.0], [0.0, 0.0], [0.0, 0.0], [1e100, 0.0]],
+    }
+    specs |= {name: {"rows": 2, "cols": 2, "data": data} for name, data in matrices.items()}
     paths = {"missing": str(tmp_path / "missing.json")}
     for name, spec in specs.items():
         paths[name] = str(tmp_path / f"{name}.json")
