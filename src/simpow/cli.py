@@ -41,14 +41,14 @@ from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_t
 if TYPE_CHECKING:
     import numpy as np
 
-    from .similarity import JordanSpec, RecoveredSpec
+    from .similarity import JordanSpec
 
 
 @contextlib.contextmanager
 def _numeric():
-    """numpy's error state for the array arithmetic of a request, entered
-    once per request: a decorator on the numeric commands, a context in
-    analyze, generate and word2 verify around their numeric parts.  An
+    """numpy's error state for the array arithmetic of a request: a
+    decorator on the numeric commands, a context around the numeric parts
+    of generate, word2 verify and the route of analyze and solve-b.  An
     overflow surfaces as the error report, named by the check that meets
     the non-finite value, so numpy's warnings would only repeat it.  numpy
     is imported here, so the commands that never enter it (word2 classify
@@ -137,14 +137,12 @@ def _spec_matrix(spec: JordanSpec) -> np.ndarray:
     return matrix_from_spec(spec)
 
 
-def _load_matrix(path: str):
-    """A matrix file's rows of complex, or a spec file's matrix as an array."""
-    matrix, spec = _load_matrix_or_spec(path)
-    return _spec_matrix(spec) if matrix is None else matrix
-
-
 def _load_pair(path_a: str, path_b: str) -> tuple:
-    a, b = _load_matrix(path_a), _load_matrix(path_b)
+    """Two matrix files' rows of complex, or spec files' matrices as arrays."""
+    a, b = (
+        _spec_matrix(spec) if matrix is None else matrix
+        for matrix, spec in map(_load_matrix_or_spec, (path_a, path_b))
+    )
     if len(a) != len(b):
         raise ValueError(f"A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
     return a, b
@@ -156,13 +154,6 @@ def _base_report(command: str) -> dict:
         "tool_version": __version__,
         "tolerances": {"rank_tol": RANK_TOL, "verify_tol": VERIFY_TOL},
     }
-
-
-def _seeded_report(command: str, args) -> dict:
-    """The base report of a command that reports B, with its --seed (echoed; it draws nothing)."""
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    return {**_base_report(command), "seed": args.seed}
 
 
 def _exact_roots(spec: JordanSpec, pq: ExponentPair, path: str) -> JordanSpec:
@@ -202,63 +193,70 @@ def _parse_complex_list(text: str, label: str) -> list[complex]:
     return values
 
 
-def _recover(matrix: np.ndarray, pq: ExponentPair) -> RecoveredSpec:
-    """The certified spec of a matrix file, from its one eigenspace split."""
-    from .matrixcore import eigenspace_splits
-    from .similarity import spec_from_matrix
+def _route(args, find_b: bool) -> tuple:
+    """The one route of analyze and solve-b from an input file to the verdict
+    and, when find_b, the conjugator B: (report, spec, matrix, powers), the
+    spec a matrix file's RecoveredSpec.
 
-    try:
-        return spec_from_matrix(matrix, pq, eigenspace_splits(matrix))
-    except ValueError as exc:
-        raise ValueError(f"cannot recover structure: {exc}") from exc
-
-
-def cmd_analyze(args) -> dict:
+    1. Load the file.  2. Snap a spec's [re, im] eigenvalues to roots of
+    unity (_exact_roots, the same for (p, q) and (q, p)), or build a matrix
+    file's array.  3. When find_b, form (A^p, A^q) of the pair as typed.
+    4. Recover a matrix file's structure.  5. Normalize the pair, for the
+    verdict only.  6. The spectrum and the verdict of the normalized pair
+    and, when find_b, the conjugator of the pair as typed.  matrix and
+    powers are None where they are not formed: a spec file without find_b
+    loads no numpy.
+    """
     from .similarity import powers_similar_general
     from .spectra import powers_equal
 
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     pq = ExponentPair(args.p, args.q)
-    report = _seeded_report("analyze", args)
+    report = {**_base_report(args.command), "seed": args.seed}
     matrix, spec = _load_matrix_or_spec(args.input)
-    if spec is None:
+    report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
+    powers = None
+    if spec is not None:
+        spec = _exact_roots(spec, pq, args.input)
+    if find_b or spec is None:
         import numpy as np
 
-        matrix = np.array(matrix)
-        with _numeric():
-            spec = _recover(matrix, pq)
-    report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    normalized = _normalized(spec, pq)
-    report["normalized"] = {"p": normalized.p, "q": normalized.q, "swapped": normalized != pq}
-    if matrix is None:
-        spec = _exact_roots(spec, normalized, args.input)
-    report["spec"] = spec.to_json()
+        from .matrixcore import eigenspace_splits
+        from .similarity import spec_from_matrix
 
+        with _numeric():
+            matrix = np.array(matrix) if spec is None else _spec_matrix(spec)
+            if find_b:
+                powers = _powers(matrix, pq)
+            if spec is None:
+                try:
+                    spec = spec_from_matrix(matrix, pq, eigenspace_splits(matrix))
+                except ValueError as exc:
+                    raise ValueError(f"cannot recover structure: {exc}") from exc
+    normalized = pq  # for a singular spec, 1 <= p < q by a swap
+    if spec.zero_entry() is not None and not 1 <= pq.p < pq.q:
+        if not 1 <= pq.q < pq.p:
+            raise ValueError(
+                f"singular input needs positive exponents (got p={pq.p}, q={pq.q}); "
+                "similarity of negative powers of a singular matrix is undefined"
+            )
+        normalized = pq.swapped()
+    report["normalized"] = {"p": normalized.p, "q": normalized.q, "swapped": normalized != pq}
+    report["spec"] = spec.to_json()
     spectrum = spec.spectrum()
     report["spectrum"] = None if spectrum is None else spectrum.to_json()
     report["power_spectra_equal"] = spectrum is not None and powers_equal(spectrum, normalized)
     verdict = powers_similar_general(spec, normalized, spectrum)
     report["verdict"] = verdict.to_json()
-
-    if args.find_b:
+    if find_b:
         with _numeric():
-            if matrix is None:
-                matrix = _spec_matrix(spec)
-            powers = _powers(matrix, normalized)
-            report["conjugator"] = _solve_conjugator(spec, normalized, verdict.similar, powers)
-    return report
+            report["conjugator"] = _solve_conjugator(spec, pq, verdict.similar, powers)
+    return report, spec, matrix, powers
 
 
-def _normalized(spec: JordanSpec, pq: ExponentPair) -> ExponentPair:
-    """The pair the verdict takes: pq itself, or for a singular spec
-    1 <= p < q, swapping p and q when 1 <= q < p."""
-    if spec.zero_entry() is None or 1 <= pq.p < pq.q:
-        return pq
-    if 1 <= pq.q < pq.p:
-        return pq.swapped()
-    raise ValueError(
-        f"singular input needs positive exponents (got p={pq.p}, q={pq.q}); "
-        "similarity of negative powers of a singular matrix is undefined"
-    )
+def cmd_analyze(args) -> dict:
+    return _route(args, args.find_b)[0]
 
 
 def _powers(matrix: np.ndarray, pq: ExponentPair) -> tuple[np.ndarray, np.ndarray]:
@@ -371,26 +369,13 @@ def cmd_nilpotent(args) -> dict:
 
 @_numeric()
 def cmd_solve_b(args) -> dict:
+    """analyze --find-b's report without the verdict, with the polynomial in A^q."""
     from .matrixcore import fit_polynomial_in
-    from .similarity import powers_similar_general
 
-    pq = ExponentPair(args.p, args.q)
-    report = _seeded_report("solve-b", args)
-    matrix, spec = _load_matrix_or_spec(args.input)
-    if matrix is None:
-        spec = _exact_roots(spec, pq, args.input)
-        matrix = _spec_matrix(spec)
-    else:
-        import numpy as np
-
-        matrix = np.array(matrix)
-    report["inputs"] = {"path": args.input, "p": pq.p, "q": pq.q}
-    powers = _powers(matrix, pq)
-    if spec is None:
-        spec = _recover(matrix, pq)
-    similar = powers_similar_general(spec, _normalized(spec, pq)).similar
-    report["conjugator"] = _solve_conjugator(spec, pq, similar, powers)
-    coeffs = fit_polynomial_in(powers[1], matrix, matrix.shape[0] - 1)
+    report, _, matrix, powers = _route(args, find_b=True)
+    for key in ("normalized", "spec", "spectrum", "power_spectra_equal", "verdict"):
+        del report[key]
+    coeffs = fit_polynomial_in(powers[1], matrix, len(matrix) - 1)
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
     )

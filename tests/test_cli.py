@@ -605,8 +605,10 @@ class TestSpecConjugatorReports:
             assert (report["conjugator"]["residual"] is not None) == similar
 
     def test_singular_pair_with_p_above_q(self, capsys, tmp_path):
-        # solve-b keeps (p, q) = (3, 2), whose B is the one analyze finds for
-        # the normalized (2, 3); the blocks at 0 vanish in both powers
+        # analyze judges the normalized (2, 3), but both commands report the
+        # B of (3, 2) as typed: the blocks at 0 vanish in both powers, and on
+        # the 2-block at 1 the B of (2, 3) is this B's inverse (corner entry
+        # 1.5 against 0.667)
         path = tmp_path / "singular.json"
         path.write_text(json.dumps([{"eigenvalue": "zero", "blocks": [2, 1]},
                                     {"eigenvalue": "0/1", "blocks": [2]}]))
@@ -615,6 +617,7 @@ class TestSpecConjugatorReports:
         assert analyzed["normalized"]["swapped"] is True
         assert analyzed["conjugator"]["kernel_dimension"] == solved["conjugator"]["kernel_dimension"]
         assert solved["conjugator"]["residual"] < 1e-12
+        assert analyzed["conjugator"] == solved["conjugator"]
 
     @pytest.mark.parametrize("blocks", [[64], [30, 30]])
     @pytest.mark.parametrize("pair", [(2, 3), (1, 3), (-1, 2), (3, 5), (2, 5), (1, 2), (3, -2)])
@@ -648,6 +651,48 @@ class TestSpecConjugatorReports:
             reports.append({k: v for k, v in report.items() if k != "inputs"})
         assert reports[0] == reports[1]
         assert reports[0]["conjugator"]["b"] is not None
+
+
+class TestOneAnswerPerRequest:
+    """analyze --find-b and solve-b run one route: on the same file and
+    pair they report the same conjugator or the same error, and its B
+    solves A^p B = B A^q for the pair as typed."""
+
+    INPUTS = {
+        "singular-spec": [{"eigenvalue": "zero", "blocks": [2, 1]}, {"eigenvalue": "0/1", "blocks": [2]}],
+        "diag(0,1,i)": np.diag([0, 1, 1j]),
+        "1e-300*I": 1e-300 * np.eye(2),
+        "1e200": np.array([[1e200, 2e200], [2e200, 1e200]]),
+    }
+
+    @pytest.mark.parametrize(
+        "name, p, q",
+        [
+            ("intro", 7, 3), ("intro", -3, 5), ("singular-spec", 3, 2), ("diag(0,1,i)", -2, 3),
+            ("diag(0,1,i)", 3, 2), ("1e-300*I", -2, 3), ("1e200", 2, 3),
+        ],
+    )
+    def test_same_conjugator_or_error(self, capsys, tmp_path, intro_spec, name, p, q):
+        content = intro_spec.to_json() if name == "intro" else self.INPUTS[name]
+        if isinstance(content, list):
+            a = matrix_from_spec(JordanSpec.from_json(content))
+        else:
+            a, content = content, matrix_to_json(content)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = [str(path), "-p", str(p), "-q", str(q)]
+        code, analyzed = run_json(capsys, "analyze", *argv, "--find-b")
+        solved_code, solved = run_json(capsys, "solve-b", *argv)
+        assert code == solved_code
+        if code == 1:
+            assert analyzed["error"] == solved["error"]
+            return
+        assert analyzed["conjugator"] == solved["conjugator"]
+        if solved["conjugator"]["b"] is not None:
+            b = np.asarray(matrix_from_json(solved["conjugator"]["b"]))
+            a_p, a_q = mat_int_pow(a, p), mat_int_pow(a, q)
+            residual = np.max(np.abs(a_p @ b - b @ a_q)) / np.max(np.abs(b))
+            assert residual <= VERIFY_TOL * (np.linalg.norm(a_p) + np.linalg.norm(a_q))
 
 
 class TestMatrixConjugator:

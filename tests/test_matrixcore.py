@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -73,14 +75,19 @@ def own_scale(m, lam):
 
 
 def solve_b(a, pq):
-    """(spec, kernel_dimension, B or None) as solve-b reports them for the
-    matrix file of A: the recovered spec, its count and, when it is
-    similar, its closed-form conjugator carried to A's basis."""
-    a_powers, spec = powers(a, pq), cli._recover(a, pq)
-    similar = powers_similar_general(spec, cli._normalized(spec, pq)).similar
-    report = cli._solve_conjugator(spec, pq, similar, a_powers)
-    b = None if report["b"] is None else np.asarray(cli.matrix_from_json(report["b"]))
-    return spec, report["kernel_dimension"], b
+    """(spec, kernel_dimension, B or None) as solve-b finds them for the
+    matrix file of A, through the route the command runs: the recovered
+    spec with its certificates, its count and, when it is similar, its
+    closed-form conjugator carried to A's basis."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        with open(path, "w") as fh:
+            json.dump(matrix_to_json(a), fh)
+        args = cli._parse_args(["solve-b", path, "-p", str(pq.p), "-q", str(pq.q)])
+        report, spec, _, _ = cli._route(args, find_b=True)
+    conjugator = report["conjugator"]
+    b = None if conjugator["b"] is None else np.asarray(cli.matrix_from_json(conjugator["b"]))
+    return spec, conjugator["kernel_dimension"], b
 
 
 def assert_conjugates(a, pq, b):

@@ -1,0 +1,132 @@
+"""Byte parity of two source trees on the benchmark's request lists.
+
+    python tools/parity.py PARENT_TREE CHANGE_TREE [--seeds 1-5]
+
+The inputs of the numeric, exact and word2 workloads are built once per
+seed, with PARENT_TREE's bench/workloads.build, in a temporary directory.
+Every request and probe argv of them then runs through each tree's
+simpow.cli.main, in one process per tree, with one BLAS thread and no
+bytecode written.  Exit code, stdout and stderr are compared per argv.
+The tool prints the number of argv compared and every argv that differs,
+and exits 1 on any difference.  It reads bench/ and src/ of the trees and
+writes nothing in either.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+WORKLOADS = ("numeric", "exact", "word2")
+
+
+def _env(tree: Path, *dirs: str) -> dict:
+    env = dict(os.environ)
+    env.update(
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+        PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPATH=os.pathsep.join([str(tree / d) for d in dirs] + [str(Path(__file__).parent)]),
+    )
+    return env
+
+
+def _child(tree: Path, call: str, *args: str) -> None:
+    """Runs `call` of this module in a fresh process on tree's sources."""
+    dirs = ("src", "bench") if call == "build" else ("src",)
+    code = f"import sys, parity; parity.{call}(*sys.argv[1:])"
+    subprocess.run([sys.executable, "-c", code, *args], env=_env(tree, *dirs), check=True)
+
+
+def _imported_from(tree: str) -> None:
+    import simpow
+
+    expected = Path(tree).resolve() / "src" / "simpow"
+    if Path(simpow.__file__).resolve().parent != expected:
+        raise SystemExit(f"imported simpow from {simpow.__file__}, not from {expected}")
+
+
+def build(tree: str, workdir: str, seeds: str, jobs_path: str) -> None:
+    """Writes the inputs of every workload and seed under workdir, and the
+    list of [directory, argv] to run to jobs_path."""
+    import workloads
+
+    _imported_from(tree)
+    jobs = []
+    for workload in WORKLOADS:
+        for seed in json.loads(seeds):
+            cwd = os.path.join(workdir, f"{workload}-{seed}")
+            os.mkdir(cwd)
+            plan = workloads.build(workload, seed, cwd)
+            jobs += [[cwd, request["argv"]] for request in plan["requests"] + plan["probe"]]
+    Path(jobs_path).write_text(json.dumps(jobs))
+
+
+def run(tree: str, jobs_path: str, out_path: str) -> None:
+    """Writes [exit code, stdout, stderr] of every job to out_path."""
+    from simpow import cli
+
+    _imported_from(tree)
+    results = []
+    for cwd, argv in json.loads(Path(jobs_path).read_text()):
+        os.chdir(cwd)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code if isinstance(exc.code, int) else 2
+            except Exception as exc:  # a crash is a result to compare, without its paths
+                rc = 70
+                err.write("".join(traceback.format_exception_only(type(exc), exc)))
+        results.append([rc, out.getvalue(), err.getvalue()])
+    Path(out_path).write_text(json.dumps(results))
+
+
+def _excerpt(text: str, other: str) -> str:
+    """text around its first character that differs from other."""
+    at = next((i for i, (x, y) in enumerate(zip(text, other)) if x != y), min(len(text), len(other)))
+    return repr(text[max(0, at - 40) : at + 80])
+
+
+def _seeds(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="source tree whose bench/ builds the inputs")
+    parser.add_argument("change", type=Path, help="source tree compared with it")
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-5"), help="a seed or a range a-b")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="simpow-parity-") as tmp:
+        jobs_path = os.path.join(tmp, "jobs.json")
+        _child(args.parent, "build", str(args.parent), tmp, json.dumps(args.seeds), jobs_path)
+        results = []
+        for name, tree in (("parent", args.parent), ("change", args.change)):
+            out_path = os.path.join(tmp, f"{name}.json")
+            _child(tree, "run", str(tree), jobs_path, out_path)
+            results.append(json.loads(Path(out_path).read_text()))
+        jobs = json.loads(Path(jobs_path).read_text())
+    differing = 0
+    for (cwd, argv), before, after in zip(jobs, *results):
+        if before != after:
+            differing += 1
+            print(f"differs: {os.path.basename(cwd)} {' '.join(argv)}")
+            for label, (rc, out, err), other in (("parent", before, after), ("change", after, before)):
+                print(f"  {label}: exit {rc}, stdout {_excerpt(out, other[1])}, "
+                      f"stderr {_excerpt(err, other[2])}")
+    print(f"{len(jobs)} argv compared, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
