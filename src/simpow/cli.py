@@ -21,6 +21,7 @@ import cmath
 import contextlib
 import functools
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -39,21 +40,24 @@ from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_t
 # similarity, spectra, solvers and matrixcore (with numpy) are imported by
 # the code that uses them, so a cold start loads what its command needs.
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
     from .similarity import JordanSpec
+    from .solvers import CycleInstance
 
 
 @contextlib.contextmanager
 def _numeric():
     """numpy's error state for the array arithmetic of a request: a
     decorator on the numeric commands, a context around the numeric parts
-    of generate, word2 verify and the route of analyze and solve-b.  An
+    of word2 verify and the route of analyze and solve-b.  An
     overflow surfaces as the error report, named by the check that meets
     the non-finite value, so numpy's warnings would only repeat it.  numpy
     is imported here, so the commands that never enter it (word2 classify
-    and construct, word2 verify of 2x2 matrix files, generate without
-    --k1, analyze of a spec without --find-b) never load it."""
+    and construct, word2 verify of 2x2 matrix files, generate, analyze of
+    a spec without --find-b) never load it."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -76,7 +80,7 @@ def matrix_from_json(data: dict) -> tuple[tuple[complex, ...], ...]:
     return tuple(tuple(entries[i * cols : (i + 1) * cols]) for i in range(rows))
 
 
-def _rows_to_json(m: tuple[tuple[complex, ...], ...]) -> dict:
+def _rows_to_json(m: Sequence[Sequence[complex]]) -> dict:
     """matrixcore.matrix_to_json of a matrix given as rows of complex, without numpy."""
     entries = [z for row in m for z in row]
     _check_finite(entries)
@@ -126,9 +130,8 @@ def _load_matrix_or_spec(path: str):
 
 def _spec_matrix(spec: JordanSpec) -> np.ndarray:
     """The matrix of a spec, refused before it is built past MAX_RECOVERY_N:
-    analyze --find-b, solve-b, verify and word2 verify of a spec file,
-    generate --k1 of its cycle and nilpotent of its one eigenvalue build
-    it here."""
+    analyze --find-b, solve-b, verify and word2 verify of a spec file and
+    nilpotent of its one eigenvalue build it here."""
     from .matrixcore import MAX_RECOVERY_N
     from .similarity import matrix_from_spec
 
@@ -298,10 +301,60 @@ def _solve_conjugator(spec: JordanSpec, pq: ExponentPair, similar: bool, powers:
     return out
 
 
-def cmd_generate(args) -> dict:
-    from .similarity import JordanEntry, JordanSpec
-    from .solvers import _power_modulus, build_cycle_instance, enumerate_valid_k1, spec_conjugator
+def _entry_rows(n: int, entries: dict) -> list[list[complex]]:
+    """The n x n matrix with entries[i, j] at (i, j) and 0j elsewhere, as rows of complex."""
+    rows = [[0j] * n for _ in range(n)]
+    for (i, j), z in entries.items():
+        rows[i][j] = z
+    return rows
 
+
+def _diagonal_residual(a: list[complex], b: dict, pq: ExponentPair) -> float:
+    """matrixcore.conjugacy_residual(B, A^p, A^q) of a diagonal A without
+    numpy, B given by its nonzero entries b[i, j]: (A^p B - B A^q)[i][j]
+    is a_i^p b_ij - b_ij a_j^q, 0 where b_ij is, with each a_i raised to
+    the power as a float.  The same ValueError where a term or the ratio
+    is not finite."""
+
+    def size(z: complex) -> float:  # |z| as numpy takes it: inf where abs() raises
+        return math.hypot(z.real, z.imag)
+
+    a_p, a_q = [z**pq.p for z in a], [z**pq.q for z in a]
+    terms = [a_p[i] * z - z * a_q[j] for (i, j), z in b.items()]
+    residual = math.inf  # also where max would skip a nan
+    if all(map(cmath.isfinite, terms)):
+        residual = max(map(size, terms)) / max(map(size, b.values()))
+    if not math.isfinite(residual):
+        raise ValueError("the conjugacy residual max|X B - B Y| / max|B| overflows")
+    return residual
+
+
+def _cycle_report(inst: CycleInstance, scale: list[complex]) -> dict:
+    """The a, b and residual of generate --k1, without numpy: A is the
+    diagonal of the cycle's 1-blocks and B diag(scale) times their
+    conjugator, which maps e_u to e_(u+1), a successor's place; both are
+    built as dicts of their nonzero entries.  Q = |q^n - p^n| >= 2^(n-1)
+    and Q <= MAX_MODULUS keep n <= 25, inside _spec_matrix's cap."""
+    from .similarity import JordanEntry, JordanSpec, _jordan_matrix
+    from .solvers import _conjugator
+
+    cycle = JordanSpec(tuple(JordanEntry(ev, (1,)) for ev in inst.spectrum))
+    a = _jordan_matrix(cycle, lambda n: {})
+    conjugator = _conjugator(cycle, inst.pq, lambda n: {})
+    # + 0j: a -0.0 part becomes 0.0, as in a sum with the product's other, zero terms
+    b = {(i, j): scale[i] * z + 0j for (i, j), z in conjugator.items()}
+    return {
+        "a": _rows_to_json(_entry_rows(inst.n, a)),
+        "b": _rows_to_json(_entry_rows(inst.n, b)),
+        "residual": _diagonal_residual([a[k, k] for k in range(inst.n)], b, inst.pq),
+    }
+
+
+def cmd_generate(args) -> dict:
+    from .solvers import _power_modulus, build_cycle_instance, enumerate_valid_k1
+
+    if args.scale is not None and args.k1 is None:
+        raise ValueError("--scale needs --k1")
     pq = ExponentPair(args.p, args.q)
     report = _base_report("generate")
     report["inputs"] = {"n": args.n, "p": pq.p, "q": pq.q, "k1": args.k1, "scale": args.scale}
@@ -317,20 +370,8 @@ def cmd_generate(args) -> dict:
         raise ValueError(f"need {inst.n} scale entries, got {len(scale)}")
     if any(s == 0 for s in scale):
         raise ValueError("scale entries must be nonzero")
-    import numpy as np
-
-    from .matrixcore import conjugacy_residual, matrix_to_json
-
-    # the cycle's 1-blocks: B maps e_u to e_(u+1), a successor's place
-    cycle = JordanSpec(tuple(JordanEntry(ev, (1,)) for ev in inst.spectrum))
     report["instance"] = inst.to_json()
-    with _numeric():
-        a = _spec_matrix(cycle)
-        b = np.diag(scale) @ spec_conjugator(cycle, pq)
-        report["a"] = matrix_to_json(a)
-        report["b"] = matrix_to_json(b)
-        report["residual"] = conjugacy_residual(b, *_powers(a, pq))
-    return report
+    return report | _cycle_report(inst, scale)
 
 
 @_numeric()

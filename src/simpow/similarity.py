@@ -158,6 +158,22 @@ class SimilarityVerdict:
         }
 
 
+def _jordan_matrix(spec: JordanSpec, zeros):
+    """matrix_from_spec(spec) without a seed in out = zeros(n), each
+    diagonal and superdiagonal entry set as out[i, j]: out is an n x n
+    array of zeros or, without numpy, a dict."""
+    out, start = zeros(spec.n), 0
+    for e in spec.entries:
+        lam = _ev_complex(e.eigenvalue) + 0j  # a -0.0 part becomes 0.0, as in lambda*I + N
+        for size in e.blocks:
+            for k in range(start, start + size):
+                out[k, k] = lam
+                if k > start:
+                    out[k - 1, k] = 1 + 0j
+            start += size
+    return out
+
+
 def matrix_from_spec(spec: JordanSpec, conjugate_seed: int | None = None) -> np.ndarray:
     """Materialize a concrete matrix with the given Jordan structure.
 
@@ -168,16 +184,7 @@ def matrix_from_spec(spec: JordanSpec, conjugate_seed: int | None = None) -> np.
     """
     import numpy as np
 
-    a = np.zeros((spec.n, spec.n), dtype=complex)
-    start = 0
-    for e in spec.entries:
-        lam = _ev_complex(e.eigenvalue) + 0j  # a -0.0 part becomes 0.0, as in lambda*I + N
-        for size in e.blocks:
-            for k in range(start, start + size):
-                a[k, k] = lam
-                if k > start:
-                    a[k - 1, k] = 1.0
-            start += size
+    a = _jordan_matrix(spec, lambda n: np.zeros((n, n), dtype=complex))
     if conjugate_seed is None:
         return a
     n = spec.n

@@ -15,8 +15,10 @@ A Jordan spec with A^p similar to A^q is a direct sum of those two cases
 along the successor orbits: spec_conjugator builds its B in closed form,
 and intertwiner_dimension counts the space of all of them.
 
-The residue enumeration is exact and loads no numpy; the functions that
-build matrices import it, and matrixcore, where they run.
+The residue enumeration is exact and loads no numpy, and neither does the
+closed form of the conjugator, which writes its entries into a dict as
+well as into an array; the functions that build arrays import numpy, and
+matrixcore, where they run.
 """
 
 from __future__ import annotations
@@ -255,25 +257,14 @@ def solve_single_eigenvalue(
     )
 
 
-def spec_conjugator(spec: JordanSpec, pq: ExponentPair) -> np.ndarray:
-    """B with A^p B = B A^q for A = matrix_from_spec(spec), in closed form
-    (README, Conjugator of a spec).
-
-    Block k of lambda maps to block k of mu = successor(lambda), whose
-    blocks the verdict makes equal, as X[i][j] = R[i][j] mu^i lambda^-j,
-    that is diag((mu/lambda)^i) B0(lambda), with R the base conjugator at
-    lambda = 1 and each root evaluated from its exact angle (at
-    mu = lambda, the B0 of solve_single_eigenvalue).  Blocks at 0 map to
-    themselves by the identity: no longer than min(p, q), they vanish in
-    A^p and A^q.  A spec whose powers are not similar has no such B:
-    ValueError.
-    """
-    import numpy as np
-
+def _conjugator(spec: JordanSpec, pq: ExponentPair, zeros):
+    """The B of spec_conjugator(spec, pq) in out = zeros(n), each nonzero
+    entry set as out[i, j]: out is an n x n array of zeros or, without
+    numpy, a dict."""
     place, n = {}, 0  # eigenvalue -> (its first row and column in A, its blocks)
     for e in spec.entries:
         place[e.eigenvalue], n = (n, e.blocks), n + e.multiplicity
-    b = np.zeros((n, n), dtype=complex)
+    out = zeros(n)
     d = max((e.blocks[0] for e in spec.entries if e.eigenvalue is not None), default=1)
     table = _inverse_series_powers(pq, d)
     r_of = {}  # block size -> the (i, j, R[i][j]) of its nonzero entries, built once
@@ -281,8 +272,8 @@ def spec_conjugator(spec: JordanSpec, pq: ExponentPair) -> np.ndarray:
         if lam is None:
             if blocks[0] > min(pq.p, pq.q):
                 raise ValueError(f"a block of size {blocks[0]} at 0 survives A^p or A^q")
-            end = col + sum(blocks)
-            b[col:end, col:end] = np.eye(end - col)
+            for k in range(col, col + sum(blocks)):
+                out[k, k] = 1 + 0j
             continue
         if not isinstance(lam, RootOfUnity):
             raise ValueError(f"eigenvalue {lam} is no root of unity")
@@ -303,9 +294,27 @@ def spec_conjugator(spec: JordanSpec, pq: ExponentPair) -> np.ndarray:
                 w = twist.get(k)
                 if w is None:
                     w = twist[k] = rou_to_complex(RootOfUnity(k, m))
-                b[row + i, col + j] = r * w
+                out[row + i, col + j] = r * w
             row, col = row + size, col + size
-    return b
+    return out
+
+
+def spec_conjugator(spec: JordanSpec, pq: ExponentPair) -> np.ndarray:
+    """B with A^p B = B A^q for A = matrix_from_spec(spec), in closed form
+    (README, Conjugator of a spec).
+
+    Block k of lambda maps to block k of mu = successor(lambda), whose
+    blocks the verdict makes equal, as X[i][j] = R[i][j] mu^i lambda^-j,
+    that is diag((mu/lambda)^i) B0(lambda), with R the base conjugator at
+    lambda = 1 and each root evaluated from its exact angle (at
+    mu = lambda, the B0 of solve_single_eigenvalue).  Blocks at 0 map to
+    themselves by the identity: no longer than min(p, q), they vanish in
+    A^p and A^q.  A spec whose powers are not similar has no such B:
+    ValueError.
+    """
+    import numpy as np
+
+    return _conjugator(spec, pq, lambda n: np.zeros((n, n), dtype=complex))
 
 
 def intertwiner_dimension(spec: JordanSpec, pq: ExponentPair) -> int:

@@ -356,6 +356,16 @@ class TestGenerate:
         assert code == 1
         assert report["error"] == f"bad --scale {scale!r}"
 
+    @pytest.mark.parametrize("n, scale", [("2", "nan,1"), ("25", "1")])
+    def test_scale_without_k1_is_refused_first(self, capsys, n, scale):
+        # --scale is read only with --k1, so without it the request is
+        # refused before anything is computed: n = 25 would meet the
+        # modulus cap
+        code, out = run(capsys, "generate", "-n", n, "-p", "2", "-q", "3", f"--scale={scale}")
+        assert code == 1
+        assert len(out.splitlines()) == 1
+        assert json.loads(out)["error"] == "--scale needs --k1"
+
     def test_n_below_one(self, capsys):
         code, out = run(capsys, "generate", "-n", "0", "-p", "2", "-q", "3")
         assert code == 1

@@ -92,6 +92,15 @@ EXACT_ARGVS = {
     "classify truncated": ["word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",
                            "--eps", "-1", "--max-report", "1"],
     "generate": ["generate", "-n", "6", "-p", "2", "-q", "3"],
+    "generate --k1": ["generate", "-n", "6", "-p", "2", "-q", "3", "--k1", "5"],
+    "generate --k1 complex --scale": ["generate", "-n", "3", "-p", "3", "-q", "5", "--k1", "2",
+                                      "--scale=-1.5+0.25j,2j,1e300-1e-300j"],
+    "generate --k1 negative exponent": ["generate", "-n", "5", "-p", "2", "-q", "-5", "--k1", "7"],
+    "error generate excluded k1": ["generate", "-n", "4", "-p", "1", "-q", "2", "--k1", "5"],
+    "error generate scale count": ["generate", "-n", "3", "-p", "2", "-q", "3", "--k1", "1",
+                                   "--scale=1,2"],
+    "error generate zero scale": ["generate", "-n", "3", "-p", "2", "-q", "3", "--k1", "1",
+                                  "--scale=1,0j,2"],
     "analyze zero entry": ["analyze", "{zero}", "-p", "3", "-q", "7"],
     "analyze [re, im] eigenvalue": ["analyze", "{complex}", "-p", "2", "-q", "3"],
     "error --max-report 0": ["word2", "classify", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1",

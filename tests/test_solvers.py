@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -6,9 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from simpow import solvers
+from simpow import cli, solvers
 from simpow.cli import main
-from simpow.matrixcore import conjugacy_residual, fit_polynomial_in, mat_int_pow
+from simpow.matrixcore import (
+    MAX_RECOVERY_N,
+    conjugacy_residual,
+    fit_polynomial_in,
+    mat_int_pow,
+    matrix_to_json,
+)
 from simpow.scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
 from simpow.solvers import (
     _power_modulus,
@@ -180,6 +187,119 @@ class TestCycleConjugator:
                 aq = mat_int_pow(a, q)
                 residual = np.max(np.abs(np.linalg.solve(b, mat_int_pow(a, p) @ b) - aq))
                 assert residual <= 1e-10 * max(np.max(np.abs(aq)), 1.0)
+
+
+ORACLE_PAIRS = [(2, 3), (1, 2), (-1, 2), (3, 5), (2, 5), (1, 3), (2, -5), (1, -2)]
+
+
+def longest_cycle(pq):
+    """The largest n whose modulus Q = |q^n - p^n| generate accepts."""
+    n = 1
+    while _power_modulus(n + 1, pq) <= solvers.MAX_MODULUS:
+        n += 1
+    return n
+
+
+class TestGenerateOracle:
+    """generate --k1 builds A, B and the residual on Python complex numbers
+    (cli._cycle_report); cycle_pair, the numpy construction, is the
+    reference."""
+
+    @staticmethod
+    def reference(inst, scale):
+        """(a, b, residual or the error message) by numpy.  Its product
+        diag(scale) @ X leaves -0.0 in some zero parts of B's entries, where
+        the BLAS kernel at hand puts it; the report writes 0.0 for each,
+        and B + 0 does too."""
+        a, b = cycle_pair(inst, scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                residual = conjugacy_residual(b, mat_int_pow(a, inst.pq.p), mat_int_pow(a, inst.pq.q))
+            except ValueError as exc:
+                residual = str(exc)
+        return matrix_to_json(a), matrix_to_json(b + 0), residual
+
+    @staticmethod
+    def report(inst, scale):
+        try:
+            out = cli._cycle_report(inst, scale)
+        except ValueError as exc:
+            return None, None, str(exc)
+        return out["a"], out["b"], out["residual"]
+
+    @staticmethod
+    def instance(rng, n, pq):
+        """A seeded cycle of length n, or None where no k1 is valid."""
+        modulus = _power_modulus(n, pq)
+        if modulus <= 10**4:
+            valid = enumerate_valid_k1(n, pq)
+            return build_cycle_instance(n, pq, rng.choice(valid)) if valid else None
+        while True:  # nearly every residue of a large Q is valid
+            with contextlib.suppress(ValueError):
+                return build_cycle_instance(n, pq, rng.randrange(modulus))
+
+    def assert_agrees(self, inst, scale):
+        if inst is None:
+            return
+        want, got = self.reference(inst, scale), self.report(inst, scale)
+        if isinstance(want[2], str) or isinstance(got[2], str):
+            assert got[2] == want[2], (inst, scale)
+            return
+        assert json.dumps(got[:2]) == json.dumps(want[:2]), (inst, scale)
+        # each power is within about |e| rounding steps of the exact root on
+        # either route, and the residual is relative to max|B|
+        tol = 8 * (abs(inst.pq.p) + abs(inst.pq.q)) * np.finfo(float).eps
+        assert abs(got[2] - want[2]) <= tol, (inst, scale, got[2], want[2])
+
+    def test_cycle_length_stays_inside_the_matrix_cap(self):
+        # Q = |q^n - p^n| >= 2^(n-1) for every pair (|q| >= |p| + 1 >= 2
+        # up to a swap), and generate refuses Q > 2^24, so n <= 25: the
+        # n <= 64 cap of cli._spec_matrix, which generate --k1 does not
+        # pass through, could not fire
+        for p in range(-9, 10):
+            for q in range(-9, 10):
+                with contextlib.suppress(ValueError):  # not an exponent pair
+                    pq = ExponentPair(p, q)
+                    for n in range(1, 26):
+                        assert _power_modulus(n, pq) >= 2 ** (n - 1)
+                    assert longest_cycle(pq) <= 25
+        assert solvers.MAX_MODULUS == 2**24
+        assert 25 <= MAX_RECOVERY_N
+        assert [longest_cycle(ExponentPair(*pq)) for pq in ORACLE_PAIRS] == [
+            15, 24, 24, 10, 10, 15, 10, 24
+        ]
+
+    def test_matches_the_numpy_construction(self):
+        rng = random.Random(25)
+        for pair in ORACLE_PAIRS:
+            pq = ExponentPair(*pair)
+            top = longest_cycle(pq)
+            for n in sorted({1, 2, 3, 5, top // 2, top - 1, top}):
+                for _ in range(3):
+                    inst = self.instance(rng, n, pq)
+                    # magnitudes near 1, 1e300 and 1e-300, mixed in one B
+                    scale = [
+                        complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                        * 10.0 ** (rng.choice([0, 300, -300]) + rng.uniform(-5, 5))
+                        for _ in range(n)
+                    ]
+                    self.assert_agrees(inst, scale)
+
+    @pytest.mark.parametrize("edge", [
+        complex(1.2e308, 1.2e308), complex(1.5e308, -1.5e308), complex(-1.7e308, 1e308),
+        complex(1.7976931348623157e308, 0.0), complex(-0.0, 1.5), complex(-1.5, -0.0),
+    ])
+    def test_edge_scales(self, edge):
+        # near the float range the terms or |B| overflow: the same message
+        # on both routes, or a residual on both; a -0.0 part of a scale
+        # becomes 0.0 in B
+        rng = random.Random(7)
+        for pair in ORACLE_PAIRS:
+            pq = ExponentPair(*pair)
+            for n in (1, 3, 6):
+                inst = self.instance(rng, n, pq)
+                self.assert_agrees(inst, [edge] * n)
+                self.assert_agrees(inst, [edge] + [complex(rng.uniform(-1, 1), 1.0)] * (n - 1))
 
 
 def sympy_alpha_oracle(p, q, d):

@@ -7,14 +7,17 @@ seed, with PARENT_TREE's bench/workloads.build, in a temporary directory.
 Every request and probe argv of them then runs through each tree's
 simpow.cli.main, in one process per tree, with one BLAS thread and no
 bytecode written.  Exit code, stdout and stderr are compared per argv.
-The tool prints the number of argv compared and every argv that differs,
-and exits 1 on any difference.  It reads bench/ and src/ of the trees and
-writes nothing in either.
+The tool prints every argv that differs, with the top-level keys that
+differ where both stdouts are JSON objects, then the number of argv
+compared and one count per set of differing keys, and exits 1 on any
+difference.  It reads bench/ and src/ of the trees and writes nothing in
+either.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -96,6 +99,19 @@ def _excerpt(text: str, other: str) -> str:
     return repr(text[max(0, at - 40) : at + 80])
 
 
+def _differing_keys(out: str, other: str) -> str | None:
+    """The top-level keys whose values differ in bytes (-0.0 is not 0.0),
+    where both stdouts are JSON objects; None where they are not."""
+    try:
+        objects = json.loads(out), json.loads(other)
+    except ValueError:
+        return None
+    if not all(isinstance(obj, dict) for obj in objects):
+        return None
+    old, new = ({key: json.dumps(value) for key, value in obj.items()} for obj in objects)
+    return ", ".join(sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key)))
+
+
 def _seeds(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -116,16 +132,23 @@ def main(argv=None) -> int:
             _child(tree, "run", str(tree), jobs_path, out_path)
             results.append(json.loads(Path(out_path).read_text()))
         jobs = json.loads(Path(jobs_path).read_text())
-    differing = 0
+    kinds = collections.Counter()  # how each differing argv differs -> its count
     for (cwd, argv), before, after in zip(jobs, *results):
         if before != after:
-            differing += 1
+            keys = _differing_keys(before[1], after[1])
+            kind = "stdout not two JSON objects"
+            if keys is not None:
+                kind = f"differing keys: {keys or 'none'}"
+            kinds[kind] += 1
             print(f"differs: {os.path.basename(cwd)} {' '.join(argv)}")
+            print(f"  {kind}")
             for label, (rc, out, err), other in (("parent", before, after), ("change", after, before)):
                 print(f"  {label}: exit {rc}, stdout {_excerpt(out, other[1])}, "
                       f"stderr {_excerpt(err, other[2])}")
-    print(f"{len(jobs)} argv compared, {differing} differ")
-    return 1 if differing else 0
+    print(f"{len(jobs)} argv compared, {kinds.total()} differ")
+    for kind, count in sorted(kinds.items()):
+        print(f"  {count} argv, {kind}")
+    return 1 if kinds else 0
 
 
 if __name__ == "__main__":
