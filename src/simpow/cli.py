@@ -363,9 +363,9 @@ def cmd_generate(args) -> dict:
     if args.k1 is None:
         return report
     inst = build_cycle_instance(args.n, pq, args.k1)
-    scale = (
-        _parse_complex_list(args.scale, "--scale") if args.scale else [1.0 + 0j] * args.n
-    )
+    scale = [1.0 + 0j] * args.n
+    if args.scale is not None:  # given, even as an empty list
+        scale = _parse_complex_list(args.scale, "--scale")
     if len(scale) != inst.n:
         raise ValueError(f"need {inst.n} scale entries, got {len(scale)}")
     if any(s == 0 for s in scale):

@@ -27,7 +27,7 @@ from math import frexp, gcd, inf, isfinite, ldexp, sqrt
 from typing import TYPE_CHECKING
 
 from . import RANK_TOL, VERIFY_TOL
-from .scalar import RootOfUnity, rou_pow, rou_to_complex
+from .scalar import RootOfUnity, angle_to_complex, rou_pow, rou_to_complex
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,6 +36,8 @@ DEFAULT_MAX_REPORT = 100
 
 # a 2x2 matrix ((a, b), (c, d)) of Python complex, row by row
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+# a root of unity exp(2 pi i num/order) as its reduced angle (num, order)
+Angle = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -234,20 +236,21 @@ def _admissible_order(order: int, k: int) -> bool:
     return order > 2 and (2 * k) % order != 0
 
 
-def _candidates(d: int, sign: int, k: int) -> list[RootOfUnity]:
+def _candidates(d: int, sign: int, k: int) -> list[Angle]:
     """The roots t of t^d = sign (d != 0, sign = +-1) of admissible order
     for phi_k, by increasing angle: j/|d| for sign 1, (2j+1)/(2|d|) for -1."""
     den, first, step = (abs(d), 0, 1) if sign == 1 else (2 * abs(d), 1, 2)
     reduced = ((num // g, den // g) for num in range(first, den, step) for g in [gcd(num, den)])
-    return [RootOfUnity(num, order) for num, order in reduced if _admissible_order(order, k)]
+    return [t for t in reduced if _admissible_order(t[1], k)]
 
 
-def _angle_key(t: RootOfUnity, k: int, n: int) -> int:
+def _angle_key(t: Angle, k: int, n: int) -> int:
     """n times the angle of t^(2k), an exact integer mod n for n a multiple of t's order."""
-    return t.num * (n // t.order) * 2 * k % n
+    num, order = t
+    return num * (n // order) * 2 * k % n
 
 
-def _excluded_keys(u: RootOfUnity, shape: WordShape, n: int) -> tuple[int, int]:
+def _excluded_keys(u: Angle, shape: WordShape, n: int) -> tuple[int, int]:
     """The two keys _angle_key(rho, s, n) that fail with u (n even, a
     multiple of the orders of u and rho).  u^2r = -rho^2s and
     u^2r rho^2s = -1 both say angle(rho^2s) = +-(angle(u^2r) - 1/2) mod 1,
@@ -260,13 +263,14 @@ def _excluded_keys(u: RootOfUnity, shape: WordShape, n: int) -> tuple[int, int]:
 class SolutionFamily:
     """One alpha-branch of the non-ST solution classification.
 
-    ``pairs`` lists admissible (u, rho) combinations (possibly truncated);
-    sigma*v for each pair follows from the coupling rule.
+    ``u_candidates`` and ``rho_candidates`` are reduced angles (num, order);
+    ``pairs`` lists admissible (u, rho) combinations (possibly truncated)
+    as RootOfUnity; sigma*v for each pair follows from the coupling rule.
     """
 
     alpha: int
-    u_candidates: tuple[RootOfUnity, ...]
-    rho_candidates: tuple[RootOfUnity, ...]
+    u_candidates: tuple[Angle, ...]
+    rho_candidates: tuple[Angle, ...]
     pairs: tuple[tuple[RootOfUnity, RootOfUnity], ...]
     shape: WordShape
     truncated: bool = False
@@ -276,21 +280,22 @@ class SolutionFamily:
 
     def to_json(self) -> dict:
         # each factor of sigma*v depends on u alone or on rho alone: it is
-        # computed once per candidate that the listed pairs use
+        # computed once per angle that the listed pairs use
         r, s = self.shape.r, self.shape.s
-        u_factors = {u: _candidate_factors(u, r) for u in {u for u, _ in self.pairs}}
-        rho_factors = {rho: _candidate_factors(rho, s) for rho in {rho for _, rho in self.pairs}}
+        angles = [((u.num, u.order), (rho.num, rho.order)) for u, rho in self.pairs]
+        u_factors = {u: _candidate_factors(u, r) for u in {u for u, _ in angles}}
+        rho_factors = {rho: _candidate_factors(rho, s) for rho in {rho for _, rho in angles}}
         return {
             "alpha": self.alpha,
-            "u": [str(u) for u in self.u_candidates],
-            "rho": [str(rho) for rho in self.rho_candidates],
+            "u": [f"{num}/{order}" for num, order in self.u_candidates],
+            "rho": [f"{num}/{order}" for num, order in self.rho_candidates],
             "pairs": [
                 {
-                    "u": str(u),
-                    "rho": str(rho),
+                    "u": f"{u[0]}/{u[1]}",
+                    "rho": f"{rho[0]}/{rho[1]}",
                     "sigma_v": _complex_pair(_coupling(u_factors[u], rho_factors[rho])),
                 }
-                for u, rho in self.pairs
+                for u, rho in angles
             ],
             "coupling": "sigma*v = (-1 - u^(2r) rho^(2s)) / (u^r phi_r(u) rho^s phi_s(rho))",
             "truncated": self.truncated,
@@ -301,12 +306,13 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _candidate_factors(t: RootOfUnity, k: int) -> tuple[complex, complex]:
+def _candidate_factors(t: Angle, k: int) -> tuple[complex, complex]:
     """(t^(2k), t^k phi_k(t)) for a root of unity t with t^2 != 1, from
     exact angles: t^k phi_k(t) = t (1 - t^(2k)) / (1 - t^2) is the
     off-diagonal factor of the k-th power of [[t, 1], [0, 1/t]]."""
-    t2k = rou_to_complex(rou_pow(t, 2 * k))
-    return t2k, rou_to_complex(t) * (1.0 - t2k) / (1.0 - rou_to_complex(rou_pow(t, 2)))
+    num, order = t
+    t2k, t2 = angle_to_complex(num * 2 * k, order), angle_to_complex(2 * num, order)
+    return t2k, angle_to_complex(num, order) * (1.0 - t2k) / (1.0 - t2)
 
 
 def _coupling(u_factors: tuple[complex, complex], rho_factors: tuple[complex, complex]) -> complex:
@@ -318,7 +324,10 @@ def _coupling(u_factors: tuple[complex, complex], rho_factors: tuple[complex, co
 
 def _coupling_product(shape: WordShape, u: RootOfUnity, rho: RootOfUnity) -> complex:
     """sigma*v determined by (u, rho) for the non-ST solution family."""
-    return _coupling(_candidate_factors(u, shape.r), _candidate_factors(rho, shape.s))
+    return _coupling(
+        _candidate_factors((u.num, u.order), shape.r),
+        _candidate_factors((rho.num, rho.order), shape.s),
+    )
 
 
 @dataclass
@@ -373,8 +382,11 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
         )
         pairs = list(islice(admitted, max_report + 1))  # one past the cap marks truncation
         if pairs:
+            listed = pairs[:max_report]
+            roots = {t: RootOfUnity(*t) for t in {t for pair in listed for t in pair}}
             families.append(SolutionFamily(
-                alpha, tuple(u_cands), tuple(rho_cands), tuple(pairs[:max_report]), shape,
+                alpha, tuple(u_cands), tuple(rho_cands),
+                tuple((roots[u], roots[rho]) for u, rho in listed), shape,
                 truncated=len(pairs) > max_report,
             ))
     if not families:
@@ -412,7 +424,7 @@ def construct_solution(
     if not _admissible_order(rho.order, shape.s):
         raise ValueError(f"phi_s(rho) = 0 for rho = {rho}: B^s would be +-I")
     n = 2 * u.order * rho.order
-    if _angle_key(rho, shape.s, n) in _excluded_keys(u, shape, n):
+    if _angle_key((rho.num, rho.order), shape.s, n) in _excluded_keys((u.num, u.order), shape, n):
         raise ValueError(f"(u, rho) = ({u}, {rho}) fails the non-degeneracy conditions")
     sigma = _coupling_product(shape, u, rho) / v
     pair = TriangularPair(rou_to_complex(u), v, rou_to_complex(rho), sigma)

@@ -3,7 +3,7 @@
 Roots of unity are stored as reduced rational angles k/m, meaning the
 complex number exp(2*pi*i*k/m).  All angle arithmetic is exact integer
 arithmetic; conversion to floating point happens only in
-:func:`rou_to_complex`.
+:func:`angle_to_complex`, which :func:`rou_to_complex` calls.
 """
 
 from __future__ import annotations
@@ -71,10 +71,19 @@ def rou_pow(a: RootOfUnity, e: int) -> RootOfUnity:
     return RootOfUnity(a.num * (e % a.order), a.order)
 
 
+def angle_to_complex(num: int, order: int) -> complex:
+    """exp(2*pi*i*num/order) for order >= 1, evaluated from the reduced
+    angle: 2*pi*3/9 and 2*pi/3 can differ in the last bit, so every form
+    of one angle gives the bits of RootOfUnity(num, order)."""
+    num %= order
+    g = math.gcd(num, order)
+    theta = 2.0 * math.pi * (num // g) / (order // g)
+    return complex(math.cos(theta), math.sin(theta))
+
+
 def rou_to_complex(a: RootOfUnity) -> complex:
     """Evaluate the angle as a complex number on the unit circle."""
-    theta = 2.0 * math.pi * a.num / a.order
-    return complex(math.cos(theta), math.sin(theta))
+    return angle_to_complex(a.num, a.order)
 
 
 def mod_inverse(a: int, modulus: int) -> int:
@@ -107,19 +116,17 @@ def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[
     on a successor cycle of some length t <= n, so it satisfies
     lambda^Q_t = 1 with Q_t = |q^t - p^t| (never 0 for an ExponentPair).
     For each t the one candidate is the Q_t-th root of unity nearest in
-    angle to z, measured from its reduced angle as rou_to_complex
-    evaluates it; only those within tol are built.  The orders are exact
-    integers, with no bound on their lcm; Q_t grows with t, and past 2^53
-    the angle of a double no longer tells its Q_t-th roots apart, so
-    larger t propose nothing.
+    angle to z, measured from its reduced angle by angle_to_complex, as
+    rou_to_complex evaluates it; only those within tol are built.  The
+    orders are exact integers, with no bound on their lcm; Q_t grows with
+    t, and past 2^53 the angle of a double no longer tells its Q_t-th
+    roots apart, so larger t propose nothing.
     """
     theta = cmath.phase(z) / (2.0 * math.pi)
     near = set()
     for order in _cycle_orders(pq.p, pq.q)[:n]:
         num = round(theta * order) % order
-        g = math.gcd(num, order)
-        num, den = num // g, order // g
-        angle = 2.0 * math.pi * num / den
-        if abs(z - complex(math.cos(angle), math.sin(angle))) <= tol:
-            near.add((den, num))
+        if abs(z - angle_to_complex(num, order)) <= tol:
+            g = math.gcd(num, order)
+            near.add((order // g, num // g))
     return [RootOfUnity(num, den) for den, num in sorted(near)]

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_CLUSTER_TOL, VERIFY_TOL
-from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow, rou_to_complex
+from .scalar import ExponentPair, RootOfUnity, angle_to_complex, mod_inverse, rou_pow, rou_to_complex
 from .similarity import JordanEntry, JordanSpec, _ev_complex
 from .spectra import successor
 
@@ -293,7 +293,7 @@ def _conjugator(spec: JordanSpec, pq: ExponentPair, zeros):
                 k = (i * c - j * a) % m
                 w = twist.get(k)
                 if w is None:
-                    w = twist[k] = rou_to_complex(RootOfUnity(k, m))
+                    w = twist[k] = angle_to_complex(k, m)
                 out[row + i, col + j] = r * w
             row, col = row + size, col + size
     return out

@@ -356,6 +356,15 @@ class TestGenerate:
         assert code == 1
         assert report["error"] == f"bad --scale {scale!r}"
 
+    @pytest.mark.parametrize("scale", ["", ","])
+    def test_empty_scale_list_is_refused(self, capsys, scale):
+        # an empty --scale is a list of no entries, not the flag left out
+        code, report = run_json(
+            capsys, "generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", f"--scale={scale}"
+        )
+        assert code == 1
+        assert report["error"] == "need 2 scale entries, got 0"
+
     @pytest.mark.parametrize("n, scale", [("2", "nan,1"), ("25", "1")])
     def test_scale_without_k1_is_refused_first(self, capsys, n, scale):
         # --scale is read only with --k1, so without it the request is

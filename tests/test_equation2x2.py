@@ -147,8 +147,8 @@ class TestClassify:
         assert len(result.families) == 1
         family = result.families[0]
         assert family.alpha == -1
-        assert set(family.u_candidates) == {R(1, 4), R(3, 4)}
-        assert set(family.rho_candidates) == {R(1, 4), R(3, 4)}
+        assert set(family.u_candidates) == {(1, 4), (3, 4)}
+        assert set(family.rho_candidates) == {(1, 4), (3, 4)}
         assert len(family.pairs) == 4
 
     def test_plus_one_branch_empty(self):
@@ -303,6 +303,26 @@ class TestClassifyOracle:
         shapes = [seeded_shape(rng, self.LARGE) for _ in range(8)] + [WordShape(-403, 297, 1, -8, 1)]
         for case, shape in enumerate(shapes):
             assert self.check(shape, self.MAX_REPORTS[case % 3]).families
+
+    def test_one_root_of_unity_per_listed_member(self, monkeypatch):
+        # the 1,414 candidates of the largest benchmark shape stay integer
+        # angles through classify and to_json; a RootOfUnity is built only
+        # for each distinct u or rho of a family's listed pairs
+        built = 0
+        post_init = RootOfUnity.__post_init__
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            post_init(self)
+
+        monkeypatch.setattr(RootOfUnity, "__post_init__", counting)
+        result = classify(WordShape(-403, 297, 1, -8, 1))
+        result.to_json()
+        candidates = sum(len(f.u_candidates) + len(f.rho_candidates) for f in result.families)
+        members = sum(len({t for pair in f.pairs for t in pair}) for f in result.families)
+        assert candidates == 1414
+        assert 0 < built <= members < 300, (built, members)
 
     def test_construct_uses_the_same_pair_test_and_factors(self):
         # construct_solution admits exactly the pairs of the object test,

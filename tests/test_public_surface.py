@@ -99,6 +99,8 @@ EXACT_ARGVS = {
     "error generate excluded k1": ["generate", "-n", "4", "-p", "1", "-q", "2", "--k1", "5"],
     "error generate scale count": ["generate", "-n", "3", "-p", "2", "-q", "3", "--k1", "1",
                                    "--scale=1,2"],
+    "error generate empty scale": ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1",
+                                   "--scale="],
     "error generate zero scale": ["generate", "-n", "3", "-p", "2", "-q", "3", "--k1", "1",
                                   "--scale=1,0j,2"],
     "analyze zero entry": ["analyze", "{zero}", "-p", "3", "-q", "7"],

@@ -11,6 +11,7 @@ from simpow.scalar import (
     ExponentPair,
     RootOfUnity,
     _admissible_roots,
+    angle_to_complex,
     mod_inverse,
     rou_pow,
     rou_to_complex,
@@ -82,6 +83,23 @@ class TestRouToComplex:
         z = rou_to_complex(RootOfUnity(1, 5))
         assert z.real == pytest.approx(math.cos(2 * math.pi / 5), abs=1e-12)
         assert z.imag == pytest.approx(math.sin(2 * math.pi / 5), abs=1e-12)
+
+    def test_unreduced_angles_give_the_bits_of_the_reduced_one(self):
+        # angle_to_complex(num, order) with a gcd g > 1 shared by num and
+        # order, and num outside [0, order), evaluates the root of
+        # RootOfUnity(num, order) bit for bit.  Evaluating 2 pi num/order
+        # as given would not: (2 pi 3)/9 and 2 pi/3 can differ in the last bit
+        rng = random.Random(26)
+        unreduced_differs = 0
+        for _ in range(2000):
+            order, g = rng.randint(1, 500), rng.randint(2, 60)
+            num = rng.randrange(-3 * order, 3 * order) * g
+            z = angle_to_complex(num, order * g)
+            w = rou_to_complex(RootOfUnity(num, order * g))
+            assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex()), (num, order * g)
+            theta = 2.0 * math.pi * (num % (order * g)) / (order * g)
+            unreduced_differs += complex(math.cos(theta), math.sin(theta)) != z
+        assert unreduced_differs >= 100, unreduced_differs
 
 
 class TestSnap:
