@@ -51,13 +51,12 @@ if TYPE_CHECKING:
 @contextlib.contextmanager
 def _numeric():
     """numpy's error state for the array arithmetic of a request: a
-    decorator on the numeric commands, a context around the numeric parts
-    of word2 verify and the route of analyze and solve-b.  An
-    overflow surfaces as the error report, named by the check that meets
-    the non-finite value, so numpy's warnings would only repeat it.  numpy
-    is imported here, so the commands that never enter it (word2 classify
-    and construct, word2 verify of 2x2 matrix files, generate, analyze of
-    a spec without --find-b) never load it."""
+    decorator on the numeric commands and a context around the numeric
+    parts of the route of analyze and solve-b.  An overflow surfaces as
+    the error report, named by the check that meets the non-finite value,
+    so numpy's warnings would only repeat it.  numpy is imported here, so
+    the commands that never enter it (word2, which takes 2x2 matrices only,
+    generate, analyze of a spec without --find-b) never load it."""
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -442,19 +441,26 @@ def cmd_verify(args) -> dict:
     return report
 
 
-def cmd_word2_classify(args) -> dict:
+def _word_shape(args) -> tuple[WordShape, dict]:
+    """A word2 command's WordShape and the five fields of its report's inputs that echo it."""
     shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
-    result = classify(shape, max_report=args.max_report)
-    report = _base_report("word2 classify")
-    report["inputs"] = {
+    fields = {
         "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
     }
+    return shape, fields
+
+
+def cmd_word2_classify(args) -> dict:
+    shape, inputs = _word_shape(args)
+    result = classify(shape, max_report=args.max_report)
+    report = _base_report("word2 classify")
+    report["inputs"] = inputs
     report["classification"] = result.to_json()
     return report
 
 
 def cmd_word2_construct(args) -> dict:
-    shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
+    shape, inputs = _word_shape(args)
     u = _parse_rou(args.u, "--u")
     rho = _parse_rou(args.rho, "--rho")
     try:
@@ -464,10 +470,7 @@ def cmd_word2_construct(args) -> dict:
     if not cmath.isfinite(v):
         raise ValueError(f"bad --v {args.v!r}")
     report = _base_report("word2 construct")
-    report["inputs"] = {
-        "r": shape.r, "s": shape.s, "rp": shape.r_prime, "sp": shape.s_prime,
-        "eps": shape.epsilon, "u": str(u), "rho": str(rho), "v": [v.real, v.imag],
-    }
+    report["inputs"] = inputs | {"u": str(u), "rho": str(rho), "v": [v.real, v.imag]}
     a, b = construct_solution(shape, u, rho, v)
     report["a"] = _rows_to_json(a)
     report["b"] = _rows_to_json(b)
@@ -478,19 +481,12 @@ def cmd_word2_construct(args) -> dict:
 
 
 def cmd_word2_verify(args) -> dict:
-    shape = WordShape(args.r, args.s, args.rp, args.sp, args.eps)
+    shape, inputs = _word_shape(args)
     a, b = _load_pair(args.a, args.b)
     report = _base_report("word2 verify")
-    report["inputs"] = {
-        "a": args.a, "b": args.b, "r": shape.r, "s": shape.s,
-        "rp": shape.r_prime, "sp": shape.s_prime, "eps": shape.epsilon,
-    }
-    if len(a) == 2:
-        report["residual"] = verify_word(a, b, shape)
-        report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
-    else:
-        with _numeric():
-            report["residual"] = verify_word(a, b, shape)
+    report["inputs"] = {"a": args.a, "b": args.b, **inputs}
+    report["residual"] = verify_word(a, b, shape)
+    report["simultaneously_triangularizable"] = is_simultaneously_triangularizable(a, b)
     return report
 
 
@@ -574,7 +570,7 @@ def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
     w_co.add_argument("--v", type=str, required=True, help="nonzero complex number")
     w_co.set_defaults(func=cmd_word2_construct)
 
-    w_ve = add(w2, "word2", "verify", help="word residual for explicit matrices")
+    w_ve = add(w2, "word2", "verify", help="word residual for explicit 2x2 matrices")
     w_ve.add_argument("a", help="matrix JSON file for A")
     w_ve.add_argument("b", help="matrix JSON file for B")
     _add_shape(w_ve)

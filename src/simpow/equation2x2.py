@@ -8,13 +8,11 @@ constraint tying the off-diagonal parameters together.  This module
 evaluates the word and its residual, tests a pair for ST, and classifies
 and constructs the non-ST solution families.
 
-Nothing here loads numpy for a 2x2 matrix: construct_solution returns
-nested tuples of Python complex, and the word, its powers and the ST test
-of every 2x2 input run on a small kernel of them (_mul, _power, _inverse),
-dividing by exact powers of two where a determinant or norm could
-overflow.  Only verify_word on a larger input imports numpy and
-matrixcore, through word_value, which also serves the tests as the
-kernel's oracle.
+Only 2x2 matrices are taken, and nothing here loads numpy:
+construct_solution returns nested tuples of Python complex, and the word,
+its powers and the ST test run on a small kernel of them (_mul, _power,
+_inverse), dividing by exact powers of two where a determinant or norm
+could overflow.  verify_word refuses any other size.
 """
 
 from __future__ import annotations
@@ -24,13 +22,9 @@ from contextlib import suppress
 from dataclasses import dataclass
 from itertools import islice
 from math import frexp, gcd, inf, isfinite, ldexp, sqrt
-from typing import TYPE_CHECKING
 
 from . import RANK_TOL, VERIFY_TOL
 from .scalar import RootOfUnity, angle_to_complex, rou_pow, rou_to_complex
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MAX_REPORT = 100
 
@@ -171,32 +165,21 @@ def _power(m: Matrix2, e: int) -> Matrix2:
     return power
 
 
-def word_value(a: np.ndarray, b: np.ndarray, shape: WordShape) -> np.ndarray:
-    from .matrixcore import mat_int_pow
-
-    r, s, rp, sp = shape.exponents
-    return mat_int_pow(a, r) @ mat_int_pow(b, s) @ mat_int_pow(a, rp) @ mat_int_pow(b, sp)
-
-
 def verify_word(a, b, shape: WordShape) -> float:
-    """Max-abs residual of A^r B^s A^r' B^s' - eps*I; a ValueError when the
-    word overflows.  A 2x2 pair is evaluated on the 2x2 kernel, in the
-    order of word_value, which evaluates every other size."""
+    """Max-abs residual of A^r B^s A^r' B^s' - eps*I for a 2x2 pair, on
+    the 2x2 kernel; a ValueError for any other size, before any power is
+    formed, and when the word overflows."""
+    if len(a) != 2:
+        raise ValueError(f"the word equation is for 2x2 matrices, got {len(a)}x{len(a)}")
     eps, (r, s, rp, sp) = shape.epsilon, shape.exponents
-    if len(a) == 2:
-        a, b = _matrix2(a), _matrix2(b)
-        powers = (_power(a, r), _power(b, s), _power(a, rp), _power(b, sp))
-        (w, x), (y, z) = _mul(_mul(_mul(powers[0], powers[1]), powers[2]), powers[3])
-        terms = (w - eps, x, y, z - eps)
-        residual = inf  # also where max would skip a nan
-        if all(map(cmath.isfinite, terms)):
-            with suppress(OverflowError):  # an |entry| past the float range
-                residual = max(map(abs, terms))
-    else:
-        import numpy as np
-
-        w = word_value(a, b, shape)
-        residual = float(np.max(np.abs(w - eps * np.eye(len(a)))))
+    a, b = _matrix2(a), _matrix2(b)
+    powers = (_power(a, r), _power(b, s), _power(a, rp), _power(b, sp))
+    (w, x), (y, z) = _mul(_mul(_mul(powers[0], powers[1]), powers[2]), powers[3])
+    terms = (w - eps, x, y, z - eps)
+    residual = inf  # also where max would skip a nan
+    if all(map(cmath.isfinite, terms)):
+        with suppress(OverflowError):  # an |entry| past the float range
+            residual = max(map(abs, terms))
     if not isfinite(residual):
         raise ValueError(f"the word A^{r} B^{s} A^{rp} B^{sp} overflows")
     return residual
@@ -274,9 +257,6 @@ class SolutionFamily:
     pairs: tuple[tuple[RootOfUnity, RootOfUnity], ...]
     shape: WordShape
     truncated: bool = False
-
-    def sigma_v(self, u: RootOfUnity, rho: RootOfUnity) -> complex:
-        return _coupling_product(self.shape, u, rho)
 
     def to_json(self) -> dict:
         # each factor of sigma*v depends on u alone or on rho alone: it is

@@ -21,16 +21,6 @@ CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
 MAX_RECOVERY_N = 64
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting non-finite entries."""
-    m = np.asarray(data, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix contains non-finite entries")
-    return m
-
-
 def _rank_cut(s: np.ndarray, scale: float | None = None) -> int:
     """Count of the descending singular values s above RANK_TOL * scale.
 
@@ -294,7 +284,10 @@ def weyr_characteristic(
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = as_matrix(m)
+    """A 2-D array as a matrix JSON object; a ValueError for a non-finite entry."""
+    m = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValueError("matrix contains non-finite entries")
     return {
         "rows": m.shape[0],
         "cols": m.shape[1],

@@ -14,10 +14,10 @@ import pytest
 from simpow.cli import main, matrix_from_json
 from simpow.equation2x2 import (
     WordShape,
+    _coupling_product,
     classify,
     construct_solution,
     verify_word,
-    word_value,
 )
 from simpow.matrixcore import mat_int_pow, matrix_to_json, weyr_characteristic
 from simpow.scalar import (
@@ -336,6 +336,13 @@ def _word_shapes_in_box(limit, min_diff, max_diff):
                 yield WordShape(r, s, rp, sp, eps)
 
 
+def word_value(a, b, shape):
+    """A^r B^s A^r' B^s' on numpy arrays, each power by mat_int_pow: the
+    oracle of equation2x2's 2x2 kernel."""
+    r, s, rp, sp = shape.exponents
+    return mat_int_pow(a, r) @ mat_int_pow(b, s) @ mat_int_pow(a, rp) @ mat_int_pow(b, sp)
+
+
 def test_criterion_6_word_equation_families():
     """Worked instance, then every family member in the exponent-6 box."""
     failures = []
@@ -372,7 +379,7 @@ def test_criterion_6_word_equation_families():
             b_stack = np.zeros((count, 2, 2), dtype=complex)
             for idx, (u, rho) in enumerate(pairs):
                 uc, rc = rou_to_complex(u), rou_to_complex(rho)
-                sigma = family.sigma_v(u, rho)  # v = 1
+                sigma = _coupling_product(shape, u, rho)  # v = 1
                 a_stack[idx] = [[uc, 1.0], [0.0, 1.0 / uc]]
                 b_stack[idx] = [[rc, 0.0], [sigma, 1.0 / rc]]
             ar = np.linalg.matrix_power(a_stack, shape.r)

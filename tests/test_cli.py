@@ -913,14 +913,15 @@ class TestWord2:
         assert code == 1
         assert "error" in report
 
-    def test_verify_mismatched_shape_large_residual(self, capsys, nondiag_files):
+    def test_verify_larger_matrices_refused(self, capsys, nondiag_files):
+        # word2 is the paper's 2x2 equation: a 4x4 pair gets one error report
         a_path, b_path = nondiag_files
         code, report = run_json(
             capsys, "word2", "verify", a_path, b_path, "-r", "2", "--rp", "-1", "-s", "1",
             "--sp", "1", "--eps", "1",
         )
-        assert code == 0
-        assert report["residual"] > 1e-3
+        assert code == 1
+        assert report["error"] == "the word equation is for 2x2 matrices, got 4x4"
 
 
 def reject_constant(name):

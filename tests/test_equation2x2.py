@@ -16,11 +16,10 @@ from simpow.equation2x2 import (
     construct_solution,
     is_simultaneously_triangularizable,
     verify_word,
-    word_value,
 )
 from simpow.matrixcore import RANK_TOL, VERIFY_TOL, mat_int_pow
 from simpow.scalar import RootOfUnity, rou_pow, rou_to_complex
-from test_acceptance import _word_shapes_in_box
+from test_acceptance import _word_shapes_in_box, word_value
 from test_scalar import rou_mul
 
 R = RootOfUnity
@@ -445,11 +444,11 @@ class TestVerifyWord:
         inverse = WordShape(-3, -3, -1, -1, -1)
         assert verify_word(a, b, inverse) < 1e-10
 
-    def test_larger_matrices_allowed(self, nondiag_fixture):
-        # 4x4 inputs are legal; a mismatched shape just reports a large residual
+    def test_larger_matrices_refused(self, nondiag_fixture):
+        # the word equation is the paper's 2x2 one: a 4x4 pair is refused
         a, b, _, _, _ = nondiag_fixture
-        residual = verify_word(a, b, WordShape(2, 1, -1, 1, 1))
-        assert residual > 1e-3
+        with pytest.raises(ValueError, match="^the word equation is for 2x2 matrices, got 4x4$"):
+            verify_word(a, b, WordShape(2, 1, -1, 1, 1))
 
 
 class TestContinuousFamily:
@@ -465,8 +464,8 @@ class TestContinuousFamily:
 
 
 def numpy_residual(a, b, shape):
-    """verify_word's residual and overflow error through word_value, as
-    every size but 2x2 takes them."""
+    """verify_word's residual and overflow error through word_value, the
+    numpy oracle of its 2x2 kernel."""
     residual = float(np.max(np.abs(word_value(a, b, shape) - shape.epsilon * np.eye(2))))
     if not math.isfinite(residual):
         r, s, rp, sp = shape.exponents

@@ -5,7 +5,10 @@ A public name must be referred to somewhere other than its own
 definition: in the package itself (the CLI included) or in the benchmark
 under bench/.  Tests do not count, so API that only its own tests reach
 fails here; imports and assignments do not count either, so a name
-imported or assigned and never read fails too.
+imported or assigned and never read fails too.  bench/ is a client of
+the package, so there only what it takes from simpow counts: attribute
+accesses and names imported from simpow, not a local variable that
+shares a public name.
 """
 
 import ast
@@ -22,7 +25,7 @@ from simpow import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "simpow").glob("*.py"))
-USERS = SOURCES + sorted((ROOT / "bench").glob("*.py"))
+CLIENTS = sorted((ROOT / "bench").glob("*.py"))
 
 
 def assigned_names(node: ast.stmt):
@@ -51,22 +54,27 @@ def public_definitions(tree: ast.Module):
             yield name, name
 
 
-def referenced_names(tree: ast.Module) -> set[str]:
-    """Every name a variable read or an attribute access uses; definitions,
-    assignments and imports bind names without using them."""
+def referenced_names(tree: ast.Module, client: bool = False) -> set[str]:
+    """Every name an attribute access uses and, in the package, every name
+    a variable read uses; definitions, assignments and imports bind names
+    without using them.  In a client, a variable read counts only through
+    its import: the names imported from simpow count instead."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif client:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "simpow":
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
     return names
 
 
 def test_every_public_name_is_used():
     used = set()
-    for path in USERS:
-        used |= referenced_names(ast.parse(path.read_text(), str(path)))
+    for path in SOURCES + CLIENTS:
+        used |= referenced_names(ast.parse(path.read_text(), str(path)), path in CLIENTS)
     unused = [
         f"{path.name}: {qualified}"
         for path in SOURCES
@@ -78,7 +86,7 @@ def test_every_public_name_is_used():
 
 
 # the exact commands and their error reports, run in a fresh process that
-# must not load numpy; "{...}" names a spec or 2x2 matrix file written by
+# must not load numpy; "{...}" names a spec or matrix file written by
 # spec_files
 SHAPE = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
 EXACT_ARGVS = {
@@ -113,6 +121,7 @@ EXACT_ARGVS = {
     "error unreadable spec": ["analyze", "{missing}", "-p", "2", "-q", "3"],
     "word2 construct": ["word2", "construct", *SHAPE, "--u", "1/4", "--rho", "1/4", "--v", "1"],
     "word2 verify 2x2": ["word2", "verify", "{a}", "{b}", *SHAPE],
+    "error word2 verify 3x3": ["word2", "verify", "{i3}", "{i3}", *SHAPE],
     "error word2 verify singular": ["word2", "verify", "{singular}", "{b}", "-r", "2", "--rp", "-1",
                                     "-s", "1", "--sp", "1", "--eps", "1"],
     "error word2 verify word overflow": ["word2", "verify", "{e100}", "{e100}", "-r", "2",
@@ -148,7 +157,9 @@ def spec_files(tmp_path):
         ],
     }
     # the 2x2 solution u = rho = i, v = 1, sigma = 2 of SHAPE, a singular
-    # matrix and one whose word with B = A overflows where no power does
+    # matrix and one whose word with B = A overflows where no power does;
+    # the 3x3 identity, which word2 refuses
+    specs["i3"] = {"rows": 3, "cols": 3, "data": [[float(i % 4 == 0), 0.0] for i in range(9)]}
     matrices = {
         "a": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, -1.0]],
         "b": [[0.0, 1.0], [0.0, 0.0], [2.0, 0.0], [0.0, -1.0]],
@@ -175,3 +186,23 @@ def test_numpy_free_modules_do_not_load_numpy(capsys, spec_files, argv):
     assert child.stderr == "False\n", child.stderr
     code = cli.main(argv) if argv else 0
     assert (child.returncode, child.stdout) == (code, capsys.readouterr().out)
+
+
+def imported_names(tree: ast.Module):
+    """The dotted names of every module an import statement names, and of
+    every name imported from one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_equation2x2_imports_neither_numpy_nor_matrixcore():
+    # word2 takes 2x2 matrices only, and its 2x2 kernel needs no arrays
+    path = ROOT / "src" / "simpow" / "equation2x2.py"
+    parts = {part for name in imported_names(ast.parse(path.read_text())) for part in name.split(".")}
+    assert "scalar" in parts
+    assert not parts & {"numpy", "matrixcore"}
