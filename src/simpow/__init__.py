@@ -2,8 +2,9 @@
 
 Names are imported from their modules (``from simpow.similarity import
 JordanSpec``); the package re-exports none of them.  It defines the
-version and the tolerances that every report echoes, which the layers
-import from here: none of them needs numpy to read a tolerance.
+version, the tolerances that every report echoes and the size cap of
+numeric recovery, which the layers import from here: none of them needs
+numpy to read a tolerance or to refuse an input past the cap.
 """
 
 __version__ = "0.1.0"
@@ -14,3 +15,5 @@ RANK_TOL = 1e-9
 VERIFY_TOL = 1e-9
 # eigenvalues closer than this, relative to the operand's 2-norm, are one cluster
 DEFAULT_CLUSTER_TOL = 1e-6
+# the largest n numeric recovery splits: a cluster of n takes up to n + 1 SVDs, O(n^4)
+MAX_RECOVERY_N = 64

@@ -10,25 +10,30 @@ report {"command", "error", "tool_version"} and exits 1.  main is the only
 place that makes that report: it catches the ValueError (every simpow
 error and numpy's LinAlgError are one) or ArithmeticError that a command
 or the serialization of its report raises.  Reports are strict JSON, with
-no NaN or Infinity.  A command line argparse cannot parse exits 2 with
-argparse's usage message.
+no NaN or Infinity.
+
+The command-line grammar is one table, _GRAMMAR.  A well-formed command
+line is read by that table alone and never imports argparse; every other
+(help, an unknown or abbreviated flag, a bad value) goes through the full
+argparse parser built from the same table, with its unchanged messages:
+help exits 0, a command line it cannot parse exits 2 with its usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import cmath
 import contextlib
-import functools
 import json
 import math
 import sys
+import types
 from typing import TYPE_CHECKING
 
-from . import RANK_TOL, VERIFY_TOL, __version__
+from . import MAX_RECOVERY_N, RANK_TOL, VERIFY_TOL, __version__
 from .equation2x2 import (
     DEFAULT_MAX_REPORT,
     WordShape,
+    _require_2x2,
     classify,
     construct_solution,
     is_simultaneously_triangularizable,
@@ -40,6 +45,7 @@ from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_pow, rou_t
 # similarity, spectra, solvers and matrixcore (with numpy) are imported by
 # the code that uses them, so a cold start loads what its command needs.
 if TYPE_CHECKING:
+    import argparse
     from collections.abc import Sequence
 
     import numpy as np
@@ -127,27 +133,38 @@ def _load_matrix_or_spec(path: str):
     raise ValueError(f"{path}: expected a matrix object or a spec list")
 
 
-def _spec_matrix(spec: JordanSpec) -> np.ndarray:
-    """The matrix of a spec, refused before it is built past MAX_RECOVERY_N:
-    analyze --find-b, solve-b, verify and word2 verify of a spec file and
-    nilpotent of its one eigenvalue build it here."""
-    from .matrixcore import MAX_RECOVERY_N
-    from .similarity import matrix_from_spec
-
+def _capped(spec: JordanSpec) -> JordanSpec:
+    """spec, refused past MAX_RECOVERY_N before any matrix is built from it."""
     if spec.n > MAX_RECOVERY_N:
         raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
-    return matrix_from_spec(spec)
+    return spec
 
 
-def _load_pair(path_a: str, path_b: str) -> tuple:
-    """Two matrix files' rows of complex, or spec files' matrices as arrays."""
-    a, b = (
-        _spec_matrix(spec) if matrix is None else matrix
-        for matrix, spec in map(_load_matrix_or_spec, (path_a, path_b))
-    )
-    if len(a) != len(b):
-        raise ValueError(f"A is {len(a)}x{len(a)} but B is {len(b)}x{len(b)}")
-    return a, b
+def _spec_matrix(spec: JordanSpec) -> np.ndarray:
+    """The matrix of a spec, capped: analyze --find-b, solve-b, verify and
+    nilpotent of its one eigenvalue build it here."""
+    from .similarity import matrix_from_spec
+
+    return matrix_from_spec(_capped(spec))
+
+
+def _spec_rows(spec: JordanSpec) -> list[list[complex]]:
+    """word2 verify's matrix of a 2x2 spec as rows of complex, without
+    numpy (as in _cycle_report); any other size is refused first."""
+    from .similarity import _jordan_matrix
+
+    _require_2x2(spec.n)
+    return _entry_rows(2, _jordan_matrix(spec, lambda n: {}))
+
+
+def _load_pair(path_a: str, path_b: str, build) -> tuple:
+    """Two input files' matrices, a matrix file's rows of complex; a spec
+    file's is build(spec), once no spec is past the cap and the sizes match."""
+    pair = [(m, s if m else _capped(s)) for m, s in map(_load_matrix_or_spec, (path_a, path_b))]
+    n_a, n_b = (len(m) if m else s.n for m, s in pair)
+    if n_a != n_b:
+        raise ValueError(f"A is {n_a}x{n_a} but B is {n_b}x{n_b}")
+    return tuple(m or build(s) for m, s in pair)
 
 
 def _base_report(command: str) -> dict:
@@ -430,7 +447,7 @@ def cmd_verify(args) -> dict:
     from .solvers import realize_conjugate_c
 
     pq = ExponentPair(args.p, args.q)
-    a, b = map(np.array, _load_pair(args.a, args.b))
+    a, b = map(np.array, _load_pair(args.a, args.b, _spec_matrix))
     report = _base_report("verify")
     report["inputs"] = {"a": args.a, "b": args.b, "p": pq.p, "q": pq.q}
     conj = realize_conjugate_c(a, b)
@@ -482,7 +499,7 @@ def cmd_word2_construct(args) -> dict:
 
 def cmd_word2_verify(args) -> dict:
     shape, inputs = _word_shape(args)
-    a, b = _load_pair(args.a, args.b)
+    a, b = _load_pair(args.a, args.b, _spec_rows)
     report = _base_report("word2 verify")
     report["inputs"] = {"a": args.a, "b": args.b, **inputs}
     report["residual"] = verify_word(a, b, shape)
@@ -490,121 +507,123 @@ def cmd_word2_verify(args) -> dict:
     return report
 
 
-def _add_pq(parser: argparse.ArgumentParser):
-    parser.add_argument("-p", type=int, required=True)
-    parser.add_argument("-q", type=int, required=True)
+_PQ = [("-p", {"type": int, "required": True}), ("-q", {"type": int, "required": True})]
+_SHAPE = [
+    ("-r", {"type": int, "required": True}),
+    ("--rp", {"type": int, "required": True, "help": "exponent r'"}),
+    ("-s", {"type": int, "required": True}),
+    ("--sp", {"type": int, "required": True, "help": "exponent s'"}),
+    ("--eps", {"type": int, "required": True, "choices": (-1, 1)}),
+]
+_INPUT = ("input", {"help": "matrix or spec JSON file"})
+_SEED = ("--seed", {"type": int, "default": 0, "help": "echoed as seed; B draws nothing"})
+_AB = [("a", {"help": "matrix JSON file for A"}), ("b", {"help": "matrix JSON file for B"})]
+_ROU = {"required": True, "help": "root of unity 'k/m'"}
+
+# The CLI grammar, written once: each command path's help, handler (None
+# for word2, which only holds subcommands) and arguments, a positional's
+# name or an option's flag with add_argument keywords, of which _read knows
+# type, required, default, choices, help and action="store_true" only.
+_GRAMMAR = {
+    ("analyze",): ("similarity verdict for A^p vs A^q", cmd_analyze, [
+        _INPUT, *_PQ, ("--find-b", {"action": "store_true", "default": False}), _SEED,
+    ]),
+    ("generate",): ("distinct-eigenvalue solutions from a seed residue", cmd_generate, [
+        ("-n", {"type": int, "required": True}), *_PQ, ("--k1", {"type": int}),
+        ("--scale", {"help": "comma-separated complex scales"}),
+    ]),
+    ("nilpotent",): ("single-eigenvalue solver", cmd_nilpotent, [
+        ("--lam", {"required": True, "help": "eigenvalue as 'k/m'"}),
+        ("--blocks", {"required": True, "help": "comma-separated block sizes"}), *_PQ,
+    ]),
+    ("solve-b",): ("conjugator B in closed form, on a spec or a matrix's certified structure",
+                   cmd_solve_b, [_INPUT, *_PQ, _SEED]),
+    ("verify",): ("residual of B^-1 A^p B = A^q", cmd_verify, [*_AB, *_PQ]),
+    ("word2",): ("the 2x2 word equation A^r B^s A^r' B^s' = eps*I", None, []),
+    ("word2", "classify"): ("enumerate non-ST solution families", cmd_word2_classify, [
+        *_SHAPE, ("--max-report", {"type": int, "default": DEFAULT_MAX_REPORT}),
+    ]),
+    ("word2", "construct"): ("build a non-ST solution pair", cmd_word2_construct, [
+        *_SHAPE, ("--u", _ROU), ("--rho", _ROU),
+        ("--v", {"required": True, "help": "nonzero complex number"}),
+    ]),
+    ("word2", "verify"): ("word residual for explicit 2x2 matrices", cmd_word2_verify,
+                          [*_AB, *_SHAPE]),
+}
+_DESTS = {  # each name's attribute in the namespace, as argparse derives it
+    name: name.lstrip("-").replace("-", "_") for *_, args in _GRAMMAR.values() for name, _ in args
+}
 
 
-def _add_shape(parser: argparse.ArgumentParser):
-    parser.add_argument("-r", type=int, required=True)
-    parser.add_argument("--rp", type=int, required=True, help="exponent r'")
-    parser.add_argument("-s", type=int, required=True)
-    parser.add_argument("--sp", type=int, required=True, help="exponent s'")
-    parser.add_argument("--eps", type=int, required=True, choices=(-1, 1))
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser of _GRAMMAR: it reads every argv _parse_args declines."""
+    import argparse
 
-
-def build_parser(leaves: dict | None = None) -> argparse.ArgumentParser:
-    """The full parser.  leaves, when given, receives each command's own
-    parser under its path in argv: ("analyze",), ..., ("word2", "classify"),
-    ...  The full parser hands a command's arguments to that parser once it
-    has read the command's name."""
     parser = argparse.ArgumentParser(
         prog="simpow",
         description="Similarity of matrix powers and 2x2 matrix word equations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    leaves = {} if leaves is None else leaves
-
-    def add(subparsers, *path, **kwargs) -> argparse.ArgumentParser:
-        leaves[path] = subparsers.add_parser(path[-1], **kwargs)
-        return leaves[path]
-
-    p_an = add(sub, "analyze", help="similarity verdict for A^p vs A^q")
-    p_an.add_argument("input", help="matrix or spec JSON file")
-    _add_pq(p_an)
-    p_an.add_argument("--find-b", action="store_true", dest="find_b")
-    p_an.add_argument("--seed", type=int, default=0, help="echoed as seed; B draws nothing")
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_gen = add(sub, "generate", help="distinct-eigenvalue solutions from a seed residue")
-    p_gen.add_argument("-n", type=int, required=True)
-    _add_pq(p_gen)
-    p_gen.add_argument("--k1", type=int, default=None)
-    p_gen.add_argument("--scale", type=str, default=None, help="comma-separated complex scales")
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_nil = add(sub, "nilpotent", help="single-eigenvalue solver")
-    p_nil.add_argument("--lam", type=str, required=True, help="eigenvalue as 'k/m'")
-    p_nil.add_argument("--blocks", type=str, required=True, help="comma-separated block sizes")
-    _add_pq(p_nil)
-    p_nil.set_defaults(func=cmd_nilpotent)
-
-    p_sb = add(
-        sub,
-        "solve-b",
-        help="conjugator B in closed form, on a spec or a matrix's certified structure",
-    )
-    p_sb.add_argument("input", help="matrix or spec JSON file")
-    _add_pq(p_sb)
-    p_sb.add_argument("--seed", type=int, default=0, help="echoed as seed; B draws nothing")
-    p_sb.set_defaults(func=cmd_solve_b)
-
-    p_ver = add(sub, "verify", help="residual of B^-1 A^p B = A^q")
-    p_ver.add_argument("a", help="matrix JSON file for A")
-    p_ver.add_argument("b", help="matrix JSON file for B")
-    _add_pq(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_w2 = sub.add_parser("word2", help="the 2x2 word equation A^r B^s A^r' B^s' = eps*I")
-    w2 = p_w2.add_subparsers(dest="word2_command", required=True)
-
-    w_cl = add(w2, "word2", "classify", help="enumerate non-ST solution families")
-    _add_shape(w_cl)
-    w_cl.add_argument("--max-report", type=int, default=DEFAULT_MAX_REPORT, dest="max_report")
-    w_cl.set_defaults(func=cmd_word2_classify)
-
-    w_co = add(w2, "word2", "construct", help="build a non-ST solution pair")
-    _add_shape(w_co)
-    w_co.add_argument("--u", type=str, required=True, help="root of unity 'k/m'")
-    w_co.add_argument("--rho", type=str, required=True, help="root of unity 'k/m'")
-    w_co.add_argument("--v", type=str, required=True, help="nonzero complex number")
-    w_co.set_defaults(func=cmd_word2_construct)
-
-    w_ve = add(w2, "word2", "verify", help="word residual for explicit 2x2 matrices")
-    w_ve.add_argument("a", help="matrix JSON file for A")
-    w_ve.add_argument("b", help="matrix JSON file for B")
-    _add_shape(w_ve)
-    w_ve.set_defaults(func=cmd_word2_verify)
-
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (help_text, func, arguments) in _GRAMMAR.items():
+        command = subparsers[path[:-1]].add_parser(path[-1], help=help_text)
+        for name, keywords in arguments:
+            command.add_argument(name, **keywords)
+        if func is None:
+            subparsers[path] = command.add_subparsers(dest="word2_command", required=True)
+        else:
+            command.set_defaults(func=func)
     return parser
 
 
-@functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser and its commands' own, built on the first call:
-    parsing leaves them unchanged, so in-process callers need not pay for
-    building them on every call."""
-    leaves = {}
-    return build_parser(leaves), leaves
+def _read(arguments: list, tokens: list[str], values: dict) -> types.SimpleNamespace | None:
+    """values completed by reading tokens with arguments (a _GRAMMAR entry's)
+    as argparse would, or None where the table does not cover every token
+    exactly; see _parse_args."""
+    spec = dict(arguments)
+    positionals = [name for name in spec if name[0] != "-"]
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            name, eq, value = positionals.pop(0) if positionals else "-", "", token
+        else:
+            name, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+        keywords = spec.get(name)
+        if keywords is None or _DESTS[name] in values or eq and "action" in keywords:
+            return None
+        if name[0] == "-" and not eq and "action" not in keywords:
+            value = next(tokens, "-")
+            if value[:1] == "-" and not (value[1:].isascii() and value[1:].isdigit()):
+                return None
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[_DESTS[name]] = "action" in keywords or value
+    for name, keywords in spec.items():
+        if _DESTS[name] not in values and (name[0] != "-" or keywords.get("required")):
+            return None
+        values.setdefault(_DESTS[name], keywords.get("default"))
+    return types.SimpleNamespace(**values)
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed once: by its command's own parser when argv names a
-    command, by the full parser otherwise (no arguments, -h, an unknown
-    command, word2 without its subcommand).  The namespace, the messages
-    and the exit codes are the full parser's: it would read the command's
-    name and hand the rest to the same parser, and it reports what that
-    parser leaves over."""
-    parser, leaves = _parser()
+def _parse_args(argv) -> argparse.Namespace | types.SimpleNamespace:
+    """argv read by _GRAMMAR into the namespace argparse would make of it
+    (command, word2_command for word2, func and every argument) where the
+    table covers every token exactly.  Any other argv goes to the full
+    parser, built only then, for its own namespace, messages and exit
+    codes: -h, an unknown or abbreviated flag, a short flag with its value
+    attached (-p3, -p=3), a repeated flag, --, a positional or an option's
+    separate value that starts with - (but a negative integer value), = on
+    a switch, a value its type or choices refuse, a missing required flag
+    and a wrong number of positionals.  --flag=value is read."""
     argv = sys.argv[1:] if argv is None else list(argv)
     path = tuple(argv[:2] if argv[:1] == ["word2"] else argv[:1])
-    if path not in leaves:
-        return parser.parse_args(argv)
-    names = argparse.Namespace(**dict(zip(("command", "word2_command"), path)))
-    args, extras = leaves[path].parse_known_args(argv[len(path):], names)
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    _, func, arguments = _GRAMMAR.get(path, (None, None, []))
+    names = dict(zip(("command", "word2_command"), path), func=func)
+    args = _read(arguments, argv[len(path):], names) if func else None
+    return args or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -165,12 +165,17 @@ def _power(m: Matrix2, e: int) -> Matrix2:
     return power
 
 
+def _require_2x2(n: int) -> None:
+    """verify_word's refusal of an n x n pair, n != 2."""
+    if n != 2:
+        raise ValueError(f"the word equation is for 2x2 matrices, got {n}x{n}")
+
+
 def verify_word(a, b, shape: WordShape) -> float:
     """Max-abs residual of A^r B^s A^r' B^s' - eps*I for a 2x2 pair, on
     the 2x2 kernel; a ValueError for any other size, before any power is
     formed, and when the word overflows."""
-    if len(a) != 2:
-        raise ValueError(f"the word equation is for 2x2 matrices, got {len(a)}x{len(a)}")
+    _require_2x2(len(a))
     eps, (r, s, rp, sp) = shape.epsilon, shape.exponents
     a, b = _matrix2(a), _matrix2(b)
     powers = (_power(a, r), _power(b, s), _power(a, rp), _power(b, sp))

@@ -12,13 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_CLUSTER_TOL, RANK_TOL, VERIFY_TOL
+from . import DEFAULT_CLUSTER_TOL, MAX_RECOVERY_N, RANK_TOL, VERIFY_TOL
 
 # the clustering radii, finest first, in units of DEFAULT_CLUSTER_TOL: a Jordan block of size k
 # scatters its computed eigenvalues by about (u * ||A||)^(1/k), their mean by rounding
 CLUSTER_LADDER = (1, 10, 100, 1000, 10**4)
-# the largest n numeric recovery splits: a cluster of n takes up to n + 1 SVDs, O(n^4)
-MAX_RECOVERY_N = 64
 
 
 def _rank_cut(s: np.ndarray, scale: float | None = None) -> int:

@@ -1,6 +1,9 @@
 import argparse
+import collections
+import contextlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -1087,8 +1090,92 @@ class TestReportDiscipline:
             assert "--seed must be >= 0" in report["error"]
 
 
+# argv drawn from cli._GRAMMAR: well-formed, or broken by one rule under
+# which the table declines the argv and the full parser reads it
+DECLINE_RULES = (
+    "unknown", "help", "attached", "repeated", "dashdash", "dash positional", "dash value",
+    "switch =", "type", "choices", "missing", "positional count",
+)
+INT_VALUES = ["0", "3", "-5", "-1", "12", "007", "1_0", " 4", "-20"]
+STR_VALUES = ["1/4", "0/1", "2,5j", "", "x y", "3", "a=b"]
+POSITIONAL_VALUES = ["a.json", "spec.json", "", "x y", "3", "word2", "=", "a=b"]
+
+
+def draw_argv(rng, rule=None):
+    """A random argv of one command path, broken by rule when one is given."""
+    paths = [path for path, (_, func, arguments) in cli._GRAMMAR.items() if func and (
+        rule not in ("dash positional", "switch =", "choices")
+        or any({"dash positional": name[0] != "-", "switch =": "action" in keywords,
+                "choices": "choices" in keywords}[rule] for name, keywords in arguments)
+    )]
+    path = rng.choice(paths)
+    arguments = cli._GRAMMAR[path][2]
+    positionals = [rng.choice(POSITIONAL_VALUES) for name, _ in arguments if name[0] != "-"]
+    groups, valued, ints = [], [], []  # each option's tokens; [flag, value] groups, int ones
+    for name, keywords in arguments:
+        if name[0] != "-" or not keywords.get("required") and rng.random() < 0.5:
+            continue
+        if "action" in keywords:
+            groups.append([name])
+            continue
+        choices = [str(c) for c in keywords.get("choices", ())]
+        value = rng.choice(choices or (INT_VALUES if keywords.get("type") is int else STR_VALUES))
+        if rule == "choices" and choices:
+            value = rng.choice(["0", "2", "-2", "10"])
+        if name[:2] == "--" and rng.random() < 0.3:
+            groups.append([f"{name}={value}"])
+        else:
+            valued.append(len(groups))
+            if keywords.get("type") is int:
+                ints.append(len(groups))
+            groups.append([name, value])
+    long_flags = [group for group in groups if group[0][:2] == "--"]
+    if rule == "unknown" and long_flags and rng.random() < 0.5:  # an abbreviation
+        group = rng.choice(long_flags)
+        flag, eq, value = group[0].partition("=")
+        group[0] = flag[:-1] + eq + value
+    elif rule == "unknown":
+        groups.append([rng.choice(["--bogus", "-x", "--find", "--max", "--se", "--r", "--s", "-P"])])
+    elif rule == "help":
+        groups.append([rng.choice(["-h", "--help"])])
+    elif rule == "attached":
+        group = groups[rng.choice([i for i in valued if groups[i][0][:2] != "--"])]
+        group[:] = [group[0] + rng.choice(["", "="]) + group[1]]
+    elif rule == "repeated":
+        group = rng.choice(groups)
+        groups.append(group[:1] + [rng.choice(INT_VALUES)] * (len(group) - 1))
+    elif rule == "dashdash":
+        groups.append(["--"])
+    elif rule == "dash positional":
+        positionals[rng.randrange(len(positionals))] = rng.choice(["-x", "-1", "-", "-a.json"])
+    elif rule == "dash value":
+        groups[rng.choice(valued)][1] = rng.choice(["-x", "-1.5", "-", "--p", "-1 2", "-p", "-٣"])
+    elif rule == "switch =":
+        groups.append(["--find-b=" + rng.choice(["", "1", "x"])])
+    elif rule == "type":
+        if not ints:  # a command whose drawn int options all went in --flag=value form
+            return draw_argv(rng, rule)
+        groups[rng.choice(ints)][1] = rng.choice(["x", "1.5", "", "1e3", "0x1"])
+    elif rule == "missing":
+        required = [name for name, keywords in arguments if keywords.get("required")]
+        dropped = rng.choice(required)
+        groups = [g for g in groups if g[0].partition("=")[0] != dropped]
+    elif rule == "positional count":
+        if positionals and rng.random() < 0.5:
+            positionals.pop(rng.randrange(len(positionals)))
+        else:
+            positionals.insert(rng.randrange(len(positionals) + 1), "extra.json")
+    rng.shuffle(groups)
+    places = sorted(rng.randrange(len(groups) + 1) for _ in positionals)
+    for at, value in reversed(list(zip(places, positionals))):  # keeps their order
+        groups.insert(at, [value])
+    return [*path, *(token for group in groups for token in group)]
+
+
 class TestParserReuse:
-    """main() builds its parser once; reusing it must not change any output."""
+    """main() reads a well-formed argv by the grammar table, without
+    argparse, and hands every other argv to the full parser: neither may
+    change any output."""
 
     @staticmethod
     def argv_sequence(spec_path, a_path, b_path, a2_path, b2_path):
@@ -1114,14 +1201,13 @@ class TestParserReuse:
     def test_same_bytes_as_a_fresh_parser(
         self, capsys, intro_spec_file, nondiag_files, pair2_files
     ):
+        # no parser or state is kept between requests: a second pass of the
+        # sequence in the same process answers with the same bytes
         argvs = self.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files)
-        fresh = []
-        for argv in argvs:
-            cli._parser.cache_clear()
-            fresh.append(run(capsys, *argv))
-        reused = [run(capsys, *argv) for argv in argvs]
-        assert reused == fresh
-        assert {code for code, _ in fresh} == {0, 1}
+        first = [run(capsys, *argv) for argv in argvs]
+        second = [run(capsys, *argv) for argv in argvs]
+        assert second == first
+        assert {code for code, _ in first} == {0, 1}
 
     @staticmethod
     def exiting_argv(spec_path):
@@ -1182,11 +1268,38 @@ class TestParserReuse:
             assert outcomes[1] == outcomes[2] == outcomes[0], argv
             assert outcomes[0][0] == (0 if "-h" in argv else 2)
 
+    def test_table_reads_as_argparse_does(self, capsys, monkeypatch):
+        # 2400 drawn argv, 40% well-formed and the rest broken by one rule
+        # each: a well-formed argv is read by the table into argparse's
+        # namespace, a broken one is declined and ends as the full parser
+        # ends it; build_parser is counted, and shared to keep this fast
+        reference = cli.build_parser()
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or reference)
+        rng = random.Random(2029)
+        seen = collections.Counter()
+        for i in range(2400):
+            rule = None if i % 5 < 2 else DECLINE_RULES[i % len(DECLINE_RULES)]
+            argv = draw_argv(rng, rule)
+            outcomes = []
+            for parse in (reference.parse_args, cli._parse_args):
+                built.clear()
+                try:
+                    outcomes.append(("namespace", vars(parse(argv))))
+                except SystemExit as exc:
+                    outcomes.append((exc.code, *capsys.readouterr()))
+            assert outcomes[1] == outcomes[0], argv
+            assert built == ([] if rule is None else [1]), (rule, argv)
+            seen[rule, outcomes[0][0] == "namespace"] += 1
+        assert {rule for rule, _ in seen} == {None, *DECLINE_RULES}
+        assert seen[None, True] == 960
+        assert seen["unknown", True] and seen["unknown", False]  # abbreviations and errors
+
     def test_one_parse_per_request(
         self, capsys, monkeypatch, intro_spec_file, nondiag_files, pair2_files
     ):
-        # the full parser would parse argv, then hand the rest to the
-        # command's parser (and word2's to its subcommand's): 2 or 3 parses
+        # a well-formed argv is read by the grammar table, with no argparse
+        # parse at all; a declined one makes exactly the full parser's parses
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -1198,7 +1311,21 @@ class TestParserReuse:
         for argv in self.argv_sequence(intro_spec_file, *nondiag_files, *pair2_files):
             calls.clear()
             run(capsys, *argv)
-            assert calls == ["simpow " + " ".join(argv[:2 if argv[0] == "word2" else 1])]
+            assert calls == [], argv
+        declined = self.exiting_argv(intro_spec_file) + [
+            ["analyze", intro_spec_file, "-p", "3", "-q", "7", "--find"],
+            ["word2", "classify", "-r", "3", "--rp", "1", "-s", "-5", "--sp", "-7", "--eps", "1",
+             "--max", "2"],
+        ]
+        for argv in declined:
+            counts = []
+            for parse in (cli.build_parser().parse_args, cli._parse_args):
+                calls.clear()
+                with contextlib.suppress(SystemExit):
+                    parse(argv)
+                counts.append(list(calls))
+            capsys.readouterr()
+            assert counts[1] == counts[0] != [], argv
 
 
 class TestBenchTracer:

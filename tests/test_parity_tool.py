@@ -1,6 +1,9 @@
 """tools/parity.py: how it names the difference between two stdouts."""
 
+import collections
+import contextlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -24,3 +27,32 @@ SPEC.loader.exec_module(parity)
 )
 def test_differing_keys(out, other, keys):
     assert parity._differing_keys(out, other) == keys
+
+
+def test_declined_argv_are_declined_by_the_grammar_table(monkeypatch, capsys):
+    # each DECLINED argv goes to the full parser, so parity covers it
+    from simpow import cli
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for argv in parity.DECLINED:
+        built.clear()
+        with contextlib.suppress(SystemExit):
+            cli._parse_args(argv)
+        assert built == [1], argv
+    capsys.readouterr()
+
+
+def test_declined_argv_run_on_their_inputs(tmp_path):
+    # in a directory holding INPUTS, no DECLINED argv crashes; help exits 0,
+    # argparse's errors 2, and the argv argparse reads answer with a report
+    for name, data in parity.INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    jobs, out = tmp_path / "jobs.json", tmp_path / "out.json"
+    jobs.write_text(json.dumps([[str(tmp_path), argv] for argv in parity.DECLINED]))
+    with contextlib.chdir(tmp_path):
+        parity.run(str(PATH.parents[1]), str(jobs), str(out))
+    codes = collections.Counter(rc for rc, _, _ in json.loads(out.read_text()))
+    assert set(codes) == {0, 1, 2}
+    assert codes[0] > len([argv for argv in parity.DECLINED if {"-h", "--help"} & set(argv)])

@@ -86,8 +86,8 @@ def test_every_public_name_is_used():
 
 
 # the exact commands and their error reports, run in a fresh process that
-# must not load numpy; "{...}" names a spec or matrix file written by
-# spec_files
+# must load neither numpy nor, since each argv is well-formed, argparse;
+# "{...}" names a spec or matrix file written by spec_files
 SHAPE = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
 EXACT_ARGVS = {
     "import simpow.cli": None,
@@ -122,6 +122,8 @@ EXACT_ARGVS = {
     "word2 construct": ["word2", "construct", *SHAPE, "--u", "1/4", "--rho", "1/4", "--v", "1"],
     "word2 verify 2x2": ["word2", "verify", "{a}", "{b}", *SHAPE],
     "error word2 verify 3x3": ["word2", "verify", "{i3}", "{i3}", *SHAPE],
+    "word2 verify 2x2 spec": ["word2", "verify", "{spec2}", "{b}", *SHAPE],
+    "error word2 verify 3x3 spec": ["word2", "verify", "{spec3}", "{spec3}", *SHAPE],
     "error word2 verify singular": ["word2", "verify", "{singular}", "{b}", "-r", "2", "--rp", "-1",
                                     "-s", "1", "--sp", "1", "--eps", "1"],
     "error word2 verify word overflow": ["word2", "verify", "{e100}", "{e100}", "-r", "2",
@@ -131,13 +133,16 @@ EXACT_ARGVS = {
 }
 
 # runs cli.main on its arguments (none: only the import), then reports on
-# stderr whether numpy was loaded
+# the last line of stderr whether numpy and argparse were loaded
 CHILD = """
 import sys
 from simpow import cli
-code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+try:
+    code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+except SystemExit as exc:
+    code = exc.code
 sys.stdout.flush()
-print("numpy" in sys.modules, file=sys.stderr)
+print("numpy" in sys.modules, "argparse" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -155,6 +160,9 @@ def spec_files(tmp_path):
             {"eigenvalue": [fifth.real, fifth.imag], "blocks": [1]},
             {"eigenvalue": [2.0, 0.0], "blocks": [2]},
         ],
+        # word2 verify builds the first without numpy and refuses the second
+        "spec2": [{"eigenvalue": [0.0, 1.0], "blocks": [1]}, {"eigenvalue": "3/4", "blocks": [1]}],
+        "spec3": [{"eigenvalue": f"{k}/3", "blocks": [1]} for k in range(3)],
     }
     # the 2x2 solution u = rho = i, v = 1, sigma = 2 of SHAPE, a singular
     # matrix and one whose word with B = A overflows where no power does;
@@ -174,18 +182,49 @@ def spec_files(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
-def test_numpy_free_modules_do_not_load_numpy(capsys, spec_files, argv):
-    # the exact commands answer in a process without numpy, with the bytes
-    # and exit code they have in this one, where numpy is loaded
+def run_child(capsys, spec_files, argv, loaded):
+    """Runs argv in a fresh process, which must have loaded exactly
+    loaded of numpy and argparse, and answer with the exit code, stdout
+    and stderr argv has in this one, where both are loaded."""
     argv = [arg.format(**spec_files) for arg in argv or []]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     child = subprocess.run(
         [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True
     )
-    assert child.stderr == "False\n", child.stderr
-    code = cli.main(argv) if argv else 0
-    assert (child.returncode, child.stdout) == (code, capsys.readouterr().out)
+    *messages, flags = child.stderr.splitlines(keepends=True)
+    assert flags.split() == [str(name in loaded) for name in ("numpy", "argparse")], child.stderr
+    try:
+        code = cli.main(argv) if argv else 0
+    except SystemExit as exc:
+        code = exc.code
+    assert (child.returncode, child.stdout, "".join(messages)) == (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS.values(), ids=EXACT_ARGVS.keys())
+def test_numpy_free_modules_do_not_load_numpy(capsys, spec_files, argv):
+    # the exact commands answer in a process without numpy or argparse
+    run_child(capsys, spec_files, argv, loaded=())
+
+
+NUMERIC_ARGVS = {
+    "analyze --find-b": ["analyze", "{a}", "-p", "2", "-q", "3", "--find-b"],
+    "solve-b": ["solve-b", "{zero}", "-p", "3", "-q", "7", "--seed=4"],
+    "verify": ["verify", "{a}", "{b}", "-p", "-1", "-q", "2"],
+    "nilpotent": ["nilpotent", "--lam", "1/3", "--blocks", "4,2", "-p", "2", "-q", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ARGVS.values(), ids=NUMERIC_ARGVS.keys())
+def test_well_formed_argv_loads_no_argparse(capsys, spec_files, argv):
+    # the grammar table reads a numeric command's argv too
+    run_child(capsys, spec_files, argv, loaded=("numpy",))
+
+
+def test_declined_argv_goes_through_argparse(capsys, spec_files):
+    # --find is argparse's abbreviation of --find-b, which the table declines
+    run_child(capsys, spec_files, NUMERIC_ARGVS["analyze --find-b"][:-1] + ["--find"],
+              loaded=("numpy", "argparse"))
+    run_child(capsys, spec_files, ["word2", "verify", "{a}"], loaded=("argparse",))
 
 
 def imported_names(tree: ast.Module):

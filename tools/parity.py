@@ -6,12 +6,14 @@ The inputs of the numeric, exact and word2 workloads are built once per
 seed, with PARENT_TREE's bench/workloads.build, in a temporary directory.
 Every request and probe argv of them then runs through each tree's
 simpow.cli.main, in one process per tree, with one BLAS thread and no
-bytecode written.  Exit code, stdout and stderr are compared per argv.
-The tool prints every argv that differs, with the top-level keys that
-differ where both stdouts are JSON objects, then the number of argv
-compared and one count per set of differing keys, and exits 1 on any
-difference.  It reads bench/ and src/ of the trees and writes nothing in
-either.
+bytecode written, and so does the fixed DECLINED list: argv that the CLI's
+grammar table leaves to argparse (help, bad and abbreviated flags), so
+that parity covers argparse's messages and exit codes too.  Exit code,
+stdout and stderr are compared per argv.  The tool prints every argv that
+differs, with the top-level keys that differ where both stdouts are JSON
+objects, then the number of bench and of declined argv compared and one
+count per set of differing keys, and exits 1 on any difference.  It reads
+bench/ and src/ of the trees and writes nothing in either.
 """
 
 from __future__ import annotations
@@ -29,6 +31,61 @@ import traceback
 from pathlib import Path
 
 WORKLOADS = ("numeric", "exact", "word2")
+SHAPE = ["-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1"]
+PQ = ["-p", "3", "-q", "7"]
+# run in a directory holding spec.json, a.json and b.json: argv that
+# argparse ends with SystemExit (exit 2, or 0 for help), then one or more
+# per rule by which the grammar table declines an argv, some of which
+# argparse reads and the command then answers
+DECLINED = [
+    ["word2", "classify", *SHAPE, "--no-such-flag", "1"],
+    ["word2", "classify", *SHAPE[:-1], "0"],
+    ["nilpotent", "--lam", "0/1", "-p", "2", "-q", "3"],
+    ["generate", "-n", "x", "-p", "2", "-q", "3"],
+    ["generate", "-n", "2", "-p", "2", "-q", "3", "--k1", "1", "--scale=1,2", "extra"],
+    ["analyze"], ["word2"], ["no-such-command"], [], ["-h"],
+    ["analyze", "spec.json", *PQ, "-h"], ["word2", "construct", "-h"], ["word2", "-h"],
+    # an unknown flag, and abbreviations
+    ["analyze", "spec.json", *PQ, "--bogus"],
+    ["analyze", "spec.json", *PQ, "--find"],
+    ["word2", "classify", *SHAPE, "--max", "2"],
+    ["word2", "construct", *SHAPE, "--u", "1/4", "--rh", "1/4", "--v", "1"],
+    # -h and --help of every command
+    *([*path, "-h"] for path in (["analyze"], ["generate"], ["nilpotent"], ["solve-b"],
+                                 ["verify"], ["word2", "classify"], ["word2", "verify"])),
+    ["verify", "a.json", "--help", "b.json", "-p", "2", "-q", "3"],
+    # a short flag's value attached
+    ["generate", "-n2", "-p", "2", "-q", "3"],
+    ["generate", "-n=2", "-p", "2", "-q", "3"],
+    # a repeated flag
+    ["generate", "-n", "2", "-p", "2", "-q", "3", "-n", "3"],
+    ["word2", "verify", "a.json", "b.json", *SHAPE, "--eps", "1"],
+    # --
+    ["analyze", *PQ, "--", "spec.json"],
+    # a positional or a separate value that starts with -
+    ["analyze", "-x.json", *PQ],
+    ["analyze", "-1", *PQ],
+    ["word2", "construct", *SHAPE, "--u", "1/4", "--rho", "-1/4", "--v", "1"],
+    ["word2", "construct", *SHAPE, "--u", "1/4", "--rho", "1/4", "--v", "-1.5"],
+    ["solve-b", "spec.json", *PQ, "--seed", "-"],
+    # = on a switch
+    ["analyze", "spec.json", *PQ, "--find-b=1"],
+    ["analyze", "spec.json", *PQ, "--find-b="],
+    # a value its type or its choices refuse
+    ["generate", "-n", "2", "-p", "2.5", "-q", "3"],
+    ["solve-b", "spec.json", *PQ, "--seed="],
+    ["word2", "verify", "a.json", "b.json", *SHAPE[:-1], "2"],
+    # a required flag missing
+    ["verify", "a.json", "b.json", "-p", "2"],
+    # too few or too many positionals
+    ["verify", "a.json", "-p", "2", "-q", "3"],
+    ["solve-b", "spec.json", "a.json", *PQ],
+]
+INPUTS = {
+    "spec.json": [{"eigenvalue": "1/3", "blocks": [2, 1]}, {"eigenvalue": "zero", "blocks": [1]}],
+    "a.json": {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]},
+    "b.json": {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [0.0, 0.0], [2.0, 0.0], [0.0, -1.0]]},
+}
 
 
 def _env(tree: Path, *dirs: str) -> dict:
@@ -58,7 +115,7 @@ def _imported_from(tree: str) -> None:
 
 def build(tree: str, workdir: str, seeds: str, jobs_path: str) -> None:
     """Writes the inputs of every workload and seed under workdir, and the
-    list of [directory, argv] to run to jobs_path."""
+    list of [directory, argv] to run to jobs_path, DECLINED's last."""
     import workloads
 
     _imported_from(tree)
@@ -69,6 +126,11 @@ def build(tree: str, workdir: str, seeds: str, jobs_path: str) -> None:
             os.mkdir(cwd)
             plan = workloads.build(workload, seed, cwd)
             jobs += [[cwd, request["argv"]] for request in plan["requests"] + plan["probe"]]
+    cwd = os.path.join(workdir, "declined")
+    os.mkdir(cwd)
+    for name, data in INPUTS.items():
+        Path(cwd, name).write_text(json.dumps(data))
+    jobs += [[cwd, argv] for argv in DECLINED]
     Path(jobs_path).write_text(json.dumps(jobs))
 
 
@@ -133,8 +195,10 @@ def main(argv=None) -> int:
             results.append(json.loads(Path(out_path).read_text()))
         jobs = json.loads(Path(jobs_path).read_text())
     kinds = collections.Counter()  # how each differing argv differs -> its count
+    differing = collections.Counter()  # "bench" or "declined" -> its differing argv
     for (cwd, argv), before, after in zip(jobs, *results):
         if before != after:
+            differing["declined" if os.path.basename(cwd) == "declined" else "bench"] += 1
             keys = _differing_keys(before[1], after[1])
             kind = "stdout not two JSON objects"
             if keys is not None:
@@ -145,7 +209,8 @@ def main(argv=None) -> int:
             for label, (rc, out, err), other in (("parent", before, after), ("change", after, before)):
                 print(f"  {label}: exit {rc}, stdout {_excerpt(out, other[1])}, "
                       f"stderr {_excerpt(err, other[2])}")
-    print(f"{len(jobs)} argv compared, {kinds.total()} differ")
+    print(f"{len(jobs) - len(DECLINED)} bench argv compared, {differing['bench']} differ; "
+          f"{len(DECLINED)} declined argv compared, {differing['declined']} differ")
     for kind, count in sorted(kinds.items()):
         print(f"  {count} argv, {kind}")
     return 1 if kinds else 0
