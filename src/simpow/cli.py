@@ -25,6 +25,7 @@ import cmath
 import contextlib
 import json
 import math
+import os
 import sys
 import types
 from typing import TYPE_CHECKING
@@ -78,6 +79,9 @@ def matrix_from_json(data: dict) -> tuple[tuple[complex, ...], ...]:
     """The rows of a matrix JSON object as tuples of complex; a ValueError
     for a wrong entry count or a non-finite entry."""
     rows, cols = data["rows"], data["cols"]
+    for name, size in (("rows", rows), ("cols", cols)):
+        if size < 0:
+            raise ValueError(f"{name} {size} is negative")
     entries = [complex(re, im) for re, im in data["data"]]
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
@@ -101,9 +105,10 @@ def _load_matrix_or_spec(path: str):
     eigenvalues.  Nothing that reads the result checks it again.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "rows" in data:
         try:
@@ -185,9 +190,9 @@ def _exact_roots(spec: JordanSpec, pq: ExponentPair, path: str) -> JordanSpec:
     for entry in spec.entries:
         ev = entry.eigenvalue
         if isinstance(ev, complex):
-            roots = _admissible_roots(ev, pq, spec.n, RANK_TOL * (abs(ev) + 1.0))
-            if roots:
-                entry = JordanEntry(roots[0], entry.blocks)
+            root = next(_admissible_roots(ev, pq, spec.n, RANK_TOL * (abs(ev) + 1.0)), None)
+            if root is not None:
+                entry = JordanEntry(root, entry.blocks)
         entries.append(entry)
     try:
         return JordanSpec(tuple(entries))
@@ -426,13 +431,14 @@ def cmd_nilpotent(args) -> dict:
 
 @_numeric()
 def cmd_solve_b(args) -> dict:
-    """analyze --find-b's report without the verdict, with the polynomial in A^q."""
-    from .matrixcore import fit_polynomial_in
+    """analyze --find-b's report without the verdict, with A as a polynomial
+    in A^q: the Hermite witness of its spec, or None."""
+    from .solvers import polynomial_witness
 
-    report, _, matrix, powers = _route(args, find_b=True)
+    report, spec, matrix, powers = _route(args, find_b=True)
     for key in ("normalized", "spec", "spectrum", "power_spectra_equal", "verdict"):
         del report[key]
-    coeffs = fit_polynomial_in(powers[1], matrix, len(matrix) - 1)
+    coeffs = polynomial_witness(spec, ExponentPair(args.p, args.q), matrix, powers[1])
     report["polynomial_in_a_q"] = (
         [[c.real, c.imag] for c in coeffs] if coeffs is not None else None
     )
@@ -628,15 +634,21 @@ def _parse_args(argv) -> argparse.Namespace | types.SimpleNamespace:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    code = 0
     try:
         out = json.dumps(args.func(args), sort_keys=True, allow_nan=False)
     except (ValueError, ArithmeticError) as exc:
         command = " ".join(filter(None, [args.command, getattr(args, "word2_command", None)]))
         error_report = {"command": command, "error": str(exc), "tool_version": __version__}
-        print(json.dumps(error_report, sort_keys=True))
+        out, code = json.dumps(error_report, sort_keys=True), 1
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1 quietly, with nothing left for Python to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    print(out)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import cmath
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,24 +110,37 @@ def _cycle_orders(p: int, q: int) -> tuple[int, ...]:
         orders.append(order)
 
 
-def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> list[RootOfUnity]:
-    """The admissible roots of unity within ``tol`` of z, smallest order first.
+def _admissible_roots(z: complex, pq: ExponentPair, n: int, tol: float) -> Iterator[RootOfUnity]:
+    """The admissible roots of unity within ``tol`` of z, smallest order
+    first, each built only when the iterator reaches it.
 
     A nonzero eigenvalue of an n x n matrix with A^p similar to A^q lies
     on a successor cycle of some length t <= n, so it satisfies
     lambda^Q_t = 1 with Q_t = |q^t - p^t| (never 0 for an ExponentPair).
-    For each t the one candidate is the Q_t-th root of unity nearest in
-    angle to z, measured from its reduced angle by angle_to_complex, as
-    rou_to_complex evaluates it; only those within tol are built.  The
-    orders are exact integers, with no bound on their lcm; Q_t grows with
-    t, and past 2^53 the angle of a double no longer tells its Q_t-th
-    roots apart, so larger t propose nothing.
+    For each t the one candidate w is the Q_t-th root of unity nearest in
+    angle to z, d turns away from its angle.  |z - w|^2 = (|z| - 1)^2 +
+    4 |z| sin^2(pi d) with |d| <= 1/2, so 4 sqrt|z| |d| <= |z - w| <=
+    ||z| - 1| + 2 pi |d|: a candidate is refused or kept by those bounds,
+    widened by a rounding slack, and only between them is |z - w| taken
+    from its reduced angle by angle_to_complex, as rou_to_complex
+    evaluates it.  The orders are exact integers, with no bound on their
+    lcm; Q_t grows with t, and past 2^53 the angle of a double no longer
+    tells its Q_t-th roots apart, so larger t propose nothing.
     """
     theta = cmath.phase(z) / (2.0 * math.pi)
+    size = abs(z)
+    # bounds the rounding of d, of the distance and of the angle of angle_to_complex
+    slack = 1e-13 * (1.0 + size)
+    refuse = (tol + slack) / (4.0 * math.sqrt(size)) if size else math.inf
+    keep = tol - slack - abs(size - 1.0)
     near = set()
     for order in _cycle_orders(pq.p, pq.q)[:n]:
-        num = round(theta * order) % order
-        if abs(z - angle_to_complex(num, order)) <= tol:
-            g = math.gcd(num, order)
-            near.add((order // g, num // g))
-    return [RootOfUnity(num, den) for den, num in sorted(near)]
+        turns = theta * order
+        num = round(turns)
+        d = abs(turns - num) / order
+        if d > refuse or 2.0 * math.pi * d > keep and abs(z - angle_to_complex(num, order)) > tol:
+            continue
+        num %= order
+        g = math.gcd(num, order)
+        near.add((order // g, num // g))
+    return (RootOfUnity(num, den) for den, num in sorted(near))

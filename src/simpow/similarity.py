@@ -14,14 +14,18 @@ build or read matrices import it, and matrixcore, where they run.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from . import RANK_TOL
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
 from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, successor_walk
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
 
     from .matrixcore import Split
@@ -279,6 +283,8 @@ def spec_from_matrix(a: np.ndarray, pq: ExponentPair, splits: list) -> Recovered
     (||A||_F + |point|), stops growing at m; the blocks are read off it.
     On a certified split that is the sequence of the cluster's own block
     W_i A V_i, which no other cluster can disturb; otherwise that of A.
+    A lone eigenvalue's block [m] is 1x1, and its sequence is the one rank
+    cut |m - point| <= RANK_TOL * (||A||_F + |point|), kernel [[1]].
     The point is 0 when the mean is within tol of 0; otherwise the
     admissible roots of unity within tol of the mean, smallest order first
     (_admissible_roots), then the mean itself.  The first rung at which
@@ -320,11 +326,17 @@ def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm
     m = a if basis is None else split.lefts[i] @ a @ basis
     mult, center = len(split.clusters[i]), split.centres[i]
     if abs(center) <= split.tol:
-        points: list[JordanEigenvalue] = [None]
+        points: Iterable[JordanEigenvalue] = [None]
     else:
-        points = [*_admissible_roots(center, pq, len(a), split.tol), center]
+        points = itertools.chain(_admissible_roots(center, pq, len(a), split.tol), [center])
     for ev in points:
-        lam, kernels = _ev_complex(ev), []
+        lam = _ev_complex(ev)
+        if len(m) == 1:
+            # the rank cut of the 1x1 SVD of m - lam, whose right singular vector is [1]
+            if abs(complex(m[0, 0]) - lam) <= RANK_TOL * (norm + abs(lam)):
+                return JordanEntry(ev, (1,)), (m - lam, [np.eye(1, dtype=complex).conj()], basis)
+            continue
+        kernels = []
         dims = weyr_characteristic(m, lam, mult + 1, norm + abs(lam), kernels)
         if dims[-1] == mult:
             entry = JordanEntry(ev, _blocks_from_weyr(dims, mult))

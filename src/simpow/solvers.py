@@ -120,13 +120,14 @@ def build_cycle_instance(n: int, pq: ExponentPair, k1: int) -> CycleInstance:
     )
 
 
-def _binomial_coeffs(pq: ExponentPair, d: int) -> list[Fraction]:
-    """C(q/p, 1..d-1), the coefficients of (1 + x)^(q/p) - 1, from the
-    integers C(q/p, j) = q (q - p) ... (q - (j-1) p) / (p^j j!)."""
+def _binomial_coeffs(top: int, bottom: int, d: int) -> list[Fraction]:
+    """C(t, 1..d-1) for t = top/bottom, the coefficients of (1 + x)^t - 1,
+    from the integers C(t, j) = top (top - bottom) ... (top - (j-1) bottom)
+    / (bottom^j j!)."""
     coeffs, num, den = [], 1, 1
     for j in range(1, d):
-        num *= pq.q - (j - 1) * pq.p
-        den *= pq.p * j
+        num *= top - (j - 1) * bottom
+        den *= bottom * j
         coeffs.append(Fraction(num, den))
     return coeffs
 
@@ -238,7 +239,7 @@ def solve_single_eigenvalue(
             f"lambda = {lam} violates lambda^(q-p) = 1 for (p,q)=({pq.p},{pq.q})"
         )
     d = entry.blocks[0]
-    rational = _binomial_coeffs(pq, d)
+    rational = _binomial_coeffs(pq.q, pq.p, d)
     twist = {e: rou_to_complex(rou_pow(lam, e)) for e in range(1 - d, 1)}
     # M is Toeplitz, M[i][j] = diagonals[j - i + d - 1], on every block, so
     # its blocks are the top-left corners of the largest one
@@ -356,6 +357,71 @@ def intertwiner_dimension(spec: JordanSpec, pq: ExponentPair) -> int:
         if close(x, y)
     ]
     return sum(min(b, c) for x, y in met for b in blocks_p[x] for c in blocks_q[y])
+
+
+def polynomial_witness(
+    spec: JordanSpec, pq: ExponentPair, a: np.ndarray, a_q: np.ndarray
+) -> list[complex] | None:
+    """Coefficients c with sum(c[j] * S^j) = A for A of Jordan structure
+    spec and S = a_q = A^q, or None.
+
+    Near an eigenvalue lambda != 0 of A, f(x) = lambda (x / mu)^(1/q),
+    mu = lambda^q, inverts x -> x^q, so A = f(S) wherever the mu are
+    distinct.  f(S) is the Hermite interpolant of f (Higham, Functions of
+    Matrices, SIAM 2008, 1.2): the polynomial of degree below the number
+    of its conditions whose k-th Taylor coefficient at each mu is
+    lambda C(1/q, k) mu^-k, for k below the largest block at lambda; the
+    mu of a root of unity is its exact angle.  At 0, f(0) = 0 on blocks of
+    size 1, and f(x) = x for q = 1.  The conditions are one confluent
+    Vandermonde system.  None when two eigenvalues share one mu or, for
+    q != 1, a block at 0 is longer than 1: no polynomial in S is A then;
+    and when sum(c[j] S^j), by Horner, misses A by more than
+    VERIFY_TOL * ||A||_F (Frobenius).
+    """
+    import numpy as np
+
+    depth = max(e.blocks[0] for e in spec.entries)
+    taylor = [1.0, *map(float, _binomial_coeffs(1, pq.q, depth))]  # C(1/q, k)
+    seen, nodes, values = set(), [], []  # nodes: (mu, k) of each condition
+    with np.errstate(all="ignore"):  # an overflow fails the residual test below
+        for entry in spec.entries:
+            lam, d = entry.eigenvalue, entry.blocks[0]
+            if lam is None:
+                if d > 1 and pq.q != 1:
+                    return None
+                mu, f = 0j, [0j, 1 + 0j, *[0j] * (d - 2)][:d]
+            elif isinstance(lam, RootOfUnity):
+                mu = rou_pow(lam, pq.q)  # and lambda mu^-k = lambda^(1 - k q)
+                f = [
+                    c * rou_to_complex(rou_pow(lam, 1 - k * pq.q))
+                    for k, c in enumerate(taylor[:d])
+                ]
+            else:
+                mu = np.complex128(lam) ** pq.q
+                f = [lam * c * mu**-k for k, c in enumerate(taylor[:d])]
+            if mu in seen:
+                return None
+            seen.add(mu)
+            nodes += [(_ev_complex(mu), k) for k in range(d)]
+            values += f
+        size = len(nodes)
+        mus, ks = (np.array(column) for column in zip(*nodes))
+        exponents = np.arange(size) - ks[:, None]
+        pascal = np.array([[math.comb(j, k) for j in range(size)] for k in range(depth)], float)
+        powers = mus[:, None] ** np.maximum(exponents, 0)  # row (mu, k): C(j, k) mu^(j - k)
+        vandermonde = np.where(exponents >= 0, pascal[ks] * powers, 0)
+        try:
+            coeffs = np.linalg.solve(vandermonde, np.array(values, dtype=complex))
+        except np.linalg.LinAlgError:
+            return None
+        horner = coeffs[-1] * np.eye(len(a), dtype=complex)
+        for c in coeffs[-2::-1]:
+            horner = horner @ a_q
+            horner.flat[:: len(a) + 1] += c
+        residual = np.linalg.norm(horner - a)
+    if not residual <= VERIFY_TOL * max(np.linalg.norm(a), 1e-300):
+        return None
+    return [complex(c) for c in coeffs]
 
 
 @dataclass

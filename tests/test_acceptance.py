@@ -506,7 +506,7 @@ def test_criterion_8_property_suites():
         t = int(rng.integers(1, 6))
         order = abs(pq.q**t - pq.p**t)
         a = R(int(rng.integers(order)), order)
-        if _admissible_roots(rou_to_complex(a), pq, t, 1e-9) != [a]:
+        if list(_admissible_roots(rou_to_complex(a), pq, t, 1e-9)) != [a]:
             failures.append(f"admissible root round trip: {a}, (p,q)=({pq.p},{pq.q}), t={t}")
 
     # Weyr similarity invariance

@@ -1,7 +1,9 @@
 import argparse
+import cmath
 import collections
 import contextlib
 import json
+import math
 import os
 import random
 import resource
@@ -13,11 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simpow import cli, similarity, spectra
+from simpow import RANK_TOL, VERIFY_TOL, cli, similarity, spectra
 from simpow.cli import main, matrix_from_json
 from simpow.matrixcore import (
-    RANK_TOL,
-    VERIFY_TOL,
     conjugacy_residual,
     mat_int_pow,
     matrix_to_json,
@@ -332,6 +332,53 @@ class TestMalformedInput:
             assert report["error"] == "A is 3x3 but B is 2x2"
 
 
+def simpow_process(*argv, cwd=None, **kwargs):
+    """simpow run as a command in a fresh process, one BLAS thread."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "simpow.cli", *argv], cwd=cwd, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        **kwargs,
+    )
+
+
+class TestUnreadableInput:
+    """Each file that cannot be read, and a stdout that closes, ends in one
+    error line or in silence: never in a traceback."""
+
+    @staticmethod
+    def error_line(path):
+        proc = simpow_process("analyze", str(path), "-p", "2", "-q", "3")
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+        lines = out.decode().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert self.error_line(path).startswith(f"cannot read {path}: maximum recursion depth")
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'[{"eigenvalue": "1/3", "blocks": [1]}] \xff')
+        assert self.error_line(path).startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
+    def test_negative_size(self, tmp_path):
+        # refused by its sign, not as "expected 1 entries, got 0"
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"rows": -1, "cols": -1, "data": []}))
+        assert self.error_line(path) == f"bad matrix file {path}: rows -1 is negative"
+
+    def test_closed_stdout_exits_quietly(self):
+        # the report, about 100 kB, outgrows the pipe, whose reader stops after 10 bytes
+        proc = simpow_process("generate", "-n", "14", "-p", "1", "-q", "2")
+        assert proc.stdout.read(10) == b'{"command"'
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
+
+
 class TestGenerate:
     def test_lists_valid_k1(self, capsys):
         code, report = run_json(capsys, "generate", "-n", "2", "-p", "2", "-q", "3")
@@ -447,6 +494,27 @@ class TestNilpotent:
         lines = proc.stdout.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "numeric recovery supports n <= 64"
+
+
+class TestSnapRadius:
+    """cli._exact_roots snaps a spec file's [re, im] eigenvalue to an
+    admissible root within RANK_TOL * (|z| + 1) of it: at half that
+    distance it is snapped, at twice it is not."""
+
+    @pytest.mark.parametrize("direction", [1, 1j], ids=["radial", "angular"])
+    @pytest.mark.parametrize("factor, snapped", [(0.5, True), (2.0, False)])
+    def test_edge(self, capsys, tmp_path, direction, factor, snapped):
+        # 1/5 has order 5 = |3^2 - 2^2|, so it is admissible at n = 2; |z| + 1 = 2 up to 1e-9
+        root = cmath.exp(2j * math.pi / 5)
+        z = root * (1 + factor * RANK_TOL * 2 * direction)
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps([
+            {"eigenvalue": [z.real, z.imag], "blocks": [1]}, {"eigenvalue": "0/1", "blocks": [1]},
+        ]))
+        code, report = run_json(capsys, "analyze", str(path), "-p", "2", "-q", "3")
+        assert code == 0
+        expected = "1/5" if snapped else [z.real, z.imag]
+        assert report["spec"][0]["eigenvalue"] == expected
 
 
 class TestSolveB:
@@ -1330,10 +1398,10 @@ class TestParserReuse:
 
 class TestBenchTracer:
     """bench/tracer.py wraps every public simpow function from outside and
-    its hooks read some of their arguments and results (fit_polynomial_in's
-    max_degree, spec_from_matrix's spec, classify's families).  Run traced, every
-    command must answer as it does untraced, or a signature change would
-    show only when the benchmark runs."""
+    its hooks read some of their arguments and results (spec_from_matrix's
+    spec, classify's families).  Run traced, every command must answer as
+    it does untraced, or a signature change would show only when the
+    benchmark runs."""
 
     def test_every_command_answers_the_same_traced(
         self, capsys, monkeypatch, intro_spec_file, nondiag_files, pair2_files
@@ -1360,12 +1428,11 @@ class TestBenchTracer:
             tracer.uninstall()
         assert traced == untraced
         assert {code for code, _ in traced} == {0, 1}
-        for name in ("cli.main", "matrixcore.fit_polynomial_in",
+        for name in ("cli.main", "solvers.polynomial_witness",
                      "solvers.enumerate_valid_k1", "equation2x2.classify",
                      "similarity.spec_from_matrix", "solvers.spec_conjugator",
                      "equation2x2.verify_word", "equation2x2.construct_solution",
                      "equation2x2.is_simultaneously_triangularizable",
                      "matrixcore.mat_int_pow", "similarity.powers_similar_general"):
             assert tracer.calls[name][0] > 0, name
-        assert tracer.counters["matrixcore.fit_polynomial_in.degrees_tried"] > 0
         assert cli.main is main

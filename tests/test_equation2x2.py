@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from simpow import RANK_TOL, VERIFY_TOL
 from simpow.equation2x2 import (
     TriangularPair,
     WordShape,
@@ -17,7 +18,7 @@ from simpow.equation2x2 import (
     is_simultaneously_triangularizable,
     verify_word,
 )
-from simpow.matrixcore import RANK_TOL, VERIFY_TOL, mat_int_pow
+from simpow.matrixcore import mat_int_pow
 from simpow.scalar import RootOfUnity, rou_pow, rou_to_complex
 from test_acceptance import _word_shapes_in_box, word_value
 from test_scalar import rou_mul

@@ -6,15 +6,12 @@ import tempfile
 import numpy as np
 import pytest
 
-from simpow import cli, matrixcore
+from simpow import RANK_TOL, VERIFY_TOL, cli, matrixcore
 from simpow.matrixcore import (
-    RANK_TOL,
-    VERIFY_TOL,
     ClusteringAmbiguityError,
     Split,
     conjugacy_residual,
     eigenspace_splits,
-    fit_polynomial_in,
     kernel_basis,
     mat_int_pow,
     matrix_to_json,
@@ -582,6 +579,44 @@ class TestFitPolynomialIn:
             assert poly_residual(s, t, coeffs) <= threshold
             assert poly_residual(s, t, reference) <= threshold
         assert outcomes == {True, False}
+
+
+def fit_polynomial_in(
+    matrix_s: np.ndarray, target_t: np.ndarray, max_degree: int
+) -> list[complex] | None:
+    """Reference: coefficients c with sum(c[j] * S^j) = T, if such a
+    polynomial exists, searched for degree by degree, as solve-b found
+    its polynomial in A^q before solvers.polynomial_witness.
+
+    One QR factorization K = QR of the vectorized powers S^0..S^d_max,
+    d_max = min(max_degree, n - 1), serves every degree d: the least-squares residual over the first d + 1
+    columns is r_d = r_(d-1) - q_d (q_d^H t).  At the first d where it
+    passes VERIFY_TOL * ||T|| (Frobenius), R_d c = (Q^H t)[:d+1] is solved
+    and ||K_d c - t|| checked again; a rank-deficient K_d can pass the
+    running residual only.  Returns the coefficients of the smallest
+    degree that passes, or None.
+    """
+    n = len(matrix_s)
+    threshold = VERIFY_TOL * max(np.linalg.norm(target_t), 1e-300)
+    powers = [np.eye(n, dtype=complex)]
+    for _ in range(min(max_degree, n - 1)):  # S^n and up add nothing (Cayley-Hamilton)
+        powers.append(powers[-1] @ matrix_s)
+    krylov = np.stack([p.ravel() for p in powers], axis=1)
+    vec_t = target_t.ravel()
+    q, r = np.linalg.qr(krylov)
+    projection = q.conj().T @ vec_t
+    residual = vec_t.copy()
+    for d in range(len(powers)):
+        residual -= projection[d] * q[:, d]
+        if np.linalg.norm(residual) > threshold:
+            continue
+        try:
+            coeffs = np.linalg.solve(r[: d + 1, : d + 1], projection[: d + 1])
+        except np.linalg.LinAlgError:  # an exactly dependent column: R_d is singular
+            continue
+        if np.linalg.norm(krylov[:, : d + 1] @ coeffs - vec_t) <= threshold:
+            return [complex(c) for c in coeffs]
+    return None
 
 
 def lstsq_fit(s, t, max_degree):

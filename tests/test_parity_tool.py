@@ -56,3 +56,19 @@ def test_declined_argv_run_on_their_inputs(tmp_path):
     codes = collections.Counter(rc for rc, _, _ in json.loads(out.read_text()))
     assert set(codes) == {0, 1, 2}
     assert codes[0] > len([argv for argv in parity.DECLINED if {"-h", "--help"} & set(argv)])
+
+
+def test_spec_argv_answer_with_their_witness(tmp_path):
+    # every SPECS argv answers; solve-b's polynomial witness is null at [17]
+    # alone, whose monomial coefficients lose it to rounding
+    for name, data in parity.INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    jobs, out = tmp_path / "jobs.json", tmp_path / "out.json"
+    jobs.write_text(json.dumps([[str(tmp_path), argv] for argv in parity.SPECS]))
+    with contextlib.chdir(tmp_path):
+        parity.run(str(PATH.parents[1]), str(jobs), str(out))
+    for argv, (rc, stdout, _) in zip(parity.SPECS, json.loads(out.read_text())):
+        assert rc == 0, argv
+        if argv[0] == "solve-b":
+            witness = json.loads(stdout)["polynomial_in_a_q"]
+            assert (witness is None) == (argv[1] == "one17.json"), argv

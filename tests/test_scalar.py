@@ -109,30 +109,30 @@ class TestSnap:
     def test_near_minus_one(self):
         # order 2 divides |3 - 1| for (1, 3), but every |3^t - 2^t| is odd
         z = complex(-1 + 1e-12, 0)
-        assert _admissible_roots(z, ExponentPair(1, 3), 1, 1e-9) == [RootOfUnity(1, 2)]
-        assert _admissible_roots(z, PQ23, 8, 1e-9) == []
+        assert list(_admissible_roots(z, ExponentPair(1, 3), 1, 1e-9)) == [RootOfUnity(1, 2)]
+        assert list(_admissible_roots(z, PQ23, 8, 1e-9)) == []
 
     def test_fifth_root(self):
         z = complex(0.309017, 0.951057)
-        assert _admissible_roots(z, PQ23, 2, 1e-6) == [RootOfUnity(1, 5)]
+        assert list(_admissible_roots(z, PQ23, 2, 1e-6)) == [RootOfUnity(1, 5)]
 
     def test_off_circle(self):
-        assert _admissible_roots(complex(0.5, 0.5), PQ23, 10, 1e-9) == []
+        assert list(_admissible_roots(complex(0.5, 0.5), PQ23, 10, 1e-9)) == []
 
     def test_zero_input(self):
-        assert _admissible_roots(0j, PQ23, 10, 1e-9) == []
+        assert list(_admissible_roots(0j, PQ23, 10, 1e-9)) == []
 
     def test_order_exceeds_bound(self):
         # 19 = 3^3 - 2^3 first divides |3^t - 2^t| at t = 3
         z = rou_to_complex(RootOfUnity(1, 19))
-        assert _admissible_roots(z, PQ23, 2, 1e-9) == []
-        assert _admissible_roots(z, PQ23, 3, 1e-9) == [RootOfUnity(1, 19)]
+        assert list(_admissible_roots(z, PQ23, 2, 1e-9)) == []
+        assert list(_admissible_roots(z, PQ23, 3, 1e-9)) == [RootOfUnity(1, 19)]
 
     def test_smallest_order_preferred(self):
         # 1/5 (t = 2) lies within 0.1 of the exact 4/19 (t = 3) and comes first
         z = rou_to_complex(RootOfUnity(4, 19))
-        assert _admissible_roots(z, PQ23, 3, 0.1) == [RootOfUnity(1, 5), RootOfUnity(4, 19)]
-        assert _admissible_roots(z, PQ23, 3, 1e-9) == [RootOfUnity(4, 19)]
+        assert list(_admissible_roots(z, PQ23, 3, 0.1)) == [RootOfUnity(1, 5), RootOfUnity(4, 19)]
+        assert list(_admissible_roots(z, PQ23, 3, 1e-9)) == [RootOfUnity(4, 19)]
 
     def test_huge_max_order(self):
         # the lcm of |3^t - 2^t| passes 2^63 by t = 12.  Past about 1e9 the
@@ -140,7 +140,7 @@ class TestSnap:
         # but 3/95 (t = 6) has the smallest order; past 2^53 (t = 34) a
         # double cannot tell the roots apart and none is proposed
         z = rou_to_complex(RootOfUnity(3, 95))
-        roots = _admissible_roots(z, PQ23, 60, 1e-9)
+        roots = list(_admissible_roots(z, PQ23, 60, 1e-9))
         assert roots[0] == RootOfUnity(3, 95)
         assert 2**40 < max(root.order for root in roots) <= 2**53
 
@@ -148,36 +148,44 @@ class TestSnap:
         # |q^t - p^t| would overflow a float at t = 52 for q = 10^6; only
         # t = 1, 2 stay below 2^53, and t = 2 has a root within tol of i
         q2 = 10**12 - 1
-        roots = _admissible_roots(1j, ExponentPair(1, 10**6), 60, 1e-6)
+        roots = list(_admissible_roots(1j, ExponentPair(1, 10**6), 60, 1e-6))
         assert roots == [RootOfUnity(round(q2 / 4), q2)]
 
     def test_bad_params(self):
         # no cycle length below 1, no distance below 0: no candidate
-        assert _admissible_roots(1 + 0j, PQ23, 0, 1e-9) == []
-        assert _admissible_roots(1.1 + 0j, PQ23, 5, 0.0) == []
+        assert list(_admissible_roots(1 + 0j, PQ23, 0, 1e-9)) == []
+        assert list(_admissible_roots(1.1 + 0j, PQ23, 5, 0.0)) == []
 
     def test_matches_the_root_per_candidate_loop(self):
-        # the distance is taken from each candidate's reduced angle before a
-        # RootOfUnity is built; the lists equal those of the loop that built
-        # one per candidate, on roots exact or nudged by up to 1e-7 and on
-        # points off the circle, with tolerances 0 and from 1e-12 to 1e-3
+        # the bounds that refuse or keep a candidate without its point, and
+        # the distance taken from each candidate's reduced angle before a
+        # RootOfUnity is built, give the lists of the loop that built one per
+        # candidate: on roots exact or nudged by up to 1e-7, on points at
+        # about tol from a root in any direction (so |z| != 1), and on points
+        # with 0.5 <= |z| <= 2, with tolerances 0 and from 1e-12 to 1e-2,
+        # the recovery tolerances included
         rng = random.Random(4)
         pairs = [ExponentPair(p, q) for p, q in [(2, 3), (1, 2), (-1, 2), (1, 3), (3, 5), (2, 5), (3, 7)]]
-        found = 0
-        for _ in range(4000):
+        found = edges = 0
+        for _ in range(6000):
             pq, n = rng.choice(pairs), rng.randint(1, 24)
-            if rng.random() < 0.5:
+            tol = rng.choice((0.0, 10 ** rng.uniform(-12, -2), 10 ** rng.uniform(-9, -5)))
+            kind = rng.randrange(3)
+            if kind < 2:
                 t = rng.randint(1, n)
                 order = abs(pq.q**t - pq.p**t)
                 root = rou_to_complex(RootOfUnity(rng.randrange(order), order))
-                z = root * (1 + rng.choice((0.0, rng.uniform(-1e-7, 1e-7))))
+                if kind == 0:
+                    z = root * (1 + rng.choice((0.0, rng.uniform(-1e-7, 1e-7))))
+                else:
+                    z = root + tol * rng.uniform(0.99, 1.01) * cmath.exp(2j * math.pi * rng.random())
             else:
-                z = cmath.exp(2j * math.pi * rng.random()) * rng.uniform(0.9, 1.1)
-            tol = rng.choice((0.0, 10 ** rng.uniform(-12, -3), 10 ** rng.uniform(-12, -3)))
-            roots = _admissible_roots(z, pq, n, tol)
+                z = cmath.exp(2j * math.pi * rng.random()) * rng.uniform(0.5, 2.0)
+            roots = list(_admissible_roots(z, pq, n, tol))
             assert roots == candidate_loop(z, pq, n, tol), (z, pq, n, tol)
             found += len(roots)
-        assert found > 1500
+            edges += kind == 1 and tol > 0 and bool(roots)
+        assert found > 2000 and edges > 500
 
 
 def candidate_loop(z, pq, n, tol):
@@ -257,7 +265,7 @@ def test_snap_round_trip(pair, t, k):
     (p, q), max_t = pair
     pq, t = ExponentPair(p, q), min(t, max_t)
     a = RootOfUnity(k, abs(q**t - p**t))
-    assert _admissible_roots(rou_to_complex(a), pq, t, 1e-9) == [a]
+    assert list(_admissible_roots(rou_to_complex(a), pq, t, 1e-9)) == [a]
 
 
 def _snap_oracle(z, pq, n, tol):
@@ -283,4 +291,4 @@ def test_snap_matches_brute_force_oracle():
         else:
             z = complex(rng.normal(), rng.normal())
         tol = 10.0 ** rng.uniform(-10, -4)
-        assert _admissible_roots(z, PQ23, 8, tol) == _snap_oracle(z, PQ23, 8, tol)
+        assert list(_admissible_roots(z, PQ23, 8, tol)) == _snap_oracle(z, PQ23, 8, tol)

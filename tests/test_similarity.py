@@ -5,9 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from simpow import matrixcore, similarity
+from simpow import RANK_TOL, VERIFY_TOL, matrixcore, similarity
 from simpow.matrixcore import (
-    VERIFY_TOL,
     ClusteringAmbiguityError,
     Split,
     conjugacy_residual,
@@ -414,6 +413,77 @@ class TestSplitCertificate:
         )
         assert recover(a, ExponentPair(2, 3)) == spec
         assert set(sizes) == {14}
+
+
+def weyr_certified_entry(a, split, i, pq, norm):
+    """Reference: similarity._certified_entry as it certified every cluster,
+    a lone one included, by the Weyr sequence at each point."""
+    basis = None if split.bases is None else split.bases[i]
+    m = a if basis is None else split.lefts[i] @ a @ basis
+    mult, center = len(split.clusters[i]), split.centres[i]
+    points = [None] if abs(center) <= split.tol else [
+        *_admissible_roots(center, pq, len(a), split.tol), center
+    ]
+    for ev in points:
+        lam, kernels = similarity._ev_complex(ev), []
+        dims = matrixcore.weyr_characteristic(m, lam, mult + 1, norm + abs(lam), kernels)
+        if dims[-1] == mult:
+            entry = JordanEntry(ev, similarity._blocks_from_weyr(dims, mult))
+            return entry, (m - lam * np.eye(len(m)), kernels, basis)
+    raise ValueError("no point certifies")
+
+
+def same_bits(x, y):
+    """x and y are arrays of one shape and the same bits, signed zeros included."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestLoneEigenvalue:
+    """A lone eigenvalue of a certified split, whose block W_i A V_i is
+    1x1, certifies by one comparison, the rank cut of its 1x1 SVD, with the
+    certificate the Weyr sequence gave it."""
+
+    def assert_same(self, a, split, i, pq):
+        norm = float(np.linalg.norm(a))
+        entry, (shifted, kernels, basis) = similarity._certified_entry(a, split, i, pq, norm)
+        ref_entry, (ref_shifted, ref_kernels, ref_basis) = weyr_certified_entry(a, split, i, pq, norm)
+        assert entry == ref_entry
+        assert same_bits(shifted, ref_shifted) and basis is ref_basis
+        assert len(kernels) == len(ref_kernels)
+        assert all(same_bits(k, r) for k, r in zip(kernels, ref_kernels))
+        return entry
+
+    @pytest.mark.parametrize("pq", [ExponentPair(2, 3), ExponentPair(3, 5), ExponentPair(-1, 2)], ids=str)
+    def test_as_the_weyr_sequence_on_cycles(self, pq):
+        rng = random.Random(abs(pq.p) * 10 + pq.q)
+        lone = 0
+        for seed in range(12):
+            spec = JordanSpec(tuple(
+                entry(ev, *blocks)
+                for members in rng.sample(_cycles(pq, max_len=4), 3)
+                for blocks in [rng.choice([(1,), (1,), (2,), (1, 1)])]
+                for ev in members
+            ))
+            a = matrix_from_spec(spec, conjugate_seed=seed)
+            split = next(s for s in eigenspace_splits(a) if isinstance(s, Split))
+            for i, cluster in enumerate(split.clusters):
+                if len(cluster) == 1 and split.bases is not None:
+                    self.assert_same(a, split, i, pq)
+                    lone += 1
+        assert lone > 30
+
+    @pytest.mark.parametrize("factor, snapped", [(0.5, True), (2.0, False)])
+    def test_at_the_cut(self, factor, snapped):
+        # the block [z] of diag(z, 1/2) at factor times RANK_TOL * (||A||_F + 1)
+        # from 1/5, admissible at n = 2: within the cut it certifies at the
+        # root, past it at its own value
+        pq, root, norm = ExponentPair(2, 3), R(1, 5), 3.0
+        z = rou_to_complex(root) + factor * RANK_TOL * (norm + 1) * 1j
+        a, eye = np.diag([z, 0.5]), np.eye(2, dtype=complex)
+        split = Split(1e-6, [[0], [1]], [z, 0.5], [eye[:, :1], eye[:, 1:]], [eye[:1], eye[1:]])
+        entry, _ = similarity._certified_entry(a, split, 0, pq, norm)
+        assert entry == JordanEntry(root if snapped else z, (1,))
+        assert weyr_certified_entry(a, split, 0, pq, norm)[0] == entry
 
 
 class TestPowersSimilarInvertible:

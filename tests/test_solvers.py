@@ -12,7 +12,6 @@ from simpow.cli import main
 from simpow.matrixcore import (
     MAX_RECOVERY_N,
     conjugacy_residual,
-    fit_polynomial_in,
     mat_int_pow,
     matrix_to_json,
 )
@@ -22,13 +21,15 @@ from simpow.solvers import (
     build_cycle_instance,
     enumerate_valid_k1,
     intertwiner_dimension,
+    polynomial_witness,
     realize_conjugate_c,
     solve_single_eigenvalue,
     spec_conjugator,
 )
 from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
 from simpow.spectra import SpectrumMultiset, orbit_decomposition, powers_equal, successor
-from test_matrixcore import dense_dimension, dense_singular_values
+from test_matrixcore import cycle_spec as random_cycle_spec
+from test_matrixcore import dense_dimension, dense_singular_values, fit_polynomial_in, poly_residual
 
 R = RootOfUnity
 
@@ -432,14 +433,23 @@ class TestRealizeConjugateC:
             realize_conjugate_c(np.eye(2), np.zeros((2, 2)))
 
 
+def witness(spec, pq, conjugate_seed=None):
+    """polynomial_witness as solve-b takes it, on A = matrix_from_spec(spec)
+    and its float A^q; with A and A^q."""
+    a = matrix_from_spec(spec, conjugate_seed)
+    a_q = mat_int_pow(a, pq.q)
+    return polynomial_witness(spec, pq, a, a_q), a, a_q
+
+
 class TestPolynomialRealization:
     def test_a_is_polynomial_in_its_qth_power(self, pq23):
-        # constructed invertible solutions admit A = poly(A^q)
+        # constructed invertible solutions admit A = poly(A^q), of degree
+        # below n: one node per distinct mu = lambda^3
         for n, k1 in [(2, 1), (3, 1), (4, 3)]:
             inst = build_cycle_instance(n, pq23, k1)
-            a = matrix_from_spec(cycle_spec(inst))
-            coeffs = fit_polynomial_in(mat_int_pow(a, pq23.q), a, n - 1)
-            assert coeffs is not None
+            coeffs, a, a_q = witness(cycle_spec(inst), pq23)
+            assert coeffs is not None and len(coeffs) == n
+            assert poly_residual(a_q, a, coeffs) < 1e-12
 
     def test_conjugate_is_power_of_a(self, pq23):
         # diagonalizable case: C = B^-1 A B = A^(alpha q) with alpha p = 1 mod m
@@ -455,6 +465,136 @@ class TestPolynomialRealization:
             a, b = cycle_pair(inst, [1.0] * n)
             c = np.linalg.solve(b, a @ b)
             assert np.max(np.abs(c - mat_int_pow(a, alpha * pq23.q))) < 1e-10
+
+
+WITNESS_PAIRS = [ExponentPair(p, q) for p, q in [(2, 3), (3, 5), (-1, 2), (1, 2)]]
+
+
+class TestPolynomialWitness:
+    """solvers.polynomial_witness, the Hermite interpolant of the local
+    inverse of x -> x^q, against the degree-by-degree fit it replaced
+    (test_matrixcore.fit_polynomial_in) and against exact powers."""
+
+    def test_identity(self):
+        # A = I is the constant 1 in any power of it
+        for pq in (ExponentPair(2, 3), ExponentPair(1, -2)):
+            coeffs, _, _ = witness(JordanSpec((JordanEntry(R(0, 1), (1, 1)),)), pq)
+            assert coeffs == [pytest.approx(1.0, abs=1e-15)]
+
+    def test_matrix_in_its_own_cube(self):
+        # 1/5 and 4/5 cube to 3/5 and 2/5: two nodes, a line through them
+        spec = JordanSpec((JordanEntry(R(1, 5), (1,)), JordanEntry(R(4, 5), (1,))))
+        coeffs, a, a_q = witness(spec, ExponentPair(2, 3))
+        assert len(coeffs) == 2
+        assert poly_residual(a_q, a, coeffs) < 1e-12
+
+    @pytest.mark.parametrize("p", [2, -3])
+    def test_q_one_is_the_polynomial_x(self, p):
+        # S = A: the interpolant of x, with a 3-block at 0 allowed
+        spec = JordanSpec((
+            JordanEntry(None, (3, 1)), JordanEntry(R(1, 5), (2,)), JordanEntry(R(2, 7), (1,)),
+        ))
+        if p < 0:
+            spec = spec.invertible_part()
+        coeffs, a, _ = witness(spec, ExponentPair(p, 1), conjugate_seed=4)
+        assert len(coeffs) == sum(e.blocks[0] for e in spec.entries)
+        assert np.allclose(coeffs, [0, 1] + [0] * (len(coeffs) - 2), atol=1e-10)
+
+    def test_q_minus_one_is_the_inverse(self):
+        # S = A^-1, and A the Hermite interpolant of 1/x at the eigenvalues of S
+        spec = JordanSpec((JordanEntry(R(1, 5), (3, 1)), JordanEntry(R(2, 7), (2,))))
+        coeffs, a, a_q = witness(spec, ExponentPair(2, -1), conjugate_seed=2)
+        assert len(coeffs) == 5
+        assert poly_residual(a_q, a, coeffs) < 1e-10
+
+    @pytest.mark.parametrize(
+        "entries, pq",
+        [
+            # a 2-block at 0: J^2 = 0 and no polynomial in it is J
+            ([(None, (2,)), (R(1, 5), (1,))], (1, 2)),
+            ([(None, (2, 1))], (3, 2)),
+            # 1/4 and 3/4 square to one mu, 1/2
+            ([(R(1, 4), (1,)), (R(3, 4), (1,))], (1, 2)),
+            ([(R(1, 4), (2,)), (R(3, 4), (1,)), (R(0, 1), (1,))], (3, 2)),
+        ],
+    )
+    def test_null_cases(self, entries, pq):
+        spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
+        pq = ExponentPair(*pq)
+        assert witness(spec, pq)[0] is None
+        # the reference finds no polynomial either
+        a = matrix_from_spec(spec, conjugate_seed=1)
+        assert fit_polynomial_in(mat_int_pow(a, pq.q), a, len(a) - 1) is None
+
+    def test_zero_one_blocks_take_the_value_zero(self):
+        spec = JordanSpec((JordanEntry(None, (1, 1)), JordanEntry(R(1, 5), (2,))))
+        coeffs, a, a_q = witness(spec, ExponentPair(2, 3), conjugate_seed=3)
+        assert len(coeffs) == 3 and abs(coeffs[0]) < 1e-15
+        assert poly_residual(a_q, a, coeffs) < 1e-10
+
+    def test_refused_by_its_residual(self):
+        # a wrong spec gives an interpolant that misses A: None
+        spec = JordanSpec((JordanEntry(R(1, 5), (1,)), JordanEntry(R(4, 5), (1,))))
+        a = matrix_from_spec(JordanSpec((JordanEntry(R(1, 5), (2,)),)))
+        assert polynomial_witness(spec, ExponentPair(2, 3), a, mat_int_pow(a, 3)) is None
+
+    def test_a_complex_eigenvalue(self):
+        # no root of unity: mu = lambda^q as a complex number
+        spec = JordanSpec((JordanEntry(0.9 + 0.3j, (2,)), JordanEntry(R(1, 3), (1,))))
+        coeffs, a, a_q = witness(spec, ExponentPair(2, 3), conjugate_seed=5)
+        assert len(coeffs) == 3
+        assert poly_residual(a_q, a, coeffs) < 1e-10
+
+    @pytest.mark.parametrize("pq", WITNESS_PAIRS, ids=str)
+    def test_agrees_with_the_degree_by_degree_fit(self, pq):
+        # seeded unitary-conjugated similar specs: where the fit and the
+        # witness have one length, they are one polynomial
+        rng = np.random.default_rng(17 * abs(pq.p) + pq.q)
+        compared = 0
+        for seed in range(8):
+            spec = random_cycle_spec(rng, pq, 12)
+            coeffs, a, a_q = witness(spec, pq, conjugate_seed=seed)
+            reference = fit_polynomial_in(a_q, a, len(a) - 1)
+            if coeffs is None or reference is None or len(coeffs) != len(reference):
+                continue
+            scale = max(1.0, max(map(abs, reference)))
+            assert np.max(np.abs(np.subtract(coeffs, reference))) <= 1e-6 * scale, spec
+            compared += 1
+        assert compared >= 4
+
+    @pytest.mark.parametrize(
+        "entries, pq",
+        [
+            ([(R(1, 5), (2,)), (R(2, 5), (1,)), (R(3, 7), (2, 1))], (2, 3)),
+            ([(R(0, 1), (3,)), (R(1, 3), (2,)), (R(2, 3), (1,))], (3, 5)),
+            ([(R(1, 4), (2,)), (R(1, 6), (2, 1)), (R(5, 6), (1,))], (-1, 2)),
+            ([(None, (1, 1)), (R(1, 7), (2,)), (R(3, 7), (2,))], (1, 2)),
+            ([(R(2, 9), (4,)), (R(1, 2), (2,))], (2, -1)),
+            ([(None, (3,)), (R(1, 5), (3,))], (2, 1)),
+        ],
+    )
+    def test_sympy_exact_power(self, entries, pq):
+        # J^q exact in sympy, rounded once: sum(c[j] (J^q)^j) is J
+        import sympy
+
+        spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries))
+        pq = ExponentPair(*pq)
+        assert spec.n <= 6
+        exact = sympy.zeros(spec.n, spec.n)
+        start = 0
+        for e in spec.entries:
+            lam = 0 if e.eigenvalue is None else sympy.exp(2 * sympy.pi * sympy.I * e.eigenvalue.angle)
+            for size in e.blocks:
+                for k in range(start, start + size):
+                    exact[k, k] = lam
+                    if k > start:
+                        exact[k - 1, k] = 1
+                start += size
+        j = np.array(exact.evalf(30).tolist(), dtype=complex)
+        j_q = np.array((exact**pq.q).evalf(30).tolist(), dtype=complex)
+        coeffs = polynomial_witness(spec, pq, j, j_q)
+        assert coeffs is not None
+        assert poly_residual(j_q, j, coeffs) <= 1e-12
 
 
 # The nine exponent pairs of the closed-form pins: negative exponents, p > q
@@ -507,7 +647,7 @@ def exact_solution(pq, blocks):
     At lambda, entry [i][j] is twisted by lambda^(1+i-j) in M and by
     lambda^(i-j) in B0."""
     blocks = sorted(blocks, reverse=True)
-    alphas = solvers._binomial_coeffs(pq, blocks[0])
+    alphas = solvers._binomial_coeffs(pq.q, pq.p, blocks[0])
     table = solvers._inverse_series_powers(pq, blocks[0])
     n = sum(blocks)
     m, b0 = ([[Fraction(0)] * n for _ in range(n)] for _ in range(2))

@@ -6,14 +6,16 @@ The inputs of the numeric, exact and word2 workloads are built once per
 seed, with PARENT_TREE's bench/workloads.build, in a temporary directory.
 Every request and probe argv of them then runs through each tree's
 simpow.cli.main, in one process per tree, with one BLAS thread and no
-bytecode written, and so does the fixed DECLINED list: argv that the CLI's
-grammar table leaves to argparse (help, bad and abbreviated flags), so
-that parity covers argparse's messages and exit codes too.  Exit code,
-stdout and stderr are compared per argv.  The tool prints every argv that
-differs, with the top-level keys that differ where both stdouts are JSON
-objects, then the number of bench and of declined argv compared and one
-count per set of differing keys, and exits 1 on any difference.  It reads
-bench/ and src/ of the trees and writes nothing in either.
+bytecode written, and so do two fixed lists: DECLINED, argv that the
+CLI's grammar table leaves to argparse (help, bad and abbreviated flags),
+so that parity covers argparse's messages and exit codes too; and SPECS,
+solve-b and analyze --find-b of spec files, whose conjugator and
+polynomial witness no bench workload runs.  Exit code, stdout and stderr
+are compared per argv.  The tool prints every argv that differs, with the
+top-level keys that differ where both stdouts are JSON objects, then the
+number of bench, spec-file and declined argv compared and one count per
+set of differing keys, and exits 1 on any difference.  It reads bench/
+and src/ of the trees and writes nothing in either.
 """
 
 from __future__ import annotations
@@ -81,11 +83,24 @@ DECLINED = [
     ["verify", "a.json", "-p", "2", "-q", "3"],
     ["solve-b", "spec.json", "a.json", *PQ],
 ]
+# run in a directory holding INPUTS: a whole successor cycle of four 65th
+# roots under (2, 3), and one eigenvalue 1 with blocks [8], [4, 3, 2, 1]
+# and [17]
+SPECS = [
+    [command, name, "-p", p, "-q", q, *flag]
+    for name in ("cycle4.json", "one8.json", "one4321.json", "one17.json")
+    for p, q in (("2", "3"), ("3", "5"))
+    for command, *flag in (("solve-b",), ("analyze", "--find-b"))
+]
 INPUTS = {
     "spec.json": [{"eigenvalue": "1/3", "blocks": [2, 1]}, {"eigenvalue": "zero", "blocks": [1]}],
     "a.json": {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, -1.0]]},
     "b.json": {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [0.0, 0.0], [2.0, 0.0], [0.0, -1.0]]},
+    "cycle4.json": [{"eigenvalue": f"{k}/65", "blocks": [2, 1]} for k in (1, 34, 51, 44)],
+    **{f"one{''.join(map(str, blocks))}.json": [{"eigenvalue": "0/1", "blocks": blocks}]
+       for blocks in ([8], [4, 3, 2, 1], [17])},
 }
+FIXED = {"declined": DECLINED, "specs": SPECS}  # each list by the directory it runs in
 
 
 def _env(tree: Path, *dirs: str) -> dict:
@@ -115,7 +130,7 @@ def _imported_from(tree: str) -> None:
 
 def build(tree: str, workdir: str, seeds: str, jobs_path: str) -> None:
     """Writes the inputs of every workload and seed under workdir, and the
-    list of [directory, argv] to run to jobs_path, DECLINED's last."""
+    list of [directory, argv] to run to jobs_path, FIXED's last."""
     import workloads
 
     _imported_from(tree)
@@ -126,11 +141,12 @@ def build(tree: str, workdir: str, seeds: str, jobs_path: str) -> None:
             os.mkdir(cwd)
             plan = workloads.build(workload, seed, cwd)
             jobs += [[cwd, request["argv"]] for request in plan["requests"] + plan["probe"]]
-    cwd = os.path.join(workdir, "declined")
-    os.mkdir(cwd)
-    for name, data in INPUTS.items():
-        Path(cwd, name).write_text(json.dumps(data))
-    jobs += [[cwd, argv] for argv in DECLINED]
+    for kind, argvs in FIXED.items():
+        cwd = os.path.join(workdir, kind)
+        os.mkdir(cwd)
+        for name, data in INPUTS.items():
+            Path(cwd, name).write_text(json.dumps(data))
+        jobs += [[cwd, argv] for argv in argvs]
     Path(jobs_path).write_text(json.dumps(jobs))
 
 
@@ -195,10 +211,11 @@ def main(argv=None) -> int:
             results.append(json.loads(Path(out_path).read_text()))
         jobs = json.loads(Path(jobs_path).read_text())
     kinds = collections.Counter()  # how each differing argv differs -> its count
-    differing = collections.Counter()  # "bench" or "declined" -> its differing argv
+    differing = collections.Counter()  # "bench" or a FIXED key -> its differing argv
     for (cwd, argv), before, after in zip(jobs, *results):
         if before != after:
-            differing["declined" if os.path.basename(cwd) == "declined" else "bench"] += 1
+            directory = os.path.basename(cwd)
+            differing[directory if directory in FIXED else "bench"] += 1
             keys = _differing_keys(before[1], after[1])
             kind = "stdout not two JSON objects"
             if keys is not None:
@@ -209,7 +226,9 @@ def main(argv=None) -> int:
             for label, (rc, out, err), other in (("parent", before, after), ("change", after, before)):
                 print(f"  {label}: exit {rc}, stdout {_excerpt(out, other[1])}, "
                       f"stderr {_excerpt(err, other[2])}")
-    print(f"{len(jobs) - len(DECLINED)} bench argv compared, {differing['bench']} differ; "
+    bench = len(jobs) - len(DECLINED) - len(SPECS)
+    print(f"{bench} bench argv compared, {differing['bench']} differ; "
+          f"{len(SPECS)} spec-file argv compared, {differing['specs']} differ; "
           f"{len(DECLINED)} declined argv compared, {differing['declined']} differ")
     for kind, count in sorted(kinds.items()):
         print(f"  {count} argv, {kind}")
