@@ -226,13 +226,14 @@ def _route(args, find_b: bool) -> tuple:
     unity (_exact_roots, the same for (p, q) and (q, p)), or build a matrix
     file's array.  3. When find_b, form (A^p, A^q) of the pair as typed.
     4. Recover a matrix file's structure.  5. Normalize the pair, for the
-    verdict only.  6. The spectrum and the verdict of the normalized pair
+    verdict only.  6. The spectrum and its one successor walk under the
+    normalized pair, which power_spectra_equal and the verdict both read,
     and, when find_b, the conjugator of the pair as typed.  matrix and
     powers are None where they are not formed: a spec file without find_b
     loads no numpy.
     """
     from .similarity import powers_similar_general
-    from .spectra import powers_equal
+    from .spectra import successor_walk
 
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
@@ -270,8 +271,9 @@ def _route(args, find_b: bool) -> tuple:
     report["spec"] = spec.to_json()
     spectrum = spec.spectrum()
     report["spectrum"] = None if spectrum is None else spectrum.to_json()
-    report["power_spectra_equal"] = spectrum is not None and powers_equal(spectrum, normalized)
-    verdict = powers_similar_general(spec, normalized, spectrum)
+    walk = None if spectrum is None else successor_walk(spectrum, normalized)
+    report["power_spectra_equal"] = walk is not None and walk.uniform
+    verdict = powers_similar_general(spec, normalized, walk)
     report["verdict"] = verdict.to_json()
     if find_b:
         with _numeric():

@@ -218,18 +218,17 @@ def is_simultaneously_triangularizable(a, b) -> bool:
     return det <= VERIFY_TOL * (scale * scale)
 
 
-def _admissible_order(order: int, k: int) -> bool:
-    """t^2 != 1 and phi_k(t) != 0 for a root of unity t of reduced order
-    ``order``: the order is above 2 and does not divide 2k."""
-    return order > 2 and (2 * k) % order != 0
+def _candidates(d: int, sign: int) -> list[Angle]:
+    """The roots t of t^d = sign (d != 0, sign = +-1) with t^2 != 1, by
+    increasing angle: j/|d| for sign 1, (2j+1)/(2|d|) for -1.
 
-
-def _candidates(d: int, sign: int, k: int) -> list[Angle]:
-    """The roots t of t^d = sign (d != 0, sign = +-1) of admissible order
-    for phi_k, by increasing angle: j/|d| for sign 1, (2j+1)/(2|d|) for -1."""
+    For d = k - k' with k, k' coprime, phi_k vanishes at none of them:
+    phi_k(t) = 0 needs the order m > 2 of t to divide 2k, and m divides
+    2d, so it would divide gcd(2k, 2k') = 2.
+    """
     den, first, step = (abs(d), 0, 1) if sign == 1 else (2 * abs(d), 1, 2)
     reduced = ((num // g, den // g) for num in range(first, den, step) for g in [gcd(num, den)])
-    return [t for t in reduced if _admissible_order(t[1], k)]
+    return [t for t in reduced if t[1] > 2]
 
 
 def _angle_key(t: Angle, k: int, n: int) -> int:
@@ -253,13 +252,13 @@ class SolutionFamily:
 
     ``u_candidates`` and ``rho_candidates`` are reduced angles (num, order);
     ``pairs`` lists admissible (u, rho) combinations (possibly truncated)
-    as RootOfUnity; sigma*v for each pair follows from the coupling rule.
+    as such angles; sigma*v for each pair follows from the coupling rule.
     """
 
     alpha: int
     u_candidates: tuple[Angle, ...]
     rho_candidates: tuple[Angle, ...]
-    pairs: tuple[tuple[RootOfUnity, RootOfUnity], ...]
+    pairs: tuple[tuple[Angle, Angle], ...]
     shape: WordShape
     truncated: bool = False
 
@@ -267,9 +266,8 @@ class SolutionFamily:
         # each factor of sigma*v depends on u alone or on rho alone: it is
         # computed once per angle that the listed pairs use
         r, s = self.shape.r, self.shape.s
-        angles = [((u.num, u.order), (rho.num, rho.order)) for u, rho in self.pairs]
-        u_factors = {u: _candidate_factors(u, r) for u in {u for u, _ in angles}}
-        rho_factors = {rho: _candidate_factors(rho, s) for rho in {rho for _, rho in angles}}
+        u_factors = {u: _candidate_factors(u, r) for u in {u for u, _ in self.pairs}}
+        rho_factors = {rho: _candidate_factors(rho, s) for rho in {rho for _, rho in self.pairs}}
         return {
             "alpha": self.alpha,
             "u": [f"{num}/{order}" for num, order in self.u_candidates],
@@ -280,7 +278,7 @@ class SolutionFamily:
                     "rho": f"{rho[0]}/{rho[1]}",
                     "sigma_v": _complex_pair(_coupling(u_factors[u], rho_factors[rho])),
                 }
-                for u, rho in angles
+                for u, rho in self.pairs
             ],
             "coupling": "sigma*v = (-1 - u^(2r) rho^(2s)) / (u^r phi_r(u) rho^s phi_s(rho))",
             "truncated": self.truncated,
@@ -334,9 +332,10 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
     When r = r' or s = s' the family is a continuum, which is not
     enumerated here; construct/verify still accept explicit members.
     Otherwise, for each alpha in {+1, -1}, u ranges over the solutions of
-    u^(r-r') = alpha and rho over rho^(s-s') = -alpha*eps, with u^2 = 1,
-    rho^2 = 1 and the phi-vanishing values excluded, and (u, rho) pairs
-    filtered by the two non-degeneracy conditions, at most max_report >= 1 per family.
+    u^(r-r') = alpha and rho over rho^(s-s') = -alpha*eps, with u^2 = 1
+    and rho^2 = 1 excluded (no phi_r(u) or phi_s(rho) can vanish for
+    coprime exponents, see _candidates), and (u, rho) pairs filtered by
+    the two non-degeneracy conditions, at most max_report >= 1 per family.
     """
     if max_report < 1:
         raise ValueError(f"max_report must be >= 1, got {max_report}")
@@ -355,8 +354,8 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
     n = 2 * abs(dr) * abs(ds)  # even, and a multiple of every candidate's order
     families = []
     for alpha in (1, -1):
-        u_cands = _candidates(dr, alpha, shape.r)
-        rho_cands = _candidates(ds, -alpha * shape.epsilon, shape.s)
+        u_cands = _candidates(dr, alpha)
+        rho_cands = _candidates(ds, -alpha * shape.epsilon)
         rho_keys = [_angle_key(rho, shape.s, n) for rho in rho_cands]
         admitted = (
             (u, rho)
@@ -367,11 +366,8 @@ def classify(shape: WordShape, max_report: int = DEFAULT_MAX_REPORT) -> Classify
         )
         pairs = list(islice(admitted, max_report + 1))  # one past the cap marks truncation
         if pairs:
-            listed = pairs[:max_report]
-            roots = {t: RootOfUnity(*t) for t in {t for pair in listed for t in pair}}
             families.append(SolutionFamily(
-                alpha, tuple(u_cands), tuple(rho_cands),
-                tuple((roots[u], roots[rho]) for u, rho in listed), shape,
+                alpha, tuple(u_cands), tuple(rho_cands), tuple(pairs[:max_report]), shape,
                 truncated=len(pairs) > max_report,
             ))
     if not families:
@@ -404,10 +400,7 @@ def construct_solution(
     expected = RootOfUnity(0, 1) if -alpha * shape.epsilon == 1 else RootOfUnity(1, 2)
     if rho_power != expected:
         raise ValueError(f"rho^(s-s') = {rho_power}, expected {expected}")
-    if not _admissible_order(u.order, shape.r):
-        raise ValueError(f"phi_r(u) = 0 for u = {u}: A^r would be +-I")
-    if not _admissible_order(rho.order, shape.s):
-        raise ValueError(f"phi_s(rho) = 0 for rho = {rho}: B^s would be +-I")
+    # so neither phi_r(u) nor phi_s(rho) vanishes (_candidates)
     n = 2 * u.order * rho.order
     if _angle_key((rho.num, rho.order), shape.s, n) in _excluded_keys((u.num, u.order), shape, n):
         raise ValueError(f"(u, rho) = ({u}, {rho}) fails the non-degeneracy conditions")

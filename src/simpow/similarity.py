@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from . import RANK_TOL
 from .scalar import ExponentPair, RootOfUnity, _admissible_roots, rou_to_complex
-from .spectra import OrbitDecomposition, SpectrumMultiset, orbit_decomposition, successor_walk
+from .spectra import SpectrumMultiset, SuccessorWalk, successor_walk
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -150,7 +150,7 @@ def _ev_complex(ev: JordanEigenvalue) -> complex:
 class SimilarityVerdict:
     similar: bool
     failure_reason: FailureReason | None = None
-    orbit_report: OrbitDecomposition | None = None
+    orbit_report: SuccessorWalk | None = None
     certificate: str | None = None
 
     def to_json(self) -> dict:
@@ -344,20 +344,33 @@ def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm
     raise ValueError(f"no point certifies the {mult} eigenvalue(s) around {center:.6g}")
 
 
-def powers_similar_invertible(
-    spec: JordanSpec, pq: ExponentPair, spectrum: SpectrumMultiset | None = None
+def powers_similar_general(
+    spec: JordanSpec, pq: ExponentPair, walk: SuccessorWalk | None = None
 ) -> SimilarityVerdict:
-    """Verdict for invertible matrices: A^p ~ A^q iff the power spectra agree
-    as multisets and the Jordan structure is constant along every orbit.
+    """Verdict on A^p ~ A^q; a singular part requires 1 <= p < q.
 
-    spectrum is the caller's spectrum of spec, its 0 included or not, so
-    that caller and verdict read one successor walk; None makes it here.
-    An eigenvalue that is no RootOfUnity fails: on a successor cycle of
-    length t <= n it would be a root of unity of order dividing |q^t - p^t|.
+    A^p ~ A^q iff the nilpotent part has no block past p, the power
+    spectra agree as multisets and the Jordan structure is constant along
+    every orbit.  walk is the caller's successor_walk of spec's spectrum
+    under pq, its 0 included or not, so that caller and verdict read one
+    walk; None walks it here.  An eigenvalue that is no RootOfUnity fails:
+    on a successor cycle of length t <= n, n the size of the invertible
+    part, it would be a root of unity of order dividing |q^t - p^t|.
     """
+    zero = spec.zero_entry()
+    if zero is not None:
+        if not (1 <= pq.p < pq.q):
+            raise ValueError(f"singular case needs 1 <= p < q, got (p,q)=({pq.p},{pq.q})")
+        if max(zero.blocks) > pq.p:
+            return SimilarityVerdict(
+                False,
+                FailureReason.NILPOTENT_PART_TOO_DEEP,
+                certificate=f"nilpotent block of size {max(zero.blocks)} exceeds p={pq.p}",
+            )
+        spec = spec.invertible_part()
+        if not spec.entries:
+            return SimilarityVerdict(True)
     for entry in spec.entries:
-        if entry.eigenvalue is None:
-            raise ValueError("invertible verdict called on a spec with eigenvalue 0")
         if isinstance(entry.eigenvalue, complex):
             return SimilarityVerdict(
                 False,
@@ -368,9 +381,8 @@ def powers_similar_invertible(
                     f"(p,q) = ({pq.p},{pq.q}))"
                 ),
             )
-    if spectrum is None:
-        spectrum = spec.spectrum()
-    walk = successor_walk(spectrum, pq)
+    if walk is None:
+        walk = successor_walk(spec.spectrum(), pq)
     if not walk.uniform:
         # closed: the distinct values align, but a multiplicity varies along an orbit
         reason = (
@@ -378,37 +390,15 @@ def powers_similar_invertible(
             else FailureReason.SPECTRA_POWER_MISMATCH
         )
         return SimilarityVerdict(False, reason)
-    orbits = orbit_decomposition(spectrum, pq)
     blocks_of = {e.eigenvalue: e.blocks for e in spec.entries}
-    for orbit in orbits.orbits:
+    for orbit in walk.orbits:
         structures = {blocks_of[ev] for ev in orbit.members}
         if len(structures) > 1:
             members = " -> ".join(str(ev) for ev in orbit.members)
             return SimilarityVerdict(
                 False,
                 FailureReason.JORDAN_STRUCTURE_MISMATCH,
-                orbit_report=orbits,
+                orbit_report=walk,
                 certificate=f"orbit [{members}] carries block multisets {sorted(structures)}",
             )
-    return SimilarityVerdict(True, orbit_report=orbits)
-
-
-def powers_similar_general(
-    spec: JordanSpec, pq: ExponentPair, spectrum: SpectrumMultiset | None = None
-) -> SimilarityVerdict:
-    """Verdict allowing a singular part; requires 1 <= p < q in that case."""
-    zero = spec.zero_entry()
-    if zero is None:
-        return powers_similar_invertible(spec, pq, spectrum)
-    if not (1 <= pq.p < pq.q):
-        raise ValueError(f"singular case needs 1 <= p < q, got (p,q)=({pq.p},{pq.q})")
-    if max(zero.blocks) > pq.p:
-        return SimilarityVerdict(
-            False,
-            FailureReason.NILPOTENT_PART_TOO_DEEP,
-            certificate=f"nilpotent block of size {max(zero.blocks)} exceeds p={pq.p}",
-        )
-    invertible = spec.invertible_part()
-    if not invertible.entries:
-        return SimilarityVerdict(True)
-    return powers_similar_invertible(invertible, pq, spectrum)
+    return SimilarityVerdict(True, orbit_report=walk)

@@ -9,7 +9,7 @@ angle arithmetic; no tolerances appear in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scalar import ExponentPair, RootOfUnity, mod_inverse, rou_pow
 
@@ -34,8 +34,6 @@ class SpectrumMultiset:
     """
 
     items: tuple[tuple[Eigenvalue, int], ...]
-    # successor_walk(self, pq) by pq, so that each fact about U is walked once
-    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         merged: dict[Eigenvalue, int] = {}
@@ -83,13 +81,25 @@ class Orbit:
         return len(self.members)
 
 
-@dataclass
-class OrbitDecomposition:
-    """Partition of the nonzero distinct eigenvalues into successor-cycles."""
+@dataclass(frozen=True)
+class SuccessorWalk:
+    """successor(lambda) for the distinct nonzero eigenvalues of U
+    (``successors``, empty when an order is not coprime to p*q): ``closed``
+    when it permutes them, ``uniform`` when it also keeps every
+    multiplicity, which is exactly U^p = U^q.  A uniform walk lists its
+    cycles (``orbits``, by smallest member, each entered there); any
+    other lists none.
+    """
 
+    closed: bool
+    uniform: bool
+    successors: dict[RootOfUnity, RootOfUnity]
     orbits: tuple[Orbit, ...]
-    delta: int
-    successor_map: dict[RootOfUnity, RootOfUnity]
+
+    @property
+    def delta(self) -> int:
+        """The lcm of the cycle lengths, 1 without cycles."""
+        return math.lcm(*map(len, self.orbits))
 
     def to_json(self) -> dict:
         return {
@@ -98,68 +108,37 @@ class OrbitDecomposition:
                 for orb in self.orbits
             ],
             "delta": self.delta,
-            "permutation": {str(a): str(b) for a, b in self.successor_map.items()},
+            "permutation": {str(a): str(b) for a, b in self.successors.items()},
         }
 
 
-@dataclass(frozen=True)
-class SuccessorWalk:
-    """successor(lambda) for the distinct nonzero eigenvalues of U
-    (``successors``, empty when an order is not coprime to p*q): ``closed``
-    when it permutes them, ``uniform`` when it also keeps every
-    multiplicity, which is exactly U^p = U^q.
-    """
-
-    closed: bool
-    uniform: bool
-    successors: dict[RootOfUnity, RootOfUnity]
-
-
 def successor_walk(u: SpectrumMultiset, pq: ExponentPair) -> SuccessorWalk:
-    """The successor action on u, walked once per spectrum and pair.
+    """The successor action on u, walked once.
 
     It decides U^p = U^q (README, Verdict): equal powers need orders
     coprime to p*q, then x -> x^p is injective and lambda^q lies in U^p
-    only as successor(lambda)^p.  A negative power of 0 is an error.
+    only as successor(lambda)^p.  Zero eigenvalues take no part in the
+    action, and a negative power of 0 is an error.  Every member of one
+    cycle carries the same multiplicity.
     """
     if u.zero_multiplicity and min(pq.p, pq.q) < 0:
         raise ValueError("negative power of a spectrum containing 0")
-    walk = u._walks.get(pq)
-    if walk is None:
-        mult_of = dict(u.nonzero_items())
-        coprime = all(math.gcd(ev.order, pq.p * pq.q) == 1 for ev in mult_of)
-        succ = {ev: successor(ev, pq) for ev in mult_of} if coprime else {}
-        closed = coprime and all(mu in mult_of for mu in succ.values())
-        uniform = closed and all(mult_of[mu] == mult_of[ev] for ev, mu in succ.items())
-        walk = u._walks[pq] = SuccessorWalk(closed, uniform, succ)
-    return walk
-
-
-def powers_equal(u: SpectrumMultiset, pq: ExponentPair) -> bool:
-    """True iff U^p and U^q are equal as multisets."""
-    return successor_walk(u, pq).uniform
-
-
-def orbit_decomposition(u: SpectrumMultiset, pq: ExponentPair) -> OrbitDecomposition:
-    """Decompose the nonzero part of u into the cycles of successor_walk.
-
-    Requires U^p = U^q; zero eigenvalues are skipped (they do not take part
-    in the action).  Every member of one cycle carries the same multiplicity.
-    """
-    walk = successor_walk(u, pq)
-    if not walk.uniform:
-        raise ValueError("U^p != U^q: spectrum admits no orbit structure")
-    # u lists eigenvalues by increasing angle, so each cycle is entered at
-    # its smallest member and the cycles come out in order of it
+    mult_of = dict(u.nonzero_items())
+    coprime = all(math.gcd(ev.order, pq.p * pq.q) == 1 for ev in mult_of)
+    succ = {ev: successor(ev, pq) for ev in mult_of} if coprime else {}
+    closed = coprime and all(mu in mult_of for mu in succ.values())
+    uniform = closed and all(mult_of[mu] == mult_of[ev] for ev, mu in succ.items())
     orbits = []
-    seen: set[RootOfUnity] = set()
-    for start, mult in u.nonzero_items():
-        if start in seen:
-            continue
-        cycle = [start]
-        while (nxt := walk.successors[cycle[-1]]) != start:
-            cycle.append(nxt)
-        seen.update(cycle)
-        orbits.append(Orbit(tuple(cycle), mult))
-    delta = math.lcm(*(len(orb) for orb in orbits)) if orbits else 1
-    return OrbitDecomposition(tuple(orbits), delta, dict(walk.successors))
+    if uniform:
+        # u lists eigenvalues by increasing angle, so each cycle is entered
+        # at its smallest member and the cycles come out in order of it
+        seen: set[RootOfUnity] = set()
+        for start, mult in mult_of.items():
+            if start in seen:
+                continue
+            cycle = [start]
+            while (nxt := succ[cycle[-1]]) != start:
+                cycle.append(nxt)
+            seen.update(cycle)
+            orbits.append(Orbit(tuple(cycle), mult))
+    return SuccessorWalk(closed, uniform, succ, tuple(orbits))

@@ -33,7 +33,7 @@ from simpow.solvers import (
     enumerate_valid_k1,
     solve_single_eigenvalue,
 )
-from simpow.spectra import SpectrumMultiset, orbit_decomposition, successor
+from simpow.spectra import SpectrumMultiset, successor, successor_walk
 from test_matrixcore import dense_kernel, own_scale
 from test_solvers import cycle_pair, exact_solution
 
@@ -336,6 +336,11 @@ def _word_shapes_in_box(limit, min_diff, max_diff):
                 yield WordShape(r, s, rp, sp, eps)
 
 
+def listed_roots(family):
+    """A classify family's listed (u, rho) pairs, from their (num, order) angles to RootOfUnity."""
+    return [(R(*u), R(*rho)) for u, rho in family.pairs]
+
+
 def word_value(a, b, shape):
     """A^r B^s A^r' B^s' on numpy arrays, each power by mat_int_pow: the
     oracle of equation2x2's 2x2 kernel."""
@@ -368,7 +373,7 @@ def test_criterion_6_word_equation_families():
             # first two rigidity conditions, exact on angles
             target_u = R(0, 1) if family.alpha == 1 else R(1, 2)
             target_rho = R(0, 1) if -family.alpha * shape.epsilon == 1 else R(1, 2)
-            pairs = family.pairs
+            pairs = listed_roots(family)
             if any(rou_pow(u, dr) != target_u for u, _ in pairs):
                 failures.append(f"u^(r-r') mismatch in {shape}")
             if any(rou_pow(rho, ds) != target_rho for _, rho in pairs):
@@ -490,11 +495,11 @@ def test_criterion_8_property_suites():
                 break
             cycle.append(nxt)
         u = SpectrumMultiset(tuple((ev, 1) for ev in cycle))
-        od = orbit_decomposition(u, pq)
-        current = od.orbits[0].members[0]
-        for _ in range(len(od.orbits[0])):
+        walk = successor_walk(u, pq)
+        current = walk.orbits[0].members[0]
+        for _ in range(len(walk.orbits[0])):
             current = successor(current, pq)
-        if current != od.orbits[0].members[0]:
+        if current != walk.orbits[0].members[0]:
             failures.append(f"orbit closure: lam={lam}")
         cases += 1
 
@@ -535,7 +540,7 @@ def test_criterion_8_property_suites():
         shape = shapes[cases % len(shapes)]
         result = classify(shape, max_report=10**6)
         for family in result.families:
-            for u, rho in family.pairs:
+            for u, rho in listed_roots(family):
                 v = complex(rng.standard_normal() + 1j * rng.standard_normal()) or 1.0
                 a, b = construct_solution(shape, u, rho, v)
                 inverse = WordShape(

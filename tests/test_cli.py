@@ -726,6 +726,32 @@ class TestSpecConjugatorReports:
         bound = VERIFY_TOL * (np.linalg.norm(mat_int_pow(a, p)) + np.linalg.norm(mat_int_pow(a, q)))
         assert report["conjugator"]["residual"] <= 1e-6 * bound
 
+    @pytest.mark.parametrize("factor, kept", [(0.5, True), (2.0, False)])
+    def test_b_refused_at_verify_tol(self, factor, kept):
+        # A^p + delta E_00 is missed by B by delta max|B_0j| / max|B|, against
+        # the bound 1e-9 (||A^p + delta E_00||_F + ||A^q||_F): delta puts the
+        # residual at factor times it, with the documented VERIFY_TOL = 1e-9,
+        # not read from the constant, so that a changed tolerance moves the
+        # edge past it
+        from simpow.solvers import spec_conjugator
+
+        spec = JordanSpec.from_json(
+            [{"eigenvalue": "1/5", "blocks": [2]}, {"eigenvalue": "4/5", "blocks": [2]}]
+        )
+        pq = ExponentPair(2, 3)
+        a = matrix_from_spec(spec)
+        a_p, a_q = mat_int_pow(a, pq.p), mat_int_pow(a, pq.q)
+        b = spec_conjugator(spec, pq)
+        norms = np.linalg.norm(a_p) + np.linalg.norm(a_q)
+        a_p[0, 0] += factor * 1e-9 * norms * np.max(np.abs(b)) / np.max(np.abs(b[0]))
+        if kept:
+            out = cli._solve_conjugator(spec, pq, True, (a_p, a_q))
+            bound = 1e-9 * (np.linalg.norm(a_p) + np.linalg.norm(a_q))
+            assert out["residual"] == pytest.approx(factor * bound, rel=1e-3)
+        else:
+            with pytest.raises(ValueError, match="its B misses A\\^p B = B A\\^q"):
+                cli._solve_conjugator(spec, pq, True, (a_p, a_q))
+
     def test_solve_b_snaps_a_written_root(self, capsys, tmp_path):
         # solve-b reads [re, im] as analyze does, so the file written with
         # floats describes the matrix of the one written with "1/5"
@@ -983,6 +1009,21 @@ class TestWord2:
         )
         assert code == 1
         assert "error" in report
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["construct", "-r", "3", "--rp", "1", "-s", "3", "--sp", "1", "--eps", "-1",
+              "--u", "1/3", "--rho", "1/4", "--v", "1"], "u^(r-r') = 2/3 is not +-1"),
+            (["classify", "-r", "3", "--rp", "1", "-s", "4", "--sp", "2", "--eps", "1"],
+             "s=4 and s'=2 must be coprime"),
+        ],
+        ids=["u-off-its-branch", "s-not-coprime"],
+    )
+    def test_refusals(self, capsys, argv, error):
+        code, report = run_json(capsys, "word2", *argv)
+        assert code == 1
+        assert report["error"] == error
 
     def test_verify_larger_matrices_refused(self, capsys, nondiag_files):
         # word2 is the paper's 2x2 equation: a 4x4 pair gets one error report

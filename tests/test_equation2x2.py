@@ -10,6 +10,7 @@ from simpow import RANK_TOL, VERIFY_TOL
 from simpow.equation2x2 import (
     TriangularPair,
     WordShape,
+    _candidates,
     _coupling_product,
     _matrix2,
     _power,
@@ -20,7 +21,7 @@ from simpow.equation2x2 import (
 )
 from simpow.matrixcore import mat_int_pow
 from simpow.scalar import RootOfUnity, rou_pow, rou_to_complex
-from test_acceptance import _word_shapes_in_box, word_value
+from test_acceptance import _word_shapes_in_box, listed_roots, word_value
 from test_scalar import rou_mul
 
 R = RootOfUnity
@@ -87,6 +88,16 @@ class TestSimultaneouslyTriangularizable:
         other = np.array([[1.0, 2.0], [3.0, 4.0j]])
         assert is_simultaneously_triangularizable(np.zeros((2, 2)), other)
         assert is_simultaneously_triangularizable(other, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("factor, st", [(0.5, True), (2.0, False)])
+    def test_decided_at_verify_tol(self, factor, st):
+        # det(AB - BA) = y for A = diag(1, 2) and B = [[1, 1], [y, 1]], and
+        # the bound is 1e-9 (|A|_F |B|_F)^2 = 1e-9 * 5 * (3 + y^2): y sits at
+        # factor times the documented VERIFY_TOL = 1e-9, not read from the
+        # constant, so that a changed tolerance moves the edge past it
+        y = factor * 1e-9 * 15
+        b = np.array([[1.0, 1.0], [y, 1.0]])
+        assert is_simultaneously_triangularizable(np.diag([1.0, 2.0]), b) is st
 
 
 def st_unscaled(a, b):
@@ -183,9 +194,24 @@ class TestClassify:
             for family in result.families:
                 target_u = R(0, 1) if family.alpha == 1 else R(1, 2)
                 minus_ae = R(0, 1) if -family.alpha * shape.epsilon == 1 else R(1, 2)
-                for u, rho in family.pairs:
+                for u, rho in listed_roots(family):
                     assert rou_pow(u, dr) == target_u
                     assert rou_pow(rho, ds) == minus_ae
+
+    def test_no_candidate_zeroes_phi(self):
+        # t^(r-r') = +-1 with t^2 != 1 and r, r' coprime: the order m > 2 of
+        # t divides 2(r - r'), so m | 2r would give m | gcd(2r, 2r') = 2;
+        # phi_r(t) = 0 needs m | 2r, so no candidate can make it vanish
+        count = 0
+        for r in range(-40, 41):
+            for rp in range(-40, 41):
+                if 0 in (r, rp) or r == rp or math.gcd(abs(r), abs(rp)) != 1:
+                    continue
+                for sign in (1, -1):
+                    orders = [order for _, order in _candidates(r - rp, sign)]
+                    assert all(order > 2 and 2 * r % order for order in orders), (r, rp, sign)
+                    count += len(orders)
+        assert count == 201_940
 
 
 def object_passes(shape, u, rho):
@@ -304,10 +330,10 @@ class TestClassifyOracle:
         for case, shape in enumerate(shapes):
             assert self.check(shape, self.MAX_REPORTS[case % 3]).families
 
-    def test_one_root_of_unity_per_listed_member(self, monkeypatch):
-        # the 1,414 candidates of the largest benchmark shape stay integer
-        # angles through classify and to_json; a RootOfUnity is built only
-        # for each distinct u or rho of a family's listed pairs
+    def test_candidates_stay_integer_angles(self, monkeypatch):
+        # the 1,414 candidates and the listed pairs of the largest benchmark
+        # shape stay integer angles through classify and to_json: no
+        # RootOfUnity is built
         built = 0
         post_init = RootOfUnity.__post_init__
 
@@ -320,9 +346,9 @@ class TestClassifyOracle:
         result = classify(WordShape(-403, 297, 1, -8, 1))
         result.to_json()
         candidates = sum(len(f.u_candidates) + len(f.rho_candidates) for f in result.families)
-        members = sum(len({t for pair in f.pairs for t in pair}) for f in result.families)
         assert candidates == 1414
-        assert 0 < built <= members < 300, (built, members)
+        assert result.families[0].pairs
+        assert built == 0
 
     def test_construct_uses_the_same_pair_test_and_factors(self):
         # construct_solution admits exactly the pairs of the object test,
@@ -364,7 +390,7 @@ class TestCouplingProduct:
     def test_matches_the_phi_formula(self, shape):
         # sigma*v = (-1 - u^2r rho^2s) / (u^r phi_r(u) rho^s phi_s(rho)),
         # evaluated in complex powers, against the exact-angle form
-        pairs = [pair for family in classify(shape).families for pair in family.pairs]
+        pairs = [pair for family in classify(shape).families for pair in listed_roots(family)]
         assert pairs
         r, s = shape.r, shape.s
         for u, rho in pairs:
@@ -396,7 +422,7 @@ class TestConstructSolution:
             inverse = WordShape(-shape.r, -shape.s, -shape.r_prime, -shape.s_prime, shape.epsilon)
             for family in classify(shape, max_report=10**6).families:
                 alpha = family.alpha
-                for u, rho in family.pairs:
+                for u, rho in listed_roots(family):
                     a, b = construct_solution(shape, u, rho, 1.0)
                     assert verify_word(a, b, inverse) < 1e-10
                     a_diff = mat_int_pow(a, shape.r - shape.r_prime)
@@ -423,7 +449,7 @@ class TestConstructSolution:
         for shape in (WORKED_SHAPE, WordShape(5, 4, 2, -1, 1), WordShape(2, 5, -3, 1, -1)):
             result = classify(shape, max_report=10**6)
             for family in result.families:
-                for u, rho in family.pairs:
+                for u, rho in listed_roots(family):
                     a, b = construct_solution(shape, u, rho, 1.0)
                     assert verify_word(a, b, shape) < 1e-10
                     assert not is_simultaneously_triangularizable(a, b)
@@ -521,7 +547,7 @@ def box_solutions():
     seen = set()
     for shape in _word_shapes_in_box(6, 2, 6):
         for family in classify(shape, max_report=10**6).families:
-            for u, rho in family.pairs:
+            for u, rho in listed_roots(family):
                 if (shape.r, shape.s, u, rho) not in seen:
                     seen.add((shape.r, shape.s, u, rho))
                     yield (shape, *construct_solution(shape, u, rho, 1.0))

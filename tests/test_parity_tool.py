@@ -44,16 +44,21 @@ def test_declined_argv_are_declined_by_the_grammar_table(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_declined_argv_run_on_their_inputs(tmp_path):
-    # in a directory holding INPUTS, no DECLINED argv crashes; help exits 0,
-    # argparse's errors 2, and the argv argparse reads answer with a report
+def run_in_inputs(tmp_path, argvs):
+    """parity.run's [exit code, stdout, stderr] of each argv, in a directory holding INPUTS."""
     for name, data in parity.INPUTS.items():
         (tmp_path / name).write_text(json.dumps(data))
     jobs, out = tmp_path / "jobs.json", tmp_path / "out.json"
-    jobs.write_text(json.dumps([[str(tmp_path), argv] for argv in parity.DECLINED]))
+    jobs.write_text(json.dumps([[str(tmp_path), argv] for argv in argvs]))
     with contextlib.chdir(tmp_path):
         parity.run(str(PATH.parents[1]), str(jobs), str(out))
-    codes = collections.Counter(rc for rc, _, _ in json.loads(out.read_text()))
+    return json.loads(out.read_text())
+
+
+def test_declined_argv_run_on_their_inputs(tmp_path):
+    # in a directory holding INPUTS, no DECLINED argv crashes; help exits 0,
+    # argparse's errors 2, and the argv argparse reads answer with a report
+    codes = collections.Counter(rc for rc, _, _ in run_in_inputs(tmp_path, parity.DECLINED))
     assert set(codes) == {0, 1, 2}
     assert codes[0] > len([argv for argv in parity.DECLINED if {"-h", "--help"} & set(argv)])
 
@@ -61,14 +66,34 @@ def test_declined_argv_run_on_their_inputs(tmp_path):
 def test_spec_argv_answer_with_their_witness(tmp_path):
     # every SPECS argv answers; solve-b's polynomial witness is null at [17]
     # alone, whose monomial coefficients lose it to rounding
-    for name, data in parity.INPUTS.items():
-        (tmp_path / name).write_text(json.dumps(data))
-    jobs, out = tmp_path / "jobs.json", tmp_path / "out.json"
-    jobs.write_text(json.dumps([[str(tmp_path), argv] for argv in parity.SPECS]))
-    with contextlib.chdir(tmp_path):
-        parity.run(str(PATH.parents[1]), str(jobs), str(out))
-    for argv, (rc, stdout, _) in zip(parity.SPECS, json.loads(out.read_text())):
+    for argv, (rc, stdout, _) in zip(parity.SPECS, run_in_inputs(tmp_path, parity.SPECS)):
         assert rc == 0, argv
         if argv[0] == "solve-b":
             witness = json.loads(stdout)["polynomial_in_a_q"]
             assert (witness is None) == (argv[1] == "one17.json"), argv
+
+
+# each spec file of a verdict-only SPECS argv: the failure_reason it was
+# written for, and whether its verdict lists orbits
+VERDICTS = {
+    "multiplicity.json": ("orbit-multiplicity-mismatch", False),
+    "two.json": ("non-root-of-unity-eigenvalue", False),
+    "twozero.json": ("non-root-of-unity-eigenvalue", False),
+    "zeros.json": (None, False),
+    "singular.json": (None, True),
+    "blocks.json": ("jordan-structure-mismatch-in-orbit", True),
+}
+
+
+def test_spec_argv_reach_their_verdicts(tmp_path):
+    argvs = [argv for argv in parity.SPECS if "--find-b" not in argv and argv[0] == "analyze"]
+    assert sorted(argv[1] for argv in argvs) == sorted(VERDICTS)
+    for argv, (rc, stdout, _) in zip(argvs, run_in_inputs(tmp_path, argvs)):
+        assert rc == 0, argv
+        report = json.loads(stdout)
+        reason, has_orbits = VERDICTS[argv[1]]
+        assert report["verdict"]["failure_reason"] == reason, argv
+        assert (report["verdict"]["orbits"] is not None) is has_orbits, argv
+        if argv[1] == "twozero.json":  # t counts the invertible part only
+            assert "for some t <= 1," in report["verdict"]["certificate"]
+        assert report["normalized"]["swapped"] is (argv[1] == "singular.json"), argv

@@ -27,7 +27,6 @@ from simpow.similarity import (
     JordanSpec,
     matrix_from_spec,
     powers_similar_general,
-    powers_similar_invertible,
     spec_from_matrix,
 )
 from simpow.solvers import build_cycle_instance, spec_conjugator
@@ -489,23 +488,23 @@ class TestLoneEigenvalue:
 class TestPowersSimilarInvertible:
     def test_cycle_instance_is_similar(self, pq23):
         spec = JordanSpec((entry(R(1, 5), 1), entry(R(4, 5), 1)))
-        verdict = powers_similar_invertible(spec, pq23)
+        verdict = powers_similar_general(spec, pq23)
         assert verdict.similar
         assert verdict.orbit_report is not None
         assert verdict.orbit_report.delta == 2
 
     def test_block_mismatch_in_orbit(self, pq23):
         spec = JordanSpec((entry(R(1, 5), 2), entry(R(4, 5), 1, 1)))
-        verdict = powers_similar_invertible(spec, pq23)
+        verdict = powers_similar_general(spec, pq23)
         assert not verdict.similar
         assert verdict.failure_reason is FailureReason.JORDAN_STRUCTURE_MISMATCH
 
     def test_identity_spec(self, pq23):
-        verdict = powers_similar_invertible(JordanSpec((entry(R(0, 1), 1, 1, 1),)), pq23)
+        verdict = powers_similar_general(JordanSpec((entry(R(0, 1), 1, 1, 1),)), pq23)
         assert verdict.similar
 
     def test_non_root_of_unity(self, pq23):
-        verdict = powers_similar_invertible(JordanSpec((entry(2.0 + 0j, 1),)), pq23)
+        verdict = powers_similar_general(JordanSpec((entry(2.0 + 0j, 1),)), pq23)
         assert not verdict.similar
         assert verdict.failure_reason is FailureReason.NON_ROOT_OF_UNITY
         assert verdict.certificate.startswith("eigenvalue (2+0j) matches no admissible root of unity")
@@ -513,18 +512,14 @@ class TestPowersSimilarInvertible:
     def test_orbit_multiplicity_mismatch(self, pq23):
         # distinct values align under the action but multiplicities differ
         spec = JordanSpec((entry(R(1, 5), 2), entry(R(4, 5), 1)))
-        verdict = powers_similar_invertible(spec, pq23)
+        verdict = powers_similar_general(spec, pq23)
         assert not verdict.similar
         assert verdict.failure_reason is FailureReason.ORBIT_MULTIPLICITY_MISMATCH
 
     def test_power_mismatch(self, pq23):
         spec = JordanSpec((entry(R(1, 3), 1),))
-        verdict = powers_similar_invertible(spec, pq23)
+        verdict = powers_similar_general(spec, pq23)
         assert verdict.failure_reason is FailureReason.SPECTRA_POWER_MISMATCH
-
-    def test_zero_rejected(self, pq23):
-        with pytest.raises(ValueError):
-            powers_similar_invertible(JordanSpec((entry(None, 1),)), pq23)
 
     def test_swap_symmetry(self, pq23):
         specs = [
@@ -534,8 +529,8 @@ class TestPowersSimilarInvertible:
             JordanSpec((entry(R(1, 3), 1),)),
         ]
         for spec in specs:
-            a = powers_similar_invertible(spec, pq23)
-            b = powers_similar_invertible(spec, pq23.swapped())
+            a = powers_similar_general(spec, pq23)
+            b = powers_similar_general(spec, pq23.swapped())
             assert a.similar == b.similar
 
 
@@ -624,7 +619,7 @@ class TestRootOfIdentityConsequence:
         # diagonalizable solution: A^m = I for m = lcm of orders, and the
         # conjugate equals A^(alpha*q) with alpha*p = 1 mod m
         spec = JordanSpec((entry(R(1, 5), 1), entry(R(4, 5), 1)))
-        assert powers_similar_invertible(spec, pq23).similar
+        assert powers_similar_general(spec, pq23).similar
         orders = [e.eigenvalue.order for e in spec.entries]
         m = np.lcm.reduce(orders)
         for e in spec.entries:

@@ -27,7 +27,7 @@ from simpow.solvers import (
     spec_conjugator,
 )
 from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
-from simpow.spectra import SpectrumMultiset, orbit_decomposition, powers_equal, successor
+from simpow.spectra import SpectrumMultiset, successor, successor_walk
 from test_matrixcore import cycle_spec as random_cycle_spec
 from test_matrixcore import dense_dimension, dense_singular_values, fit_polynomial_in, poly_residual
 
@@ -144,10 +144,10 @@ class TestBuildCycleInstance:
             for k1 in enumerate_valid_k1(n, pq23):
                 inst = build_cycle_instance(n, pq23, k1)
                 u = SpectrumMultiset(tuple((ev, 1) for ev in inst.spectrum))
-                assert powers_equal(u, pq23)
-                od = orbit_decomposition(u, pq23)
-                assert len(od.orbits) == 1
-                assert len(od.orbits[0]) == n
+                walk = successor_walk(u, pq23)
+                assert walk.uniform
+                assert len(walk.orbits) == 1
+                assert len(walk.orbits[0]) == n
 
 
 class TestCycleConjugator:
@@ -432,6 +432,18 @@ class TestRealizeConjugateC:
         with pytest.raises(ValueError):
             realize_conjugate_c(np.eye(2), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("factor, commutes", [(0.5, True), (2.0, False)])
+    def test_decided_at_verify_tol(self, factor, commutes):
+        # B = I + t E_01 conjugates A = diag(1, 2) to C = [[1, -t], [0, 2]],
+        # whose commutation residual ||CA - AC||_F is t, against the bound
+        # 1e-9 ||A||_F ||C||_F = 1e-9 sqrt(5 (5 + t^2)): t sits at factor
+        # times the documented VERIFY_TOL = 1e-9, not read from the
+        # constant, so that a changed tolerance moves the edge past it
+        t = factor * 1e-9 * 5
+        result = realize_conjugate_c(np.diag([1.0, 2.0]), np.array([[1.0, t], [0.0, 1.0]]))
+        assert result.commutation_residual == pytest.approx(t, rel=1e-6)
+        assert result.commutes is commutes
+
 
 def witness(spec, pq, conjugate_seed=None):
     """polynomial_witness as solve-b takes it, on A = matrix_from_spec(spec)
@@ -537,6 +549,18 @@ class TestPolynomialWitness:
         spec = JordanSpec((JordanEntry(R(1, 5), (1,)), JordanEntry(R(4, 5), (1,))))
         a = matrix_from_spec(JordanSpec((JordanEntry(R(1, 5), (2,)),)))
         assert polynomial_witness(spec, ExponentPair(2, 3), a, mat_int_pow(a, 3)) is None
+
+    @pytest.mark.parametrize("factor, found", [(0.5, True), (2.0, False)])
+    def test_refused_at_verify_tol(self, factor, found):
+        # the witness of A's structure misses A + delta E_00 by delta, against
+        # the bound 1e-9 ||A + delta E_00||_F: delta sits at factor times the
+        # documented VERIFY_TOL = 1e-9, not read from the constant, so that
+        # a changed tolerance moves the edge past it
+        spec = JordanSpec((JordanEntry(R(1, 5), (2,)), JordanEntry(R(4, 5), (2,))))
+        a = matrix_from_spec(spec)
+        a_q = mat_int_pow(a, 3)
+        a[0, 0] += factor * 1e-9 * np.linalg.norm(a)
+        assert (polynomial_witness(spec, ExponentPair(2, 3), a, a_q) is not None) is found
 
     def test_a_complex_eigenvalue(self):
         # no root of unity: mu = lambda^q as a complex number

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from simpow.scalar import ExponentPair, RootOfUnity, rou_pow
 from simpow.similarity import FailureReason, JordanEntry, JordanSpec, powers_similar_general
-from simpow.spectra import (
-    SpectrumMultiset,
-    orbit_decomposition,
-    powers_equal,
-    successor,
-)
+from simpow.spectra import SpectrumMultiset, successor, successor_walk
 
 
 def spectrum(*pairs):
@@ -76,13 +71,13 @@ class TestSpectrumMultiset:
 
 class TestPowersEqual:
     def test_ones_fixed(self, pq23):
-        assert powers_equal(spectrum((R(0, 1), 3)), pq23)
+        assert successor_walk(spectrum((R(0, 1), 3)), pq23).uniform
 
     def test_fifth_roots(self, pq23):
-        assert powers_equal(spectrum((R(1, 5), 1), (R(4, 5), 1)), pq23)
+        assert successor_walk(spectrum((R(1, 5), 1), (R(4, 5), 1)), pq23).uniform
 
     def test_order_not_coprime(self, pq23):
-        assert not powers_equal(spectrum((R(1, 3), 1)), pq23)
+        assert not successor_walk(spectrum((R(1, 3), 1)), pq23).uniform
 
 
 class TestSuccessor:
@@ -105,42 +100,44 @@ class TestSuccessor:
 
 class TestOrbitDecomposition:
     def test_trivial_spectrum(self, pq23):
-        od = orbit_decomposition(spectrum((R(0, 1), 2)), pq23)
-        assert len(od.orbits) == 1
-        assert od.orbits[0].members == (R(0, 1),)
-        assert od.delta == 1
+        walk = successor_walk(spectrum((R(0, 1), 2)), pq23)
+        assert len(walk.orbits) == 1
+        assert walk.orbits[0].members == (R(0, 1),)
+        assert walk.delta == 1
 
     def test_single_cycle(self, pq23):
-        od = orbit_decomposition(spectrum((R(1, 5), 1), (R(4, 5), 1)), pq23)
-        assert len(od.orbits) == 1
-        assert od.orbits[0].members == (R(1, 5), R(4, 5))
-        assert od.delta == 2
+        walk = successor_walk(spectrum((R(1, 5), 1), (R(4, 5), 1)), pq23)
+        assert len(walk.orbits) == 1
+        assert walk.orbits[0].members == (R(1, 5), R(4, 5))
+        assert walk.delta == 2
 
     def test_two_cycles(self, pq23):
         u = spectrum((R(1, 5), 1), (R(4, 5), 1), (R(2, 5), 1), (R(3, 5), 1))
-        od = orbit_decomposition(u, pq23)
-        assert [o.members for o in od.orbits] == [
+        walk = successor_walk(u, pq23)
+        assert [o.members for o in walk.orbits] == [
             (R(1, 5), R(4, 5)),
             (R(2, 5), R(3, 5)),
         ]
-        assert od.delta == 2
+        assert walk.delta == 2
 
     def test_hypothesis_violated(self, pq23):
-        with pytest.raises(ValueError, match="spectrum admits no orbit structure"):
-            orbit_decomposition(spectrum((R(1, 3), 1)), pq23)
+        walk = successor_walk(spectrum((R(1, 3), 1)), pq23)
+        assert not walk.closed
+        assert walk.orbits == ()
 
     def test_mixed_multiplicities_rejected(self, pq23):
         # same orbit, different multiplicities: U^p = U^q already fails
-        with pytest.raises(ValueError, match="spectrum admits no orbit structure"):
-            orbit_decomposition(spectrum((R(1, 5), 1), (R(4, 5), 2)), pq23)
+        walk = successor_walk(spectrum((R(1, 5), 1), (R(4, 5), 2)), pq23)
+        assert walk.closed and not walk.uniform
+        assert walk.orbits == ()
 
     def test_zero_carried_outside_orbits(self, pq23):
-        od = orbit_decomposition(spectrum((None, 3), (R(1, 5), 1), (R(4, 5), 1)), pq23)
-        assert len(od.orbits) == 1
+        walk = successor_walk(spectrum((None, 3), (R(1, 5), 1), (R(4, 5), 1)), pq23)
+        assert len(walk.orbits) == 1
 
     def test_json(self, pq23):
-        od = orbit_decomposition(spectrum((R(1, 5), 2), (R(4, 5), 2)), pq23)
-        data = od.to_json()
+        walk = successor_walk(spectrum((R(1, 5), 2), (R(4, 5), 2)), pq23)
+        data = walk.to_json()
         assert data["delta"] == 2
         assert data["orbits"][0]["multiplicity"] == 2
         assert data["permutation"]["1/5"] == "4/5"
@@ -175,15 +172,15 @@ def test_orbit_cycle_closure(data):
     if data is None:
         return
     u, pq = data
-    od = orbit_decomposition(u, pq)
-    for orbit in od.orbits:
+    walk = successor_walk(u, pq)
+    for orbit in walk.orbits:
         # applying successor len(orbit) times returns the start, exactly
         current = orbit.members[0]
         for _ in range(len(orbit)):
             current = successor(current, pq)
         assert current == orbit.members[0]
         # the order of every member divides p^delta - q^delta
-        exponent = pq.p**od.delta - pq.q**od.delta
+        exponent = pq.p**walk.delta - pq.q**walk.delta
         for ev in orbit.members:
             assert rou_pow(ev, exponent) == RootOfUnity(0, 1)
 
@@ -194,7 +191,7 @@ def test_power_map_injective_on_distinct(data):
     if data is None:
         return
     u, pq = data
-    if not powers_equal(u, pq):
+    if not successor_walk(u, pq).uniform:
         return
     distinct = [ev for ev, _ in u.nonzero_items()]
     for exponent in (pq.p, pq.q):
@@ -292,8 +289,8 @@ def random_entries(rng, pq):
 
 
 def test_counter_oracle():
-    """powers_equal, orbit_decomposition and every verdict agree with the
-    block-counting oracle on 12,000 seeded spectra."""
+    """successor_walk and every verdict agree with the block-counting
+    oracle on 12,000 seeded spectra."""
     rng = random.Random(2011)
     seen = Counter()
     for _ in range(12_000):
@@ -307,27 +304,27 @@ def test_counter_oracle():
             expected = "raises"
         seen[expected] += 1
         if expected == "raises":
-            for fn in (powers_equal, orbit_decomposition):
-                with pytest.raises(ValueError, match="negative power of a spectrum containing 0"):
-                    fn(u, pq)
+            with pytest.raises(ValueError, match="negative power of a spectrum containing 0"):
+                successor_walk(u, pq)
         else:
-            assert powers_equal(u, pq) is expected
+            walk = successor_walk(u, pq)
+            assert walk.uniform is expected
         if expected is False:
-            with pytest.raises(ValueError, match=r"^U\^p != U\^q: spectrum admits no orbit structure$"):
-                orbit_decomposition(u, pq)
+            assert walk.orbits == ()
         if expected is True:
-            od = orbit_decomposition(u, pq)
-            members = [ev for orbit in od.orbits for ev in orbit.members]
+            members = [ev for orbit in walk.orbits for ev in orbit.members]
             assert len(members) == len(set(members)) == len(mults) - (None in mults)
             assert set(members) == set(mults) - {None}
-            for orbit in od.orbits:
+            for orbit in walk.orbits:
                 assert orbit.members[0].angle == min(ev.angle for ev in orbit.members)
                 for lam, mu in zip(orbit.members, orbit.members[1:] + orbit.members[:1]):
                     assert power_angle(mu, pq.p) == power_angle(lam, pq.q)
-                    assert od.successor_map[lam] == mu
+                    assert walk.successors[lam] == mu
                     assert mults[lam] == orbit.multiplicity
-            assert [o.members[0].angle for o in od.orbits] == sorted(o.members[0].angle for o in od.orbits)
-            assert od.delta == math.lcm(*(len(o) for o in od.orbits))
+            assert [o.members[0].angle for o in walk.orbits] == sorted(
+                o.members[0].angle for o in walk.orbits
+            )
+            assert walk.delta == math.lcm(*(len(o) for o in walk.orbits))
 
         spec = JordanSpec(tuple(JordanEntry(ev, blocks) for ev, blocks in entries.items()))
         if None in entries and not 1 <= pq.p < pq.q:

@@ -10,12 +10,14 @@ bytecode written, and so do two fixed lists: DECLINED, argv that the
 CLI's grammar table leaves to argparse (help, bad and abbreviated flags),
 so that parity covers argparse's messages and exit codes too; and SPECS,
 solve-b and analyze --find-b of spec files, whose conjugator and
-polynomial witness no bench workload runs.  Exit code, stdout and stderr
-are compared per argv.  The tool prints every argv that differs, with the
-top-level keys that differ where both stdouts are JSON objects, then the
-number of bench, spec-file and declined argv compared and one count per
-set of differing keys, and exits 1 on any difference.  It reads bench/
-and src/ of the trees and writes nothing in either.
+polynomial witness no bench workload runs, and analyze of spec files
+that reach the verdict outcomes the bench argv do not.  Exit code,
+stdout and stderr are compared per argv.  The tool prints every argv
+that differs, with the top-level keys that differ where both stdouts are
+JSON objects, then the number of bench, spec-file and declined argv
+compared and one count per set of differing keys, and exits 1 on any
+difference.  It reads bench/ and src/ of the trees and writes nothing in
+either.
 """
 
 from __future__ import annotations
@@ -85,12 +87,21 @@ DECLINED = [
 ]
 # run in a directory holding INPUTS: a whole successor cycle of four 65th
 # roots under (2, 3), and one eigenvalue 1 with blocks [8], [4, 3, 2, 1]
-# and [17]
+# and [17]; then one verdict each: a multiplicity that varies along an
+# orbit, 2 (no root of unity) alone and beside a zero 1-block, zeros only,
+# a singular spec under a pair that analyze swaps, and block multisets
+# that vary along an orbit
 SPECS = [
     [command, name, "-p", p, "-q", q, *flag]
     for name in ("cycle4.json", "one8.json", "one4321.json", "one17.json")
     for p, q in (("2", "3"), ("3", "5"))
     for command, *flag in (("solve-b",), ("analyze", "--find-b"))
+] + [
+    ["analyze", name, "-p", p, "-q", q]
+    for name, p, q in (
+        ("multiplicity.json", "2", "3"), ("two.json", "2", "3"), ("twozero.json", "2", "3"),
+        ("zeros.json", "2", "3"), ("singular.json", "3", "2"), ("blocks.json", "2", "3"),
+    )
 ]
 INPUTS = {
     "spec.json": [{"eigenvalue": "1/3", "blocks": [2, 1]}, {"eigenvalue": "zero", "blocks": [1]}],
@@ -99,6 +110,15 @@ INPUTS = {
     "cycle4.json": [{"eigenvalue": f"{k}/65", "blocks": [2, 1]} for k in (1, 34, 51, 44)],
     **{f"one{''.join(map(str, blocks))}.json": [{"eigenvalue": "0/1", "blocks": blocks}]
        for blocks in ([8], [4, 3, 2, 1], [17])},
+    "multiplicity.json": [{"eigenvalue": "1/5", "blocks": [1]},
+                          {"eigenvalue": "4/5", "blocks": [1, 1]}],
+    "two.json": [{"eigenvalue": [2.0, 0.0], "blocks": [1]}],
+    "twozero.json": [{"eigenvalue": [2.0, 0.0], "blocks": [1]},
+                     {"eigenvalue": "zero", "blocks": [1]}],
+    "zeros.json": [{"eigenvalue": "zero", "blocks": [2, 1]}],
+    "singular.json": [{"eigenvalue": "zero", "blocks": [1]}, {"eigenvalue": "1/5", "blocks": [1]},
+                      {"eigenvalue": "4/5", "blocks": [1]}],
+    "blocks.json": [{"eigenvalue": "1/5", "blocks": [2]}, {"eigenvalue": "4/5", "blocks": [1, 1]}],
 }
 FIXED = {"declined": DECLINED, "specs": SPECS}  # each list by the directory it runs in
 
