@@ -77,9 +77,12 @@ def _check_finite(entries: list[complex]):
 
 def matrix_from_json(data: dict) -> tuple[tuple[complex, ...], ...]:
     """The rows of a matrix JSON object as tuples of complex; a ValueError
-    for a wrong entry count or a non-finite entry."""
+    for a size that is not a non-negative int, a wrong entry count or a
+    non-finite entry."""
     rows, cols = data["rows"], data["cols"]
     for name, size in (("rows", rows), ("cols", cols)):
+        if type(size) is not int:  # bool is an int subclass
+            raise ValueError(f"{name} {json.dumps(size)} is not an integer")
         if size < 0:
             raise ValueError(f"{name} {size} is negative")
     entries = [complex(re, im) for re, im in data["data"]]

@@ -146,21 +146,90 @@ class Split(NamedTuple):
     clusters: list[list[int]]  # indices into the eigenvalues of A
     centres: list[complex]  # the cluster means
     bases: list[np.ndarray] | None  # the V_i, orthonormal, when the split certifies
-    lefts: list[np.ndarray] | None  # the W_i, the row blocks of [V_1 ... V_k]^-1
+    # the A_i = W_i A V_i, with W_i the row blocks of [V_1 ... V_k]^-1, when the split certifies
+    blocks: list[np.ndarray] | None
 
 
-def _generalized_eigenspace(a, vecs, members, lam, scale) -> np.ndarray | None:
-    """Orthonormal columns spanning the generalized eigenspace of A for its
-    eigenvalues ``members`` (indices into its eigenvectors vecs) near lam:
-    a lone one's eigenvector, else the first nested kernel of A - lam*I of
-    that dimension; None when the dimensions overshoot or stop short."""
-    mult = len(members)
-    if mult < 2:
-        return vecs[:, members]
-    for kernel in _nested_kernels(a, lam, scale, mult):
-        if kernel.shape[1] >= mult:
-            return kernel if kernel.shape[1] == mult else None
-    return None
+def _generalized_eigenspace(a, q, lam, scale) -> np.ndarray | None:
+    """The orthonormal columns q, a start near an invariant subspace of A
+    for its eigenvalues near lam, refined to one; None when not certified.
+
+    Newton steps on A Q = Q M (Stewart, SIAM Rev. 15, 1973; Demmel,
+    Computing 38, 1987): with M = Q^H A Q, R = A Q - Q M and N = M - lam,
+    the step Z solves (I - QQ^H)(A - lam) Z - Z N = -R with Z orthogonal
+    to Q, through the bordered matrix K = [[A - lam, Q], [Q^H, 0]]:
+    Z = G (Z N - R) for G the leading n x n block of K^-1, exact after m
+    rounds when N is nilpotent.  X = Q + Z is orthonormalized by one
+    Newton-Schulz step, to O(||Z||^4), where ||Z||_F < 1 keeps
+    ||I - X^H X||_2 below 1 so that it converges (Higham, Functions of
+    Matrices, 2008, 8.3), and by a QR factorization otherwise.  The steps
+    run while ||R||_F exceeds the rounding bound of its own product,
+    n * sqrt(m) * eps * scale, and still falls; a singular K ends them.
+    Q is certified when ||R||_F <= RANK_TOL * scale, scale >= ||A - lam||_2:
+    the cut at which the nested kernels of A - lam took its dimension.
+    """
+    n, mult = q.shape
+    qh = q.conj().T
+    aq = a @ q
+    m = qh @ aq
+    r = aq - q @ m
+    res = np.vdot(r, r).real
+    rounding = mult * (n * np.finfo(float).eps * scale) ** 2
+    bordered = None
+    while res > rounding:
+        if bordered is None:
+            bordered = np.zeros((n + mult, n + mult), dtype=complex)
+            bordered[:n, :n] = a
+            bordered.reshape(-1)[: n * (n + mult + 1) : n + mult + 1] -= lam
+            three_halves = 1.5 * np.eye(mult)
+        bordered[:n, n:] = q
+        bordered[n:, :n] = qh
+        try:
+            g = np.linalg.inv(bordered)[:n, :n]
+        except np.linalg.LinAlgError:
+            break
+        m.reshape(-1)[:: mult + 1] -= lam
+        u = r
+        for _ in range(mult - 1):
+            u = r + (g @ u) @ m
+        w = g @ u
+        x = q - w
+        if np.vdot(w, w).real < 1:  # ||I - X^H X||_2 < 1, where Newton-Schulz converges
+            step = x @ (three_halves - 0.5 * (x.conj().T @ x))
+        else:
+            step = np.linalg.qr(x)[0]
+        step_h = step.conj().T
+        aq = a @ step
+        m_step = step_h @ aq
+        r = aq - step @ m_step
+        res_step = np.vdot(r, r).real
+        if not res_step < res:
+            break
+        q, qh, m, res = step, step_h, m_step, res_step
+    return q if res <= (RANK_TOL * scale) ** 2 else None
+
+
+def _cluster_bases(a, vecs, clusters, centres, norm) -> list[np.ndarray | None]:
+    """Per cluster of the eigenvalues of A (indices into its eigenvectors
+    vecs) at mean c, an orthonormal basis of its invariant subspace, or None
+    when none is certified: a lone eigenvalue's eigenvector, else the
+    cluster's eigenvectors orthonormalized, which for a Jordan block are
+    nearly parallel, and refined by _generalized_eigenspace at scale
+    ||A||_F + |c|, norm = ||A||_F.  One QR serves every cluster of two or
+    more: the leading columns of a Householder Q span the columns they
+    factor, so the zero columns that pad a cluster to the widest change
+    nothing."""
+    bases = [vecs[:, c] for c in clusters]
+    multi = [i for i, c in enumerate(clusters) if len(c) > 1]
+    if not multi:
+        return bases
+    start = np.zeros((len(multi), len(a), max(len(clusters[i]) for i in multi)), dtype=complex)
+    for j, i in enumerate(multi):
+        start[j, :, : len(clusters[i])] = bases[i]
+    for q, i in zip(np.linalg.qr(start)[0], multi):
+        z = centres[i]
+        bases[i] = _generalized_eigenspace(a, q[:, : len(clusters[i])], z, norm + abs(z))
+    return bases
 
 
 def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
@@ -169,23 +238,29 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
 
     One eig(A) serves every rung: its eigenvalues are clustered by single
     linkage at tol times the rung's factor; an ambiguous rung is its
-    ClusteringAmbiguityError.  Cluster i, at mean c_i, gets the orthonormal
-    basis V_i of its generalized eigenspace (the eigenvector of a lone
-    eigenvalue, else the nested kernel of A - c_i of its dimension, cut at
-    RANK_TOL * (||A||_F + |c_i|)), and W_i is the i-th row block of
-    [V_1 ... V_k]^-1, so that A V_i = V_i A_i and W_i A = A_i W_i with
-    A_i = W_i A V_i (Golub & Wilkinson, SIAM Rev. 18, 1976; Kagstrom &
-    Ruhe, ACM TOMS 6, 1980).  The split certifies when every V_i has its
-    cluster's dimension and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  A
-    certified split, or one cluster, ends the list: coarser radii join no
-    less, and recovery never needs them.  Every command that splits A
-    passes here once, so past MAX_RECOVERY_N it is refused before the eig.
+    ClusteringAmbiguityError.  Cluster i, at mean c_i, gets an orthonormal
+    basis V_i of its invariant subspace from eig's own eigenvectors
+    (_cluster_bases): a lone eigenvalue's eigenvector, else the cluster's
+    eigenvectors refined by Newton steps and certified by their invariance
+    residual, ||A V_i - V_i (V_i^H A V_i)||_F <= RANK_TOL * (||A||_F + |c_i|).
+    With W_i the i-th row block of [V_1 ... V_k]^-1, A V_i = V_i A_i and
+    W_i A = A_i W_i for the block A_i = W_i A V_i (Golub & Wilkinson, SIAM
+    Rev. 18, 1976; Kagstrom & Ruhe, ACM TOMS 6, 1980), and every A_i is read
+    off the one product T = W A V.  The split certifies when every V_i is
+    certified and cond([V_1 ... V_k]) <= 1/sqrt(RANK_TOL).  It takes no
+    nested kernel: those are the certificate's, on the blocks
+    (weyr_characteristic).  A certified split, or one cluster, ends the
+    list: coarser radii join no less, and recovery never needs them.  Every
+    command that splits A passes here once, so past MAX_RECOVERY_N it is
+    refused before the eig.
     """
     if len(a) > MAX_RECOVERY_N:
         raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
     values, vecs = np.linalg.eig(a)
-    tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.norm(a, 2)), 1.0)
+    # ||A||_2, the largest singular value
+    tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)
     norm = float(np.linalg.norm(a))
+    listed = values.tolist()
     splits: list[Split | ClusteringAmbiguityError] = []
     for factor in CLUSTER_LADDER:
         try:
@@ -193,19 +268,19 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
         except ClusteringAmbiguityError as exc:
             splits.append(exc)
             continue
-        centres = [complex(values[c].mean()) for c in clusters]
+        centres = [complex(values[c].mean() if len(c) > 1 else listed[c[0]]) for c in clusters]
         splits.append(Split(tol, clusters, centres, None, None))
         if len(clusters) == 1:
             break
-        bases = [
-            _generalized_eigenspace(a, vecs, c, z, norm + abs(z)) for c, z in zip(clusters, centres)
-        ]
+        bases = _cluster_bases(a, vecs, clusters, centres, norm)
         if all(v is not None for v in bases):
-            u, s, vh = np.linalg.svd(np.hstack(bases))
+            v = np.hstack(bases)
+            u, s, vh = np.linalg.svd(v)
             if s[0] <= s[-1] / np.sqrt(RANK_TOL):
-                inverse = vh.conj().T @ (u.conj().T / s[:, None])
-                lefts = np.split(inverse, np.cumsum([v.shape[1] for v in bases])[:-1])
-                splits[-1] = splits[-1]._replace(bases=bases, lefts=lefts)
+                t = vh.conj().T @ (u.conj().T @ (a @ v) / s[:, None])
+                ends = np.cumsum([len(c) for c in clusters]).tolist()
+                blocks = [t[i:j, i:j] for i, j in zip([0] + ends, ends)]
+                splits[-1] = splits[-1]._replace(bases=bases, blocks=blocks)
                 break
     return splits
 

@@ -129,6 +129,8 @@ class JordanSpec:
             elif isinstance(ev, str):
                 parsed = RootOfUnity.from_str(ev)
             else:
+                if len(ev) != 2:
+                    raise ValueError(f"eigenvalue {ev} is not [re, im]")
                 # a complex 0 is the eigenvalue 0, whose blocks split in a power
                 parsed = complex(ev[0], ev[1]) or None
             blocks = tuple(item["blocks"])
@@ -323,7 +325,7 @@ def _certified_entry(a: np.ndarray, split: Split, i: int, pq: ExponentPair, norm
     from .matrixcore import weyr_characteristic
 
     basis = None if split.bases is None else split.bases[i]
-    m = a if basis is None else split.lefts[i] @ a @ basis
+    m = a if basis is None else split.blocks[i]
     mult, center = len(split.clusters[i]), split.centres[i]
     if abs(center) <= split.tol:
         points: Iterable[JordanEigenvalue] = [None]

@@ -321,6 +321,49 @@ class TestMalformedInput:
             assert len(lines) == 1
             assert json.loads(lines[0])["error"] == f"bad {kind} file {path}: {error}"
 
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ({"rows": True, "cols": True}, "rows true is not an integer"),
+            ({"rows": 1, "cols": False}, "cols false is not an integer"),
+            ({"rows": 1.0, "cols": 1}, "rows 1.0 is not an integer"),
+            ({"rows": "1", "cols": 1}, 'rows "1" is not an integer'),
+            ({"rows": None, "cols": 1}, "rows null is not an integer"),
+        ],
+        ids=["bools", "bool cols", "float", "string", "null"],
+    )
+    def test_a_header_size_that_is_no_int_is_a_bad_matrix_file(
+        self, capsys, tmp_path, files, header, error
+    ):
+        # a bool is an int subclass: true x true with one entry was a 1x1 matrix
+        path = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(json.dumps({**header, "data": [[2, 0]]}))
+        for argv in (
+            ["analyze", path, "-p", "2", "-q", "3"],
+            ["solve-b", path, "-p", "2", "-q", "3"],
+            ["verify", path, files["b2"], "-p", "2", "-q", "3"],
+            ["word2", "verify", files["b2"], path, *self.SHAPE],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["error"] == f"bad matrix file {path}: {error}"
+
+    @pytest.mark.parametrize("ev", [[1, 0, 7], [1], []], ids=["three parts", "one part", "empty"])
+    def test_an_eigenvalue_of_other_than_two_parts_is_a_bad_spec_file(self, capsys, tmp_path, ev):
+        # [1, 0, 7] was read as 1 + 0i, its third part dropped
+        path = str(tmp_path / "spec.json")
+        (tmp_path / "spec.json").write_text(json.dumps([
+            {"eigenvalue": ev, "blocks": [1]}, {"eigenvalue": "1/3", "blocks": [1]},
+        ]))
+        for argv in (
+            ["analyze", path, "-p", "2", "-q", "3"],
+            ["analyze", path, "-p", "2", "-q", "3", "--find-b"],
+            ["solve-b", path, "-p", "2", "-q", "3"],
+        ):
+            code, report = run_json(capsys, *argv)
+            assert code == 1
+            assert report["error"] == f"bad spec file {path}: eigenvalue {ev} is not [re, im]"
+
     def test_a_and_b_of_different_sizes(self, capsys, files):
         a, b = files["a3"], files["b2"]
         for argv in (

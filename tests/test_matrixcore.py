@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from simpow.scalar import ExponentPair, RootOfUnity
 from simpow.similarity import JordanEntry, JordanSpec, matrix_from_spec, powers_similar_general
 from simpow.solvers import solve_single_eigenvalue
 from simpow.spectra import successor
-from test_similarity import FIXTURE_SPECS, exact_dimension, integer_conjugate
+from test_similarity import FIXTURE_SPECS, exact_dimension, integer_conjugate, integer_corpus
 
 J2 = np.array([[0, 1], [0, 0]], dtype=complex)
 J3 = np.eye(3, k=1, dtype=complex)
@@ -401,6 +402,145 @@ class TestEigenspaceSplits:
         assert all(basis is None for _, _, basis in recovered.certificates)
         assert dimension == exact_dimension(spec, pq) == 14
         assert_conjugates(a, pq, b)
+
+
+def generalized_eigenspace(a, vecs, members, lam, scale):
+    """Reference: the split's basis of a cluster before the Newton-refined
+    eigenvectors, its lone eigenvector, else the first nested kernel of
+    A - lam*I of the cluster's dimension, each rank cut at RANK_TOL * scale;
+    None when the dimensions overshoot or stop short."""
+    mult = len(members)
+    if mult < 2:
+        return vecs[:, members]
+    for kernel in matrixcore._nested_kernels(a, lam, scale, mult):
+        if kernel.shape[1] >= mult:
+            return kernel if kernel.shape[1] == mult else None
+    return None
+
+
+def invariance_residual(a, q):
+    aq = a @ q
+    return float(np.linalg.norm(aq - q @ (q.conj().T @ aq)))
+
+
+def separation(a, q):
+    """sep(M, A_22) for orthonormal q: the smallest singular value of
+    X -> A_22 X - X M, with M = q^H A q and A_22 = A on q's complement."""
+    n, m = q.shape
+    perp = np.linalg.qr(q, mode="complete")[0][:, m:]
+    a22, mq = perp.conj().T @ a @ perp, q.conj().T @ a @ q
+    op = np.kron(np.eye(m), a22) - np.kron(mq.T, np.eye(n - m))
+    return float(np.linalg.svd(op, compute_uv=False)[-1])
+
+
+def against_the_staircase(a):
+    """Per cluster of two or more on every rung the split of A reaches:
+    (the new basis, the staircase's, the sine of their largest principal
+    angle, its perturbation bound 2 (||R_new|| + ||R_ref||) / sep), the
+    last two None unless both certify (Stewart, SIAM Rev. 15, 1973: an
+    orthonormal Q with residual R lies within 2 ||R|| / sep of an invariant
+    subspace)."""
+    values, vecs = np.linalg.eig(a)
+    norm = float(np.linalg.norm(a))
+    for split in eigenspace_splits(a):
+        if not isinstance(split, Split) or len(split.clusters) == 1:
+            continue
+        bases = matrixcore._cluster_bases(a, vecs, split.clusters, split.centres, norm)
+        for c, z, new in zip(split.clusters, split.centres, bases):
+            if len(c) < 2:
+                continue
+            ref = generalized_eigenspace(a, vecs, c, z, norm + abs(z))
+            if new is None or ref is None:
+                yield new, ref, None, None
+                continue
+            sine = float(np.linalg.norm(new - ref @ (ref.conj().T @ new), 2))
+            residuals = invariance_residual(a, new) + invariance_residual(a, ref)
+            yield new, ref, sine, 2 * residuals / separation(a, new)
+
+
+# an n = 24 similar spec under (2,3) as the numeric benchmark draws them:
+# whole successor cycles, one block multiset per cycle, 1/1 filling the rest
+NUMERIC_STYLE = JordanSpec(tuple(
+    JordanEntry(RootOfUnity(k, m), blocks)
+    for members, blocks in [
+        ([(1, 5), (4, 5)], (2, 1)),
+        ([(1, 19), (11, 19), (7, 19)], (1, 1, 1)),
+        ([(2, 5), (3, 5)], (2,)),
+        ([(2, 19), (3, 19), (14, 19)], (1,)),
+        ([(0, 1)], (1, 1)),
+    ]
+    for k, m in members
+))
+
+
+class TestClusterBases:
+    """A cluster's basis is its Newton-refined eigenvectors, certified by
+    their invariance residual; the nested kernels of A - c it replaced are
+    the reference (generalized_eigenspace)."""
+
+    def certified_alike(self, a):
+        """The (sine, bound) of every cluster of two or more on the rungs
+        of A's split, asserting that the new basis and the staircase's
+        certify alike."""
+        found = []
+        for new, ref, sine, bound in against_the_staircase(a):
+            assert (new is None) == (ref is None)
+            if sine is not None:
+                found.append((new.shape[1], sine, bound))
+        return found
+
+    @pytest.mark.parametrize(
+        "pq", [ExponentPair(2, 3), ExponentPair(3, 5), ExponentPair(-1, 2)], ids=str
+    )
+    def test_spans_the_staircase_kernel_on_cycles(self, pq):
+        rng = np.random.default_rng(abs(pq.p) * 10 + pq.q)
+        found = []
+        for seed in range(10):
+            found += self.certified_alike(matrix_from_spec(cycle_spec(rng, pq, 12), seed))
+        assert len(found) > 10
+        assert all(sine <= 1e-10 for _, sine, _ in found)
+
+    def test_spans_the_staircase_kernel_at_n24(self):
+        for seed in range(3):
+            found = self.certified_alike(matrix_from_spec(NUMERIC_STYLE, conjugate_seed=seed))
+            assert sorted(size for size, _, _ in found) == [2, 2, 2, 3, 3, 3, 3, 3]
+            assert all(sine <= 1e-10 for _, sine, _ in found)
+
+    def test_spans_the_staircase_kernel_on_the_integer_corpus(self):
+        # where a cluster's invariant subspace is ill-conditioned the
+        # staircase kernel itself is off by up to 0.1, so the angle is held
+        # to the perturbation bound of the two residuals there
+        outcomes = Counter()
+        for seed in range(1000, 1240):
+            for _, sine, bound in self.certified_alike(integer_corpus(seed)[0]):
+                assert sine <= max(1e-10, bound)
+                outcomes["within 1e-10" if sine <= 1e-10 else "within the bound"] += 1
+        assert set(outcomes) == {"within 1e-10", "within the bound"}
+
+    @pytest.mark.parametrize("factor, certified", [(0.5, True), (2.0, False)])
+    def test_certified_at_the_cut(self, factor, certified):
+        # [e1, e2] misses invariance by R = t e3, and K is singular (A - 0 is
+        # 0 on e3), so no step moves it: certified iff t <= RANK_TOL * scale
+        t = factor * RANK_TOL
+        a = np.zeros((3, 3), dtype=complex)
+        a[2, 0] = t
+        basis = matrixcore._generalized_eigenspace(a, np.eye(3, 2, dtype=complex), 0j, 1.0)
+        assert (basis is not None) == certified
+
+    def test_split_takes_no_staircase(self, monkeypatch):
+        # on a certified split of n = 24 the only n x n SVDs left are the
+        # 2-norm and the cond certificate: none per cluster
+        a = matrix_from_spec(NUMERIC_STYLE, conjugate_seed=1)
+        shapes, svd = [], np.linalg.svd
+
+        def counted(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        [split] = eigenspace_splits(a)
+        assert split.bases is not None and max(len(c) for c in split.clusters) == 3
+        assert shapes == [(24, 24), (24, 24)]
 
 
 def loop_clusters(values, threshold):

@@ -399,10 +399,7 @@ class TestSplitCertificate:
         assert len(splits[0].clusters) == 10
         assert all(s.bases is None for s in splits)
         norm = np.linalg.norm(a)
-        bases = [
-            matrixcore._generalized_eigenspace(a, vecs, c, z, norm + abs(z))
-            for c, z in zip(splits[0].clusters, splits[0].centres)
-        ]
+        bases = matrixcore._cluster_bases(a, vecs, splits[0].clusters, splits[0].centres, norm)
         assert [v.shape[1] for v in bases] == [len(c) for c in splits[0].clusters]
         assert np.linalg.cond(np.hstack(bases)) > 1 / math.sqrt(matrixcore.RANK_TOL)
         sizes = []
@@ -418,7 +415,7 @@ def weyr_certified_entry(a, split, i, pq, norm):
     """Reference: similarity._certified_entry as it certified every cluster,
     a lone one included, by the Weyr sequence at each point."""
     basis = None if split.bases is None else split.bases[i]
-    m = a if basis is None else split.lefts[i] @ a @ basis
+    m = a if basis is None else split.blocks[i]
     mult, center = len(split.clusters[i]), split.centres[i]
     points = [None] if abs(center) <= split.tol else [
         *_admissible_roots(center, pq, len(a), split.tol), center
@@ -479,7 +476,7 @@ class TestLoneEigenvalue:
         pq, root, norm = ExponentPair(2, 3), R(1, 5), 3.0
         z = rou_to_complex(root) + factor * RANK_TOL * (norm + 1) * 1j
         a, eye = np.diag([z, 0.5]), np.eye(2, dtype=complex)
-        split = Split(1e-6, [[0], [1]], [z, 0.5], [eye[:, :1], eye[:, 1:]], [eye[:1], eye[1:]])
+        split = Split(1e-6, [[0], [1]], [z, 0.5], [eye[:, :1], eye[:, 1:]], [a[:1, :1], a[1:, 1:]])
         entry, _ = similarity._certified_entry(a, split, 0, pq, norm)
         assert entry == JordanEntry(root if snapped else z, (1,))
         assert weyr_certified_entry(a, split, 0, pq, norm)[0] == entry
