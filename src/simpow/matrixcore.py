@@ -181,7 +181,6 @@ def _generalized_eigenspace(a, q, lam, scale) -> np.ndarray | None:
             bordered = np.zeros((n + mult, n + mult), dtype=complex)
             bordered[:n, :n] = a
             bordered.reshape(-1)[: n * (n + mult + 1) : n + mult + 1] -= lam
-            three_halves = 1.5 * np.eye(mult)
         bordered[:n, n:] = q
         bordered[n:, :n] = qh
         try:
@@ -195,7 +194,7 @@ def _generalized_eigenspace(a, q, lam, scale) -> np.ndarray | None:
         w = g @ u
         x = q - w
         if np.vdot(w, w).real < 1:  # ||I - X^H X||_2 < 1, where Newton-Schulz converges
-            step = x @ (three_halves - 0.5 * (x.conj().T @ x))
+            step = 1.5 * x - 0.5 * (x @ (x.conj().T @ x))
         else:
             step = np.linalg.qr(x)[0]
         step_h = step.conj().T
@@ -268,6 +267,7 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
         except ClusteringAmbiguityError as exc:
             splits.append(exc)
             continue
+        # a lone eigenvalue is its own mean, bit for bit
         centres = [complex(values[c].mean() if len(c) > 1 else listed[c[0]]) for c in clusters]
         splits.append(Split(tol, clusters, centres, None, None))
         if len(clusters) == 1:
