@@ -173,7 +173,7 @@ def _generalized_eigenspace(a, q, lam, scale) -> np.ndarray | None:
     aq = a @ q
     m = qh @ aq
     r = aq - q @ m
-    res = np.vdot(r, r).real
+    res = np.vdot(r, r).real  # the residual and both cuts are compared squared
     rounding = mult * (n * np.finfo(float).eps * scale) ** 2
     bordered = None
     while res > rounding:
