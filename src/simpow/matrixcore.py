@@ -115,30 +115,6 @@ def _cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[list[int]
     return clusters
 
 
-def _nested_kernels(m: np.ndarray, lam: complex, scale: float, depth: int):
-    """Orthonormal columns spanning ker((M - lam*I)^k) for k = 1..depth, while they grow.
-
-    Deflated: with S = M - lam*I and P_k the orthogonal projector onto
-    ker(S^k), ker(S^(k+1)) = ker((I - P_k) S), so each k takes one SVD of
-    M's size and no power of S is formed.  Every rank is cut at RANK_TOL *
-    scale, the caller's bound on ||S||_2, so a rounding-sized S is not
-    judged by its own norm and a gap d between eigenvalues is not shrunk
-    to d^k.  A kernel of the previous dimension is not yielded, and none
-    follows the whole space: every later one would be the same.
-    """
-    shifted = m - lam * np.eye(len(m))
-    deflated, dim = shifted, -1
-    for _ in range(depth):
-        kernel = kernel_basis(deflated, scale)
-        if kernel.shape[1] == dim:
-            return
-        yield kernel
-        dim = kernel.shape[1]
-        if dim == len(m):
-            return
-        deflated = shifted - kernel @ (kernel.conj().T @ shifted)
-
-
 class Split(NamedTuple):
     """One unambiguous rung of the eigenvalue split of A (eigenspace_splits)."""
 
@@ -159,12 +135,10 @@ def _generalized_eigenspace(a, q, lam, scale) -> np.ndarray | None:
     the step Z solves (I - QQ^H)(A - lam) Z - Z N = -R with Z orthogonal
     to Q, through the bordered matrix K = [[A - lam, Q], [Q^H, 0]]:
     Z = G (Z N - R) for G the leading n x n block of K^-1, exact after m
-    rounds when N is nilpotent.  X = Q + Z is orthonormalized by one
-    Newton-Schulz step, to O(||Z||^4), where ||Z||_F < 1 keeps
-    ||I - X^H X||_2 below 1 so that it converges (Higham, Functions of
-    Matrices, 2008, 8.3), and by a QR factorization otherwise.  The steps
-    run while ||R||_F exceeds the rounding bound of its own product,
-    n * sqrt(m) * eps * scale, and still falls; a singular K ends them.
+    rounds when N is nilpotent, and Q + Z is orthonormalized by a QR
+    factorization, which keeps its span.  The steps run while ||R||_F
+    exceeds the rounding bound of its own product, n * sqrt(m) * eps *
+    scale, and still falls; a singular K ends them.
     Q is certified when ||R||_F <= RANK_TOL * scale, scale >= ||A - lam||_2:
     the cut at which the nested kernels of A - lam took its dimension.
     """
@@ -192,11 +166,7 @@ def _generalized_eigenspace(a, q, lam, scale) -> np.ndarray | None:
         for _ in range(mult - 1):
             u = r + (g @ u) @ m
         w = g @ u
-        x = q - w
-        if np.vdot(w, w).real < 1:  # ||I - X^H X||_2 < 1, where Newton-Schulz converges
-            step = 1.5 * x - 0.5 * (x @ (x.conj().T @ x))
-        else:
-            step = np.linalg.qr(x)[0]
+        step = np.linalg.qr(q - w)[0]
         step_h = step.conj().T
         aq = a @ step
         m_step = step_h @ aq
@@ -214,21 +184,13 @@ def _cluster_bases(a, vecs, clusters, centres, norm) -> list[np.ndarray | None]:
     when none is certified: a lone eigenvalue's eigenvector, else the
     cluster's eigenvectors orthonormalized, which for a Jordan block are
     nearly parallel, and refined by _generalized_eigenspace at scale
-    ||A||_F + |c|, norm = ||A||_F.  One QR serves every cluster of two or
-    more: the leading columns of a Householder Q span the columns they
-    factor, so the zero columns that pad a cluster to the widest change
-    nothing."""
-    bases = [vecs[:, c] for c in clusters]
-    multi = [i for i, c in enumerate(clusters) if len(c) > 1]
-    if not multi:
-        return bases
-    start = np.zeros((len(multi), len(a), max(len(clusters[i]) for i in multi)), dtype=complex)
-    for j, i in enumerate(multi):
-        start[j, :, : len(clusters[i])] = bases[i]
-    for q, i in zip(np.linalg.qr(start)[0], multi):
-        z = centres[i]
-        bases[i] = _generalized_eigenspace(a, q[:, : len(clusters[i])], z, norm + abs(z))
-    return bases
+    ||A||_F + |c|, norm = ||A||_F."""
+    return [
+        vecs[:, c]
+        if len(c) < 2
+        else _generalized_eigenspace(a, np.linalg.qr(vecs[:, c])[0], z, norm + abs(z))
+        for c, z in zip(clusters, centres)
+    ]
 
 
 def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
@@ -256,10 +218,9 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
     if len(a) > MAX_RECOVERY_N:
         raise ValueError(f"numeric recovery supports n <= {MAX_RECOVERY_N}")
     values, vecs = np.linalg.eig(a)
-    # ||A||_2, the largest singular value
+    # ||A||_2: the SVD that np.linalg.norm(a, 2) takes, without its wrapper
     tol = DEFAULT_CLUSTER_TOL * max(float(np.linalg.svd(a, compute_uv=False)[0]), 1.0)
     norm = float(np.linalg.norm(a))
-    listed = values.tolist()
     splits: list[Split | ClusteringAmbiguityError] = []
     for factor in CLUSTER_LADDER:
         try:
@@ -267,8 +228,7 @@ def eigenspace_splits(a: np.ndarray) -> list[Split | ClusteringAmbiguityError]:
         except ClusteringAmbiguityError as exc:
             splits.append(exc)
             continue
-        # a lone eigenvalue is its own mean, bit for bit
-        centres = [complex(values[c].mean() if len(c) > 1 else listed[c[0]]) for c in clusters]
+        centres = [complex(values[c].mean()) for c in clusters]
         splits.append(Split(tol, clusters, centres, None, None))
         if len(clusters) == 1:
             break
@@ -307,16 +267,29 @@ def weyr_characteristic(
 ) -> list[int]:
     """dim ker((M - lam*I)^k) for k = 1..depth; nondecreasing, eventually constant.
 
-    The dimensions of the nested kernels cut at RANK_TOL * scale
-    (_nested_kernels), a bound on ||M - lam*I||_2: ||M||_F + |lam|, or for
-    a block of a larger operator that operator's; once they stop growing
-    the list is padded to depth with the last one.  A list passed as
-    kernels receives the kernels themselves, K_1 up to the last that grew.
+    The nested kernels are deflated: with S = M - lam*I and P_k the
+    orthogonal projector onto ker(S^k), ker(S^(k+1)) = ker((I - P_k) S),
+    so each k takes one SVD of M's size and no power of S is formed.  Every
+    rank is cut at RANK_TOL * scale, a bound on ||S||_2: ||M||_F + |lam|,
+    or for a block of a larger operator that operator's, so a
+    rounding-sized S is not judged by its own norm and a gap d between
+    eigenvalues is not shrunk to d^k.  Once the dimensions stop growing, or
+    reach M's size, the list is padded to depth with the last one.  A list
+    passed as kernels receives the kernels themselves, K_1 up to the last
+    that grew.
     """
-    found = list(_nested_kernels(m, complex(lam), scale, depth))
-    if kernels is not None:
-        kernels.extend(found)
-    dims = [kernel.shape[1] for kernel in found]
+    shifted = m - complex(lam) * np.eye(len(m))
+    deflated, dims = shifted, []
+    for _ in range(depth):
+        kernel = kernel_basis(deflated, scale)
+        if dims and kernel.shape[1] == dims[-1]:
+            break
+        if kernels is not None:
+            kernels.append(kernel)
+        dims.append(kernel.shape[1])
+        if dims[-1] == len(m):
+            break
+        deflated = shifted - kernel @ (kernel.conj().T @ shifted)
     return dims + dims[-1:] * (depth - len(dims))
 
 
